@@ -2,7 +2,7 @@
 // calls out):
 //
 //   A1  degree preprocessing (iterated k-core) on/off          (§2.2)
-//   A2  scheduler transfer decisions on/off -> balance + time  (§2.3)
+//   A2  stealing of range jobs on/off -> balance + time        (§2.3)
 //   A3  WAH compression of common-neighbor bitmaps: footprint
 //       vs. the paper's "compression direction is underway"    (§4)
 //   A4  Improved vs Base BK pivoting on overlapping cliques    (§2.2)
@@ -50,8 +50,8 @@ void ablate_kcore(const bench::Workload& sparse, std::size_t init_k) {
 }
 
 void ablate_scheduler(const bench::Workload& workload, std::size_t init_k) {
-  std::printf("\n--- A2: dynamic transfers (runtime claiming + plan) ---\n");
-  util::TableWriter table({"dynamic transfers", "threads", "wall (s)",
+  std::printf("\n--- A2: runtime transfers (stolen range jobs) ---\n");
+  util::TableWriter table({"job stealing", "threads", "wall (s)",
                            "busy stddev/mean"});
   for (bool dynamic : {true, false}) {
     for (std::size_t threads : {std::size_t{2}}) {
@@ -60,7 +60,6 @@ void ablate_scheduler(const bench::Workload& workload, std::size_t init_k) {
       options.range = core::SizeRange{init_k, 0};
       options.threads = threads;
       options.dynamic_claiming = dynamic;
-      options.balancer.enable_transfers = dynamic;
       const auto stats = core::enumerate_maximal_cliques_parallel(
           workload.graph, counter.callback(), options);
       const auto summary = util::summarize(stats.thread_busy_seconds);

@@ -9,8 +9,10 @@
 // CPU clocks measure busy work faithfully there); beyond the physical
 // cores, oversubscription makes "per-processor time" meaningless, so the
 // 2..16-processor series the paper plots is regenerated by the machine
-// model replaying the recorded task trace through the real scheduler — the
-// same substitution DESIGN.md documents for all >2p results.  A
+// model replaying the recorded task trace through the paper's centralized
+// scheduler (par::LoadBalancer) — the same substitution DESIGN.md
+// documents for all >2p results.  The real driver balances at runtime
+// instead: idle workers steal range jobs, counted in the last column.  A
 // no-transfers ablation shows the balance is the scheduler's doing, not an
 // accident of the workload.
 
@@ -36,7 +38,7 @@ int main(int argc, char** argv) {
   const std::size_t hw = par::ThreadPool::default_threads();
   std::printf("\nreal threads (up to the %zu physical cores):\n", hw);
   util::TableWriter real_table({"processors", "mean (s)", "stddev (s)",
-                                "stddev/mean", "runtime transfers"});
+                                "stddev/mean", "stolen jobs"});
   bool real_balanced = true;
   for (std::size_t p = 2; p <= hw; p *= 2) {
     core::CliqueCounter counter;

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   const auto stats = core::enumerate_maximal_cliques_parallel(
       g, cliques.callback(), options);
   std::printf("enumerated %llu maximal cliques in [%zu, %zu] with %zu "
-              "threads in %.3f s (%llu scheduler transfers)\n",
+              "threads in %.3f s (%llu stolen jobs)\n",
               static_cast<unsigned long long>(stats.base.total_maximal),
               init_k, max.clique.size(), stats.threads,
               stats.base.total_seconds, static_cast<unsigned long long>(

@@ -7,12 +7,13 @@
 ///
 /// Input: an EnumerationStats carrying the per-root seed costs and
 /// per-sub-list level costs recorded by an instrumented (record_trace)
-/// sequential run.  The simulator pushes those task costs through the same
-/// gsb::par::LoadBalancer the real multithreaded driver uses, at any
-/// processor count, and charges the MachineModel's NUMA and synchronization
-/// overheads.  Because the task set and scheduler are the real ones, the
-/// resulting curves inherit the genuine level structure and imbalance of
-/// the workload rather than an analytic idealization.
+/// sequential run.  The simulator pushes those task costs through the
+/// paper's centralized scheduler, gsb::par::LoadBalancer, at any processor
+/// count, and charges the MachineModel's NUMA and synchronization
+/// overheads.  (The real multithreaded driver balances at runtime instead,
+/// by work stealing over range jobs.)  Because the task set is the real
+/// one, the resulting curves inherit the genuine level structure and
+/// imbalance of the workload rather than an analytic idealization.
 
 #include <cstddef>
 #include <vector>

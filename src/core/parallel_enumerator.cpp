@@ -1,13 +1,13 @@
 #include "core/parallel_enumerator.h"
 
 #include <algorithm>
-#include <numeric>
+#include <string>
 
 #include "core/detail/mapped_sink.h"
 #include "core/detail/sublist_kernel.h"
-#include "core/detail/task_claims.h"
 #include "core/kclique.h"
 #include "graph/transforms.h"
+#include "parallel/job_graph.h"
 #include "parallel/thread_pool.h"
 #include "util/timer.h"
 
@@ -18,14 +18,102 @@ using detail::BitsetPool;
 using detail::MappedSink;
 using graph::VertexId;
 
-/// Thread-local output of one bulk-synchronous round: generated sub-lists,
-/// emitted maximal cliques (flat, fixed stride), and counters.
-struct WorkerOutput {
-  Level next;
-  std::vector<VertexId> emitted;  ///< flat cliques, stride = clique size
+/// Range jobs per worker.  Seed tasks differ in cost by orders of
+/// magnitude (the DFS under one edge of a dense module against an
+/// isolated edge), so seeding is cut finer than the levels.
+constexpr std::size_t kSeedJobsPerWorker = 64;
+constexpr std::size_t kLevelJobsPerWorker = 16;
+
+/// What one range job produced.  Only its own job writes it; the calling
+/// thread reads it after the round.
+struct RangeSlot {
+  std::vector<VertexId> emitted;  ///< maximal cliques, flat, fixed stride
+  Level next;                     ///< generated sub-lists, in task order
+  LevelCounts next_counts;        ///< count_level(next)
+  std::size_t next_bytes = 0;     ///< level_bytes_actual(next)
   detail::KernelCounters counters;
+  std::size_t worker = 0;
   double busy_seconds = 0.0;
 };
+
+/// A candidate level as the chunks its producing jobs wrote, in job
+/// order.  Their concatenation is the sequential enumerator's level.
+struct ChunkedLevel {
+  std::vector<Level> chunks;
+  std::vector<std::size_t> starts;  ///< global index of each chunk's front
+  LevelCounts counts;
+  std::size_t bytes_actual = 0;
+
+  /// Calls fn(sublist, global_index) for the global range [begin, end).
+  template <typename Fn>
+  void for_range(std::size_t begin, std::size_t end, Fn&& fn) {
+    std::size_t c = static_cast<std::size_t>(
+        std::upper_bound(starts.begin(), starts.end(), begin) -
+        starts.begin() - 1);
+    for (std::size_t i = begin; i < end; ++c) {
+      Level& chunk = chunks[c];
+      const std::size_t stop = std::min(end, starts[c] + chunk.size());
+      for (; i < stop; ++i) fn(chunk[i - starts[c]], i);
+    }
+  }
+};
+
+/// One bulk-synchronous round: \p tasks tasks cut into contiguous ranges,
+/// one JobGraph job each, running body(slot, begin, end, worker).
+/// Returns the slots in task order; stolen jobs are added to \p stolen.
+template <typename Body>
+std::vector<RangeSlot> run_ranges(par::ThreadPool& pool, bool steal,
+                                 std::size_t tasks, std::size_t jobs_per_worker,
+                                 const std::string& label, Body&& body,
+                                 std::uint64_t& stolen) {
+  const std::size_t jobs = std::min(tasks, pool.size() * jobs_per_worker);
+  std::vector<RangeSlot> slots(jobs);
+  par::JobGraph::Options options;
+  options.steal = steal;
+  par::JobGraph graph(&pool, options);
+  for (std::size_t j = 0; j < jobs; ++j) {
+    par::JobGraph::JobSpec spec;
+    spec.label = label;
+    spec.run = [&, j](std::size_t worker) {
+      const double cpu_begin = util::thread_cpu_seconds();
+      RangeSlot& slot = slots[j];
+      body(slot, tasks * j / jobs, tasks * (j + 1) / jobs, worker);
+      slot.next_counts = count_level(slot.next);
+      slot.next_bytes = level_bytes_actual(slot.next);
+      slot.worker = worker;
+      slot.busy_seconds = util::thread_cpu_seconds() - cpu_begin;
+    };
+    graph.add(std::move(spec));
+  }
+  graph.run();
+  stolen += graph.stats().jobs_stolen;
+  return slots;
+}
+
+/// Drains a round's slots in job order on the calling thread: emits the
+/// cliques (\p stride vertices each), adds up the counters and the busy
+/// time per worker, and returns the next level built from the chunks.
+ChunkedLevel drain(std::vector<RangeSlot>& slots, std::size_t stride,
+                   MappedSink& sink, detail::KernelCounters& counters,
+                   std::vector<double>& thread_seconds) {
+  ChunkedLevel next;
+  for (RangeSlot& slot : slots) {
+    for (std::size_t i = 0; i + stride <= slot.emitted.size(); i += stride) {
+      sink.emit(std::span<const VertexId>(&slot.emitted[i], stride));
+    }
+    counters.pairs_checked += slot.counters.pairs_checked;
+    counters.edges_present += slot.counters.edges_present;
+    counters.maximal_emitted += slot.counters.maximal_emitted;
+    thread_seconds[slot.worker] += slot.busy_seconds;
+    if (slot.next.empty()) continue;
+    next.starts.push_back(next.counts.sublists);
+    next.counts.sublists += slot.next_counts.sublists;
+    next.counts.candidates += slot.next_counts.candidates;
+    next.bytes_actual += slot.next_bytes;
+    next.chunks.push_back(std::move(slot.next));
+  }
+  return next;
+}
 
 }  // namespace
 
@@ -80,7 +168,6 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
   const std::size_t n = work.order();
 
   par::ThreadPool pool(num_threads);
-  par::LoadBalancer balancer(options.balancer);
   std::vector<BitsetPool> bitset_pools;
   bitset_pools.reserve(num_threads);
   for (std::size_t t = 0; t < num_threads; ++t) bitset_pools.emplace_back(n);
@@ -88,182 +175,120 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
   // --- parallel seeding -------------------------------------------------------
   // Seed tasks are canonical 2-prefixes (edges) at Init_K >= 3 — fine
   // enough that no single dense region becomes an unsplittable task — or
-  // root vertices at Init_K = 2.  Costs are estimated from the size of the
-  // admissible candidate set (one bitwise AND per task), and the same
-  // centralized scheduler balances them.
+  // root vertices at Init_K = 2, in the sequential driver's order.
   util::Timer seed_timer;
-  Level current;
-  std::vector<std::uint32_t> home;  // producing thread of each sub-list
+  ChunkedLevel current;
   {
     const bool pair_seed = seed_k >= 3;
-    std::vector<SeedPair> pairs;
-    std::vector<std::uint64_t> costs;
-    if (pair_seed) {
-      pairs = collect_seed_pairs(work);
-      costs.resize(pairs.size());
-      bits::DynamicBitset scratch(n);
-      for (std::size_t i = 0; i < pairs.size(); ++i) {
-        scratch.assign_and(work.neighbors(pairs[i].v),
-                           work.neighbors(pairs[i].u));
-        const std::uint64_t cand = scratch.count_from(pairs[i].u + 1);
-        costs[i] = cand * cand * cand / 6 + cand + 1;
-      }
-    } else {
-      costs.resize(n);
-      for (VertexId v = 0; v < n; ++v) {
-        const std::uint64_t d = work.degree(v);
-        costs[v] = d * d + 1;
-      }
-    }
-    const par::Assignment assignment = balancer.assign(costs, {}, num_threads);
-    detail::TaskClaims claims(assignment, options.dynamic_claiming);
-
-    struct SeedOutput {
-      Level level;
-      std::vector<VertexId> emitted;
-      KCliqueStats stats;
-      double busy_seconds = 0.0;
-    };
-    std::vector<SeedOutput> outputs(num_threads);
+    const std::vector<SeedPair> pairs =
+        pair_seed ? collect_seed_pairs(work) : std::vector<SeedPair>{};
+    const std::size_t tasks = pair_seed ? pairs.size() : n;
     SeedTrace seed_trace;
     if (options.record_trace) {
-      seed_trace.task_work.assign(costs.size(), 0);
-      seed_trace.task_seconds.assign(costs.size(), 0.0);
+      seed_trace.task_work.assign(tasks, 0);
+      seed_trace.task_seconds.assign(tasks, 0.0);
     }
-    pool.run_round([&](std::size_t tid) {
-      const double cpu_begin = util::thread_cpu_seconds();
-      SeedOutput& out = outputs[tid];
-      const CliqueCallback local_sink = [&](std::span<const VertexId> clique) {
-        out.emitted.insert(out.emitted.end(), clique.begin(), clique.end());
-      };
-      SeedLevelWorker worker(work, seed_k, local_sink);
-      std::int64_t task;
-      while ((task = claims.next(tid)) >= 0) {
-        const auto index = static_cast<std::size_t>(task);
-        util::Timer task_timer;
-        const std::uint64_t nodes_before = worker.stats().tree_nodes;
-        if (pair_seed) {
-          worker.process_pair(pairs[index]);
-        } else {
-          worker.process_root(static_cast<VertexId>(index));
-        }
-        if (options.record_trace) {
-          seed_trace.task_work[index] =
-              worker.stats().tree_nodes - nodes_before;
-          seed_trace.task_seconds[index] = task_timer.seconds();
-        }
-      }
-      out.stats = worker.stats();
-      out.level = worker.take_level();
-      out.busy_seconds = util::thread_cpu_seconds() - cpu_begin;
-    });
-    pstats.total_transfers += claims.steals();
-
-    for (std::size_t t = 0; t < num_threads; ++t) {
-      SeedOutput& out = outputs[t];
-      pstats.seed_thread_seconds[t] = out.busy_seconds;
-      pstats.thread_busy_seconds[t] += out.busy_seconds;
-      for (std::size_t i = 0; i + seed_k <= out.emitted.size();
-           i += seed_k) {
-        ++stats.total_maximal;
-        mapped.emit(std::span<const VertexId>(&out.emitted[i], seed_k));
-      }
-      for (auto& sublist : out.level) {
-        tracker.allocate(sublist.bytes(), util::MemTag::kCliqueStorage);
-        current.push_back(std::move(sublist));
-        home.push_back(static_cast<std::uint32_t>(t));
-      }
-    }
+    auto slots = run_ranges(
+        pool, options.dynamic_claiming, tasks, kSeedJobsPerWorker, "enum-seed",
+        [&](RangeSlot& slot, std::size_t begin, std::size_t end, std::size_t) {
+          const CliqueCallback local_sink =
+              [&slot](std::span<const VertexId> clique) {
+                slot.emitted.insert(slot.emitted.end(), clique.begin(),
+                                    clique.end());
+              };
+          SeedLevelWorker worker(work, seed_k, local_sink);
+          for (std::size_t task = begin; task < end; ++task) {
+            util::Timer task_timer;
+            const std::uint64_t nodes_before = worker.stats().tree_nodes;
+            if (pair_seed) {
+              worker.process_pair(pairs[task]);
+            } else {
+              worker.process_root(static_cast<VertexId>(task));
+            }
+            if (options.record_trace) {
+              seed_trace.task_work[task] =
+                  worker.stats().tree_nodes - nodes_before;
+              seed_trace.task_seconds[task] = task_timer.seconds();
+            }
+          }
+          slot.counters.maximal_emitted = worker.stats().maximal;
+          slot.next = worker.take_level();
+          detail::MemoryLedger ledger(tracker);
+          for (const auto& sublist : slot.next) {
+            ledger.allocate(sublist.bytes());
+          }
+        },
+        pstats.total_transfers);
+    detail::KernelCounters counters;
+    current =
+        drain(slots, seed_k, mapped, counters, pstats.seed_thread_seconds);
+    stats.total_maximal += counters.maximal_emitted;
     if (options.record_trace) stats.seed_trace = std::move(seed_trace);
+  }
+  for (std::size_t t = 0; t < num_threads; ++t) {
+    pstats.thread_busy_seconds[t] += pstats.seed_thread_seconds[t];
   }
   stats.seed_seconds = seed_timer.seconds();
 
   // --- level-synchronous enumeration -----------------------------------------
   std::size_t k = seed_k;
-  while (!current.empty() && range.open_above(k)) {
+  while (!current.chunks.empty() && range.open_above(k)) {
     util::Timer level_timer;
     LevelStats level;
     level.k = k;
-    const LevelCounts counts = count_level(current);
-    level.sublists = counts.sublists;
-    level.candidates = counts.candidates;
-    level.bytes_formula = level_bytes_formula(counts, k, n);
-    level.bytes_actual = level_bytes_actual(current);
+    level.sublists = current.counts.sublists;
+    level.candidates = current.counts.candidates;
+    level.bytes_formula = level_bytes_formula(current.counts, k, n);
+    level.bytes_actual = current.bytes_actual;
 
-    // Scheduling decision: per-task cost estimates are the pair-comparison
-    // work each sub-list will perform.
-    std::vector<std::uint64_t> costs(current.size());
-    for (std::size_t i = 0; i < current.size(); ++i) {
-      costs[i] = current[i].pair_work() + 1;
-    }
-    const par::Assignment assignment =
-        balancer.assign(costs, home, num_threads);
-    pstats.total_transfers += assignment.transfers;
-    detail::TaskClaims claims(assignment, options.dynamic_claiming);
-
+    const std::size_t tasks = current.counts.sublists;
     LevelTrace trace;
     if (options.record_trace) {
       trace.k = k;
-      trace.task_work.assign(current.size(), 0);
-      trace.task_seconds.assign(current.size(), 0.0);
+      trace.task_work.assign(tasks, 0);
+      trace.task_seconds.assign(tasks, 0.0);
     }
+    auto slots = run_ranges(
+        pool, options.dynamic_claiming, tasks, kLevelJobsPerWorker,
+        "enum-k" + std::to_string(k),
+        [&](RangeSlot& slot, std::size_t begin, std::size_t end,
+            std::size_t worker) {
+          detail::MemoryLedger ledger(tracker);
+          current.for_range(begin, end, [&](CliqueSublist& sublist,
+                                            std::size_t task) {
+            util::Timer task_timer;
+            const std::uint64_t work_proxy = sublist.pair_work();
+            const auto counters = detail::process_sublist(
+                work, sublist,
+                [&](const std::vector<VertexId>& prefix, VertexId v,
+                    VertexId u) {
+                  slot.emitted.insert(slot.emitted.end(), prefix.begin(),
+                                      prefix.end());
+                  slot.emitted.push_back(v);
+                  slot.emitted.push_back(u);
+                },
+                slot.next, bitset_pools[worker], ledger);
+            slot.counters.pairs_checked += counters.pairs_checked;
+            slot.counters.edges_present += counters.edges_present;
+            slot.counters.maximal_emitted += counters.maximal_emitted;
+            if (options.record_trace) {
+              trace.task_work[task] = work_proxy;
+              trace.task_seconds[task] = task_timer.seconds();
+            }
+          });
+        },
+        pstats.total_transfers);
 
-    std::vector<WorkerOutput> outputs(num_threads);
-    pool.run_round([&](std::size_t tid) {
-      const double cpu_begin = util::thread_cpu_seconds();
-      WorkerOutput& out = outputs[tid];
-      detail::MemoryLedger ledger(tracker);
-      std::int64_t claimed;
-      while ((claimed = claims.next(tid)) >= 0) {
-        const auto task = static_cast<std::uint32_t>(claimed);
-        util::Timer task_timer;
-        CliqueSublist& sublist = current[task];
-        const std::uint64_t work_proxy = sublist.pair_work();
-        const auto counters = detail::process_sublist(
-            work, sublist,
-            [&](const std::vector<VertexId>& prefix, VertexId v, VertexId u) {
-              out.emitted.insert(out.emitted.end(), prefix.begin(),
-                                 prefix.end());
-              out.emitted.push_back(v);
-              out.emitted.push_back(u);
-            },
-            out.next, bitset_pools[tid], ledger);
-        out.counters.pairs_checked += counters.pairs_checked;
-        out.counters.edges_present += counters.edges_present;
-        out.counters.maximal_emitted += counters.maximal_emitted;
-        if (options.record_trace) {
-          trace.task_work[task] = work_proxy;
-          trace.task_seconds[task] = task_timer.seconds();
-        }
-      }
-      out.busy_seconds = util::thread_cpu_seconds() - cpu_begin;
-    });
-    pstats.total_transfers += claims.steals();
-
-    // Collect results (single-threaded scheduler step, as in the paper).
-    Level next;
-    std::vector<std::uint32_t> next_home;
+    detail::KernelCounters counters;
     std::vector<double> thread_seconds(num_threads, 0.0);
-    const std::size_t emit_stride = k + 1;
+    current = drain(slots, k + 1, mapped, counters, thread_seconds);
+    level.pairs_checked = counters.pairs_checked;
+    level.edges_present = counters.edges_present;
+    level.maximal_emitted = counters.maximal_emitted;
+    stats.total_maximal += counters.maximal_emitted;
     for (std::size_t t = 0; t < num_threads; ++t) {
-      WorkerOutput& out = outputs[t];
-      thread_seconds[t] = out.busy_seconds;
-      pstats.thread_busy_seconds[t] += out.busy_seconds;
-      level.pairs_checked += out.counters.pairs_checked;
-      level.edges_present += out.counters.edges_present;
-      level.maximal_emitted += out.counters.maximal_emitted;
-      stats.total_maximal += out.counters.maximal_emitted;
-      for (std::size_t i = 0; i + emit_stride <= out.emitted.size();
-           i += emit_stride) {
-        mapped.emit(std::span<const VertexId>(&out.emitted[i], emit_stride));
-      }
-      for (auto& sublist : out.next) {
-        next.push_back(std::move(sublist));
-        next_home.push_back(static_cast<std::uint32_t>(t));
-      }
+      pstats.thread_busy_seconds[t] += thread_seconds[t];
     }
-    current = std::move(next);
-    home = std::move(next_home);
     ++k;
 
     level.seconds = level_timer.seconds();
@@ -274,8 +299,10 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
   }
 
   // Window closed with candidates still alive: release their accounting.
-  for (const auto& sublist : current) {
-    tracker.release(sublist.bytes(), util::MemTag::kCliqueStorage);
+  for (const Level& chunk : current.chunks) {
+    for (const auto& sublist : chunk) {
+      tracker.release(sublist.bytes(), util::MemTag::kCliqueStorage);
+    }
   }
 
   stats.total_seconds = total_timer.seconds();

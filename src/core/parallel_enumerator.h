@@ -7,23 +7,29 @@
 /// Structure, per the paper:
 ///   * threads are synchronized level-by-level so cliques are still emitted
 ///     in non-decreasing order of size;
-///   * each thread works on its own sub-lists ("local instance") to keep
-///     memory accesses local;
-///   * a centralized dynamic task scheduler collects per-thread loads after
-///     every level, makes load-balancing decisions, and transfers tasks
-///     from heavily to lightly loaded threads (addresses are passed, not
-///     data — the sub-lists live in shared memory);
+///   * a sub-list is an independent unit of work, and the sub-lists live
+///     in shared memory, so work moves between threads by address, never
+///     by copy;
 ///   * the seeding phase (k-clique enumeration at Init_K) is parallelized
-///     over canonical DFS roots with the same scheduler.
+///     over the canonical seed pairs (or roots at Init_K = 2).
 ///
-/// The result set is identical to the sequential enumerator's (the tests
-/// assert set equality for every thread count).
+/// Each round — seeding, then one per level — is one par::JobGraph run
+/// over contiguous task ranges: seed pairs, then runs of the previous
+/// level's sub-lists.  Ranges are sized from the round's task count and
+/// worker count, and idle workers steal unstarted ranges (the runtime
+/// form of §2.3's transfers to "light-loaded (or idle)" threads).  Each
+/// job writes its cliques, child sub-lists and counters to its own slot;
+/// the calling thread drains the slots in job order between rounds.  The
+/// next level is the list of those chunks, so nothing merges per
+/// sub-list, and the emission sequence is the sequential enumerator's at
+/// every thread count.  The paper's centralized plan-time balancer
+/// (par::LoadBalancer) now lives only in the Altix machine-model replay
+/// and in parallel_bk's root plan.
 
 #include "core/clique.h"
 #include "core/clique_enumerator.h"
 #include "core/enumeration_stats.h"
 #include "graph/graph_view.h"
-#include "parallel/load_balancer.h"
 
 namespace gsb::core {
 
@@ -35,11 +41,9 @@ struct ParallelOptions {
   std::size_t threads = 0;
   /// Degree preprocessing, as in the sequential options.
   bool use_kcore = true;
-  /// Scheduler policy knobs (plan-time assignment).
-  par::LoadBalancerConfig balancer;
-  /// Runtime transfers: idle threads claim unstarted tasks from the
-  /// heaviest remaining queue (§2.3's transfers to "light-loaded (or idle)"
-  /// threads).  Disable to measure the static-plan-only ablation.
+  /// Runtime transfers: idle workers steal unstarted range jobs from other
+  /// workers' queues (par::JobGraph::Options::steal).  Disable to measure
+  /// the static-plan-only ablation, where ranges are dealt round-robin.
   bool dynamic_claiming = true;
   /// Byte accounting sink; defaults to the process-global tracker.
   util::MemoryTracker* tracker = nullptr;
@@ -59,13 +63,14 @@ struct ParallelEnumerationStats {
   std::vector<std::vector<double>> level_thread_seconds;
   /// total busy seconds per thread (seed + levels) — Figure 8's quantity.
   std::vector<double> thread_busy_seconds;
-  /// scheduler transfers summed over levels.
+  /// range jobs stolen by an idle worker, summed over seeding and levels.
   std::uint64_t total_transfers = 0;
 };
 
 /// Runs the multithreaded Clique Enumerator.  Cliques are streamed to
-/// \p sink from the scheduler thread between levels (the sink itself is
-/// never invoked concurrently).
+/// \p sink on the calling thread, between levels, never concurrently, and
+/// in exactly the sequence enumerate_maximal_cliques emits for the same
+/// graph and range.
 ParallelEnumerationStats enumerate_maximal_cliques_parallel(
     const graph::GraphView& g, const CliqueCallback& sink,
     const ParallelOptions& options = {});

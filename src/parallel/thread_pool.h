@@ -5,11 +5,12 @@
 /// A fixed team of worker threads executing bulk-synchronous rounds.
 ///
 /// The paper's multithreaded Clique Enumerator is level-synchronous: the
-/// task scheduler partitions the level's sub-lists, signals all threads to
-/// start, waits for all to finish, then collects results and rebalances.
-/// ThreadPool::run_round implements exactly that "signal all / join all"
+/// scheduler hands out the level's sub-lists, signals all threads to
+/// start, waits for all to finish, then collects results.
+/// ThreadPool::run_round implements that "signal all / join all"
 /// primitive over persistent threads (forking per level would distort the
-/// fine-grained level timings the evaluation reports).
+/// fine-grained level timings the evaluation reports); par::JobGraph runs
+/// each graph as one round, and the enumerator runs one graph per level.
 
 #include <condition_variable>
 #include <cstddef>

@@ -230,6 +230,7 @@ BatchResult execute_batch(std::shared_ptr<const GraphEntry> entry,
   for (std::size_t i = 0; i < lines.size(); ++i) {
     jobs.add([&, i](std::size_t wid) {
       Worker& w = engine_for(wid);
+      obs::TimelineSpan span(obs::TimelineEventKind::kRequest, lines[i]);
       result.responses[i] = execute_cached_line(*w.engine, options.cache,
                                                 lines[i], w.hits, w.misses);
     });

@@ -8,13 +8,14 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/detail/task_claims.h"
 #include "core/detail/sublist_kernel.h"
 #include "core/kclique.h"
 #include "core/parallel_enumerator.h"
 #include "core/verify.h"
 #include "parallel/load_balancer.h"
 #include "parallel/thread_pool.h"
+#include "storage/gsbg_writer.h"
+#include "storage/mapped_graph.h"
 #include "tests/test_helpers.h"
 
 namespace gsb {
@@ -289,29 +290,50 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2)));
 
 // Determinism across thread counts: on 20 seeded G(n, p) graphs, the
-// parallel enumerator must produce the exact result set of the sequential
-// Clique Enumerator for every thread count — the paper's multithreaded
-// driver changes only the schedule, never the output.
-TEST(ParallelDeterminism, MatchesSequentialForAllThreadCounts) {
+// parallel enumerator must emit the exact clique *sequence* of the
+// sequential Clique Enumerator — same cliques, same order — for every
+// thread count and Init_K, over the in-memory graph and over the same graph
+// mapped from a .gsbg container.  The paper's multithreaded driver changes
+// only the schedule, never the output; this is what makes a .gsbc written
+// by `--engine enumerator` byte-identical at every --threads.
+TEST(ParallelDeterminism, EmissionSequenceMatchesSequential) {
   constexpr std::size_t kGraphs = 20;
   constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
+  constexpr std::size_t kInitKs[] = {2, 3, 5};
+  std::size_t compared = 0;
   for (std::size_t i = 0; i < kGraphs; ++i) {
     // Alternate sparse/dense instances so both wide and deep levels occur.
     const std::size_t n = 24 + 2 * i;
     const double p = (i % 2 == 0) ? 0.18 : 0.40;
     const auto g = test::random_graph(n, p, 7000 + i);
-    core::CliqueEnumeratorOptions sequential_options;
-    sequential_options.range = core::SizeRange{3, 0};
-    const auto expected = test::run_clique_enumerator(g, sequential_options);
-    for (const std::size_t threads : kThreadCounts) {
-      core::ParallelOptions options;
-      options.range = core::SizeRange{3, 0};
-      options.threads = threads;
-      EXPECT_EQ(test::run_parallel_enumerator(g, options), expected)
-          << "graph=" << i << " n=" << n << " p=" << p
-          << " threads=" << threads;
+    test::TempFile file("parallel_determinism");
+    storage::write_gsbg_file(g, file.path());
+    const auto mapped = storage::MappedGraph::open(file.path());
+    const std::pair<const char*, graph::GraphView> views[] = {
+        {"memory", graph::GraphView(g)}, {"mapped", mapped.view()}};
+    for (const auto& [where, view] : views) {
+      for (const std::size_t init_k : kInitKs) {
+        core::CliqueEnumeratorOptions sequential_options;
+        sequential_options.range = core::SizeRange{init_k, 0};
+        core::CliqueCollector expected;
+        core::enumerate_maximal_cliques(view, expected.callback(),
+                                        sequential_options);
+        for (const std::size_t threads : kThreadCounts) {
+          core::ParallelOptions options;
+          options.range = core::SizeRange{init_k, 0};
+          options.threads = threads;
+          core::CliqueCollector got;
+          core::enumerate_maximal_cliques_parallel(view, got.callback(),
+                                                   options);
+          EXPECT_EQ(got.cliques(), expected.cliques())
+              << where << " graph=" << i << " n=" << n << " p=" << p
+              << " init_k=" << init_k << " threads=" << threads;
+          ++compared;
+        }
+      }
     }
   }
+  EXPECT_EQ(compared, 480u);
 }
 
 }  // namespace
@@ -320,40 +342,12 @@ TEST(ParallelDeterminism, MatchesSequentialForAllThreadCounts) {
 namespace gsb {
 namespace {
 
-TEST(TaskClaims, EveryTaskClaimedExactlyOnce) {
-  par::Assignment assignment;
-  assignment.tasks = {{0, 1, 2}, {3, 4}, {}};
-  core::detail::TaskClaims claims(assignment);
-  std::vector<int> seen(5, 0);
-  // Thread 2 owns nothing: everything it gets is stolen.
-  for (std::size_t tid : {0u, 2u, 1u, 2u, 0u, 1u, 2u, 0u}) {
-    const auto task = claims.next(tid);
-    if (task >= 0) ++seen[static_cast<std::size_t>(task)];
-  }
-  for (int count : seen) EXPECT_EQ(count, 1);
-  EXPECT_GT(claims.steals(), 0u);
-  EXPECT_EQ(claims.next(0), -1);
-}
-
-TEST(TaskClaims, NoStealingWhenDisabled) {
-  par::Assignment assignment;
-  assignment.tasks = {{0, 1}, {2}};
-  core::detail::TaskClaims claims(assignment, /*allow_steal=*/false);
-  EXPECT_EQ(claims.next(1), 2);
-  EXPECT_EQ(claims.next(1), -1);  // own queue empty; no theft
-  EXPECT_EQ(claims.next(0), 0);
-  EXPECT_EQ(claims.next(0), 1);
-  EXPECT_EQ(claims.next(0), -1);
-  EXPECT_EQ(claims.steals(), 0u);
-}
-
 TEST(ParallelEnumerator, StaticClaimingStillCorrect) {
   const auto g = test::random_graph(45, 0.35, 61);
   core::ParallelOptions options;
   options.range = core::SizeRange{3, 0};
   options.threads = 3;
   options.dynamic_claiming = false;
-  options.balancer.enable_transfers = false;
   EXPECT_EQ(test::run_parallel_enumerator(g, options),
             test::reference_in_range(g, options.range));
 }

@@ -10,11 +10,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/parallel_enumerator.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
@@ -423,6 +425,60 @@ TEST(JobGraph, TimelineRecordsLabeledJobSpans) {
     if (lane.name.rfind("worker-", 0) == 0) named_worker_lane = true;
   }
   EXPECT_TRUE(named_worker_lane);
+}
+
+// The multithreaded Clique Enumerator runs its rounds as labelled range
+// jobs, so its workers show up on the timeline (one label per round) and
+// its jobs in the gsb_sched_* metrics.
+TEST(JobGraph, TimelineRecordsEnumeratorRangeJobs) {
+  util::Rng rng(11);
+  const graph::Graph g = graph::gnp(60, 0.3, rng);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.reset();
+  registry.set_enabled(true);
+  obs::TimelineJournal& journal = obs::TimelineJournal::global();
+  journal.reset();
+  journal.set_enabled(true);
+  core::CliqueCounter counter;
+  core::ParallelOptions options;
+  options.range = core::SizeRange{3, 0};
+  options.threads = 2;
+  const auto stats = core::enumerate_maximal_cliques_parallel(
+      g, counter.callback(), options);
+  journal.set_enabled(false);
+  registry.set_enabled(false);
+  const obs::TimelineSnapshot snapshot = journal.snapshot();
+  journal.reset();
+  const auto metrics = registry.scrape();
+  registry.reset();
+
+  ASSERT_EQ(snapshot.dropped, 0u);
+  std::uint64_t enum_jobs = 0;
+  bool saw_seed = false;
+  std::set<std::string> level_labels;
+  for (const obs::TimelineEvent& event : snapshot.events) {
+    if (event.kind != obs::TimelineEventKind::kJob) continue;
+    const std::string label(event.label);
+    if (label.rfind("enum-", 0) != 0) continue;
+    ++enum_jobs;
+    if (label == "enum-seed") {
+      saw_seed = true;
+    } else {
+      level_labels.insert(label);
+    }
+  }
+  EXPECT_TRUE(saw_seed);
+  ASSERT_FALSE(stats.base.levels.empty());
+  std::set<std::string> expected_levels;
+  for (const auto& level : stats.base.levels) {
+    expected_levels.insert("enum-k" + std::to_string(level.k));
+  }
+  EXPECT_EQ(level_labels, expected_levels);
+  std::uint64_t jobs_total = 0;
+  for (const auto& metric : metrics.metrics) {
+    if (metric.name == "gsb_sched_jobs_total") jobs_total = metric.value;
+  }
+  EXPECT_EQ(jobs_total, enum_jobs);
 }
 
 TEST(JobGraph, TimelineOnOffKeepsGsbcEmissionByteIdentical) {

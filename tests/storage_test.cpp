@@ -27,25 +27,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Unique scratch file removed at scope exit.
-class TempFile {
- public:
-  explicit TempFile(const std::string& stem) {
-    static int counter = 0;
-    path_ = (fs::temp_directory_path() /
-             (stem + "_" + std::to_string(::getpid()) + "_" +
-              std::to_string(counter++) + ".gsbg"))
-                .string();
-  }
-  ~TempFile() {
-    std::error_code ec;
-    fs::remove(path_, ec);
-  }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-};
+using test::TempFile;
 
 void expect_same_adjacency(const graph::GraphView& a,
                            const graph::GraphView& b) {

@@ -2,9 +2,14 @@
 #define GSB_TESTS_TEST_HELPERS_H
 
 /// Shared fixtures for the clique-algorithm test suites: seeded random
-/// graphs and collector-based wrappers that return normalized clique sets
-/// for order-insensitive comparison.
+/// graphs, collector-based wrappers that return normalized clique sets
+/// for order-insensitive comparison, and scratch .gsbg files.
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/bron_kerbosch.h"
@@ -59,6 +64,28 @@ inline std::vector<core::Clique> run_kose(const graph::Graph& g,
   core::kose_ram(g, out.callback(), options);
   return core::normalize(std::move(out.cliques()));
 }
+
+/// Unique scratch .gsbg path, removed at scope exit.
+class TempFile {
+ public:
+  explicit TempFile(const std::string& stem) {
+    static int counter = 0;
+    path_ = (std::filesystem::temp_directory_path() /
+             (stem + "_" + std::to_string(::getpid()) + "_" +
+              std::to_string(counter++) + ".gsbg"))
+                .string();
+  }
+  ~TempFile() {
+    std::error_code ec;
+    std::filesystem::remove(path_, ec);
+  }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Reference maximal cliques filtered to a size window.
 inline std::vector<core::Clique> reference_in_range(
