@@ -12,7 +12,9 @@
 //     compute;
 //   * both again with the .gsbc spill path, whose stream must stay
 //     byte-identical between modes (scheduler_test and the robustness
-//     chaos suite assert that; here it is the I/O-heavy variant).
+//     chaos suite assert that; here it is the I/O-heavy variant);
+//   * the paraclique stage alone, on a wide sparse graph shaped like the
+//     out-of-core co-expression run, where its per-round cost dominates.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +22,7 @@
 #include <filesystem>
 #include <string>
 
+#include "analysis/paraclique.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "obs/timeline.h"
@@ -192,6 +195,37 @@ BENCHMARK(BM_PipelineTimelineOverhead)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MinTime(2.0);
+
+// Iterative paraclique extraction (glom 1, min size 5) on a sparse
+// planted-module graph shaped like the out-of-core co-expression run:
+// ~12k vertices, about one edge per vertex, noisy modules of at most 40.
+// A small n would hide a per-round cost that grows with n rather than
+// with the paraclique.  Items are paracliques.
+void BM_ParacliqueExtraction(benchmark::State& state) {
+  static const gsb::graph::Graph graph = [] {
+    gsb::util::Rng rng(2005);
+    gsb::graph::ModuleGraphConfig config;
+    config.n = 12000;
+    config.num_modules = 150;
+    config.max_module_size = 40;
+    config.p_in = 0.9;
+    config.overlap = 0.1;
+    config.background_edges = 3000;
+    return gsb::graph::planted_modules(config, rng).graph;
+  }();
+  std::size_t paracliques = 0;
+  for (auto _ : state) {
+    const auto found = gsb::analysis::extract_all_paracliques(
+        graph, 5, gsb::analysis::ParacliqueOptions{1, 0});
+    paracliques = found.size();
+    benchmark::DoNotOptimize(found.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      paracliques * static_cast<std::size_t>(state.iterations())));
+  state.counters["paracliques"] = static_cast<double>(paracliques);
+  state.counters["edges"] = static_cast<double>(graph.num_edges());
+}
+BENCHMARK(BM_ParacliqueExtraction)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

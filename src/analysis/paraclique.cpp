@@ -1,7 +1,9 @@
 #include "analysis/paraclique.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "bitset/dynamic_bitset.h"
 #include "core/maximum_clique.h"
@@ -18,22 +20,41 @@ Paraclique grow_paraclique(const graph::GraphView& g, const Clique& seed_clique,
                            const ParacliqueOptions& options) {
   Paraclique result;
   result.seed_size = seed_clique.size();
-  DynamicBitset members(g.order());
+  const std::size_t n = g.order();
+  DynamicBitset members(n);
   for (VertexId v : seed_clique) members.set(v);
   std::size_t member_count = seed_clique.size();
+
+  // links[v] = |members ∩ N(v)|, kept current as vertices join; frontier
+  // holds the non-members with links > 0 — the only vertices a pass can
+  // admit.  A pass then costs the frontier plus one walk of N(u) per
+  // joining u.
+  std::vector<std::uint32_t> links(n, 0);
+  DynamicBitset frontier(n);
+  auto link_neighbors = [&](std::size_t u) {
+    g.neighbors(static_cast<VertexId>(u)).for_each([&](std::size_t w) {
+      ++links[w];
+      if (!members.test(w)) frontier.set(w);
+    });
+  };
+  members.for_each(link_neighbors);
 
   std::size_t rounds = 0;
   bool grew = true;
   while (grew && (options.max_rounds == 0 || rounds < options.max_rounds)) {
     grew = false;
     ++rounds;
-    for (VertexId v = 0; v < g.order(); ++v) {
-      if (members.test(v)) continue;
-      const std::size_t links =
-          DynamicBitset::count_and(members, g.neighbors(v));
-      if (links + options.glom >= member_count && links > 0) {
+    // find_next reads the live words: a joiner's neighbors above the
+    // cursor are visited in this pass, those below it wait for the next,
+    // as in an ascending scan over all vertices.  links <= member_count,
+    // so the test saturates instead of wrapping for any glom.
+    for (std::size_t v = frontier.find_first(); v < n;
+         v = frontier.find_next(v)) {
+      if (member_count - links[v] <= options.glom) {
         members.set(v);
+        frontier.reset(v);
         ++member_count;
+        link_neighbors(v);
         grew = true;
       }
     }

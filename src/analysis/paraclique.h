@@ -16,11 +16,13 @@
 
 namespace gsb::analysis {
 
-/// Glom policy: a vertex joins when it misses at most `glom` members of the
-/// current paraclique.
+/// Glom policy: a vertex joins when it is adjacent to at least one member
+/// and misses at most `glom` members of the current paraclique.  The test
+/// saturates: any glom at least the paraclique's size (up to SIZE_MAX)
+/// admits every vertex adjacent to a member.
 struct ParacliqueOptions {
   std::size_t glom = 1;        ///< allowed non-neighbors per joining vertex
-  std::size_t max_rounds = 0;  ///< growth iterations; 0 = until fixpoint
+  std::size_t max_rounds = 0;  ///< growth passes; 0 = until fixpoint
 };
 
 /// Result of one extraction.
@@ -31,6 +33,14 @@ struct Paraclique {
 };
 
 /// Grows a paraclique from \p seed_clique (assumed to be a clique of g).
+///
+/// Pass semantics: each pass scans the non-members in ascending vertex
+/// order, and a vertex counts as a member the moment it joins.  So a
+/// joiner's neighbors above the scan cursor are tested against the grown
+/// set in the same pass, while those below it wait for the next pass.
+/// Growth stops after a pass admits nobody, or after `max_rounds` passes.
+/// A pass costs the frontier (non-members adjacent to a member) plus one
+/// walk of N(u) per joining u.
 Paraclique grow_paraclique(const graph::GraphView& g,
                            const core::Clique& seed_clique,
                            const ParacliqueOptions& options = {});

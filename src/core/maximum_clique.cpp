@@ -106,39 +106,48 @@ class MaxCliqueSearch {
   }
 
  private:
+  /// Per-depth scratch, sized on first use so no search node allocates.
   struct Frame {
     std::vector<VertexId> order;
     std::vector<std::uint32_t> color;
     DynamicBitset next_cand;
+    DynamicBitset uncolored;
+    DynamicBitset forbidden;  ///< union of N(w) over the open class
   };
 
   Frame& frame(std::size_t depth) {
     Frame& f = frames_[depth];
-    if (f.next_cand.size() != n_) f.next_cand.resize(n_);
+    if (f.next_cand.size() != n_) {
+      f.next_cand.resize(n_);
+      f.uncolored.resize(n_);
+      f.forbidden.resize(n_);
+    }
     return f;
   }
 
   /// Sequential greedy coloring of `cand`; fills order/color with vertices
-  /// sorted by ascending color.
+  /// sorted by ascending color.  v joins the open class iff no class
+  /// member is adjacent to it, i.e. v is outside the union of the
+  /// members' neighborhoods: one bit test per vertex, one OR of N(v) per
+  /// colored vertex (none when N(v) is empty).
   void color_sort(const DynamicBitset& cand, Frame& f) {
     f.order.clear();
     f.color.clear();
-    DynamicBitset uncolored = cand;
+    f.uncolored.assign(cand);
     std::uint32_t color = 0;
-    DynamicBitset cls(n_);
-    while (uncolored.any()) {
+    while (f.uncolored.any()) {
       ++color;
-      cls.clear_all();
-      for (std::size_t v = uncolored.find_first(); v < n_;
-           v = uncolored.find_next(v)) {
-        if (!DynamicBitset::intersects(cls,
-                                       g_.neighbors(static_cast<VertexId>(v)))) {
-          cls.set(v);
-          f.order.push_back(static_cast<VertexId>(v));
-          f.color.push_back(color);
+      f.forbidden.clear_all();
+      for (std::size_t v = f.uncolored.find_first(); v < n_;
+           v = f.uncolored.find_next(v)) {
+        if (f.forbidden.test(v)) continue;
+        f.uncolored.reset(v);
+        f.order.push_back(static_cast<VertexId>(v));
+        f.color.push_back(color);
+        if (g_.degree(static_cast<VertexId>(v)) > 0) {
+          f.forbidden |= g_.neighbors(static_cast<VertexId>(v));
         }
       }
-      uncolored.and_not(cls);
     }
   }
 

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -255,7 +256,10 @@ MappedGraph MappedGraph::open(const std::string& path,
     fail("degree-sorted flag without permutation section");
   }
 
-  if (options.verify_checksum) g.verify_checksum();
+  if (options.verify_checksum) {
+    g.verify_checksum();
+    g.verify_bitmap_rows();
+  }
   return g;
 }
 
@@ -306,6 +310,24 @@ void MappedGraph::verify_checksum() const {
   sum.update(base_ + kHeaderBytes, map_bytes_ - kHeaderBytes);
   if (sum.digest() != header_.checksum) {
     fail("checksum mismatch (file corrupt or truncated)");
+  }
+}
+
+void MappedGraph::verify_bitmap_rows() const {
+  if (!has_bitmap()) return;
+  const std::uint64_t n = header_.n;
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const bits::BitsetView row(bitmap_ + v * words_per_row_, n);
+    const auto targets = csr_row(static_cast<graph::VertexId>(v));
+    bool agree = row.count() == targets.size();
+    for (std::size_t i = 0; agree && i < targets.size(); ++i) {
+      agree = targets[i] < n && (i == 0 || targets[i - 1] < targets[i]) &&
+              row.test(targets[i]);
+    }
+    if (!agree) {
+      fail("bitmap row " + std::to_string(v) +
+           " disagrees with its CSR list (corrupt)");
+    }
   }
 }
 

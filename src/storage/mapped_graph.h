@@ -31,9 +31,11 @@ namespace gsb::storage {
 class MappedGraph {
  public:
   struct Options {
-    /// Re-hash the payload at open and reject on checksum mismatch.  Costs
-    /// one sequential pass over the file; off by default so that opening
-    /// stays O(n) for trusted files.
+    /// Re-hash the payload at open and reject on checksum mismatch, then
+    /// check that every bitmap row holds exactly its CSR targets (the
+    /// kernels trust degree(v) to describe row v).  Costs one sequential
+    /// pass over the file plus one over the bitmap; off by default so that
+    /// opening stays O(n) for trusted files.
     bool verify_checksum = false;
   };
 
@@ -105,6 +107,8 @@ class MappedGraph {
 
  private:
   void release() noexcept;
+  /// Throws unless every bitmap row's set bits are exactly its CSR row.
+  void verify_bitmap_rows() const;
 
   GsbgHeader header_;
   std::vector<GsbgSection> sections_;

@@ -1,6 +1,13 @@
 // Tests for paraclique extraction, clique statistics and hub reporting.
+// The paraclique oracle compares grow_paraclique / extract_all_paracliques
+// against the full-scan references in test_helpers.h on a generated corpus,
+// in memory and off a mapped .gsbg.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "analysis/clique_stats.h"
 #include "analysis/hubs.h"
@@ -53,15 +60,37 @@ TEST(Paraclique, GlomZeroAddsOnlyFullNeighbors) {
 }
 
 TEST(Paraclique, MaxRoundsLimitsGrowth) {
-  // Chain of near-members: each round admits one more vertex.
-  const Graph g = clique_with_satellite();
+  // Growth chains: 5 joins through member 3, then 7 through 5 in the same
+  // pass (7 lies above the cursor).  Vertex 1 hangs off 5 too, but the
+  // pass scanned it before 5 joined, so it waits for the second pass.
+  const Graph g = Graph::from_edges(8, {{3, 4}, {3, 5}, {5, 7}, {5, 1}});
   ParacliqueOptions options;
   options.glom = 3;
   options.max_rounds = 1;
-  const auto one_round = grow_paraclique(g, {0, 1, 2, 3, 4}, options);
+  EXPECT_EQ(grow_paraclique(g, {3, 4}, options).members,
+            (Clique{3, 4, 5, 7}));
+  options.max_rounds = 2;
+  EXPECT_EQ(grow_paraclique(g, {3, 4}, options).members,
+            (Clique{1, 3, 4, 5, 7}));
   options.max_rounds = 0;
-  const auto fixpoint = grow_paraclique(g, {0, 1, 2, 3, 4}, options);
-  EXPECT_LE(one_round.members.size(), fixpoint.members.size());
+  EXPECT_EQ(grow_paraclique(g, {3, 4}, options).members,
+            (Clique{1, 3, 4, 5, 7}));
+}
+
+TEST(Paraclique, SaturatingGlomAdmitsEveryAdjacentVertex) {
+  // A glom of at least the paraclique's size admits every vertex adjacent
+  // to a member; glom = SIZE_MAX must not wrap the test back to "none".
+  const Graph g = clique_with_satellite();
+  ParacliqueOptions options;
+  options.glom = g.order();
+  const auto by_order = grow_paraclique(g, {0, 1, 2, 3, 4}, options);
+  EXPECT_EQ(by_order.members, (Clique{0, 1, 2, 3, 4, 5, 6}));
+  options.glom = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(grow_paraclique(g, {0, 1, 2, 3, 4}, options).members,
+            by_order.members);
+  options.glom = std::numeric_limits<std::size_t>::max() - 1;
+  EXPECT_EQ(grow_paraclique(g, {0, 1, 2, 3, 4}, options).members,
+            by_order.members);
 }
 
 TEST(Paraclique, ExtractUsesMaximumClique) {
@@ -84,6 +113,78 @@ TEST(Paraclique, ExtractAllFindsPlantedModules) {
   const auto paras = extract_all_paracliques(mg.graph, 6, {1, 0});
   EXPECT_GE(paras.size(), 3u);
   EXPECT_GE(paras.front().members.size(), 12u);
+}
+
+// -- oracle: the library against the full-scan references --------------------
+
+/// Glom seeds: the maximum clique, and two small greedy cliques (a random
+/// start vertex plus its smallest-id common neighbors, up to 3 members).
+std::vector<Clique> oracle_seeds(const Graph& g, util::Rng& rng) {
+  std::vector<Clique> seeds{test::reference_maximum_clique(g).clique};
+  for (int i = 0; i < 2 && g.order() > 0; ++i) {
+    Clique clique{static_cast<VertexId>(rng.below(g.order()))};
+    for (VertexId v = 0; v < g.order() && clique.size() < 3; ++v) {
+      bool adjacent = true;
+      for (const VertexId u : clique) adjacent = adjacent && g.has_edge(u, v);
+      if (adjacent) clique.push_back(v);
+    }
+    std::sort(clique.begin(), clique.end());
+    seeds.push_back(std::move(clique));
+  }
+  return seeds;
+}
+
+void expect_same(const Paraclique& actual, const Paraclique& expected) {
+  EXPECT_EQ(actual.members, expected.members);
+  EXPECT_EQ(actual.seed_size, expected.seed_size);
+  EXPECT_DOUBLE_EQ(actual.density, expected.density);
+}
+
+TEST(ParacliqueOracle, GrowMatchesFullScanReference) {
+  util::Rng rng(2005);
+  std::size_t comparisons = 0;
+  for (const auto& [name, g] : test::oracle_graphs()) {
+    SCOPED_TRACE(name);
+    const test::InMemoryAndMapped backends(g);
+    for (const Clique& seed : oracle_seeds(g, rng)) {
+      for (std::size_t glom = 0; glom <= 3; ++glom) {
+        for (std::size_t rounds = 0; rounds <= 2; ++rounds) {
+          const ParacliqueOptions options{glom, rounds};
+          const auto expected =
+              test::reference_grow_paraclique(g, seed, options);
+          for (const graph::GraphView& view : backends.views()) {
+            expect_same(grow_paraclique(view, seed, options), expected);
+            ++comparisons;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(comparisons, 5000u);
+}
+
+TEST(ParacliqueOracle, ExtractAllMatchesReferenceLoop) {
+  std::size_t comparisons = 0;
+  for (const auto& [name, g] : test::oracle_graphs()) {
+    SCOPED_TRACE(name);
+    const test::InMemoryAndMapped backends(g);
+    for (std::size_t glom = 0; glom <= 3; ++glom) {
+      for (std::size_t rounds = 0; rounds <= 2; ++rounds) {
+        const ParacliqueOptions options{glom, rounds};
+        const auto expected =
+            test::reference_extract_all_paracliques(g, 3, options);
+        for (const graph::GraphView& view : backends.views()) {
+          const auto actual = extract_all_paracliques(view, 3, options);
+          ASSERT_EQ(actual.size(), expected.size());
+          for (std::size_t i = 0; i < actual.size(); ++i) {
+            expect_same(actual[i], expected[i]);
+          }
+          ++comparisons;
+        }
+      }
+    }
+  }
+  EXPECT_GT(comparisons, 1000u);
 }
 
 TEST(CliqueStats, SpectrumAggregates) {

@@ -1,6 +1,10 @@
 // Tests for clique bounds and the branch-and-bound maximum clique solver.
+// The oracle compares the solver's (clique, tree_nodes) against the
+// intersects-based colour-sort reference in test_helpers.h.
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/maximum_clique.h"
 #include "core/verify.h"
@@ -91,6 +95,32 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(10, 14, 17),
                        ::testing::Values(0.3, 0.6, 0.85),
                        ::testing::Values(1, 2, 3)));
+
+// The forbidden-set colour sort builds the same classes in the same order
+// as the intersects-based reference, so the search visits the same tree and
+// returns the same clique — in memory and off a mapped .gsbg.
+TEST(MaxCliqueOracle, MatchesIntersectsColorSortReference) {
+  std::size_t comparisons = 0;
+  auto check = [&](const std::string& name, const graph::Graph& g) {
+    SCOPED_TRACE(name);
+    const auto expected = test::reference_maximum_clique(g);
+    const test::InMemoryAndMapped backends(g);
+    for (const graph::GraphView& view : backends.views()) {
+      const auto actual = maximum_clique(view);
+      EXPECT_EQ(actual.clique, expected.clique);
+      EXPECT_EQ(actual.tree_nodes, expected.tree_nodes);
+      ++comparisons;
+    }
+  };
+  for (const auto& [name, g] : test::oracle_graphs()) check(name, g);
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::size_t n = 20 + 7 * (seed % 11);
+    const double p = 0.05 + 0.1 * static_cast<double>(seed % 8);
+    check("gnp sweep seed=" + std::to_string(seed),
+          test::random_graph(n, p, seed));
+  }
+  EXPECT_GT(comparisons, 200u);
+}
 
 }  // namespace
 }  // namespace gsb::core

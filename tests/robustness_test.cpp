@@ -32,6 +32,7 @@
 #include <unistd.h>
 
 #include "bio/generator.h"
+#include "bitset/dynamic_bitset.h"
 #include "bio/normalize.h"
 #include "bio/tiled_correlation.h"
 #include "core/bron_kerbosch.h"
@@ -45,6 +46,7 @@
 #include "service/server.h"
 #include "service/tcp_server.h"
 #include "storage/clique_stream.h"
+#include "storage/gsbg_format.h"
 #include "storage/gsbg_writer.h"
 #include "storage/mapped_graph.h"
 #include "tests/test_helpers.h"
@@ -544,6 +546,57 @@ TEST(ContainerDamage, BitFlipAtEveryBoundaryFailsTyped) {
           << src << " flipped at " << offset;
     }
   }
+}
+
+/// Rewrites the header checksum of a .gsbg image so it matches its
+/// (edited) payload: only structural checks can then reject it.
+void reseal_gsbg(std::string& bytes) {
+  storage::Fnv1a sum;
+  sum.update(bytes.data() + storage::kHeaderBytes,
+             bytes.size() - storage::kHeaderBytes);
+  const std::uint64_t digest = sum.digest();
+  std::memcpy(bytes.data() + 32, &digest, sizeof(digest));
+}
+
+// A bitmap row that disagrees with its CSR list under a valid checksum: the
+// default open trusts it (no new work there), verification rejects it with
+// a typed error whether the row gained a bit or lost one.
+TEST(ContainerDamage, BitmapRowDisagreeingWithCsrFailsVerify) {
+  ScratchDir d("gsb_rb_bitmap_csr");
+  const auto g = test::random_graph(60, 0.3, 77);
+  const Built b = build_artifacts(g, d, "whole");
+  const std::string bytes = read_bytes(b.gsbg);
+  const auto healthy = storage::MappedGraph::open(b.gsbg);
+  const storage::GsbgSection* bitmap = nullptr;
+  for (const auto& section : healthy.sections()) {
+    if (section.kind == storage::SectionKind::kBitmap) bitmap = &section;
+  }
+  ASSERT_NE(bitmap, nullptr);
+  const std::size_t row_bytes =
+      bits::DynamicBitset::word_count(g.order()) * sizeof(std::uint64_t);
+
+  graph::VertexId u = 0;
+  graph::VertexId w = 1;
+  while (g.has_edge(u, w) || u == w) ++w;  // a non-edge {u, w}
+  const graph::VertexId x = g.neighbor_list(u).front();  // an edge {u, x}
+  const std::string damaged = d.path("bitmap_csr.gsbg");
+  for (const graph::VertexId bit : {w, x}) {
+    std::string edited = bytes;
+    edited[bitmap->offset + u * row_bytes + bit / 8] ^=
+        static_cast<char>(1u << (bit % 8));
+    reseal_gsbg(edited);
+    write_bytes(damaged, edited);
+    EXPECT_NO_THROW(storage::MappedGraph::open(damaged)) << bit;
+    try {
+      verify_artifact(damaged);
+      ADD_FAILURE() << "verify accepted row " << u << " bit " << bit;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("disagrees with its CSR list"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(verify_artifact(b.gsbg).starts_with("ok gsbg '"));
 }
 
 TEST(VerifyArtifact, AcceptsHealthyArtifactsAndNamesTheirKind) {

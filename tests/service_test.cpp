@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -25,6 +26,7 @@
 #include "analysis/paraclique.h"
 #include "core/bron_kerbosch.h"
 #include "core/clique.h"
+#include "core/maximum_clique.h"
 #include "graph/transforms.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -267,6 +269,33 @@ TEST(QueryEngine, ParacliqueExpandMatchesAnalysis) {
                                        std::to_string(u) + " " +
                                        std::to_string(w));
   EXPECT_TRUE(bad.starts_with("error:")) << bad;
+}
+
+// The glom test saturates: a glom of SIZE_MAX (which the grammar accepts,
+// any u64 parses) admits the same members as a glom of n — every vertex
+// adjacent to a member — instead of wrapping back to the bare seed.
+TEST(QueryEngine, ParacliqueExpandSaturatesHugeGlom) {
+  const auto a = make_artifacts(36, 0.35, 11, "service_para_glom");
+  GraphCatalog catalog;
+  QueryEngine engine(catalog.open("g", spec_for(a)));
+  std::string seed;
+  for (const graph::VertexId v : core::maximum_clique(a.graph).clique) {
+    seed += ' ' + std::to_string(v);
+  }
+  const auto ids = [](const std::string& response) {
+    return response.substr(response.find(':'));
+  };
+  const auto by_order = engine.execute_line(
+      "paraclique-expand " + std::to_string(a.graph.order()) + seed);
+  const auto by_max =
+      engine.execute_line("paraclique-expand 18446744073709551615" + seed);
+  ASSERT_FALSE(by_order.starts_with("error:")) << by_order;
+  ASSERT_FALSE(by_max.starts_with("error:")) << by_max;
+  EXPECT_EQ(ids(by_max), ids(by_order));
+  // The graph is connected enough that the saturated paraclique grows
+  // past its seed.
+  EXPECT_GT(std::count(by_max.begin(), by_max.end(), ' '),
+            std::count(seed.begin(), seed.end(), ' ') + 3);
 }
 
 TEST(CliqueIndex, IndexedEqualsRescanOn20SeededGraphs) {

@@ -3,23 +3,35 @@
 
 /// Shared fixtures for the clique-algorithm test suites: seeded random
 /// graphs, collector-based wrappers that return normalized clique sets
-/// for order-insensitive comparison, and scratch .gsbg files.
+/// for order-insensitive comparison, scratch .gsbg files, and the scalar
+/// references (full-scan glom, intersects-based colour sort) the
+/// paraclique and maximum-clique oracle tests compare the library against.
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
+#include "analysis/paraclique.h"
+#include "bitset/dynamic_bitset.h"
 #include "core/bron_kerbosch.h"
 #include "core/clique.h"
 #include "core/clique_enumerator.h"
 #include "core/kose.h"
+#include "core/maximum_clique.h"
 #include "core/parallel_enumerator.h"
 #include "core/verify.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/graph_view.h"
+#include "graph/transforms.h"
+#include "storage/gsbg_writer.h"
+#include "storage/mapped_graph.h"
 #include "util/rng.h"
 
 namespace gsb::test {
@@ -85,6 +97,222 @@ class TempFile {
 
  private:
   std::string path_;
+};
+
+/// Scalar reference for analysis::grow_paraclique: the full-scan glom.
+/// Every pass re-tests every non-member in ascending order with an
+/// AND+popcount against the member set, so a vertex counts as a member the
+/// moment it joins.  (The comparison is written `member_count - links <=
+/// glom`, which cannot wrap for any glom.)
+inline analysis::Paraclique reference_grow_paraclique(
+    const graph::GraphView& g, const core::Clique& seed_clique,
+    const analysis::ParacliqueOptions& options) {
+  using bits::DynamicBitset;
+  analysis::Paraclique result;
+  result.seed_size = seed_clique.size();
+  DynamicBitset members(g.order());
+  for (const graph::VertexId v : seed_clique) members.set(v);
+  std::size_t member_count = seed_clique.size();
+  std::size_t rounds = 0;
+  bool grew = true;
+  while (grew && (options.max_rounds == 0 || rounds < options.max_rounds)) {
+    grew = false;
+    ++rounds;
+    for (graph::VertexId v = 0; v < g.order(); ++v) {
+      if (members.test(v)) continue;
+      const std::size_t links =
+          DynamicBitset::count_and(members, g.neighbors(v));
+      if (links > 0 && member_count - links <= options.glom) {
+        members.set(v);
+        ++member_count;
+        grew = true;
+      }
+    }
+  }
+  members.for_each([&](std::size_t v) {
+    result.members.push_back(static_cast<graph::VertexId>(v));
+  });
+  result.density = graph::induced_subgraph(g, result.members).graph.density();
+  return result;
+}
+
+/// Scalar reference for core::maximum_clique: the same Tomita-style
+/// branch and bound, seeded by the same greedy lower bound, with the
+/// intersects-based colour sort — v joins the open colour class iff
+/// N(v) AND class is empty, one n/64-word test per vertex per class.
+class ReferenceMaxClique {
+ public:
+  explicit ReferenceMaxClique(const graph::GraphView& g)
+      : g_(g), n_(g.order()) {}
+
+  core::MaxCliqueResult run() {
+    best_ = core::greedy_clique_lower_bound(g_);
+    if (n_ > 0) {
+      bits::DynamicBitset cand(n_);
+      cand.set_all();
+      expand(cand);
+    }
+    core::MaxCliqueResult result;
+    result.clique = best_;
+    std::sort(result.clique.begin(), result.clique.end());
+    result.tree_nodes = nodes_;
+    return result;
+  }
+
+ private:
+  void color_sort(const bits::DynamicBitset& cand,
+                  std::vector<graph::VertexId>& order,
+                  std::vector<std::uint32_t>& colors) const {
+    bits::DynamicBitset uncolored = cand;
+    bits::DynamicBitset cls(n_);
+    std::uint32_t color = 0;
+    while (uncolored.any()) {
+      ++color;
+      cls.clear_all();
+      for (std::size_t v = uncolored.find_first(); v < n_;
+           v = uncolored.find_next(v)) {
+        const auto vertex = static_cast<graph::VertexId>(v);
+        if (!bits::DynamicBitset::intersects(cls, g_.neighbors(vertex))) {
+          cls.set(v);
+          order.push_back(vertex);
+          colors.push_back(color);
+        }
+      }
+      uncolored.and_not(cls);
+    }
+  }
+
+  void expand(bits::DynamicBitset& cand) {
+    ++nodes_;
+    std::vector<graph::VertexId> order;
+    std::vector<std::uint32_t> colors;
+    color_sort(cand, order, colors);
+    bits::DynamicBitset next(n_);
+    for (std::size_t i = order.size(); i-- > 0;) {
+      if (current_.size() + colors[i] <= best_.size()) return;
+      const graph::VertexId v = order[i];
+      current_.push_back(v);
+      next.assign_and(cand, g_.neighbors(v));
+      if (next.none()) {
+        if (current_.size() > best_.size()) best_ = current_;
+      } else {
+        expand(next);
+      }
+      current_.pop_back();
+      cand.reset(v);
+    }
+  }
+
+  const graph::GraphView g_;
+  const std::size_t n_;
+  core::Clique current_;
+  core::Clique best_;
+  std::uint64_t nodes_ = 0;
+};
+
+inline core::MaxCliqueResult reference_maximum_clique(
+    const graph::GraphView& g) {
+  return ReferenceMaxClique(g).run();
+}
+
+/// Reference extraction loop: analysis::extract_all_paracliques rebuilt
+/// on the two references above.
+inline std::vector<analysis::Paraclique> reference_extract_all_paracliques(
+    const graph::GraphView& g, std::size_t min_size,
+    const analysis::ParacliqueOptions& options) {
+  std::vector<analysis::Paraclique> out;
+  graph::Graph residue = graph::materialize(g);
+  while (true) {
+    const auto seed = reference_maximum_clique(residue);
+    if (seed.clique.size() < std::max<std::size_t>(min_size, 1)) break;
+    auto para = reference_grow_paraclique(residue, seed.clique, options);
+    for (std::size_t i = 0; i < para.members.size(); ++i) {
+      for (std::size_t j = i + 1; j < para.members.size(); ++j) {
+        residue.remove_edge(para.members[i], para.members[j]);
+      }
+    }
+    out.push_back(std::move(para));
+  }
+  return out;
+}
+
+/// One generated input of the paraclique / maximum-clique oracle corpus.
+struct OracleGraph {
+  std::string name;
+  graph::Graph graph;
+};
+
+/// The oracle corpus: G(n,p) across densities, planted modules on a
+/// random background, planted modules with random edges removed (the
+/// shape the paraclique residue takes after a few rounds), and the
+/// degenerate shapes (empty, isolated vertices, complete, star).
+inline std::vector<OracleGraph> oracle_graphs() {
+  std::vector<OracleGraph> out;
+  auto add = [&](std::string name, graph::Graph g) {
+    out.push_back({std::move(name), std::move(g)});
+  };
+  for (const std::size_t n : {12, 33, 70}) {
+    for (const double p : {0.03, 0.1, 0.25, 0.5, 0.8}) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        add("gnp n=" + std::to_string(n) + " p=" + std::to_string(p) +
+                " seed=" + std::to_string(seed),
+            random_graph(n, p, seed * 1000 + n));
+      }
+    }
+  }
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    graph::ModuleGraphConfig config;
+    config.n = 40 + 9 * seed;
+    config.num_modules = 3 + seed % 5;
+    config.min_module_size = 4;
+    config.max_module_size = 6 + seed % 9;
+    config.p_in = seed % 3 == 0 ? 0.85 : 1.0;
+    config.overlap = 0.1 * static_cast<double>(seed % 4);
+    config.background_edges = 5 * seed;
+    graph::Graph g = graph::planted_modules(config, rng).graph;
+    add("modules seed=" + std::to_string(seed), g);
+    // Residue shape: the same modules with a fifth of all edges removed.
+    for (const auto& [u, v] : g.edge_list()) {
+      if (rng.uniform() < 0.2) g.remove_edge(u, v);
+    }
+    add("modules-thinned seed=" + std::to_string(seed), std::move(g));
+  }
+  add("empty", graph::Graph(0));
+  for (const std::size_t n : {1, 5, 40}) {
+    add("isolated n=" + std::to_string(n), graph::Graph(n));
+  }
+  for (const std::size_t n : {1, 2, 7, 20}) {
+    graph::Graph complete(n);
+    for (graph::VertexId u = 0; u < n; ++u) {
+      for (graph::VertexId v = u + 1; v < n; ++v) complete.add_edge(u, v);
+    }
+    add("complete n=" + std::to_string(n), std::move(complete));
+  }
+  for (const std::size_t n : {4, 25}) {
+    graph::Graph star(n + 3);  // hub 1, leaves 2..n+1; 0 and n+2 isolated
+    for (graph::VertexId v = 2; v < n + 2; ++v) star.add_edge(1, v);
+    add("star n=" + std::to_string(n), std::move(star));
+  }
+  return out;
+}
+
+/// The two backends every oracle case runs on: an in-memory graph and the
+/// same graph mapped from a scratch .gsbg container.
+class InMemoryAndMapped {
+ public:
+  explicit InMemoryAndMapped(const graph::Graph& g) : graph_(g) {
+    storage::write_gsbg_file(g, file_.path());
+    mapped_ = storage::MappedGraph::open(file_.path());
+  }
+  [[nodiscard]] std::vector<graph::GraphView> views() const {
+    return {graph::GraphView(graph_), mapped_.view()};
+  }
+
+ private:
+  const graph::Graph& graph_;
+  TempFile file_{"oracle"};
+  storage::MappedGraph mapped_;
 };
 
 /// Reference maximal cliques filtered to a size window.
