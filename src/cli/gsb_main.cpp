@@ -328,8 +328,8 @@ void handle_stale_temps(const util::Cli& cli,
   std::vector<std::string> dirs;
   for (const std::string& path : artifact_paths) {
     if (path.empty()) continue;
-    std::string parent = std::filesystem::path(path).parent_path().string();
-    if (parent.empty()) parent = ".";
+    const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+    const std::string parent = dir.empty() ? std::string(".") : dir.string();
     if (std::find(dirs.begin(), dirs.end(), parent) == dirs.end()) {
       dirs.push_back(parent);
     }
@@ -1262,12 +1262,6 @@ int cmd_serve(const util::Cli& cli) {
 
   std::optional<service::ResultCache> cache;
   if (use_cache) cache.emplace(cache_bytes);
-  service::ServeOptions options;
-  options.threads = threads;
-  options.cache = cache ? &*cache : nullptr;
-  options.stop = &g_serve_stop;
-  options.request_timeout_ms = request_timeout;
-  options.idle_timeout_ms = idle_timeout;
 #if defined(__unix__) || defined(__APPLE__)
   // sigaction without SA_RESTART, so Ctrl-C interrupts the blocking
   // stdin read instead of waiting for the next input line.
@@ -1281,7 +1275,15 @@ int cmd_serve(const util::Cli& cli) {
   std::signal(SIGTERM, serve_signal_handler);
 #endif
 
-  if (!tcp_address.empty()) {
+  if (!tcp_address.empty() || !socket_path.empty()) {
+    // One epoll loop serves both socket transports; the address picks the
+    // family (a '/' makes it a Unix path, so a bare file name gains "./").
+    std::string address = tcp_address;
+    if (!socket_path.empty()) {
+      address = socket_path.find('/') == std::string::npos
+                    ? "./" + socket_path
+                    : socket_path;
+    }
     service::TcpServerOptions tcp_options;
     tcp_options.threads = threads;
     tcp_options.cache = cache ? &*cache : nullptr;
@@ -1295,9 +1297,13 @@ int cmd_serve(const util::Cli& cli) {
     tcp_options.reload = [&catalog, spec] {
       return catalog.open("default", spec);
     };
-    service::TcpServer server(entry, tcp_address, tcp_options);
-    std::fprintf(stderr, "serving on tcp %s (port %u)\n", tcp_address.c_str(),
-                 static_cast<unsigned>(server.port()));
+    service::TcpServer server(entry, address, tcp_options);
+    if (socket_path.empty()) {
+      std::fprintf(stderr, "serving on tcp %s (port %u)\n", address.c_str(),
+                   static_cast<unsigned>(server.port()));
+    } else {
+      std::fprintf(stderr, "serving on unix socket %s\n", address.c_str());
+    }
     const auto tcp_stats = server.serve();
     std::fprintf(
         stderr,
@@ -1324,21 +1330,19 @@ int cmd_serve(const util::Cli& cli) {
     return 0;
   }
 
-  service::ServeStats stats;
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "serving on stdin (shutdown | ping | stats; EOF "
-                         "stops)\n");
-    stats = service::serve_stream(entry, std::cin, std::cout, options);
-  } else {
-    std::fprintf(stderr, "serving on unix socket %s\n", socket_path.c_str());
-    stats = service::serve_unix_socket(entry, socket_path, options);
-  }
+  service::ServeOptions options;
+  options.threads = threads;
+  options.cache = cache ? &*cache : nullptr;
+  options.stop = &g_serve_stop;
+  options.request_timeout_ms = request_timeout;
+  std::fprintf(stderr, "serving on stdin (shutdown | ping | stats; EOF "
+                       "stops)\n");
+  const auto stats = service::serve_stream(entry, std::cin, std::cout, options);
   std::fprintf(
       stderr,
-      "served %llu requests (%llu connections); engine: %llu queries, "
-      "%llu errors, index %llu, rescans %llu; cache %llu/%llu hits%s\n",
+      "served %llu requests; engine: %llu queries, %llu errors, index %llu, "
+      "rescans %llu; cache %llu/%llu hits%s\n",
       static_cast<unsigned long long>(stats.requests),
-      static_cast<unsigned long long>(stats.connections),
       static_cast<unsigned long long>(stats.engine.executed),
       static_cast<unsigned long long>(stats.engine.errors),
       static_cast<unsigned long long>(stats.engine.index_queries),

@@ -3,7 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "service/batch_executor.h"
+#include "service/server.h"
 #include "service/wire_protocol.h"
 
 #if defined(__linux__)
@@ -14,6 +14,8 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -26,7 +28,6 @@
 
 #include "obs/metrics.h"
 #include "obs/timeline.h"
-#include "obs/trace.h"
 #include "parallel/thread_pool.h"
 #include "service/control_text.h"
 #include "util/io.h"
@@ -36,56 +37,37 @@ namespace gsb::service {
 namespace {
 
 constexpr int kEpollTimeoutMs = 200;
-constexpr std::size_t kReadChunk = 64 * 1024;
-constexpr std::size_t kMaxReadPerTick = 256 * 1024;
+/// Bytes read from one connection per epoll tick.  Every request parsed
+/// from them starts its deadline clock, and a tick parses them all before
+/// it answers any, so this bounds the work between a request's arrival
+/// and its answer: ~230 minimal requests, tens of microseconds of parsing
+/// in a release build and under 2 ms in a sanitizer build.  Epoll is
+/// level-triggered: bytes left in the kernel fire again next tick, and
+/// their clocks have not started yet.  A tick completes at most one query
+/// per connection, so for requests under the cap a small cap costs no
+/// throughput.
+constexpr std::size_t kMaxReadPerTick = 2 * 1024;
 constexpr std::size_t kMaxSendPerCall = 256 * 1024;
 
-std::string trimmed(const std::string& line) {
-  const auto begin = line.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return {};
-  const auto end = line.find_last_not_of(" \t\r\n");
-  return line.substr(begin, end - begin + 1);
-}
-
-/// The TCP event loop's counters on the global registry; inert until the
+/// The event loop's own counters on the global registry (the
+/// per-transport series come from transport_metrics); inert until the
 /// registry is enabled.  The epoll wakeup counter ticks on idle timeouts
 /// too — a healthy idle server shows ~5/s, a hot one shows wakeups
 /// tracking request bursts.
 struct LoopMetrics {
-  obs::Counter requests;
-  obs::Counter connections;
-  obs::Counter accept_errors;
-  obs::Counter bytes_in;
-  obs::Counter bytes_out;
   obs::Counter busy_rejections;
   obs::Counter protocol_errors;
   obs::Counter disconnects;
   obs::Counter reloads;
   obs::Counter epoll_wakeups;
-  obs::Counter timeout_requests;
   obs::Counter timeout_idle;
   obs::Counter timeout_write;
-  obs::Histogram socket_write;
 };
 
 const LoopMetrics& loop_metrics() {
   static const LoopMetrics metrics = [] {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-    const std::string labels = "transport=\"tcp\"";
     LoopMetrics m;
-    m.requests = registry.counter("gsb_requests_total",
-                                  "Requests received per transport.", labels);
-    m.connections =
-        registry.counter("gsb_connections_total",
-                         "Connections accepted per transport.", labels);
-    m.accept_errors = registry.counter(
-        "gsb_accept_errors_total", "Failed accept() calls per transport.",
-        labels);
-    m.bytes_in = registry.counter(
-        "gsb_bytes_read_total", "Request bytes read per transport.", labels);
-    m.bytes_out = registry.counter(
-        "gsb_bytes_written_total", "Response bytes written per transport.",
-        labels);
     m.busy_rejections = registry.counter(
         "gsb_busy_rejections_total",
         "Requests answered `busy:` by admission control.");
@@ -101,15 +83,10 @@ const LoopMetrics& loop_metrics() {
     const char* timeout_name = "gsb_timeouts_total";
     const char* timeout_help =
         "Requests or connections timed out, by timeout kind.";
-    m.timeout_requests =
-        registry.counter(timeout_name, timeout_help, "kind=\"request\"");
     m.timeout_idle =
         registry.counter(timeout_name, timeout_help, "kind=\"idle\"");
     m.timeout_write =
         registry.counter(timeout_name, timeout_help, "kind=\"write\"");
-    m.socket_write = registry.histogram(
-        "gsb_socket_write_microseconds",
-        "Time spent writing responses to the socket.", labels);
     return m;
   }();
   return metrics;
@@ -126,7 +103,7 @@ struct Pending {
   std::string text;      ///< request text (kQuery / kControl)
   std::string ready;     ///< response bytes (kReady)
   /// Arrival time; the request deadline runs from here.
-  std::chrono::steady_clock::time_point enqueued;
+  std::chrono::steady_clock::time_point arrival;
 };
 
 struct Conn {
@@ -135,6 +112,9 @@ struct Conn {
   int fd = -1;
   Proto proto = Proto::kUnknown;
   std::string in;   ///< unparsed input bytes
+  /// Leading bytes of `in` already searched for a newline (line protocol),
+  /// so a long line arriving over many small reads is scanned once.
+  std::size_t scanned = 0;
   std::string out;  ///< framed response bytes awaiting send
   std::deque<Pending> queue;
   bool executing = false;  ///< one request on a worker right now
@@ -156,7 +136,8 @@ struct Job {
   std::uint64_t id = 0;
   std::string text;
   std::shared_ptr<const GraphEntry> entry;
-  std::chrono::steady_clock::time_point enqueued;
+  std::chrono::steady_clock::time_point arrival;     ///< deadline clock
+  std::chrono::steady_clock::time_point dispatched;  ///< queue_wait span
 };
 
 struct Completion {
@@ -165,17 +146,22 @@ struct Completion {
   std::string response;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::chrono::steady_clock::time_point enqueued;
+  std::chrono::steady_clock::time_point arrival;
 };
 
 /// The epoll event loop plus its worker pool: all socket I/O on one
 /// thread, query execution fanned out, at most one in-flight request per
 /// connection (request-order responses, lock-free engine use).
+/// \p transport ("tcp" or "unix") labels metrics, traces and lanes.
 class Loop {
  public:
   Loop(std::shared_ptr<const GraphEntry> entry, int listen_fd,
-       const TcpServerOptions& options)
-      : entry_(std::move(entry)), options_(options), listen_fd_(listen_fd) {
+       const TcpServerOptions& options, const char* transport)
+      : entry_(std::move(entry)),
+        options_(options),
+        listen_fd_(listen_fd),
+        transport_(transport),
+        traffic_(transport_metrics(transport)) {
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd_ < 0) throw std::runtime_error("serve: epoll_create1 failed");
     event_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
@@ -301,18 +287,20 @@ class Loop {
       if (fd < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         ++stats_.accept_errors;
-        metrics_.accept_errors.inc();
+        traffic_.accept_errors.inc();
         break;
       }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      if (std::string_view(transport_) == "tcp") {
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      }
       auto conn = std::make_shared<Conn>();
       conn->fd = fd;
       conn->last_activity = std::chrono::steady_clock::now();
       conn->last_write_progress = conn->last_activity;
       conns_.emplace(fd, conn);
       ++stats_.connections;
-      metrics_.connections.inc();
+      traffic_.connections.inc();
       add_fd(fd, EPOLLIN);
     }
   }
@@ -363,10 +351,11 @@ class Loop {
 
   void readable(const std::shared_ptr<Conn>& conn) {
     if (conn->dead || conn->eof || conn->fatal) return;
-    char buf[kReadChunk];
+    char buf[kMaxReadPerTick];
     std::size_t total = 0;
     while (total < kMaxReadPerTick) {
-      const ssize_t n = util::io::recv_some(conn->fd, buf, sizeof(buf), 0);
+      const ssize_t n =
+          util::io::recv_some(conn->fd, buf, kMaxReadPerTick - total, 0);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         disconnect(conn);
@@ -378,7 +367,7 @@ class Loop {
       }
       conn->in.append(buf, static_cast<std::size_t>(n));
       total += static_cast<std::size_t>(n);
-      metrics_.bytes_in.inc(static_cast<std::uint64_t>(n));
+      traffic_.bytes_in.inc(static_cast<std::uint64_t>(n));
     }
     if (total > 0) conn->last_activity = std::chrono::steady_clock::now();
     parse(conn);
@@ -405,14 +394,16 @@ class Loop {
     }
     std::size_t pos = 0;
     if (conn->proto == Conn::Proto::kLine) {
-      for (std::size_t nl = conn->in.find('\n', pos);
+      for (std::size_t nl = conn->in.find('\n', conn->scanned);
            nl != std::string::npos; nl = conn->in.find('\n', pos)) {
-        const std::string text = trimmed(conn->in.substr(pos, nl - pos));
+        const std::string text =
+            trimmed(std::string_view(conn->in).substr(pos, nl - pos));
         pos = nl + 1;
         if (text.empty()) continue;  // blank keep-alive: no response
         enqueue_text(conn, 0, text);
         if (conn->dead || conn->fatal) break;
       }
+      conn->scanned = conn->in.size() - pos;
     } else {
       while (!conn->dead && !conn->fatal) {
         std::size_t consumed = 0;
@@ -452,7 +443,7 @@ class Loop {
   void enqueue_text(const std::shared_ptr<Conn>& conn, std::uint64_t id,
                     std::string text) {
     ++stats_.requests;
-    metrics_.requests.inc();
+    traffic_.requests.inc();
     if (is_control_request(text)) {
       Pending p;
       p.kind = Pending::Kind::kControl;
@@ -481,7 +472,7 @@ class Loop {
     p.kind = Pending::Kind::kQuery;
     p.id = id;
     p.text = std::move(text);
-    p.enqueued = std::chrono::steady_clock::now();
+    p.arrival = std::chrono::steady_clock::now();
     conn->queue.push_back(std::move(p));
   }
 
@@ -517,13 +508,12 @@ class Loop {
           break;
         }
         case Pending::Kind::kQuery: {
-          if (past_deadline(item.enqueued)) {
+          if (past_deadline(item.arrival, options_.request_timeout_ms)) {
             // Shed at dispatch: the deadline already passed while the
             // request waited its FIFO turn, so answer the typed error
             // in order instead of burning a worker on it.
             ++stats_.timeouts;
-            metrics_.timeout_requests.inc();
-            respond(conn, item.id, "error: deadline exceeded");
+            respond(conn, item.id, deadline_exceeded());
             break;
           }
           conn->executing = true;
@@ -533,7 +523,8 @@ class Loop {
           job.id = item.id;
           job.text = std::move(item.text);
           job.entry = entry_;
-          job.enqueued = std::chrono::steady_clock::now();
+          job.arrival = item.arrival;
+          job.dispatched = std::chrono::steady_clock::now();
           {
             std::lock_guard<std::mutex> lock(jobs_mutex_);
             jobs_.push_back(std::move(job));
@@ -543,13 +534,6 @@ class Loop {
         }
       }
     }
-  }
-
-  [[nodiscard]] bool past_deadline(
-      std::chrono::steady_clock::time_point enqueued) const {
-    return options_.request_timeout_ms != 0 &&
-           std::chrono::steady_clock::now() - enqueued >
-               std::chrono::milliseconds(options_.request_timeout_ms);
   }
 
   void respond(const std::shared_ptr<Conn>& conn, std::uint64_t id,
@@ -619,7 +603,7 @@ class Loop {
           util::io::send_some(conn->fd, conn->out.data(), chunk, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        metrics_.bytes_out.inc(sent_bytes);
+        traffic_.bytes_out.inc(sent_bytes);
         disconnect(conn);  // EPIPE/ECONNRESET: client left mid-response
         return;
       }
@@ -627,8 +611,8 @@ class Loop {
       sent_bytes += static_cast<std::uint64_t>(n);
     }
     if (sent_bytes > 0) {
-      metrics_.bytes_out.inc(sent_bytes);
-      metrics_.socket_write.observe_micros(
+      traffic_.bytes_out.inc(sent_bytes);
+      traffic_.socket_write.observe_micros(
           static_cast<std::uint64_t>(write_timer.micros()));
       conn->last_write_progress = std::chrono::steady_clock::now();
     }
@@ -686,13 +670,13 @@ class Loop {
         bank_engine(*conn);
         continue;
       }
-      if (past_deadline(completion.enqueued)) {
-        // The worker finished, but past the deadline: the client was
-        // promised a bounded answer, so the typed error replaces the
-        // late result (same FIFO slot, order preserved).
+      if (past_deadline(completion.arrival, options_.request_timeout_ms)) {
+        // The worker finished, but past the deadline counted from the
+        // request's arrival: the client was promised a bounded answer, so
+        // the typed error replaces the late result (same FIFO slot, order
+        // preserved).
         ++stats_.timeouts;
-        metrics_.timeout_requests.inc();
-        respond(conn, completion.id, "error: deadline exceeded");
+        respond(conn, completion.id, deadline_exceeded());
       } else {
         respond(conn, completion.id, completion.response);
       }
@@ -746,38 +730,17 @@ class Loop {
         conn.engine = std::make_unique<QueryEngine>(job.entry);
         conn.engine_entry = job.entry.get();
       }
+      if (!lane_named && journal.enabled()) {
+        journal.set_thread_lane(std::string(transport_) + "-worker-" +
+                                std::to_string(index));
+        lane_named = true;
+      }
       Completion completion;
       completion.id = job.id;
-      completion.enqueued = job.enqueued;
-      {
-        // Trace the worker-side request lifetime; queue wait (dispatch to
-        // pickup) is attributed explicitly since it predates the scope.
-        obs::TraceScope trace(obs::Tracer::global(), "tcp", job.text);
-        if (trace.active() || journal.enabled()) {
-          const auto waited = static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - job.enqueued)
-                  .count());
-          if (trace.active()) {
-            trace.add_pre_span(obs::Span::kQueueWait, waited);
-          }
-          if (journal.enabled()) {
-            if (!lane_named) {
-              journal.set_thread_lane("tcp-worker-" + std::to_string(index));
-              lane_named = true;
-            }
-            const std::uint64_t now = journal.now_micros();
-            journal.record(obs::TimelineEventKind::kQueueWait,
-                           now >= waited ? now - waited : 0, waited, job.id,
-                           job.text);
-          }
-        }
-        obs::TimelineSpan span(obs::TimelineEventKind::kRequest, job.text,
-                               job.id);
-        completion.response = execute_cached_line(
-            *conn.engine, options_.cache, job.text, completion.hits,
-            completion.misses);
-      }
+      completion.arrival = job.arrival;
+      completion.response = execute_request(
+          *conn.engine, options_.cache, job.text, transport_,
+          completion.hits, completion.misses, job.id, job.dispatched);
       completion.conn = std::move(job.conn);
       {
         std::lock_guard<std::mutex> lock(completion_mutex_);
@@ -802,6 +765,8 @@ class Loop {
   std::shared_ptr<const GraphEntry> entry_;
   TcpServerOptions options_;
   int listen_fd_ = -1;
+  const char* transport_;
+  TransportMetrics traffic_;
   int epoll_fd_ = -1;
   int event_fd_ = -1;
   bool accepting_ = true;
@@ -889,6 +854,52 @@ int bind_tcp(const std::string& address, std::uint16_t& port) {
   return fd;
 }
 
+/// Binds and listens on the Unix-domain socket \p path (SOMAXCONN
+/// backlog); returns the non-blocking listen fd, and in \p bound the
+/// identity of the socket file it created.  Replaces a *stale* socket
+/// file only: never deletes a non-socket, and never hijacks a path
+/// another live server is still accepting on (a connect() probe tells
+/// the two apart — a live listener accepts, a leftover file refuses).
+int bind_unix(const std::string& path, struct stat& bound) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) {
+    throw std::runtime_error("serve: socket path too long: " + path);
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+
+  struct stat st{};
+  if (::stat(path.c_str(), &st) == 0) {
+    if (!S_ISSOCK(st.st_mode)) {
+      throw std::runtime_error("serve: '" + path +
+                               "' exists and is not a socket");
+    }
+    const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (probe >= 0) {
+      const int live = ::connect(
+          probe, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+      ::close(probe);
+      if (live == 0) {
+        throw std::runtime_error("serve: '" + path +
+                                 "' is already served by a live process");
+      }
+    }
+    ::unlink(path.c_str());
+  }
+
+  const int fd =
+      ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) throw std::runtime_error("serve: socket() failed");
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::listen(fd, SOMAXCONN) != 0) {
+    ::close(fd);
+    throw std::runtime_error("serve: cannot bind '" + path + "'");
+  }
+  if (::stat(path.c_str(), &bound) != 0) bound = {};  // never matches a file
+  return fd;
+}
+
 }  // namespace
 
 TcpServer::TcpServer(std::shared_ptr<const GraphEntry> entry,
@@ -897,15 +908,30 @@ TcpServer::TcpServer(std::shared_ptr<const GraphEntry> entry,
   if (entry_ == nullptr) {
     throw std::invalid_argument("TcpServer: null graph entry");
   }
-  listen_fd_ = bind_tcp(address, port_);
+  // The rule `gsb query --connect` uses: a target with a '/' is a path.
+  if (address.find('/') == std::string::npos) {
+    listen_fd_ = bind_tcp(address, port_);
+    return;
+  }
+  struct stat bound{};
+  listen_fd_ = bind_unix(address, bound);
+  socket_path_ = address;
+  socket_dev_ = bound.st_dev;
+  socket_ino_ = bound.st_ino;
 }
 
 TcpServer::~TcpServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  struct stat current{};
+  if (!socket_path_.empty() && ::stat(socket_path_.c_str(), &current) == 0 &&
+      current.st_dev == socket_dev_ && current.st_ino == socket_ino_) {
+    ::unlink(socket_path_.c_str());
+  }
 }
 
 TcpServeStats TcpServer::serve() {
-  Loop loop(entry_, listen_fd_, options_);
+  Loop loop(entry_, listen_fd_, options_,
+            socket_path_.empty() ? "tcp" : "unix");
   return loop.run();
 }
 
@@ -919,15 +945,15 @@ TcpServer::TcpServer(std::shared_ptr<const GraphEntry> entry,
                      const std::string&, TcpServerOptions options)
     : entry_(std::move(entry)), options_(std::move(options)) {
   throw std::runtime_error(
-      "serve: the TCP transport requires epoll (Linux); use the stdin or "
-      "Unix-socket transport");
+      "serve: the socket transports require epoll (Linux); use the stdin "
+      "transport");
 }
 
 TcpServer::~TcpServer() = default;
 
 TcpServeStats TcpServer::serve() {
   throw std::runtime_error(
-      "serve: the TCP transport requires epoll (Linux)");
+      "serve: the socket transports require epoll (Linux)");
 }
 
 }  // namespace gsb::service

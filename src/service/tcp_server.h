@@ -2,18 +2,20 @@
 #define GSB_SERVICE_TCP_SERVER_H
 
 /// \file tcp_server.h
-/// The high-throughput TCP front end behind `gsb serve --tcp`.
+/// The socket front end behind `gsb serve --tcp` and `gsb serve --socket`:
+/// one epoll event loop serving a TCP or a Unix-domain listener.  The
+/// class keeps its TCP-era name because perfbench builds against it.
 ///
-/// One epoll event loop owns every socket (non-blocking accept, read and
-/// write; no thread per connection); parsed requests are executed on a
-/// small worker pool, at most one in flight per connection, so responses
-/// leave each connection in request order and the engine's per-connection
+/// The loop owns every socket (non-blocking accept, read and write; no
+/// thread per connection); parsed requests are executed on a small
+/// worker pool, at most one in flight per connection, so responses leave
+/// each connection in request order and the engine's per-connection
 /// state never needs locks.  Each connection speaks one of two protocols,
 /// sniffed from its first byte (wire_protocol.h): the newline-delimited
 /// line protocol, or the length-prefixed binary protocol with request ids
 /// and pipelining.  Response payloads are produced by the same
-/// execute_cached_line path every other transport uses, so bytes are
-/// identical across stdin, Unix-socket, TCP-line and TCP-binary serving.
+/// execute_request path the stdin transport uses (server.h), so bytes
+/// are identical across stdin, Unix-socket, TCP, line and binary serving.
 ///
 /// Admission control: a connection may hold at most `max_pipeline` queued
 /// requests and `max_inflight_bytes` of un-drained response bytes; beyond
@@ -58,7 +60,7 @@ struct TcpServerOptions {
   /// `reload` control request; empty = reload unavailable.
   std::function<std::shared_ptr<const GraphEntry>()> reload;
   /// Request deadline in milliseconds (0 = none).  A query whose age
-  /// (enqueue to response) exceeds the deadline answers a typed
+  /// (arrival to response) exceeds the deadline answers a typed
   /// `error: deadline exceeded` through the normal FIFO — order is
   /// preserved, and queued requests past deadline are shed without
   /// dispatching to a worker.
@@ -94,16 +96,21 @@ struct TcpServeStats {
 /// platforms without epoll — from the constructor.
 class TcpServer {
  public:
-  /// \p address is `HOST:PORT`; an empty host binds every interface, port
-  /// 0 picks an ephemeral port.
+  /// \p address is `HOST:PORT` (an empty host binds every interface, port
+  /// 0 picks an ephemeral port) or, when it contains a `/`, the path of a
+  /// Unix-domain socket.  A stale socket file is replaced; an existing
+  /// non-socket file, or a socket a live server still accepts on, is
+  /// refused.
   TcpServer(std::shared_ptr<const GraphEntry> entry, const std::string& address,
             TcpServerOptions options = {});
+  /// Closes the listener and removes the socket file, but only while it is
+  /// still the file this server bound (a newer server may own the path).
   ~TcpServer();
 
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
-  /// The bound port (useful after binding port 0).
+  /// The bound port (useful after binding port 0); 0 on a Unix listener.
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   /// Serves until a `shutdown` request or the external stop flag, then
@@ -115,6 +122,11 @@ class TcpServer {
   TcpServerOptions options_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
+  /// Unix listener only: the socket file and the device/inode it had
+  /// when bound.
+  std::string socket_path_;
+  std::uint64_t socket_dev_ = 0;
+  std::uint64_t socket_ino_ = 0;
 };
 
 }  // namespace gsb::service

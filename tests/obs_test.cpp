@@ -104,8 +104,8 @@ TEST_F(ObsRegistryTest, HistogramBucketBoundaries) {
   histogram.observe_micros(5);   // -> bucket 3 (bound 8)
   const std::uint64_t huge = std::uint64_t{1} << 40;
   histogram.observe_micros(huge);  // -> +Inf overflow
-  const MetricSnapshot* metric =
-      find_metric(registry_.scrape(), "test_micros");
+  const RegistrySnapshot snapshot = registry_.scrape();
+  const MetricSnapshot* metric = find_metric(snapshot, "test_micros");
   ASSERT_NE(metric, nullptr);
   const HistogramSnapshot& h = metric->histogram;
   EXPECT_EQ(h.buckets[0], 2u);
@@ -390,7 +390,8 @@ TEST(HistogramQuantile, SingleBucketInterpolates) {
   registry.set_enabled(true);
   const Histogram h = registry.histogram("q_micros", "help");
   for (int i = 0; i < 100; ++i) h.observe_micros(3);  // bucket (2, 4]
-  const MetricSnapshot* metric = find_metric(registry.scrape(), "q_micros");
+  const RegistrySnapshot snapshot = registry.scrape();
+  const MetricSnapshot* metric = find_metric(snapshot, "q_micros");
   ASSERT_NE(metric, nullptr);
   const std::uint64_t p50 = histogram_quantile_micros(metric->histogram, 0.5);
   const std::uint64_t p99 = histogram_quantile_micros(metric->histogram, 0.99);
@@ -405,7 +406,8 @@ TEST(HistogramQuantile, SpreadAcrossBucketsIsMonotone) {
   registry.set_enabled(true);
   const Histogram h = registry.histogram("q2_micros", "help");
   for (std::uint64_t v : {1u, 10u, 100u, 1000u, 10000u}) h.observe_micros(v);
-  const MetricSnapshot* metric = find_metric(registry.scrape(), "q2_micros");
+  const RegistrySnapshot snapshot = registry.scrape();
+  const MetricSnapshot* metric = find_metric(snapshot, "q2_micros");
   ASSERT_NE(metric, nullptr);
   std::uint64_t previous = 0;
   for (double q : {0.0, 0.25, 0.5, 0.75, 0.99, 1.0}) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -45,6 +46,7 @@
 #include "service/graph_catalog.h"
 #include "service/server.h"
 #include "service/tcp_server.h"
+#include "service/wire_protocol.h"
 #include "storage/clique_stream.h"
 #include "storage/gsbg_format.h"
 #include "storage/gsbg_writer.h"
@@ -774,6 +776,71 @@ TEST(TcpRobustness, RequestDeadlineProducesTypedErrorsInOrder) {
   EXPECT_EQ(stats_field(stats_line, "timeouts"), shed) << stats_line;
 }
 
+// The deadline runs from a request's arrival, not from its dispatch to a
+// worker: a query that waits W in its connection's queue and is then
+// answered E after dispatch, with W and E each under the deadline but
+// W + E over it, is late.  The reload hook runs on the event-loop thread,
+// so a hook that sleeps stalls the loop for a known time.  Connection A's
+// `reload` holds its second query in A's queue for W.  Connection B's
+// `reload`, sent while A's hook runs, is read in the next tick, before
+// that tick drains the query's completion, so the answer waits E more.
+TEST(TcpRobustness, DeadlineRunsFromArrivalNotDispatch) {
+  ScratchDir d("gsb_rb_tcp_arrival");
+  const auto g = test::random_graph(24, 0.3, 13);
+  const Built b = build_artifacts(g, d, "g");
+
+  constexpr auto kStall = std::chrono::milliseconds(150);  // W and E
+  std::atomic<int> reloads{0};
+  std::atomic<bool> b_sent{false};
+  TcpServerOptions options;
+  options.threads = 1;
+  options.request_timeout_ms = 250;  // above W and E, below W + E
+  options.reload = [&]() -> std::shared_ptr<const GraphEntry> {
+    if (reloads.fetch_add(1) == 0) {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!b_sent.load() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    std::this_thread::sleep_for(kStall);
+    return nullptr;  // `error: reload unavailable`: only the stall matters
+  };
+  TcpFixture fx(b, options);
+
+  auto a = ServiceClient::connect_tcp(fx.address());
+  auto late = ServiceClient::connect_tcp(fx.address());
+  const auto reference = a.call_pipelined({"degree 5"});
+  ASSERT_EQ(reference.size(), 1u);
+  ASSERT_TRUE(reference[0].payload.starts_with("degree 5:"));
+  ASSERT_EQ(late.call_pipelined({"ping"})[0].payload, "ok pong");
+
+  // The first query puts A's `reload` on the completion path, so the
+  // second query is dispatched after that tick's completions were taken.
+  a.send("degree 5");
+  a.send("reload");
+  a.send("degree 5");
+  a.flush();
+  while (reloads.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  late.send("reload");
+  late.flush();
+  b_sent.store(true);
+
+  const auto first = a.receive();
+  const auto reload = a.receive();
+  const auto second = a.receive();
+  EXPECT_EQ(first.payload, reference[0].payload);
+  EXPECT_EQ(reload.payload, "error: reload unavailable");
+  EXPECT_EQ(second.payload, kDeadlineError)
+      << "queue wait + execution passed the deadline";
+  EXPECT_EQ(second.status, wire::Status::kError);
+  EXPECT_EQ(late.receive().payload, "error: reload unavailable");
+  EXPECT_EQ(stats_field(a.call_pipelined({"stats"})[0].payload, "timeouts"),
+            1u);
+}
+
 TEST(TcpRobustness, IdleConnectionIsClosedAndCounted) {
   ScratchDir d("gsb_rb_tcp_idle");
   const auto g = test::random_graph(24, 0.3, 13);
@@ -886,13 +953,21 @@ TEST(TcpRobustness, RetryingClientReplaysByteIdenticalAfterInjectedReset) {
   ScratchDir d("gsb_rb_tcp_retry");
   const auto g = test::random_graph(48, 0.3, 41);
   const Built b = build_artifacts(g, d, "g");
-  TcpFixture fx(b);
-
   const auto lines = retry_workload(g, 10);
+  // Every line gets its real answer.  Under the default pipeline limit
+  // (256) most of these 670 pipelined lines would be answered `busy:`, in
+  // a pattern that depends on how the server's reads split the burst.
+  TcpServerOptions options;
+  options.max_pipeline = lines.size();
+  TcpFixture fx(b, options);
+
   std::vector<std::string> reference;
   {
     auto clean = ServiceClient::connect_tcp(fx.address());
     reference = clean.request_pipelined(lines);
+  }
+  for (const auto& response : reference) {
+    ASSERT_FALSE(response.starts_with("busy:")) << response;
   }
 
   // Exactly one injected ECONNRESET, early in the exchange.  Whichever

@@ -2,7 +2,8 @@
 // .gsbci clique index (indexed answers == full-stream rescans, and indexed
 // queries never touch the rest of the stream), byte-identical results with
 // the cache on/off and at every thread count, LRU eviction under the byte
-// budget, and the serve loop's stream/socket transports.
+// budget, the stdin serve loop, and the epoll socket loop on TCP and Unix
+// listeners.
 
 #include <gtest/gtest.h>
 
@@ -46,11 +47,11 @@
 #include "storage/gsbg_writer.h"
 #include "tests/test_helpers.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define GSB_TEST_UNIX_SOCKETS 1
+#if defined(__linux__)
 #include <csignal>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 #endif
@@ -690,7 +691,7 @@ TEST(Serve, StreamSessionBytesAreIdenticalWithTimelineOnAndOff) {
   EXPECT_EQ(profiled, reference);
 }
 
-#if GSB_TEST_UNIX_SOCKETS
+#if defined(__linux__)
 TEST(Serve, UnixSocketSessionAnswersAndShutsDown) {
   const auto a = make_artifacts(32, 0.3, 29, "service_socket");
   GraphCatalog catalog;
@@ -698,12 +699,11 @@ TEST(Serve, UnixSocketSessionAnswersAndShutsDown) {
   const std::string socket_path = temp_path("service_socket.sock");
   std::remove(socket_path.c_str());
 
-  ServeOptions options;
+  TcpServerOptions options;
   options.threads = 2;
-  ServeStats stats;
-  std::thread server([&] {
-    stats = serve_unix_socket(entry, socket_path, options);
-  });
+  TcpServer listener(entry, socket_path, options);
+  TcpServeStats stats;
+  std::thread server([&] { stats = listener.serve(); });
 
   // Connect (retrying while the server binds), run one session.
   int fd = -1;
@@ -802,12 +802,11 @@ TEST(Serve, SurvivesClientDisconnectMidResponse) {
   const std::string socket_path = temp_path("service_midrop.sock");
   std::remove(socket_path.c_str());
 
-  ServeOptions options;
+  TcpServerOptions options;
   options.threads = 2;
-  ServeStats stats;
-  std::thread server([&] {
-    stats = serve_unix_socket(entry, socket_path, options);
-  });
+  TcpServer listener(entry, socket_path, options);
+  TcpServeStats stats;
+  std::thread server([&] { stats = listener.serve(); });
 
   // Flood: thousands of pipelined requests, then an immediate close —
   // never reading a byte, so the server's writes hit a dead peer.
@@ -863,15 +862,21 @@ TEST(Serve, SignalsDuringBlockedIoDropNoResponses) {
   struct sigaction previous{};
   ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
 
-  ServeOptions options;
+  std::vector<std::string> lines;
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& line : mixed_workload(a.graph)) lines.push_back(line);
+  }
+
+  TcpServerOptions options;
   options.threads = 2;
-  ServeStats stats;
-  // The server thread (and its per-connection threads) keep SIGUSR1
+  // Admission control is not under test: every request gets its answer.
+  options.max_pipeline = lines.size() + 1;
+  TcpServer listener(entry, socket_path, options);
+  TcpServeStats stats;
+  // The server thread (and the worker threads it starts) keep SIGUSR1
   // unblocked; the test thread blocks it before spawning the signaler, so
   // every kill() below lands on a server thread's blocked syscall.
-  std::thread server([&] {
-    stats = serve_unix_socket(entry, socket_path, options);
-  });
+  std::thread server([&] { stats = listener.serve(); });
   sigset_t usr1;
   sigemptyset(&usr1);
   sigaddset(&usr1, SIGUSR1);
@@ -887,10 +892,6 @@ TEST(Serve, SignalsDuringBlockedIoDropNoResponses) {
 
   const int fd = connect_unix_retrying(socket_path);
   ASSERT_GE(fd, 0) << "could not connect to " << socket_path;
-  std::vector<std::string> lines;
-  for (int round = 0; round < 3; ++round) {
-    for (const auto& line : mixed_workload(a.graph)) lines.push_back(line);
-  }
   std::string request;
   for (const auto& line : lines) request += line + '\n';
   request += "shutdown\n";
@@ -935,10 +936,9 @@ TEST(Serve, UnixSocketAnswersMetricsRequests) {
   const std::string socket_path = temp_path("service_socket_obs.sock");
   std::remove(socket_path.c_str());
 
-  ServeStats stats;
-  std::thread server([&] {
-    stats = serve_unix_socket(entry, socket_path, {});
-  });
+  TcpServer listener(entry, socket_path);
+  TcpServeStats stats;
+  std::thread server([&] { stats = listener.serve(); });
   const int fd = connect_unix_retrying(socket_path);
   ASSERT_GE(fd, 0) << "could not connect to " << socket_path;
   const std::string request = "degree 2\nmetrics prom\nmetrics json\nshutdown\n";
@@ -969,7 +969,84 @@ TEST(Serve, UnixSocketAnswersMetricsRequests) {
   ASSERT_TRUE(json_line.starts_with("ok metrics json {")) << json_line;
   EXPECT_TRUE(stats.shutdown_requested);
 }
-#endif  // GSB_TEST_UNIX_SOCKETS
+
+// The socket file is shared with other processes, so a Unix listener
+// refuses a path it cannot own: one too long for sun_path, an existing
+// file that is not a socket, or a socket a live server accepts on.
+TEST(Serve, UnixListenerRefusesForeignAndLivePaths) {
+  const auto a = make_artifacts(16, 0.3, 83, "service_socket_refuse");
+  GraphCatalog catalog;
+  auto entry = catalog.open("g", spec_for(a));
+
+  const std::string too_long =
+      "/tmp/" + std::string(sizeof(sockaddr_un{}.sun_path), 'x');
+  EXPECT_THROW(TcpServer server(entry, too_long), std::runtime_error);
+
+  const std::string regular = temp_path("service_socket_regular.sock");
+  {
+    std::ofstream file(regular);
+    file << "not a socket\n";
+  }
+  EXPECT_THROW(TcpServer server(entry, regular), std::runtime_error);
+  struct stat st{};
+  ASSERT_EQ(::stat(regular.c_str(), &st), 0) << "a non-socket was deleted";
+  EXPECT_TRUE(S_ISREG(st.st_mode));
+  std::remove(regular.c_str());
+
+  const std::string live_path = temp_path("service_socket_live.sock");
+  std::remove(live_path.c_str());
+  TcpServer live(entry, live_path);
+  TcpServeStats stats;
+  std::thread server([&] { stats = live.serve(); });
+  EXPECT_THROW(TcpServer server(entry, live_path), std::runtime_error);
+  auto client = ServiceClient::connect_unix(live_path);
+  EXPECT_EQ(client.request("ping"), "ok pong");  // the live one kept its path
+  EXPECT_EQ(client.request("shutdown"), "ok shutdown");
+  server.join();
+  EXPECT_TRUE(stats.shutdown_requested);
+}
+
+// A socket file nobody accepts on is stale and is replaced; at exit a
+// listener removes the file only while it is still the inode it bound.
+TEST(Serve, UnixListenerReplacesStaleFileAndRemovesOnlyItsOwn) {
+  const auto a = make_artifacts(16, 0.3, 89, "service_socket_stale");
+  GraphCatalog catalog;
+  auto entry = catalog.open("g", spec_for(a));
+  const std::string path = temp_path("service_socket_stale.sock");
+  std::remove(path.c_str());
+
+  // A socket file left behind by a process that died without unlinking.
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+  auto bind_stale = [&] {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    ::close(fd);
+  };
+  bind_stale();
+
+  struct stat st{};
+  {
+    TcpServer server(entry, path);
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISSOCK(st.st_mode));
+  }
+  EXPECT_NE(::stat(path.c_str(), &st), 0) << "own socket file left behind";
+
+  {
+    TcpServer server(entry, path);
+    // A newer owner replaces the file while this server is still up.
+    ASSERT_EQ(::unlink(path.c_str()), 0);
+    bind_stale();
+  }
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << "removed a file it did not bind";
+  std::remove(path.c_str());
+}
+#endif  // defined(__linux__)
 
 TEST(WireProtocol, FramesRoundTripAndRejectMalformedInput) {
   std::string buf;
@@ -1026,16 +1103,19 @@ TEST(WireProtocol, FramesRoundTripAndRejectMalformedInput) {
 
 #if defined(__linux__)
 
-/// One TCP server on an ephemeral port, serving on a background thread.
+/// One socket server serving on a background thread: TCP on an ephemeral
+/// port by default, or a Unix listener when \p listen is a path.
 struct TcpFixture {
   GraphCatalog catalog;
   std::shared_ptr<const GraphEntry> entry;
   std::optional<TcpServer> server;
   std::thread thread;
   TcpServeStats stats;
+  std::string socket_path;  ///< empty on TCP
 
   TcpFixture(const Artifacts& a, TcpServerOptions options = {},
-             bool with_reload = false, const GraphSpec* spec = nullptr) {
+             bool with_reload = false, const GraphSpec* spec = nullptr,
+             const std::string& listen = "127.0.0.1:0") {
     entry = catalog.open("g", spec_for(a));
     if (with_reload) {
       GraphSpec reload_spec = spec != nullptr ? *spec : spec_for(a);
@@ -1043,7 +1123,8 @@ struct TcpFixture {
         return catalog.open("g", reload_spec);
       };
     }
-    server.emplace(entry, "127.0.0.1:0", options);
+    if (listen.find('/') != std::string::npos) socket_path = listen;
+    server.emplace(entry, listen, options);
     thread = std::thread([this] { stats = server->serve(); });
   }
 
@@ -1051,12 +1132,17 @@ struct TcpFixture {
     return "127.0.0.1:" + std::to_string(server->port());
   }
 
+  [[nodiscard]] ServiceClient connect() const {
+    return socket_path.empty() ? ServiceClient::connect_tcp(address())
+                               : ServiceClient::connect_unix(socket_path);
+  }
+
   void join() { thread.join(); }
 
   ~TcpFixture() {
     if (thread.joinable()) {
       try {
-        ServiceClient::connect_tcp(address()).request("shutdown");
+        connect().request("shutdown");
       } catch (const std::exception&) {
       }
       thread.join();
@@ -1066,7 +1152,16 @@ struct TcpFixture {
 
 TEST(TcpServe, LineProtocolMatchesBatchAcrossThreadCountsAndReportsStats) {
   const auto a = make_artifacts(48, 0.3, 41, "service_tcp_line");
-  const auto lines = mixed_workload(a.graph);
+  auto lines = mixed_workload(a.graph);
+  // One line several times the per-tick read, so it arrives over many
+  // reads before its newline does.
+  std::string long_line = "induced-subgraph";
+  for (int round = 0; round < 60; ++round) {
+    for (graph::VertexId v = 0; v < 48; ++v) {
+      long_line += ' ' + std::to_string(v);
+    }
+  }
+  lines.push_back(long_line);
 
   GraphCatalog reference_catalog;
   auto reference_entry = reference_catalog.open("g", spec_for(a));
@@ -1113,31 +1208,38 @@ TEST(TcpServe, BinaryPipeliningMatchesLineBytesAndPreservesIdOrder) {
   sequential.threads = 1;
   const auto reference = execute_batch(reference_entry, lines, sequential);
 
-  TcpServerOptions options;
-  options.threads = 3;
-  TcpFixture fx(a, options);
+  const std::string socket_path = temp_path("service_tcp_bin.sock");
+  std::remove(socket_path.c_str());
+  for (const std::string& listen : {std::string("127.0.0.1:0"), socket_path}) {
+    SCOPED_TRACE(listen);
+    TcpServerOptions options;
+    options.threads = 3;
+    TcpFixture fx(a, options, false, nullptr, listen);
 
-  auto client = ServiceClient::connect_tcp(fx.address());
-  const auto responses = client.call_pipelined(lines);
-  ASSERT_EQ(responses.size(), lines.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    EXPECT_EQ(responses[i].id, i + 1) << "response " << i;
-    EXPECT_EQ(responses[i].payload, reference.responses[i]) << lines[i];
-    EXPECT_EQ(responses[i].status,
-              reference.responses[i].starts_with("error:")
-                  ? wire::Status::kError
-                  : wire::Status::kOk)
-        << lines[i];
+    EXPECT_EQ(fx.connect().request_pipelined(lines), reference.responses);
+
+    auto client = fx.connect();
+    const auto responses = client.call_pipelined(lines);
+    ASSERT_EQ(responses.size(), lines.size());
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      EXPECT_EQ(responses[i].id, i + 1) << "response " << i;
+      EXPECT_EQ(responses[i].payload, reference.responses[i]) << lines[i];
+      EXPECT_EQ(responses[i].status,
+                reference.responses[i].starts_with("error:")
+                    ? wire::Status::kError
+                    : wire::Status::kOk)
+          << lines[i];
+    }
+
+    // Control requests answer on the binary framing too.
+    const auto pong = client.call_pipelined({"ping"});
+    ASSERT_EQ(pong.size(), 1u);
+    EXPECT_EQ(pong[0].payload, "ok pong");
+
+    EXPECT_EQ(client.call_pipelined({"shutdown"})[0].payload, "ok shutdown");
+    fx.join();
+    EXPECT_EQ(fx.stats.protocol_errors, 0u);
   }
-
-  // Control requests answer on the binary framing too.
-  const auto pong = client.call_pipelined({"ping"});
-  ASSERT_EQ(pong.size(), 1u);
-  EXPECT_EQ(pong[0].payload, "ok pong");
-
-  EXPECT_EQ(client.call_pipelined({"shutdown"})[0].payload, "ok shutdown");
-  fx.join();
-  EXPECT_EQ(fx.stats.protocol_errors, 0u);
 }
 
 TEST(TcpServe, AdmissionControlAnswersTypedBusyInFifoOrder) {
