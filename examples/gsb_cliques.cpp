@@ -22,7 +22,6 @@
 #include <string>
 
 #include "analysis/clique_stats.h"
-#include "core/clique_enumerator.h"
 #include "core/maximum_clique.h"
 #include "core/parallel_enumerator.h"
 #include "graph/io.h"
@@ -116,19 +115,12 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(level.maximal_emitted)));
   };
 
-  core::EnumerationStats stats;
-  if (threads == 1) {
-    core::CliqueEnumeratorOptions options;
-    options.range = range;
-    options.progress = progress;
-    stats = core::enumerate_maximal_cliques(g, sink, options);
-  } else {
-    core::ParallelOptions options;
-    options.range = range;
-    options.threads = threads;
-    options.progress = progress;
-    stats = core::enumerate_maximal_cliques_parallel(g, sink, options).base;
-  }
+  core::ParallelOptions options;
+  options.range = range;
+  options.threads = threads;
+  options.progress = progress;
+  const core::EnumerationStats stats =
+      core::enumerate_maximal_cliques_parallel(g, sink, options).base;
 
   std::fprintf(stderr, "%llu maximal cliques in [%zu, %s] in %.3f s\n",
                static_cast<unsigned long long>(stats.total_maximal), range.lo,

@@ -86,7 +86,7 @@ SimulatedRun AltixSimulator::simulate(const core::EnumerationStats& trace,
   }
 
   // --- level loop ---------------------------------------------------------------
-  // The sequential trace does not know which virtual thread would have
+  // The one-thread trace does not know which virtual thread would have
   // produced each sub-list, so every level is scheduled from an even split
   // refined by transfers; transferred tasks pay the NUMA remote penalty.
   for (const auto& level : trace.traces) {

@@ -7,7 +7,7 @@
 ///
 /// Input: an EnumerationStats carrying the per-root seed costs and
 /// per-sub-list level costs recorded by an instrumented (record_trace)
-/// sequential run.  The simulator pushes those task costs through the
+/// one-thread run.  The simulator pushes those task costs through the
 /// paper's centralized scheduler, gsb::par::LoadBalancer, at any processor
 /// count, and charges the MachineModel's NUMA and synchronization
 /// overheads.  (The real multithreaded driver balances at runtime instead,

@@ -53,7 +53,6 @@
 #include "bio/tiled_correlation.h"
 #include "core/bron_kerbosch.h"
 #include "core/clique.h"
-#include "core/clique_enumerator.h"
 #include "core/maximum_clique.h"
 #include "core/parallel_bk.h"
 #include "core/parallel_enumerator.h"
@@ -127,7 +126,7 @@ pipeline flags:
   --tile-rows R             tile budget for --out-of-core (512)
   --graph-out FILE          where --out-of-core writes its .gsbg
   --init-k K --max-k K      enumeration size window      (4, unbounded)
-  --threads P               worker threads, 0 = cores, 1 = sequential (0)
+  --threads P               worker threads, 0 = cores, 1 = one worker (0)
                             (correlation sweep + clique enumeration; edge
                             sets are identical at every thread count)
   --corr-block B            correlation kernel rows per cache block (128)
@@ -265,22 +264,6 @@ std::size_t size_flag(const util::Cli& cli, const std::string& name,
                              std::to_string(value));
   }
   return static_cast<std::size_t>(value);
-}
-
-/// Runs the Clique Enumerator (sequential when threads == 1).
-core::EnumerationStats enumerate(const graph::GraphView& g,
-                                 const core::SizeRange& range,
-                                 std::size_t threads,
-                                 const core::CliqueCallback& sink) {
-  if (threads == 1) {
-    core::CliqueEnumeratorOptions options;
-    options.range = range;
-    return core::enumerate_maximal_cliques(g, sink, options);
-  }
-  core::ParallelOptions options;
-  options.range = range;
-  options.threads = threads;
-  return core::enumerate_maximal_cliques_parallel(g, sink, options).base;
 }
 
 /// Runs the degeneracy-ordered Bron–Kerbosch engine (`--engine bk`):
@@ -656,7 +639,8 @@ int cmd_cliques(const util::Cli& cli) {
 
   // Sink chain: always count; optionally spill to a .gsbc stream and/or
   // print members.  --clique-out replaces stdout emission (the stream *is*
-  // the output), keeping memory bounded — nothing retains the cliques.
+  // the output) and the sink retains no cliques; the enumerator engine
+  // still buffers one round's maximal cliques until it drains them in order.
   std::optional<storage::GsbcWriter> writer;
   if (!clique_out.empty()) writer.emplace(clique_out, g.order());
   const bool print_members = !count_only && !writer;
@@ -690,7 +674,11 @@ int cmd_cliques(const util::Cli& cli) {
     const bool ordered = writer.has_value() || print_members;
     seconds = run_bk_engine(g, range, threads, sink, ordered, progress);
   } else {
-    seconds = enumerate(g, range, threads, sink).total_seconds;
+    core::ParallelOptions options;
+    options.range = range;
+    options.threads = threads;
+    seconds = core::enumerate_maximal_cliques_parallel(g, sink, options)
+                  .base.total_seconds;
   }
   std::fprintf(stderr, "%llu maximal cliques in %s (engine %s)\n",
                static_cast<unsigned long long>(counter.total()),

@@ -14,8 +14,9 @@
 ///     as soon as its (k+1)-cliques have been generated;
 ///   * decides maximality with one bitwise-AND + any-bit test on
 ///     common-neighbor bit strings;
-///   * partitions naturally into independent per-sub-list tasks (the
-///     multithreaded driver lives in parallel_enumerator.h).
+///   * partitions naturally into independent per-sub-list tasks, which
+///     the one driver (parallel_enumerator.h) runs as range jobs on any
+///     number of workers.
 ///
 /// The run is seeded either from the edge list (Init_K ≤ 2) or by the §2.2
 /// k-clique enumerator at Init_K ≥ 3, after the degree-based preprocessing
@@ -52,11 +53,14 @@ struct CliqueEnumeratorOptions {
   std::function<void(const LevelStats&)> progress;
 };
 
-/// Runs the sequential Clique Enumerator over \p g, streaming every maximal
-/// clique with size in the option range to \p sink (vertex ids are in g's
-/// namespace, sorted ascending).  \p g is a GraphView, so the run works
-/// identically over an in-memory Graph (implicit conversion) or a
-/// memory-mapped .gsbg adjacency (storage::MappedGraph::view()).
+/// Runs the Clique Enumerator over \p g on one worker, streaming every
+/// maximal clique with size in the option range to \p sink (vertex ids are
+/// in g's namespace, sorted ascending) in non-decreasing size order, then
+/// lexicographically.  This is enumerate_maximal_cliques_parallel with
+/// `threads = 1`, so its cliques, order and statistics are the
+/// multithreaded run's at every thread count.  \p g is a GraphView, so the
+/// run works identically over an in-memory Graph (implicit conversion) or
+/// a memory-mapped .gsbg adjacency (storage::MappedGraph::view()).
 EnumerationStats enumerate_maximal_cliques(const graph::GraphView& g,
                                            const CliqueCallback& sink,
                                            const CliqueEnumeratorOptions&

@@ -2,13 +2,12 @@
 #define GSB_CORE_DETAIL_SUBLIST_KERNEL_H
 
 /// \file sublist_kernel.h
-/// The inner loop of the Clique Enumerator (§2.3, Figure 3), shared by the
-/// sequential and the multithreaded drivers.  Processing one sub-list is an
-/// independent unit of work: it reads only the immutable graph and its own
-/// sub-list, and appends to a caller-supplied output level — which is what
-/// makes the algorithm "parallel because the generation of (k+1)-cliques
-/// from one k-clique sub-list is independent of any other k-clique
-/// sub-lists".
+/// The inner loop of the Clique Enumerator (§2.3, Figure 3), run by every
+/// range job of the driver.  Processing one sub-list is an independent unit
+/// of work: it reads only the immutable graph and its own sub-list, and
+/// appends to a caller-supplied output level — which is what makes the
+/// algorithm "parallel because the generation of (k+1)-cliques from one
+/// k-clique sub-list is independent of any other k-clique sub-lists".
 
 #include <cstdint>
 #include <utility>
@@ -37,8 +36,6 @@ class BitsetPool {
   void release(bits::DynamicBitset&& bitset) {
     if (bitset.size() == nbits_) free_.push_back(std::move(bitset));
   }
-
-  [[nodiscard]] std::size_t size() const noexcept { return free_.size(); }
 
  private:
   std::size_t nbits_;

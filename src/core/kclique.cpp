@@ -1,10 +1,8 @@
 #include "core/kclique.h"
 
 #include <cassert>
-#include <numeric>
 
 #include "bitset/dynamic_bitset.h"
-#include "util/timer.h"
 
 namespace gsb::core {
 namespace {
@@ -96,12 +94,6 @@ class KCliqueSearch {
   std::vector<DynamicBitset> common_;
   Clique prefix_;
 };
-
-std::vector<VertexId> all_roots(const graph::GraphView& g) {
-  std::vector<VertexId> roots(g.order());
-  std::iota(roots.begin(), roots.end(), VertexId{0});
-  return roots;
-}
 
 }  // namespace
 
@@ -216,26 +208,16 @@ class SeedLevelBuilder {
 
 }  // namespace
 
-Level build_seed_level_for_roots(const graph::GraphView& g, std::size_t k,
-                                 std::span<const VertexId> roots,
-                                 const CliqueCallback& maximal_sink,
-                                 KCliqueStats* stats_out, SeedTrace* trace) {
+Level build_seed_level(const graph::GraphView& g, std::size_t k,
+                       const CliqueCallback& maximal_sink,
+                       KCliqueStats* stats_out) {
   assert(k >= 2);
   SeedLevelBuilder builder(g, k, maximal_sink);
-  KCliqueStats& stats = builder.stats();
   KCliqueSearch search(g, k);
-  for (VertexId root : roots) {
-    if (trace != nullptr) {
-      util::Timer timer;
-      const std::uint64_t nodes_before = stats.tree_nodes;
-      search.run_root(root, builder, stats);
-      trace->task_work.push_back(stats.tree_nodes - nodes_before);
-      trace->task_seconds.push_back(timer.seconds());
-    } else {
-      search.run_root(root, builder, stats);
-    }
+  for (VertexId root = 0; root < g.order(); ++root) {
+    search.run_root(root, builder, builder.stats());
   }
-  if (stats_out != nullptr) *stats_out = stats;
+  if (stats_out != nullptr) *stats_out = builder.stats();
   return builder.take_level();
 }
 
@@ -246,37 +228,6 @@ std::vector<SeedPair> collect_seed_pairs(const graph::GraphView& g) {
     pairs.push_back(SeedPair{v, u});
   }
   return pairs;
-}
-
-Level build_seed_level_for_pairs(const graph::GraphView& g, std::size_t k,
-                                 std::span<const SeedPair> pairs,
-                                 const CliqueCallback& maximal_sink,
-                                 KCliqueStats* stats_out, SeedTrace* trace) {
-  assert(k >= 3);
-  SeedLevelBuilder builder(g, k, maximal_sink);
-  KCliqueStats& stats = builder.stats();
-  KCliqueSearch search(g, k);
-  for (const SeedPair& pair : pairs) {
-    if (trace != nullptr) {
-      util::Timer timer;
-      const std::uint64_t nodes_before = stats.tree_nodes;
-      search.run_pair(pair.v, pair.u, builder, stats);
-      trace->task_work.push_back(stats.tree_nodes - nodes_before);
-      trace->task_seconds.push_back(timer.seconds());
-    } else {
-      search.run_pair(pair.v, pair.u, builder, stats);
-    }
-  }
-  if (stats_out != nullptr) *stats_out = stats;
-  return builder.take_level();
-}
-
-Level build_seed_level(const graph::GraphView& g, std::size_t k,
-                       const CliqueCallback& maximal_sink,
-                       KCliqueStats* stats_out) {
-  const std::vector<VertexId> roots = all_roots(g);
-  return build_seed_level_for_roots(g, k, roots, maximal_sink, stats_out,
-                                    nullptr);
 }
 
 struct SeedLevelWorker::Impl {

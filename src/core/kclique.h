@@ -24,7 +24,6 @@
 #include <memory>
 
 #include "core/clique.h"
-#include "core/enumeration_stats.h"
 #include "core/sublist.h"
 #include "graph/graph_view.h"
 
@@ -61,16 +60,6 @@ Level build_seed_level(const graph::GraphView& g, std::size_t k,
                        const CliqueCallback& maximal_sink,
                        KCliqueStats* stats = nullptr);
 
-/// As build_seed_level, but restricted to the canonical DFS roots in
-/// \p roots (a clique's root is its smallest vertex), and optionally
-/// recording per-root costs into \p trace.  The union of the levels
-/// produced for a partition of [0, n) equals the unrestricted seed level.
-Level build_seed_level_for_roots(const graph::GraphView& g, std::size_t k,
-                                 std::span<const VertexId> roots,
-                                 const CliqueCallback& maximal_sink,
-                                 KCliqueStats* stats = nullptr,
-                                 SeedTrace* trace = nullptr);
-
 /// A canonical 2-prefix (v < u, adjacent): the finer-grained seeding task
 /// used for Init_K >= 3.  Splitting by edge rather than by root keeps one
 /// dense region from collapsing into a single unsplittable task — the unit
@@ -83,19 +72,10 @@ struct SeedPair {
 /// All canonical seed pairs of \p g in lexicographic order.
 std::vector<SeedPair> collect_seed_pairs(const graph::GraphView& g);
 
-/// Seed-level construction over an explicit set of 2-prefix tasks
-/// (requires k >= 3).  The union over a partition of collect_seed_pairs(g)
-/// equals build_seed_level(g, k, ...).
-Level build_seed_level_for_pairs(const graph::GraphView& g, std::size_t k,
-                                 std::span<const SeedPair> pairs,
-                                 const CliqueCallback& maximal_sink,
-                                 KCliqueStats* stats = nullptr,
-                                 SeedTrace* trace = nullptr);
-
-/// Incremental seed-level construction: one worker per thread, fed one
-/// task at a time (the parallel driver's dynamic scheduler hands tasks to
-/// idle workers at runtime).  Each task processed here is equivalent to the
-/// corresponding batch entry of build_seed_level_for_pairs/_for_roots.
+/// Incremental seed-level construction: one worker per range job, fed one
+/// task at a time.  Processing every canonical root, or every pair of
+/// collect_seed_pairs(g) at k >= 3, builds the level build_seed_level
+/// builds.
 class SeedLevelWorker {
  public:
   /// \p maximal_sink must outlive the worker.

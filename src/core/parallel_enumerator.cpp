@@ -1,9 +1,10 @@
 #include "core/parallel_enumerator.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
+#include <vector>
 
-#include "core/detail/mapped_sink.h"
 #include "core/detail/sublist_kernel.h"
 #include "core/kclique.h"
 #include "graph/transforms.h"
@@ -15,8 +16,31 @@ namespace gsb::core {
 namespace {
 
 using detail::BitsetPool;
-using detail::MappedSink;
 using graph::VertexId;
+
+/// Forwards cliques to the caller's sink, translating ids of the k-core
+/// reduced working graph back through its ascending id mapping (which
+/// keeps each clique sorted).
+class MappedSink {
+ public:
+  MappedSink(const CliqueCallback& sink, const std::vector<VertexId>* mapping)
+      : sink_(sink), mapping_(mapping) {}
+
+  void emit(std::span<const VertexId> clique) {
+    if (mapping_ == nullptr) {
+      sink_(clique);
+      return;
+    }
+    buf_.clear();
+    for (VertexId v : clique) buf_.push_back((*mapping_)[v]);
+    sink_(buf_);
+  }
+
+ private:
+  const CliqueCallback& sink_;
+  const std::vector<VertexId>* mapping_;
+  std::vector<VertexId> buf_;
+};
 
 /// Range jobs per worker.  Seed tasks differ in cost by orders of
 /// magnitude (the DFS under one edge of a dense module against an
@@ -37,7 +61,8 @@ struct RangeSlot {
 };
 
 /// A candidate level as the chunks its producing jobs wrote, in job
-/// order.  Their concatenation is the sequential enumerator's level.
+/// order.  Their concatenation is the whole level, in task order, at
+/// every thread count.
 struct ChunkedLevel {
   std::vector<Level> chunks;
   std::vector<std::size_t> starts;  ///< global index of each chunk's front
@@ -153,7 +178,10 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
     return pstats;
   }
 
-  // --- degree preprocessing (identical to the sequential driver) ----------
+  // --- degree preprocessing -------------------------------------------------
+  // Vertices of a clique of size >= seed_k have >= seed_k - 1 neighbors
+  // inside it, so the iterated (seed_k - 1)-core contains every such clique
+  // and every witness to (non-)maximality of cliques at or above the seed.
   graph::GraphView work = g;
   graph::InducedSubgraph reduced;
   const std::vector<VertexId>* mapping = nullptr;
@@ -175,7 +203,8 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
   // --- parallel seeding -------------------------------------------------------
   // Seed tasks are canonical 2-prefixes (edges) at Init_K >= 3 — fine
   // enough that no single dense region becomes an unsplittable task — or
-  // root vertices at Init_K = 2, in the sequential driver's order.
+  // root vertices at Init_K = 2.  Both cover every k-clique exactly once,
+  // in lexicographic order.
   util::Timer seed_timer;
   ChunkedLevel current;
   {
@@ -308,6 +337,15 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
   stats.total_seconds = total_timer.seconds();
   stats.finalize();
   return pstats;
+}
+
+EnumerationStats enumerate_maximal_cliques(
+    const graph::GraphView& g, const CliqueCallback& sink,
+    const CliqueEnumeratorOptions& options) {
+  ParallelOptions one_worker;
+  static_cast<CliqueEnumeratorOptions&>(one_worker) = options;
+  one_worker.threads = 1;
+  return enumerate_maximal_cliques_parallel(g, sink, one_worker).base;
 }
 
 }  // namespace gsb::core

@@ -2,7 +2,9 @@
 #define GSB_CORE_PARALLEL_ENUMERATOR_H
 
 /// \file parallel_enumerator.h
-/// The multithreaded Clique Enumerator for shared-memory machines (§2.3).
+/// The Clique Enumerator's one driver (§2.3), for any number of workers on
+/// a shared-memory machine.  enumerate_maximal_cliques is this driver at
+/// one worker.
 ///
 /// Structure, per the paper:
 ///   * threads are synchronized level-by-level so cliques are still emitted
@@ -21,10 +23,10 @@
 /// job writes its cliques, child sub-lists and counters to its own slot;
 /// the calling thread drains the slots in job order between rounds.  The
 /// next level is the list of those chunks, so nothing merges per
-/// sub-list, and the emission sequence is the sequential enumerator's at
-/// every thread count.  The paper's centralized plan-time balancer
-/// (par::LoadBalancer) now lives only in the Altix machine-model replay
-/// and in parallel_bk's root plan.
+/// sub-list, and the emission sequence — by size, then lexicographically
+/// — is the same at every thread count.  The paper's centralized plan-time
+/// balancer (par::LoadBalancer) now lives only in the Altix machine-model
+/// replay and in parallel_bk's root plan.
 
 #include "core/clique.h"
 #include "core/clique_enumerator.h"
@@ -33,24 +35,15 @@
 
 namespace gsb::core {
 
-/// Options for the multithreaded run.
-struct ParallelOptions {
-  /// Size window (`range.lo` = Init_K).
-  SizeRange range{3, 0};
+/// Options for the multithreaded run: the Clique Enumerator's options
+/// plus the schedule.
+struct ParallelOptions : CliqueEnumeratorOptions {
   /// Worker count; 0 = hardware concurrency.
   std::size_t threads = 0;
-  /// Degree preprocessing, as in the sequential options.
-  bool use_kcore = true;
   /// Runtime transfers: idle workers steal unstarted range jobs from other
   /// workers' queues (par::JobGraph::Options::steal).  Disable to measure
   /// the static-plan-only ablation, where ranges are dealt round-robin.
   bool dynamic_claiming = true;
-  /// Byte accounting sink; defaults to the process-global tracker.
-  util::MemoryTracker* tracker = nullptr;
-  /// Record per-task costs (enables the Altix machine-model replays).
-  bool record_trace = false;
-  /// Invoked after each level with that level's statistics.
-  std::function<void(const LevelStats&)> progress;
 };
 
 /// Per-thread / scheduling metrics on top of the common statistics.
@@ -69,8 +62,7 @@ struct ParallelEnumerationStats {
 
 /// Runs the multithreaded Clique Enumerator.  Cliques are streamed to
 /// \p sink on the calling thread, between levels, never concurrently, and
-/// in exactly the sequence enumerate_maximal_cliques emits for the same
-/// graph and range.
+/// in the same sequence at every thread count.
 ParallelEnumerationStats enumerate_maximal_cliques_parallel(
     const graph::GraphView& g, const CliqueCallback& sink,
     const ParallelOptions& options = {});

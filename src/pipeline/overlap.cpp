@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/clique_enumerator.h"
 #include "core/parallel_enumerator.h"
 #include "parallel/thread_pool.h"
 #include "util/timer.h"
@@ -14,23 +13,6 @@
 namespace gsb::pipeline {
 
 namespace {
-
-/// Same dispatch as the CLI: sequential Clique Enumerator at one
-/// thread, the level-synchronous parallel driver otherwise.
-core::EnumerationStats enumerate(const graph::GraphView& g,
-                                 const core::SizeRange& range,
-                                 std::size_t threads,
-                                 const core::CliqueCallback& sink) {
-  if (threads == 1) {
-    core::CliqueEnumeratorOptions options;
-    options.range = range;
-    return core::enumerate_maximal_cliques(g, sink, options);
-  }
-  core::ParallelOptions options;
-  options.range = range;
-  options.threads = threads;
-  return core::enumerate_maximal_cliques_parallel(g, sink, options).base;
-}
 
 /// Touches one word per page of the container's CSR sections so the
 /// kernel faults them in while the compute stages start on whatever is
@@ -103,10 +85,13 @@ AnalysisResult run_analysis(const graph::GraphView& g,
 
   const par::JobId enum_job = add_stage(
       "enumeration", [&result, &g, &options](std::size_t) {
+    core::ParallelOptions enumerator;
+    enumerator.range = options.range;
+    enumerator.threads = options.threads;
     if (!result.streamed) {
       core::CliqueCollector collector;
-      result.enumeration = enumerate(g, options.range, options.threads,
-                                     collector.callback());
+      result.enumeration = core::enumerate_maximal_cliques_parallel(
+          g, collector.callback(), enumerator).base;
       result.cliques = std::move(collector.cliques());
       result.spectrum = analysis::clique_spectrum(result.cliques);
       return;
@@ -124,7 +109,8 @@ AnalysisResult run_analysis(const graph::GraphView& g,
           }
           writer.append(members);
         };
-    result.enumeration = enumerate(g, options.range, options.threads, sink);
+    result.enumeration =
+        core::enumerate_maximal_cliques_parallel(g, sink, enumerator).base;
     result.stream = writer.close();
     result.spectrum.finalize();
   });

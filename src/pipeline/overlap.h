@@ -41,7 +41,7 @@ struct AnalysisOptions {
   /// Enumeration size window (CLI --init-k/--max-k).
   core::SizeRange range{4, 0};
   /// Worker threads for the enumeration sweep itself (0 = cores,
-  /// 1 = sequential Clique Enumerator) — same meaning as --threads.
+  /// 1 = one worker) — same meaning as --threads.
   std::size_t threads = 0;
   std::size_t glom = 1;
   std::size_t min_paraclique = 5;

@@ -72,7 +72,8 @@ const LoopMetrics& loop_metrics() {
         "gsb_busy_rejections_total",
         "Requests answered `busy:` by admission control.");
     m.protocol_errors = registry.counter(
-        "gsb_protocol_errors_total", "Malformed binary-protocol frames.");
+        "gsb_protocol_errors_total",
+        "Malformed binary frames and overlong request lines.");
     m.disconnects = registry.counter(
         "gsb_disconnects_total", "Connections dropped mid-session.");
     m.reloads = registry.counter("gsb_reloads_total",
@@ -404,6 +405,15 @@ class Loop {
         if (conn->dead || conn->fatal) break;
       }
       conn->scanned = conn->in.size() - pos;
+      // An unterminated line is capped like a binary payload: without the
+      // cap a client that never sends `\n` grows `in` without bound, and
+      // its reads keep the idle timeout from firing.
+      if (!conn->dead && !conn->fatal &&
+          conn->scanned > wire::kMaxPayloadBytes) {
+        protocol_error(conn, "error: request line too long");
+        pos = conn->in.size();
+        conn->scanned = 0;
+      }
     } else {
       while (!conn->dead && !conn->fatal) {
         std::size_t consumed = 0;
@@ -413,7 +423,7 @@ class Loop {
             std::string_view(conn->in).substr(pos), consumed, id, payload);
         if (result == wire::DecodeResult::kNeedMore) break;
         if (result == wire::DecodeResult::kMalformed) {
-          protocol_error(conn);
+          protocol_error(conn, "error: malformed frame");
           break;
         }
         pos += consumed;
@@ -428,10 +438,11 @@ class Loop {
     if (!conn->dead) conn->in.erase(0, pos);
   }
 
-  void protocol_error(const std::shared_ptr<Conn>& conn) {
+  void protocol_error(const std::shared_ptr<Conn>& conn,
+                      const char* response) {
     ++stats_.protocol_errors;
     metrics_.protocol_errors.inc();
-    respond(conn, 0, "error: malformed frame");
+    respond(conn, 0, response);
     conn->fatal = true;  // flush what is queued on the wire, then close
     conn->queue.clear();
   }

@@ -82,7 +82,7 @@ struct TcpServeStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t busy_rejections = 0;  ///< requests answered `busy`
   std::uint64_t accept_errors = 0;    ///< failed accept() calls
-  std::uint64_t protocol_errors = 0;  ///< malformed binary frames
+  std::uint64_t protocol_errors = 0;  ///< malformed frames, overlong lines
   std::uint64_t disconnects = 0;      ///< mid-session client disconnects
   std::uint64_t reloads = 0;          ///< successful hot reloads
   std::uint64_t timeouts = 0;         ///< deadline + idle + write timeouts

@@ -1,6 +1,8 @@
 #include "util/fault_injection.h"
 
 #include <cstdlib>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -14,9 +16,21 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-Schedule g_schedule;  // mutated only while disabled (install/ScheduleScope)
-std::array<std::atomic<std::uint64_t>, kNumOps> g_calls{};
-std::atomic<std::uint64_t> g_injected{0};
+/// One install(): its schedule, never written after publication, and its
+/// own call counters, so a new install starts every op at call 1 without
+/// writing anything a concurrent decide() may be reading.
+struct Installation {
+  Schedule schedule;
+  std::array<std::atomic<std::uint64_t>, kNumOps> calls{};
+  std::atomic<std::uint64_t> injected{0};
+};
+
+/// The current installation, stored with release after it is complete and
+/// loaded with acquire.  Every installation stays alive until exit: a
+/// decide() that loaded the previous one may still be reading it.
+std::atomic<Installation*> g_current{nullptr};
+std::mutex g_installations_mutex;
+std::vector<std::unique_ptr<Installation>> g_installations;
 
 constexpr std::array<const char*, kNumOps> kOpNames{
     "read", "write", "send",  "recv",   "accept",
@@ -169,18 +183,23 @@ Schedule parse_schedule(const std::string& text) {
 }
 
 Decision decide(Op op, std::size_t requested) noexcept {
+  Decision decision;
+  // enabled() is a relaxed load, so a thread may see the shim enabled
+  // before it sees the first installation.
+  Installation* current = g_current.load(std::memory_order_acquire);
+  if (current == nullptr) return decision;
+  const Schedule& schedule = current->schedule;
   const auto index = static_cast<unsigned>(op);
   const std::uint64_t call =
-      g_calls[index].fetch_add(1, std::memory_order_relaxed) + 1;
-  const OpSchedule& entry = g_schedule.ops[index];
+      current->calls[index].fetch_add(1, std::memory_order_relaxed) + 1;
+  const OpSchedule& entry = schedule.ops[index];
 
-  Decision decision;
   if (entry.fail_after != 0 && call == entry.fail_after) {
     decision.kind = Decision::Kind::kError;
     decision.injected_errno = entry.fail_errno;
   } else {
     const double roll =
-        uniform(mix(g_schedule.seed ^ (0x1000003ULL * (index + 1)) ^
+        uniform(mix(schedule.seed ^ (0x1000003ULL * (index + 1)) ^
                     (call * 0x9e3779b97f4a7c15ULL)));
     if (roll < entry.error) {
       decision.kind = Decision::Kind::kError;
@@ -193,21 +212,25 @@ Decision decide(Op op, std::size_t requested) noexcept {
       decision.kind = Decision::Kind::kShort;
       decision.count =
           1 + static_cast<std::size_t>(
-                  mix(g_schedule.seed ^ call ^ 0xdecafULL) % (requested - 1));
+                  mix(schedule.seed ^ call ^ 0xdecafULL) % (requested - 1));
     }
   }
   if (decision.kind != Decision::Kind::kNone) {
-    g_injected.fetch_add(1, std::memory_order_relaxed);
+    current->injected.fetch_add(1, std::memory_order_relaxed);
     injected_counter().inc();
   }
   return decision;
 }
 
 void install(const Schedule& schedule) {
-  detail::g_enabled.store(false, std::memory_order_relaxed);
-  g_schedule = schedule;
-  for (auto& count : g_calls) count.store(0, std::memory_order_relaxed);
-  g_injected.store(0, std::memory_order_relaxed);
+  auto installation = std::make_unique<Installation>();
+  installation->schedule = schedule;
+  Installation* published = installation.get();
+  {
+    std::lock_guard<std::mutex> lock(g_installations_mutex);
+    g_installations.push_back(std::move(installation));
+  }
+  g_current.store(published, std::memory_order_release);
   detail::g_enabled.store(true, std::memory_order_release);
 }
 
@@ -216,7 +239,9 @@ void disable() noexcept {
 }
 
 std::uint64_t injected_total() noexcept {
-  return g_injected.load(std::memory_order_relaxed);
+  const Installation* current = g_current.load(std::memory_order_acquire);
+  return current == nullptr ? 0
+                            : current->injected.load(std::memory_order_relaxed);
 }
 
 bool install_from_env() {

@@ -95,8 +95,10 @@ struct Decision {
 /// number) under a fixed seed.
 Decision decide(Op op, std::size_t requested) noexcept;
 
-/// Installs `schedule` process-wide, resets the per-op call counters,
-/// and enables the shim.
+/// Installs `schedule` process-wide with fresh per-op call counters, and
+/// enables the shim.  Safe while other threads call decide(): each one
+/// reads a complete schedule, never a half-written one.  Each installed
+/// schedule is kept until exit (installs are few: tests and startup).
 void install(const Schedule& schedule);
 
 /// Disables the shim; the schedule stays installed.

@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "core/clique_enumerator.h"
 #include "core/kclique.h"
 #include "core/verify.h"
 #include "tests/test_helpers.h"
@@ -169,10 +170,12 @@ TEST(SeedLevel, RootPartitionIsLossless) {
     (v % 3 == 0 ? part1 : v % 3 == 1 ? part2 : part3).push_back(v);
   }
   CliqueCollector split_max;
+  const CliqueCallback split_sink = split_max.callback();
   Level merged;
   for (const auto& part : {part1, part2, part3}) {
-    Level local =
-        build_seed_level_for_roots(g, k, part, split_max.callback());
+    SeedLevelWorker worker(g, k, split_sink);
+    for (graph::VertexId root : part) worker.process_root(root);
+    Level local = worker.take_level();
     for (auto& sublist : local) merged.push_back(std::move(sublist));
   }
   EXPECT_EQ(normalize(std::move(whole_max.cliques())),
@@ -190,12 +193,15 @@ TEST(SeedLevel, RootPartitionIsLossless) {
 }
 
 TEST(SeedLevel, TraceRecordsPerRootCosts) {
+  // At Init_K 2 the enumerator seeds by root: one trace entry per vertex.
   const auto g = test::random_graph(30, 0.4, 41);
-  std::vector<graph::VertexId> roots(g.order());
-  for (graph::VertexId v = 0; v < g.order(); ++v) roots[v] = v;
   CliqueCollector sink;
-  SeedTrace trace;
-  build_seed_level_for_roots(g, 3, roots, sink.callback(), nullptr, &trace);
+  CliqueEnumeratorOptions options;
+  options.range = SizeRange{2, 0};
+  options.use_kcore = false;
+  options.record_trace = true;
+  const SeedTrace trace =
+      enumerate_maximal_cliques(g, sink.callback(), options).seed_trace;
   EXPECT_EQ(trace.task_work.size(), g.order());
   EXPECT_EQ(trace.task_seconds.size(), g.order());
   std::uint64_t total_work = 0;
@@ -213,20 +219,29 @@ TEST(SeedLevel, PairPartitionIsLossless) {
   EXPECT_EQ(pairs.size(), g.num_edges());
   // Split pairs across three arbitrary parts; union of parts == whole.
   CliqueCollector split_max;
+  const CliqueCallback split_sink = split_max.callback();
   Level merged;
-  KCliqueStats stats;
-  SeedTrace trace;
   for (std::size_t part = 0; part < 3; ++part) {
-    std::vector<SeedPair> mine;
+    SeedLevelWorker worker(g, k, split_sink);
     for (std::size_t i = part; i < pairs.size(); i += 3) {
-      mine.push_back(pairs[i]);
+      worker.process_pair(pairs[i]);
     }
-    Level local = build_seed_level_for_pairs(g, k, mine,
-                                             split_max.callback(), &stats,
-                                             &trace);
+    Level local = worker.take_level();
     for (auto& sublist : local) merged.push_back(std::move(sublist));
   }
+  // At Init_K >= 3 the enumerator seeds by pair: one trace entry each.
+  CliqueCollector sink;
+  CliqueEnumeratorOptions options;
+  options.range = SizeRange{k, 0};
+  options.use_kcore = false;
+  options.record_trace = true;
+  const SeedTrace trace =
+      enumerate_maximal_cliques(g, sink.callback(), options).seed_trace;
   EXPECT_EQ(trace.task_work.size(), pairs.size());
+  EXPECT_EQ(trace.task_seconds.size(), pairs.size());
+  std::uint64_t total_work = 0;
+  for (auto w : trace.task_work) total_work += w;
+  EXPECT_GT(total_work, 0u);
   EXPECT_EQ(normalize(std::move(whole_max.cliques())),
             normalize(std::move(split_max.cliques())));
 

@@ -902,11 +902,12 @@ TEST(TcpRobustness, SlowReaderIsDisconnectedByWriteTimeout) {
 
   // Enough response volume to overflow what the kernel alone can buffer
   // toward a zero-window peer (tcp_wmem autotunes to a few MB on
-  // loopback), so the server's userland output queue must stall.
+  // loopback), so the server's userland output queue must stall.  Each
+  // `top-hubs 64` answer lists every vertex (~1.5 KB), so about two
+  // thousand answers fill those buffers: few enough for a ThreadSanitizer
+  // build to stall well inside the 10 s wait below.
   std::string flood;
-  for (int i = 0; i < 80000; ++i) {
-    flood += "neighbors " + std::to_string(i % 64) + "\n";
-  }
+  for (int i = 0; i < 80000; ++i) flood += "top-hubs 64\n";
   std::size_t sent = 0;
   while (sent < flood.size()) {
     const ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,

@@ -52,6 +52,7 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 #endif
@@ -1405,6 +1406,57 @@ TEST(TcpServe, MalformedBinaryFrameClosesOnlyThatConnection) {
   auto probe = ServiceClient::connect_tcp(fx.address());
   EXPECT_EQ(probe.request("ping"), "ok pong");
   EXPECT_EQ(probe.request("shutdown"), "ok shutdown");
+  fx.join();
+  EXPECT_EQ(fx.stats.protocol_errors, 1u);
+}
+
+TEST(TcpServe, OverlongLineClosesOnlyThatConnection) {
+  const auto a = make_artifacts(32, 0.3, 67, "service_tcp_overlong");
+  TcpFixture fx(a);
+  auto other = ServiceClient::connect_tcp(fx.address());
+  EXPECT_EQ(other.request("ping"), "ok pong");
+
+  {
+    // A line that never ends: one byte past the binary payload bound and
+    // no newline.  Every byte is read, so the server's close is a clean
+    // EOF after its one typed error line.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(fx.server->port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    // Without the bound the server never answers: fail, do not hang.
+    const timeval wait{60, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &wait, sizeof(wait)),
+              0);
+    const std::string chunk(1u << 20, 'x');
+    const std::size_t total = wire::kMaxPayloadBytes + 1;
+    for (std::size_t sent = 0; sent < total;) {
+      const ssize_t n = ::send(fd, chunk.data(),
+                               std::min(chunk.size(), total - sent),
+                               MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << std::strerror(errno);
+      sent += static_cast<std::size_t>(n);
+    }
+    std::string raw;
+    char buf[256];
+    while (true) {
+      const ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n <= 0) break;
+      raw.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_EQ(raw, "error: request line too long\n");
+  }
+
+  // The connection that was open all along is still answered.
+  EXPECT_EQ(other.request("degree 3"),
+            QueryEngine(fx.entry).execute_line("degree 3"));
+  EXPECT_EQ(other.request("shutdown"), "ok shutdown");
   fx.join();
   EXPECT_EQ(fx.stats.protocol_errors, 1u);
 }

@@ -321,6 +321,20 @@ inline std::vector<core::Clique> reference_in_range(
   return core::filter_by_size(core::reference_maximal_cliques(g), range);
 }
 
+/// The Clique Enumerator's emission sequence, built without it: the
+/// reference maximal cliques in \p range ordered by size, then
+/// lexicographically by member ids.
+inline std::vector<core::Clique> reference_emission_sequence(
+    const graph::Graph& g, const core::SizeRange& range) {
+  std::vector<core::Clique> cliques = reference_in_range(g, range);
+  // Stable: the reference returns the cliques in lexicographic order.
+  std::stable_sort(cliques.begin(), cliques.end(),
+                   [](const core::Clique& a, const core::Clique& b) {
+                     return a.size() < b.size();
+                   });
+  return cliques;
+}
+
 }  // namespace gsb::test
 
 #endif  // GSB_TESTS_TEST_HELPERS_H
