@@ -83,7 +83,7 @@ void run_analysis_bench(benchmark::State& state, bool overlap,
     auto options = base_options(threads, overlap);
     if (spill) options.clique_out = fixture().gsbc_path;
     const auto result = gsb::pipeline::run_analysis(g, options);
-    cliques = result.enumeration.total_maximal;
+    cliques = result.spectrum.total;
     steals += result.sched.jobs_stolen;
     benchmark::DoNotOptimize(result.hubs.data());
   }
@@ -141,7 +141,7 @@ void BM_PipelineOverlappedMapped(benchmark::State& state) {
                                 /*overlap=*/true);
     options.prefetch = &mapped;
     const auto result = gsb::pipeline::run_analysis(g, options);
-    cliques = result.enumeration.total_maximal;
+    cliques = result.spectrum.total;
     benchmark::DoNotOptimize(result.prefetched_bytes);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(
@@ -181,8 +181,8 @@ void BM_PipelineTimelineOverhead(benchmark::State& state) {
     on_seconds += std::chrono::duration<double>(Clock::now() - on_start)
                       .count();
     journal.set_enabled(false);
-    cliques = off_result.enumeration.total_maximal;
-    benchmark::DoNotOptimize(on_result.enumeration.total_maximal);
+    cliques = off_result.spectrum.total;
+    benchmark::DoNotOptimize(on_result.spectrum.total);
   }
   journal.reset();
   state.SetItemsProcessed(static_cast<std::int64_t>(

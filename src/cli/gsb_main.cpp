@@ -266,6 +266,17 @@ std::size_t size_flag(const util::Cli& cli, const std::string& name,
   return static_cast<std::size_t>(value);
 }
 
+/// False, after naming both flags, when \p range is the window
+/// `[--<lo_flag>, --<hi_flag>]` with its upper bound set below its lower
+/// one: it selects nothing, a usage error rather than an empty result.
+bool window_is_valid(const core::SizeRange& range, const char* lo_flag,
+                     const char* hi_flag) {
+  if (range.hi == 0 || range.hi >= range.lo) return true;
+  std::fprintf(stderr, "error: --%s %zu is below --%s %zu: empty window\n",
+               hi_flag, range.hi, lo_flag, range.lo);
+  return false;
+}
+
 /// Runs the degeneracy-ordered Bron–Kerbosch engine (`--engine bk`):
 /// sequential at --threads 1, the work-stealing parallel driver otherwise.
 /// \p ordered selects the deterministic merge — callers whose sink is
@@ -401,8 +412,9 @@ int cmd_pipeline(const util::Cli& cli) {
   const std::string trace_out = arm_timeline(cli);
   const auto threads = size_flag(cli, "threads", 0);
   const auto corr_block = size_flag(cli, "corr-block", 0);
-  const auto init_k = size_flag(cli, "init-k", 4);
-  const auto max_k = size_flag(cli, "max-k", 0);
+  const core::SizeRange range{size_flag(cli, "init-k", 4),
+                              size_flag(cli, "max-k", 0)};
+  if (!window_is_valid(range, "init-k", "max-k")) return 2;
   const auto glom = size_flag(cli, "glom", 1);
   const auto min_para = size_flag(cli, "min-paraclique", 5);
   const auto hub_count = size_flag(cli, "hubs", 10);
@@ -498,15 +510,15 @@ int cmd_pipeline(const util::Cli& cli) {
   }
   const graph::GraphView& g = input.view;
 
-  // --- stages 4-7: maximum clique, bounded enumeration (optionally
-  // spilled to a .gsbc stream), paraclique extraction, hub report — all
-  // through pipeline::run_analysis.  Staged mode (the default) runs them
+  // --- stages 4-7: maximum clique, bounded enumeration (Bron–Kerbosch
+  // over the (Init_K-1)-core, written in the Clique Enumerator's order,
+  // optionally streamed to a .gsbc), paraclique extraction, hub report —
+  // all through pipeline::run_analysis.  Staged mode (the default) runs them
   // inline in submission order, exactly the historical sequence;
   // --overlap schedules them as a par::JobGraph so independent stages
   // run concurrently, the hub report releases the moment enumeration
   // finishes, and a prefetch job pages a mapped .gsbg in behind compute.
   // Both modes produce byte-identical artifacts and stage output.
-  const core::SizeRange range{init_k, max_k};
   pipeline::AnalysisOptions analysis_options;
   analysis_options.range = range;
   analysis_options.threads = threads;
@@ -524,7 +536,6 @@ int cmd_pipeline(const util::Cli& cli) {
   std::printf("maximum clique: %zu vertices (%s)\n",
               analysis_result.maximum.clique.size(),
               util::format_seconds(analysis_result.maximum.seconds).c_str());
-  const core::EnumerationStats& stats = analysis_result.enumeration;
   if (analysis_result.streamed) {
     const storage::GsbcWriteStats& written = analysis_result.stream;
     std::printf("clique stream: %s <- %llu cliques, %llu members (%s)\n",
@@ -532,12 +543,18 @@ int cmd_pipeline(const util::Cli& cli) {
                 static_cast<unsigned long long>(written.clique_count),
                 static_cast<unsigned long long>(written.member_total),
                 util::format_bytes(written.file_bytes).c_str());
+    const storage::CliqueSortStats& sorted = analysis_result.sorted;
+    std::printf("clique sort: %llu runs spilled, buffer peak %s (merge %s)\n",
+                static_cast<unsigned long long>(sorted.runs),
+                util::format_bytes(sorted.peak_bytes).c_str(),
+                util::format_seconds(sorted.seconds).c_str());
   }
   std::printf("maximal cliques in [%zu, %s]: %llu (%s, %zu threads)\n",
               range.lo,
               range.hi == 0 ? "inf" : std::to_string(range.hi).c_str(),
-              static_cast<unsigned long long>(stats.total_maximal),
-              util::format_seconds(stats.total_seconds).c_str(),
+              static_cast<unsigned long long>(analysis_result.spectrum.total),
+              util::format_seconds(analysis_result.enumeration.total_seconds)
+                  .c_str(),
               threads == 0 ? static_cast<std::size_t>(
                                  std::thread::hardware_concurrency())
                            : threads);
@@ -618,6 +635,9 @@ int cmd_cliques(const util::Cli& cli) {
                  engine.c_str());
     return 2;
   }
+  const core::SizeRange range{size_flag(cli, "min", 3),
+                              size_flag(cli, "max", 0)};
+  if (!window_is_valid(range, "min", "max")) return 2;
   const std::string trace_out = arm_timeline(cli);
   GraphInput input = load_input(path, cli.get("format", ""));
   const graph::GraphView& g = input.view;
@@ -625,9 +645,6 @@ int cmd_cliques(const util::Cli& cli) {
                input.use_mapped ? "mapped" : "loaded", g.order(),
                g.num_edges(), 100.0 * g.density());
 
-  const core::SizeRange range{
-      size_flag(cli, "min", 3),
-      size_flag(cli, "max", 0)};
   const auto threads = size_flag(cli, "threads", 0);
   const bool count_only = cli.get_bool("count-only", false);
   const std::string clique_out = cli.get("clique-out", "");

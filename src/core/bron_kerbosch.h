@@ -38,7 +38,9 @@ namespace gsb::core {
 
 /// Statistics returned by any variant.
 struct BronKerboschStats {
-  std::uint64_t maximal_cliques = 0;  ///< cliques emitted
+  /// Maximal cliques found, inside the size window or not (the window
+  /// filters emission only); count the sink's calls for those emitted.
+  std::uint64_t maximal_cliques = 0;
   std::uint64_t tree_nodes = 0;       ///< EXTEND invocations
   std::size_t max_depth = 0;          ///< deepest COMPSUB
 };

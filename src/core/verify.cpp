@@ -1,6 +1,7 @@
 #include "core/verify.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace gsb::core {
 
@@ -57,34 +58,52 @@ namespace {
 
 /// Recursive extension over sorted vectors.  `cand` holds vertices adjacent
 /// to everything in `current`; `excluded` holds already-branched vertices
-/// adjacent to everything in `current` (for maximality detection).
+/// adjacent to everything in `current` (for maximality detection).  Only
+/// candidates outside N(pivot) open branches, for the vertex of
+/// cand ∪ excluded with the most neighbours in cand as pivot: a maximal
+/// clique holding `current` and only candidates adjacent to the pivot
+/// would still extend by the pivot.
 void reference_extend(const graph::Graph& g, Clique& current,
-                      const std::vector<VertexId>& cand,
-                      const std::vector<VertexId>& excluded,
+                      std::vector<VertexId> cand,
+                      std::vector<VertexId> excluded,
                       std::vector<Clique>& out) {
-  if (cand.empty() && excluded.empty()) {
-    out.push_back(current);
+  if (cand.empty()) {
+    if (excluded.empty()) out.push_back(current);
     return;
   }
-  std::vector<VertexId> local_excluded(excluded);
-  for (std::size_t i = 0; i < cand.size(); ++i) {
-    const VertexId v = cand[i];
+  const auto links = [&](VertexId u) {
+    return std::count_if(cand.begin(), cand.end(),
+                         [&](VertexId c) { return g.has_edge(u, c); });
+  };
+  VertexId pivot = cand.front();
+  auto most = links(pivot);
+  for (const auto* set : {&cand, &excluded}) {
+    for (const VertexId u : *set) {
+      if (const auto l = links(u); l > most) {
+        pivot = u;
+        most = l;
+      }
+    }
+  }
+  std::vector<VertexId> branches;
+  for (const VertexId v : cand) {
+    if (!g.has_edge(pivot, v)) branches.push_back(v);
+  }
+  for (const VertexId v : branches) {
     current.push_back(v);
     std::vector<VertexId> next_cand;
-    for (std::size_t j = i + 1; j < cand.size(); ++j) {
-      if (g.has_edge(v, cand[j])) next_cand.push_back(cand[j]);
+    for (const VertexId c : cand) {
+      if (g.has_edge(v, c)) next_cand.push_back(c);
     }
-    // Candidates before position i and exclusions stay relevant only if
-    // adjacent to v.
     std::vector<VertexId> next_excluded;
-    for (VertexId x : local_excluded) {
+    for (const VertexId x : excluded) {
       if (g.has_edge(v, x)) next_excluded.push_back(x);
     }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (g.has_edge(v, cand[j])) next_excluded.push_back(cand[j]);
-    }
-    reference_extend(g, current, next_cand, next_excluded, out);
+    reference_extend(g, current, std::move(next_cand),
+                     std::move(next_excluded), out);
     current.pop_back();
+    cand.erase(std::find(cand.begin(), cand.end(), v));
+    excluded.push_back(v);
   }
 }
 

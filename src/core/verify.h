@@ -31,9 +31,9 @@ std::vector<Clique> normalize(std::vector<Clique> cliques);
 std::vector<Clique> filter_by_size(const std::vector<Clique>& cliques,
                                    const SizeRange& range);
 
-/// Independent maximal-clique enumerator (simple pivotless recursion over
-/// sorted neighbor intersections).  Exponential; intended for graphs with a
-/// few thousand maximal cliques at most.
+/// Independent maximal-clique enumerator (Tomita-pivoted recursion over
+/// sorted neighbor intersections: plain vectors, no bitmaps).
+/// Exponential; intended for test-sized graphs.
 std::vector<Clique> reference_maximal_cliques(const graph::Graph& g);
 
 /// Exhaustive subset-based enumerator for tiny graphs (n <= 20): checks all

@@ -6,8 +6,10 @@
 #include <thread>
 #include <utility>
 
-#include "core/parallel_enumerator.h"
+#include "core/parallel_bk.h"
+#include "graph/transforms.h"
 #include "parallel/thread_pool.h"
+#include "storage/clique_sort.h"
 #include "util/timer.h"
 
 namespace gsb::pipeline {
@@ -85,32 +87,59 @@ AnalysisResult run_analysis(const graph::GraphView& g,
 
   const par::JobId enum_job = add_stage(
       "enumeration", [&result, &g, &options](std::size_t) {
-    core::ParallelOptions enumerator;
-    enumerator.range = options.range;
-    enumerator.threads = options.threads;
+    // BK over the (Init_K-1)-core finds exactly the maximal cliques of g
+    // in the window (the argument CliqueEnumeratorOptions::use_kcore
+    // documents); the core's ascending id mapping keeps lex order, so
+    // sorting in core ids gives the enumerator's emission sequence.
+    const std::size_t lo = std::max<std::size_t>(options.range.lo, 1);
+    graph::InducedSubgraph kcore;
+    if (lo > 1) kcore = graph::kcore_subgraph(g, lo - 1);
+    const bool reduced = lo > 1 && kcore.graph.order() < g.order();
+    const graph::GraphView work = reduced ? graph::GraphView(kcore.graph) : g;
+    core::ParallelBkOptions bk;
+    bk.range = options.range;
+    bk.threads = options.threads;
+    bk.deterministic = false;  // completion order: the sort fixes it
+
     if (!result.streamed) {
       core::CliqueCollector collector;
-      result.enumeration = core::enumerate_maximal_cliques_parallel(
-          g, collector.callback(), enumerator).base;
+      result.enumeration = core::parallel_bk(work, collector.callback(), bk);
       result.cliques = std::move(collector.cliques());
+      for (core::Clique& clique : result.cliques) {
+        std::sort(clique.begin(), clique.end());
+        if (reduced) {
+          for (auto& v : clique) v = kcore.mapping[v];
+        }
+      }
+      std::sort(result.cliques.begin(), result.cliques.end(),
+                [](const core::Clique& a, const core::Clique& b) {
+                  return storage::emission_less(a, b);
+                });
       result.spectrum = analysis::clique_spectrum(result.cliques);
       return;
     }
     storage::GsbcWriter writer(options.clique_out, g.order());
+    storage::CliqueSorter sorter(work.order(), options.clique_out);
+    result.enumeration = core::parallel_bk(
+        work,
+        [&sorter](std::span<const graph::VertexId> clique) {
+          sorter.add(clique);
+        },
+        bk);
     result.participation.assign(g.order(), 0);
     std::vector<graph::VertexId> members;
-    const core::CliqueCallback sink =
-        [&](std::span<const graph::VertexId> clique) {
-          for (const graph::VertexId v : clique) ++result.participation[v];
-          result.spectrum.add(clique.size());
-          members.assign(clique.begin(), clique.end());
-          if (options.original_id) {
-            for (auto& v : members) v = options.original_id(v);
-          }
-          writer.append(members);
-        };
-    result.enumeration =
-        core::enumerate_maximal_cliques_parallel(g, sink, enumerator).base;
+    result.sorted = sorter.finish([&](std::span<const graph::VertexId> clique) {
+      members.assign(clique.begin(), clique.end());
+      for (auto& v : members) {
+        if (reduced) v = kcore.mapping[v];
+        ++result.participation[v];
+      }
+      result.spectrum.add(members.size());
+      if (options.original_id) {
+        for (auto& v : members) v = options.original_id(v);
+      }
+      writer.append(members);
+    });
     result.stream = writer.close();
     result.spectrum.finalize();
   });

@@ -13,12 +13,22 @@
 /// hides behind compute, and the hub ranking is released the moment the
 /// enumeration finishes.
 ///
-/// Determinism: every stage runs the same code as the staged pipeline,
+/// The enumeration stage produces the paper's Clique Enumerator output —
+/// the maximal cliques in the size window, by size, then lexicographically
+/// by member ids in the view's id space — from an output-sensitive engine:
+/// parallel Bron–Kerbosch over the (Init_K−1)-core, which holds every
+/// maximal clique of size >= Init_K and every witness to its maximality.
+/// Its completion-order output goes through storage::CliqueSorter (sorted
+/// in memory under a fixed budget, spilled as sorted runs past it), so
+/// collected cliques and the .gsbc stream equal the enumerator's byte for
+/// byte.  `gsb cliques --engine enumerator` still runs the paper's engine.
+///
+/// Determinism: the sort fixes the emission order whatever the schedule,
 /// and stages only share the read-only graph view, so results — and the
-/// .gsbc stream written by the enumeration job — are byte-identical to
-/// a staged run at any thread count.  With `overlap = false` (or no
-/// pool) the same jobs execute inline in submission order, which *is*
-/// the staged pipeline; bench_pipeline compares the two modes.
+/// .gsbc stream — are byte-identical at any thread count, staged or
+/// overlapped.  With `overlap = false` (or no pool) the same jobs execute
+/// inline in submission order, which *is* the staged pipeline;
+/// bench_pipeline compares the two modes.
 
 #include <cstdint>
 #include <functional>
@@ -29,9 +39,10 @@
 #include "analysis/hubs.h"
 #include "analysis/paraclique.h"
 #include "core/clique.h"
-#include "core/enumeration_stats.h"
 #include "core/maximum_clique.h"
+#include "core/parallel_bk.h"
 #include "parallel/job_graph.h"
+#include "storage/clique_sort.h"
 #include "storage/clique_stream.h"
 #include "storage/mapped_graph.h"
 
@@ -40,13 +51,15 @@ namespace gsb::pipeline {
 struct AnalysisOptions {
   /// Enumeration size window (CLI --init-k/--max-k).
   core::SizeRange range{4, 0};
-  /// Worker threads for the enumeration sweep itself (0 = cores,
+  /// Worker threads for the enumeration stage itself (0 = cores,
   /// 1 = one worker) — same meaning as --threads.
   std::size_t threads = 0;
   std::size_t glom = 1;
   std::size_t min_paraclique = 5;
   std::size_t hub_count = 10;
   /// Non-empty: stream cliques to this .gsbc instead of collecting.
+  /// Sorted runs past the sort budget are spilled next to it, as
+  /// `<clique_out>.run<i>.tmp.<pid>`.
   std::string clique_out;
   /// Stored-id -> original-label mapping for the .gsbc stream (null =
   /// identity; degree-sorted containers pass their permutation).
@@ -61,13 +74,17 @@ struct AnalysisOptions {
 
 struct AnalysisResult {
   core::MaxCliqueResult maximum;
-  core::EnumerationStats enumeration;
+  /// The Bron–Kerbosch run over the (Init_K−1)-core.  Its
+  /// `base.maximal_cliques` also counts the core's maximal cliques below
+  /// the window; `spectrum.total` is the number emitted.
+  core::ParallelBkStats enumeration;
   /// Collected cliques (empty when streamed to .gsbc).
   std::vector<core::Clique> cliques;
   /// Per-vertex clique participation (filled on the streamed path).
   std::vector<std::uint32_t> participation;
   analysis::CliqueSpectrum spectrum;
   storage::GsbcWriteStats stream;  ///< valid when `streamed`
+  storage::CliqueSortStats sorted;  ///< valid when `streamed`
   bool streamed = false;
   std::vector<analysis::Paraclique> paracliques;
   std::vector<analysis::HubReport> hubs;

@@ -1,9 +1,11 @@
 // Tests for the .gsbc clique-stream container: write -> read round trips,
-// header totals, corruption rejection, and the streaming analysis
-// consumers (spectrum, participation, paraclique seeding).
+// header totals, corruption rejection, the streaming analysis consumers
+// (spectrum, participation, paraclique seeding), and CliqueSorter, the
+// external sort into the Clique Enumerator's (size, lex) order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,8 +17,10 @@
 #include "analysis/paraclique.h"
 #include "core/bron_kerbosch.h"
 #include "core/parallel_bk.h"
+#include "storage/clique_sort.h"
 #include "storage/clique_stream.h"
 #include "tests/test_helpers.h"
+#include "util/memory_tracker.h"
 #include "util/rng.h"
 
 namespace gsb::storage {
@@ -471,6 +475,178 @@ TEST(GsbcStream, ParallelBkSpillsAndRoundTrips) {
   auto reader = GsbcReader::open(path, verify);
   EXPECT_EQ(core::normalize(read_all(reader)), expect);
   std::remove(path.c_str());
+}
+
+// --- CliqueSorter -----------------------------------------------------------
+
+std::uint64_t mix(std::uint64_t x) {  // splitmix64 finalizer
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+/// Clique number \p i of a synthetic stream over 4,096 ids, rebuilt from
+/// \p i alone into \p out, ascending: up to 9 members below 64 (so keys
+/// share their packed prefix and ties read the arena), then three digits
+/// of i from disjoint ranges that make every clique distinct.
+void synthetic_clique(std::uint64_t i, Clique& out) {
+  std::uint64_t h = mix(i);
+  std::uint64_t members_below_64 = 0;
+  for (std::uint64_t extras = h % 10; extras > 0; --extras) {
+    h = mix(h);
+    members_below_64 |= std::uint64_t{1} << (h % 64);
+  }
+  out.clear();
+  for (graph::VertexId v = 0; v < 64; ++v) {
+    if ((members_below_64 >> v & 1) != 0) out.push_back(v);
+  }
+  out.push_back(static_cast<graph::VertexId>(1000 + i % 1000));
+  out.push_back(static_cast<graph::VertexId>(2000 + i / 1000 % 1000));
+  out.push_back(static_cast<graph::VertexId>(3000 + i / 1000000));
+}
+
+/// Order-independent digest term of one ascending member set.
+std::uint64_t clique_digest(std::span<const graph::VertexId> clique) {
+  std::uint64_t h = clique.size();
+  for (const auto v : clique) h = mix(h ^ v);
+  return h;
+}
+
+/// Run files the sorter left behind under \p spill_base.
+std::size_t leftover_runs(const std::string& spill_base) {
+  const std::string stem = fs::path(spill_base).filename().string() + ".run";
+  std::size_t count = 0;
+  for (const auto& entry : fs::directory_iterator(fs::temp_directory_path())) {
+    if (entry.path().filename().string().rfind(stem, 0) == 0) ++count;
+  }
+  return count;
+}
+
+// More than 64 MiB of cliques through the default budget: the sorter must
+// spill at least three runs, merge them into a strictly increasing (size,
+// lex) stream holding exactly the input set, keep its tracked bytes within
+// the budget, and leave no run file behind.
+TEST(CliqueSorter, SpillsPastDefaultBudgetAndMergesInEmissionOrder) {
+  constexpr std::uint64_t kCliques = 4'000'000;
+  const std::string base = temp_path("clique_sorter_default_budget");
+  util::MemoryTracker tracker;
+  CliqueSorter sorter(4096, base, CliqueSorter::kDefaultBudgetBytes,
+                      &tracker);
+  std::uint64_t input_bytes = 0;
+  std::uint64_t input_digest = 0;
+  Clique clique;
+  for (std::uint64_t i = 0; i < kCliques; ++i) {
+    synthetic_clique(i, clique);
+    input_bytes += clique.size() * sizeof(graph::VertexId);
+    input_digest += clique_digest(clique);
+    std::reverse(clique.begin(), clique.end());  // the sorter sorts members
+    sorter.add(clique);
+  }
+  ASSERT_GT(input_bytes, std::uint64_t{64} << 20);
+
+  std::uint64_t count = 0;
+  std::uint64_t digest = 0;
+  bool increasing = true;
+  Clique previous;
+  const auto stats = sorter.finish([&](std::span<const graph::VertexId> c) {
+    if (count > 0 && !emission_less(previous, c)) increasing = false;
+    previous.assign(c.begin(), c.end());
+    digest += clique_digest(c);
+    ++count;
+  });
+  EXPECT_TRUE(increasing);
+  EXPECT_EQ(count, kCliques);
+  EXPECT_EQ(digest, input_digest);
+  EXPECT_EQ(stats.cliques, kCliques);
+  EXPECT_GE(stats.runs, 3u);
+  EXPECT_LE(stats.peak_bytes, CliqueSorter::kDefaultBudgetBytes);
+  EXPECT_LE(tracker.peak(), CliqueSorter::kDefaultBudgetBytes);
+  EXPECT_EQ(tracker.current(), 0u);
+  EXPECT_EQ(leftover_runs(base), 0u);
+}
+
+// A small budget (the constructor argument) spills past the fan-in limit,
+// so runs are merged into one mid-stream; a one-byte budget holds every
+// clique alone.  Both must still emit exactly the input in (size, lex)
+// order.
+TEST(CliqueSorter, SmallBudgetsMergeRunsAndMatchAFullSort) {
+  for (const std::size_t budget : {std::size_t{64} << 10, std::size_t{1}}) {
+    const std::uint64_t cliques = budget == 1 ? 300 : 100'000;
+    const std::string base =
+        temp_path("clique_sorter_budget_" + std::to_string(budget));
+    util::MemoryTracker tracker;
+    CliqueSorter sorter(4096, base, budget, &tracker);
+    std::vector<Clique> expected;
+    Clique clique;
+    for (std::uint64_t i = 0; i < cliques; ++i) {
+      synthetic_clique(i * 7919, clique);
+      expected.push_back(clique);
+      std::reverse(clique.begin(), clique.end());
+      sorter.add(clique);
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const Clique& a, const Clique& b) {
+                return emission_less(a, b);
+              });
+    std::vector<Clique> got;
+    const auto stats = sorter.finish([&](std::span<const graph::VertexId> c) {
+      got.emplace_back(c.begin(), c.end());
+    });
+    EXPECT_EQ(got, expected) << "budget " << budget;
+    EXPECT_GT(stats.runs, CliqueSorter::kMaxFanIn) << "budget " << budget;
+    if (budget > 1) {
+      EXPECT_LE(tracker.peak(), budget);
+    }
+    EXPECT_EQ(tracker.current(), 0u);
+    EXPECT_EQ(leftover_runs(base), 0u);
+  }
+}
+
+// Sizes 256 or more apart leave the radix sort's one-byte size digit:
+// the buffer is sorted by comparison instead, to the same order.
+TEST(CliqueSorter, WideSizeRangeSortsByComparison) {
+  CliqueSorter sorter(1000, temp_path("clique_sorter_wide"));
+  std::vector<Clique> expected;
+  for (graph::VertexId first = 0; first < 3; ++first) {
+    Clique big;
+    for (graph::VertexId v = first; v < first + 400; ++v) big.push_back(v);
+    Clique small{first, 999};
+    expected.push_back(small);
+    expected.push_back(big);
+    std::reverse(big.begin(), big.end());
+    sorter.add(big);
+    sorter.add(small);
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const Clique& a, const Clique& b) {
+              return emission_less(a, b);
+            });
+  std::vector<Clique> got;
+  sorter.finish([&](std::span<const graph::VertexId> c) {
+    got.emplace_back(c.begin(), c.end());
+  });
+  EXPECT_EQ(got, expected);
+}
+
+TEST(CliqueSorter, RejectsMalformedCliquesAndReuse) {
+  CliqueSorter sorter(10, temp_path("clique_sorter_reject"));
+  EXPECT_THROW(sorter.add(std::vector<graph::VertexId>{}), std::runtime_error);
+  EXPECT_THROW(sorter.add(std::vector<graph::VertexId>{3, 3}),
+               std::runtime_error);
+  EXPECT_THROW(sorter.add(std::vector<graph::VertexId>{10}),
+               std::runtime_error);
+  sorter.add(std::vector<graph::VertexId>{9, 0});
+  sorter.add(std::vector<graph::VertexId>{4});
+  std::vector<Clique> got;
+  sorter.finish([&](std::span<const graph::VertexId> c) {
+    got.emplace_back(c.begin(), c.end());
+  });
+  EXPECT_EQ(got, (std::vector<Clique>{{4}, {0, 9}}));
+  EXPECT_THROW(sorter.add(std::vector<graph::VertexId>{1}),
+               std::runtime_error);
+  EXPECT_THROW(sorter.finish([](std::span<const graph::VertexId>) {}),
+               std::runtime_error);
 }
 
 }  // namespace

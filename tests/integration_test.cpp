@@ -1,8 +1,15 @@
 // Cross-module integration: the full paper pipeline from synthetic
 // microarray to enumerated cliques, agreement between every maximal-clique
-// algorithm on shared workloads, and preset-driven end-to-end runs.
+// algorithm on shared workloads, preset-driven end-to-end runs, and the
+// pipeline's clique stage against the enumerator's emission sequence.
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <iterator>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "analysis/clique_stats.h"
 #include "analysis/hubs.h"
@@ -11,14 +18,32 @@
 #include "bio/generator.h"
 #include "bio/normalize.h"
 #include "bio/presets.h"
+#include "core/clique_enumerator.h"
 #include "core/maximum_clique.h"
 #include "core/verify.h"
 #include "fpt/max_clique_vc.h"
 #include "netops/ops.h"
+#include "pipeline/overlap.h"
+#include "storage/clique_stream.h"
+#include "storage/gsbg_writer.h"
+#include "storage/mapped_graph.h"
 #include "tests/test_helpers.h"
 
 namespace gsb {
 namespace {
+
+std::vector<core::Clique> read_stream(const std::string& path) {
+  auto reader = storage::GsbcReader::open(path);
+  std::vector<core::Clique> out;
+  core::Clique clique;
+  while (reader.next(clique)) out.push_back(clique);
+  return out;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
 
 TEST(Integration, MicroarrayToCliquePipeline) {
   util::Rng rng(101);
@@ -180,6 +205,107 @@ TEST(Integration, EnumerationWindowMatchesPaperTable1Protocol) {
   bounded.range = core::SizeRange{3, omega};
   EXPECT_EQ(test::run_clique_enumerator(mg.graph, bounded),
             test::run_clique_enumerator(mg.graph, unbounded));
+}
+
+// Stage 5 of run_analysis runs Bron–Kerbosch over the (Init_K−1)-core
+// and sorts its output; it must reproduce the Clique Enumerator's emission
+// sequence exactly — the reference maximal cliques in the window by size,
+// then lexicographically — on every oracle graph and every Init_K (one
+// window also bounded above), in memory and off a mapped .gsbg, at every
+// thread count.  Each (backend, threads) run is collected for half the
+// windows and streamed to a .gsbc, then re-read, for the other half.  On
+// the five dense G(70, 0.8) graphs (~170k-310k maximal cliques each, none
+// below size 5) every unbounded window keeps the whole graph as its core
+// and selects the same cliques, so they run [1, inf) and [2, 3] only, in
+// one rotating (backend, threads) setting each.
+TEST(Integration, AnalysisCliquesMatchEmissionOracle) {
+  const core::SizeRange kRanges[] = {{1, 0}, {2, 0}, {3, 0}, {5, 0}, {2, 3}};
+  constexpr std::size_t kThreadCounts[] = {1, 2, 4};
+  constexpr std::size_t kSettings = 2 * std::size(kThreadCounts);
+  constexpr std::size_t kDense = 20000;
+  test::TempFile stream("analysis_oracle");
+  const auto corpus = test::oracle_graphs();
+  std::size_t compared = 0;
+  std::size_t expected_runs = 0;
+  for (std::size_t gi = 0; gi < corpus.size(); ++gi) {
+    const auto& [name, g] = corpus[gi];
+    const test::InMemoryAndMapped backends(g);
+    const auto views = backends.views();
+    const auto reference = core::reference_maximal_cliques(g);
+    const bool dense = reference.size() > kDense;
+    expected_runs += dense ? 2 : std::size(kRanges) * kSettings;
+    for (std::size_t r = 0; r < std::size(kRanges); ++r) {
+      const core::SizeRange range = kRanges[r];
+      if (dense && range.hi == 0 && range.lo != 1) continue;
+      const auto expected = test::emission_sequence(reference, range);
+      for (std::size_t setting = 0; setting < kSettings; ++setting) {
+        if (dense && setting != (gi + r) % kSettings) continue;
+        const std::size_t where = setting / std::size(kThreadCounts);
+        const std::size_t threads =
+            kThreadCounts[setting % std::size(kThreadCounts)];
+        const bool streamed = (r + setting) % 2 == 1;
+        pipeline::AnalysisOptions options;
+        options.range = range;
+        options.threads = threads;
+        options.overlap = false;
+        if (streamed) options.clique_out = stream.path();
+        const auto result = pipeline::run_analysis(views[where], options);
+        EXPECT_EQ(streamed ? read_stream(stream.path()) : result.cliques,
+                  expected)
+            << name << (where == 0 ? " memory" : " mapped") << " range ["
+            << range.lo << ", " << range.hi << "] threads=" << threads
+            << (streamed ? " streamed" : " collected");
+        EXPECT_EQ(result.spectrum.total, expected.size()) << name;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, expected_runs);
+}
+
+// On a degree-sorted container the emission order is lexicographic in
+// the container's own ids, and the stream holds original labels: the
+// pipeline's .gsbc must equal the enumerator's output written through
+// the same sink, byte for byte.
+TEST(Integration, DegreeSortedAnalysisStreamMatchesEnumeratorBytes) {
+  const graph::Graph g = test::random_graph(90, 0.2, 4242);
+  test::TempFile container("analysis_degree_sorted");
+  storage::GsbgWriteOptions write;
+  write.degree_sort = true;
+  storage::write_gsbg_file(g, container.path(), write);
+  const auto mapped = storage::MappedGraph::open(container.path());
+  ASSERT_FALSE(mapped.permutation().empty());
+  const auto original = [&mapped](graph::VertexId v) {
+    return mapped.permutation()[v];
+  };
+  test::TempFile from_pipeline("analysis_degree_sorted_pipeline");
+  test::TempFile from_enumerator("analysis_degree_sorted_enumerator");
+  for (const std::size_t init_k : {2, 3, 4}) {
+    pipeline::AnalysisOptions options;
+    options.range = core::SizeRange{init_k, 0};
+    options.threads = 2;
+    options.clique_out = from_pipeline.path();
+    options.original_id = original;
+    pipeline::run_analysis(mapped.view(), options);
+
+    storage::GsbcWriter writer(from_enumerator.path(), mapped.view().order());
+    std::vector<graph::VertexId> members;
+    core::CliqueEnumeratorOptions enumerator;
+    enumerator.range = options.range;
+    core::enumerate_maximal_cliques(
+        mapped.view(),
+        [&](std::span<const graph::VertexId> clique) {
+          members.assign(clique.begin(), clique.end());
+          for (auto& v : members) v = original(v);
+          writer.append(members);
+        },
+        enumerator);
+    const auto written = writer.close();
+    ASSERT_GT(written.clique_count, 0u) << "init_k=" << init_k;
+    EXPECT_EQ(read_bytes(from_pipeline.path()),
+              read_bytes(from_enumerator.path()))
+        << "init_k=" << init_k;
+  }
 }
 
 }  // namespace

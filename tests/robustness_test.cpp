@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -47,6 +48,7 @@
 #include "service/server.h"
 #include "service/tcp_server.h"
 #include "service/wire_protocol.h"
+#include "storage/clique_sort.h"
 #include "storage/clique_stream.h"
 #include "storage/gsbg_format.h"
 #include "storage/gsbg_writer.h"
@@ -471,6 +473,129 @@ TEST(ChaosBuilds, FatalFaultsLeaveNoArtifactForAnyFormat) {
     EXPECT_FALSE(fs::exists(index));
     EXPECT_FALSE(fs::exists(util::io::temp_path_for(index)));
   }
+}
+
+// -- clique sort spill hygiene -----------------------------------------------
+
+/// Names of everything left in the scratch directory.
+std::vector<std::string> entries(const ScratchDir& d) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(d.dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Sorts \p cliques into d/sorted.gsbc through a CliqueSorter whose 4 KiB
+/// budget spills runs next to it; the sink throws once it has written
+/// \p throw_after cliques (0 = never).
+storage::CliqueSortStats sort_to_stream(const ScratchDir& d,
+                                        const std::vector<core::Clique>& cliques,
+                                        std::size_t order,
+                                        std::uint64_t throw_after) {
+  const std::string out = d.path("sorted.gsbc");
+  storage::GsbcWriter writer(out, order);
+  storage::CliqueSorter sorter(order, out, /*budget_bytes=*/4 << 10);
+  for (const auto& clique : cliques) sorter.add(clique);
+  std::uint64_t written = 0;
+  const auto stats = sorter.finish([&](std::span<const graph::VertexId> c) {
+    if (written == throw_after && throw_after != 0) {
+      throw std::runtime_error("sink failed");
+    }
+    writer.append(c);
+    ++written;
+  });
+  writer.close();
+  return stats;
+}
+
+TEST(CliqueSortHygiene, ThrowingSinkLeavesNoStreamTempOrRun) {
+  ScratchDir d("gsb_rb_sort_sink");
+  const auto g = test::random_graph(80, 0.3, 77);
+  const auto cliques = test::run_base_bk(g);
+  const auto clean = sort_to_stream(d, cliques, g.order(), 0);
+  ASSERT_GE(clean.runs, 3u) << "the budget must force spilled runs";
+  EXPECT_EQ(entries(d), std::vector<std::string>{"sorted.gsbc"});
+  fs::remove(d.path("sorted.gsbc"));
+
+  EXPECT_THROW(sort_to_stream(d, cliques, g.order(), cliques.size() / 2),
+               std::runtime_error);
+  EXPECT_TRUE(entries(d).empty()) << entries(d).front();
+}
+
+// ENOSPC on the N-th write, for every N a run or the final stream makes:
+// a failed sort leaves nothing — no .gsbc, no temp, no run file.
+TEST(CliqueSortHygiene, InjectedEnospcLeavesNoStreamTempOrRun) {
+  ScratchDir d("gsb_rb_sort_enospc");
+  const auto g = test::random_graph(80, 0.3, 77);
+  const auto cliques = test::run_base_bk(g);
+  std::size_t failures = 0;
+  for (std::uint64_t n = 1; n <= 64; ++n) {
+    fault::Schedule s;
+    op(s, fault::Op::kWrite) = {.fail_after = n, .fail_errno = ENOSPC};
+    bool threw = false;
+    {
+      fault::ScheduleScope scope(s);
+      try {
+        sort_to_stream(d, cliques, g.order(), 0);
+      } catch (const std::runtime_error&) {
+        threw = true;
+      }
+    }
+    if (!threw) {  // every write made it: later N cannot fail either
+      EXPECT_EQ(entries(d), std::vector<std::string>{"sorted.gsbc"});
+      break;
+    }
+    ++failures;
+    EXPECT_TRUE(entries(d).empty()) << "fail_after=" << n;
+  }
+  EXPECT_GE(failures, 4u) << "faults must land in runs and in the stream";
+}
+
+// The pipeline's clique stage under the same fault: no .gsbc, no temp.
+TEST(CliqueSortHygiene, PipelineStageUnderEnospcLeavesNothing) {
+  ScratchDir d("gsb_rb_stage_enospc");
+  const auto g = test::random_graph(60, 0.3, 77);
+  pipeline::AnalysisOptions analysis;
+  analysis.range = core::SizeRange{3, 0};
+  analysis.threads = 2;
+  analysis.clique_out = d.path("stage.gsbc");
+  fault::Schedule s;
+  op(s, fault::Op::kWrite) = {.fail_after = 1, .fail_errno = ENOSPC};
+  {
+    fault::ScheduleScope scope(s);
+    EXPECT_THROW(pipeline::run_analysis(g, analysis), std::runtime_error);
+  }
+  EXPECT_TRUE(entries(d).empty());
+}
+
+// A process that dies mid-sort leaves run files only under temp names:
+// every file it left is a `*.tmp.<pid>` that find_stale_temps reports.
+TEST(CliqueSortHygiene, CrashLeavesOnlyStaleTemps) {
+  ScratchDir d("gsb_rb_sort_crash");
+  const auto g = test::random_graph(80, 0.3, 77);
+  const auto cliques = test::run_base_bk(g);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    storage::CliqueSorter sorter(g.order(), d.path("sorted.gsbc"),
+                                 /*budget_bytes=*/4 << 10);
+    for (const auto& clique : cliques) sorter.add(clique);
+    ::_exit(0);  // no destructor runs: the runs stay behind
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  const std::string suffix = ".tmp." + std::to_string(static_cast<long>(child));
+  const auto left = entries(d);
+  ASSERT_FALSE(left.empty()) << "the child must have spilled runs";
+  for (const std::string& name : left) {
+    EXPECT_TRUE(name.size() > suffix.size() &&
+                name.compare(name.size() - suffix.size(), suffix.size(),
+                             suffix) == 0)
+        << name;
+  }
+  EXPECT_EQ(util::io::find_stale_temps(d.dir.string()).size(), left.size());
 }
 
 // -- stale temp scan ---------------------------------------------------------

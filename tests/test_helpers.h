@@ -321,18 +321,26 @@ inline std::vector<core::Clique> reference_in_range(
   return core::filter_by_size(core::reference_maximal_cliques(g), range);
 }
 
-/// The Clique Enumerator's emission sequence, built without it: the
-/// reference maximal cliques in \p range ordered by size, then
+/// Orders \p reference (normalized reference maximal cliques) as the
+/// Clique Enumerator emits them: the cliques in \p range by size, then
 /// lexicographically by member ids.
-inline std::vector<core::Clique> reference_emission_sequence(
-    const graph::Graph& g, const core::SizeRange& range) {
-  std::vector<core::Clique> cliques = reference_in_range(g, range);
-  // Stable: the reference returns the cliques in lexicographic order.
+inline std::vector<core::Clique> emission_sequence(
+    const std::vector<core::Clique>& reference, const core::SizeRange& range) {
+  std::vector<core::Clique> cliques = core::filter_by_size(reference, range);
+  // Stable: the reference holds the cliques in lexicographic order.
   std::stable_sort(cliques.begin(), cliques.end(),
                    [](const core::Clique& a, const core::Clique& b) {
                      return a.size() < b.size();
                    });
   return cliques;
+}
+
+/// The Clique Enumerator's emission sequence, built without it: the
+/// reference maximal cliques in \p range ordered by size, then
+/// lexicographically by member ids.
+inline std::vector<core::Clique> reference_emission_sequence(
+    const graph::Graph& g, const core::SizeRange& range) {
+  return emission_sequence(core::reference_maximal_cliques(g), range);
 }
 
 }  // namespace gsb::test
