@@ -5,9 +5,11 @@
 //
 //   * sequential improved BK (§2.2 version 2 — the pre-rebuild speed
 //     baseline this PR's acceptance criterion measures against);
-//   * sequential degeneracy-ordered BK with max-candidate pivoting;
+//   * degeneracy-ordered BK with max-candidate pivoting at one worker
+//     (degeneracy_bk);
 //   * the same, directly off a memory-mapped .gsbg (storage-aware path);
-//   * the work-stealing parallel driver at 1/2/4/8 threads;
+//   * the same driver (parallel_bk) at 2/4/8 workers, root ranges
+//     balanced by work stealing;
 //   * parallel BK spilling into a .gsbc clique stream (the bounded-memory
 //     output path `gsb cliques --clique-out` uses).
 //
@@ -124,7 +126,6 @@ void BM_ParallelBk(benchmark::State& state) {
       cliques * static_cast<std::uint64_t>(state.iterations())));
 }
 BENCHMARK(BM_ParallelBk)
-    ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)

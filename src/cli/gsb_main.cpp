@@ -51,7 +51,6 @@
 #include "bio/generator.h"
 #include "bio/normalize.h"
 #include "bio/tiled_correlation.h"
-#include "core/bron_kerbosch.h"
 #include "core/clique.h"
 #include "core/maximum_clique.h"
 #include "core/parallel_bk.h"
@@ -150,7 +149,7 @@ cliques flags: <file|-> [--graph-file FILE] [--format dimacs|edges|binary|gsbg]
                [--min K] [--max K] [--threads P] [--engine bk|enumerator]
                [--clique-out FILE.gsbc] [--count-only] [--progress]
                [--trace-out FILE.json] [--trace-io]
-               --engine bk = degeneracy-ordered Bron-Kerbosch (parallel via
+               --engine bk = degeneracy-ordered Bron-Kerbosch (root ranges,
                work stealing); enumerator = size-ordered Clique Enumerator.
                --clique-out spills cliques to a .gsbc stream (bounded memory)
 maximum flags: <file|-> [--graph-file FILE] [--format F]
@@ -277,19 +276,15 @@ bool window_is_valid(const core::SizeRange& range, const char* lo_flag,
   return false;
 }
 
-/// Runs the degeneracy-ordered Bron–Kerbosch engine (`--engine bk`):
-/// sequential at --threads 1, the work-stealing parallel driver otherwise.
-/// \p ordered selects the deterministic merge — callers whose sink is
-/// order-insensitive (pure counting) skip the reorder buffering entirely.
-/// Returns wall seconds; scheduling detail goes to stderr when verbose.
+/// Runs the degeneracy-ordered Bron–Kerbosch engine (`--engine bk`), one
+/// driver at every --threads.  \p ordered selects the deterministic merge
+/// — callers whose sink is order-insensitive (pure counting) skip the
+/// reorder buffering entirely.  Returns wall seconds; scheduling detail
+/// goes to stderr when verbose.
 double run_bk_engine(const graph::GraphView& g, const core::SizeRange& range,
                      std::size_t threads, const core::CliqueCallback& sink,
                      bool ordered, bool verbose) {
   util::Timer timer;
-  if (threads == 1) {
-    core::degeneracy_bk(g, sink, range);
-    return timer.seconds();
-  }
   core::ParallelBkOptions options;
   options.range = range;
   options.threads = threads;
@@ -297,7 +292,7 @@ double run_bk_engine(const graph::GraphView& g, const core::SizeRange& range,
   const auto stats = core::parallel_bk(g, sink, options);
   if (verbose) {
     std::fprintf(stderr,
-                 "bk: degeneracy %zu, %zu threads, %llu roots stolen, "
+                 "bk: degeneracy %zu, %zu threads, %llu range jobs stolen, "
                  "reorder peak %s\n",
                  stats.degeneracy, stats.threads,
                  static_cast<unsigned long long>(stats.steals),

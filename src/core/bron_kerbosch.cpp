@@ -3,8 +3,6 @@
 #include <vector>
 
 #include "bitset/dynamic_bitset.h"
-#include "core/detail/bk_kernel.h"
-#include "graph/transforms.h"
 
 namespace gsb::core {
 namespace {
@@ -109,30 +107,6 @@ class BkSearch {
   BronKerboschStats stats_;
 };
 
-/// Degeneracy-ordered outer loop over the shared pivot kernel: vertex v_i
-/// roots the subtree of all maximal cliques whose earliest-ordered member
-/// is v_i, so the subtrees partition the output and the deepest candidate
-/// set is bounded by the degeneracy.
-BronKerboschStats run_degeneracy(const graph::GraphView& g,
-                                 const CliqueCallback& sink,
-                                 const SizeRange& range) {
-  const std::size_t n = g.order();
-  detail::BkPivotSearch search(g, sink, range);
-  const graph::DegeneracyResult deg = graph::degeneracy_order(g);
-  DynamicBitset later(n);  // vertices not yet used as a root
-  later.set_all();
-  DynamicBitset cand(n);
-  DynamicBitset not_set(n);
-  for (const VertexId v : deg.order) {
-    later.reset(v);
-    cand.assign_and(g.neighbors(v), later);
-    not_set.assign(g.neighbors(v));
-    not_set.and_not(later);
-    search.run_root(v, cand, not_set);
-  }
-  return search.stats();
-}
-
 }  // namespace
 
 BronKerboschStats bron_kerbosch(const graph::GraphView& g,
@@ -140,7 +114,7 @@ BronKerboschStats bron_kerbosch(const graph::GraphView& g,
                                 BronKerboschVariant variant,
                                 const SizeRange& range) {
   if (variant == BronKerboschVariant::kDegeneracy) {
-    return run_degeneracy(g, sink, range);
+    return degeneracy_bk(g, sink, range);
   }
   BkSearch search(g, sink, variant, range);
   return search.run();
@@ -156,12 +130,6 @@ BronKerboschStats improved_bk(const graph::GraphView& g,
                               const CliqueCallback& sink,
                               const SizeRange& range) {
   return bron_kerbosch(g, sink, BronKerboschVariant::kImproved, range);
-}
-
-BronKerboschStats degeneracy_bk(const graph::GraphView& g,
-                                const CliqueCallback& sink,
-                                const SizeRange& range) {
-  return bron_kerbosch(g, sink, BronKerboschVariant::kDegeneracy, range);
 }
 
 }  // namespace gsb::core

@@ -17,8 +17,9 @@
 ///    subtree whose CANDIDATES are v's later-ordered neighbors and whose
 ///    NOT set its earlier-ordered ones, searched with max-candidate
 ///    pivoting over CANDIDATES ∪ NOT.  The deepest candidate set is
-///    bounded by the degeneracy, and the independent roots are exactly
-///    what the parallel driver (parallel_bk.h) fans out over threads.
+///    bounded by the degeneracy.  degeneracy_bk is parallel_bk
+///    (parallel_bk.h) at one worker: the independent roots run as
+///    contiguous range jobs, and the cliques come out in root order.
 ///
 /// All variants maintain the three dynamically changing sets of the paper's
 /// description — COMPSUB (the clique in progress), CANDIDATES and NOT — as
@@ -67,6 +68,7 @@ BronKerboschStats base_bk(const graph::GraphView& g,
 BronKerboschStats improved_bk(const graph::GraphView& g,
                               const CliqueCallback& sink,
                               const SizeRange& range = {});
+/// parallel_bk at one worker, in its deterministic (root) order.
 BronKerboschStats degeneracy_bk(const graph::GraphView& g,
                                 const CliqueCallback& sink,
                                 const SizeRange& range = {});

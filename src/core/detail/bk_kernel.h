@@ -2,11 +2,10 @@
 #define GSB_CORE_DETAIL_BK_KERNEL_H
 
 /// \file bk_kernel.h
-/// The pivoted Bron–Kerbosch subtree search shared by the sequential
-/// degeneracy-ordered variant (bron_kerbosch.cpp) and the work-stealing
-/// parallel driver (parallel_bk.cpp).
+/// The pivoted Bron–Kerbosch subtree search of the degeneracy-ordered
+/// driver (parallel_bk.cpp), which degeneracy_bk runs at one worker.
 ///
-/// Both slice the problem the same way: vertex v_i of a degeneracy order
+/// The driver slices the problem by root: vertex v_i of a degeneracy order
 /// roots one independent subproblem whose CANDIDATES are v_i's
 /// later-ordered neighbors and whose NOT set is its earlier-ordered
 /// neighbors, so every maximal clique is found in exactly one subtree and
@@ -17,8 +16,8 @@
 /// pivot spawn branches.
 ///
 /// The search owns its per-depth set buffers (pooled, no allocation after
-/// warm-up) and is deliberately single-threaded: the parallel driver holds
-/// one instance per worker.
+/// warm-up) and is deliberately single-threaded: the driver holds one
+/// instance per worker.
 
 #include <algorithm>
 #include <vector>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "bitset/dynamic_bitset.h"
@@ -19,7 +20,14 @@ namespace {
 using bits::DynamicBitset;
 using graph::VertexId;
 
-/// Per-worker enumeration state, built lazily on a worker's first root.
+/// Range jobs per worker, the Clique Enumerator's seed grain.  Root
+/// subtrees differ in cost by orders of magnitude (a root inside the
+/// densest core against a leaf), so the order is cut fine enough that
+/// stealing balances it, and coarse enough that a graph of n roots does
+/// not cost n scheduler jobs.
+constexpr std::size_t kJobsPerWorker = 64;
+
+/// Per-worker enumeration state, built lazily on a worker's first range.
 /// The sink object must outlive the search (BkPivotSearch keeps a
 /// reference), so both live here together.
 struct BkWorker {
@@ -40,7 +48,7 @@ struct BkWorker {
   }
 };
 
-/// Replays one root's flat buffer into the caller's sink.
+/// Replays one range's flat buffer into the caller's sink.
 void drain_flat(const CliqueCallback& sink, const std::vector<VertexId>& flat) {
   std::size_t i = 0;
   while (i < flat.size()) {
@@ -71,54 +79,25 @@ ParallelBkStats parallel_bk(const graph::GraphView& g,
     return stats;
   }
 
-  // --- plan: one task per degeneracy root -----------------------------------
   const graph::DegeneracyResult deg = graph::degeneracy_order(g);
   stats.degeneracy = deg.degeneracy;
   std::vector<std::size_t> pos(n);
   for (std::size_t i = 0; i < n; ++i) pos[deg.order[i]] = i;
 
-  // Cost estimate: the root's CANDIDATES size c (later-ordered neighbors)
-  // bounds its subtree by 3^(c/3); the cubic proxy matches the seeding
-  // estimator of the parallel Clique Enumerator and only needs to rank
-  // roots, not predict absolute cost.
-  std::vector<std::uint64_t> costs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const VertexId v = deg.order[i];
-    std::uint64_t later = 0;
-    g.neighbors(v).for_each([&](std::size_t u) {
-      if (pos[u] > i) ++later;
-    });
-    costs[i] = later * later * later / 6 + later + 1;
-  }
-  // Roots are dealt round-robin so every thread's queue spans the whole
-  // root order: the scheduler's reorder window then drains steadily
-  // instead of waiting for thread 0's contiguous block to finish.
-  std::vector<std::uint32_t> home(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    home[i] = static_cast<std::uint32_t>(i % num_threads);
-  }
-  const par::LoadBalancer balancer(options.balancer);
-  const par::Assignment assignment = balancer.assign(costs, home, num_threads);
-  stats.transfers = assignment.transfers;
-  std::vector<std::uint32_t> queue_of(n, 0);
-  for (std::uint32_t t = 0; t < num_threads; ++t) {
-    for (const std::uint32_t task_index : assignment.tasks[t]) {
-      queue_of[task_index] = t;
-    }
-  }
-
-  // --- schedule: one job per root on the DAG scheduler ----------------------
-  // JobId == root index, so the scheduler's ordered-completion drain
-  // (strict JobId order) reproduces the sequential degeneracy emission
-  // sequence, and its window backpressure replaces the old bespoke
-  // reorder buffer: when finished-but-undrained output exceeds the
-  // window, workers are redirected to the next-to-emit root.
-  par::ThreadPool pool(num_threads);
+  // --- schedule: one job per contiguous range of the degeneracy order -----
+  // Jobs are added in root order with no home queue: the scheduler deals
+  // them round-robin and idle workers steal them.  Its ordered drain
+  // (strict JobId order) therefore replays root order, and its window
+  // backpressure redirects workers to the next-to-emit range when
+  // finished-but-undrained output exceeds the window.  One worker builds
+  // no pool: the graph then runs inline on the calling thread.
+  std::optional<par::ThreadPool> pool;
+  if (num_threads > 1) pool.emplace(num_threads);
   par::JobGraph::Options graph_options;
   graph_options.ordered = options.deterministic;
   graph_options.window_bytes = options.reorder_window_bytes;
-  graph_options.steal = options.dynamic_claiming;
-  par::JobGraph jobs(&pool, graph_options);
+  par::JobGraph jobs(pool ? &*pool : nullptr, graph_options);
+  const std::size_t num_jobs = std::min(n, num_threads * kJobsPerWorker);
 
   std::vector<std::unique_ptr<BkWorker>> workers(jobs.workers());
   auto worker_for = [&](std::size_t wid) -> BkWorker& {
@@ -128,39 +107,42 @@ ParallelBkStats parallel_bk(const graph::GraphView& g,
     return *workers[wid];
   };
 
-  // Per-root output parked between body finish and ordered drain; the
+  // Per-range output parked between body finish and ordered drain; the
   // bytes are tracked (MemTag::kCliqueStorage) for exactly that span.
-  std::vector<std::vector<VertexId>> slots(options.deterministic ? n : 0);
-  std::vector<std::size_t> slot_bytes(options.deterministic ? n : 0, 0);
+  std::vector<std::vector<VertexId>> slots(options.deterministic ? num_jobs
+                                                                 : 0);
+  std::vector<std::size_t> slot_bytes(slots.size(), 0);
   // Completion-order mode drains inside the body; the sink contract
   // ("never invoked concurrently") then needs its own serialization.
   std::mutex emit_mutex;
 
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t j = 0; j < num_jobs; ++j) {
     par::JobGraph::JobSpec spec;
-    spec.home = queue_of[i];
-    spec.run = [&, i](std::size_t wid) {
+    spec.run = [&, j](std::size_t wid) {
       const double cpu_begin = util::thread_cpu_seconds();
       BkWorker& w = worker_for(wid);
       w.buffer.clear();
-      const VertexId v = deg.order[i];
-      w.cand.clear_all();
-      w.not_set.clear_all();
-      g.neighbors(v).for_each([&](std::size_t u) {
-        if (pos[u] > i) {
-          w.cand.set(u);
-        } else {
-          w.not_set.set(u);
-        }
-      });
-      w.search->run_root(v, w.cand, w.not_set);
+      for (std::size_t i = n * j / num_jobs; i < n * (j + 1) / num_jobs;
+           ++i) {
+        const VertexId v = deg.order[i];
+        w.cand.clear_all();
+        w.not_set.clear_all();
+        g.neighbors(v).for_each([&](std::size_t u) {
+          if (pos[u] > i) {
+            w.cand.set(u);
+          } else {
+            w.not_set.set(u);
+          }
+        });
+        w.search->run_root(v, w.cand, w.not_set);
+      }
       if (options.deterministic) {
         const std::size_t bytes = w.buffer.size() * sizeof(VertexId);
-        slots[i] = std::move(w.buffer);
+        slots[j] = std::move(w.buffer);
         w.buffer = {};
-        slot_bytes[i] = bytes;
+        slot_bytes[j] = bytes;
         tracker.allocate(bytes, util::MemTag::kCliqueStorage);
-        jobs.set_bytes(static_cast<par::JobId>(i), bytes);
+        jobs.set_bytes(static_cast<par::JobId>(j), bytes);
       } else {
         const std::lock_guard<std::mutex> lock(emit_mutex);
         drain_flat(sink, w.buffer);
@@ -168,11 +150,13 @@ ParallelBkStats parallel_bk(const graph::GraphView& g,
       w.busy_seconds += util::thread_cpu_seconds() - cpu_begin;
     };
     if (options.deterministic) {
-      spec.complete = [&, i] {
-        drain_flat(sink, slots[i]);
-        tracker.release(slot_bytes[i], util::MemTag::kCliqueStorage);
-        slots[i] = {};
-        slot_bytes[i] = 0;
+      spec.complete = [&, j] {
+        drain_flat(sink, slots[j]);
+        tracker.release(slot_bytes[j], util::MemTag::kCliqueStorage);
+        // Not `= {}`: that assigns an empty initializer list and keeps
+        // the capacity, so every drained range would stay resident.
+        slots[j] = std::vector<VertexId>();
+        slot_bytes[j] = 0;
       };
     }
     jobs.add(std::move(spec));
@@ -214,11 +198,21 @@ ParallelBkStats parallel_bk(const graph::GraphView& g,
     static const obs::Counter runs = registry.counter(
         "gsb_bk_runs_total", "Parallel Bron-Kerbosch enumerations.");
     static const obs::Counter steals = registry.counter(
-        "gsb_bk_steals_total", "Root tasks stolen across worker threads.");
+        "gsb_bk_steals_total",
+        "Root range jobs stolen across worker threads.");
     runs.inc();
     steals.inc(stats.steals);
   }
   return stats;
+}
+
+BronKerboschStats degeneracy_bk(const graph::GraphView& g,
+                                const CliqueCallback& sink,
+                                const SizeRange& range) {
+  ParallelBkOptions one_worker;
+  one_worker.range = range;
+  one_worker.threads = 1;
+  return parallel_bk(g, sink, one_worker).base;
 }
 
 }  // namespace gsb::core

@@ -26,7 +26,7 @@
 /// sub-list, and the emission sequence — by size, then lexicographically
 /// — is the same at every thread count.  The paper's centralized plan-time
 /// balancer (par::LoadBalancer) now lives only in the Altix machine-model
-/// replay and in parallel_bk's root plan.
+/// replay.
 
 #include "core/clique.h"
 #include "core/clique_enumerator.h"

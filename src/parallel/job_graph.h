@@ -108,8 +108,7 @@ class JobGraph {
     /// Prerequisite jobs (must already exist).  Edges added here cannot
     /// form a cycle by construction; use add_edge for arbitrary pairs.
     std::vector<JobId> deps;
-    /// Preferred worker queue (from a LoadBalancer plan); kNoHome
-    /// round-robins.
+    /// Preferred worker queue; kNoHome round-robins.
     std::uint32_t home = kNoHome;
     /// Reorder-window accounting for ordered mode.
     std::size_t bytes = 0;

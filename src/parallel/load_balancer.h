@@ -13,6 +13,10 @@
 /// to the least loaded thread.  A transferred task is flagged: on NUMA
 /// machines (the paper's Altix) it pays remote-memory access, which the
 /// gsb::altix machine model charges for.
+///
+/// Only that machine-model replay (altix/simulator.h) plans with this
+/// policy.  Real runs — the Clique Enumerator and Bron–Kerbosch — cut their
+/// work into range jobs that idle workers steal (par::JobGraph).
 
 #include <cstdint>
 #include <span>

@@ -1,28 +1,25 @@
-// Differential tests for the degeneracy-ordered Bron–Kerbosch engine and
-// its work-stealing parallel driver: BK over a mapped .gsbg equals BK over
-// the in-memory Graph equals the Clique Enumerator's maximal set on 20
-// seeded graphs, across threads 1/2/4/8; deterministic-merge emission is
-// byte-identical at every thread count; the reorder window stays bounded.
+// Differential tests for the degeneracy-ordered Bron–Kerbosch driver, at
+// one worker (degeneracy_bk) and at 2/4/8 (parallel_bk): on the oracle
+// corpus, in memory and off a mapped .gsbg, every setting finds the
+// reference maximal cliques and every deterministic run emits the
+// one-worker sequence; roots run as range jobs, a fixed number per
+// worker; the reorder window stays bounded.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
+#include <optional>
 #include <string>
 
 #include "core/bron_kerbosch.h"
 #include "core/parallel_bk.h"
 #include "core/verify.h"
 #include "graph/transforms.h"
-#include "storage/gsbg_writer.h"
-#include "storage/mapped_graph.h"
+#include "obs/metrics.h"
 #include "tests/test_helpers.h"
 #include "util/memory_tracker.h"
 
 namespace gsb::core {
 namespace {
-
-namespace fs = std::filesystem;
 
 std::vector<Clique> run_degeneracy_bk(const graph::GraphView& g,
                                       const SizeRange& range = {}) {
@@ -38,28 +35,31 @@ std::vector<Clique> run_parallel_bk(const graph::GraphView& g,
   return normalize(std::move(out.cliques()));
 }
 
-/// Flat emission transcript (size-prefixed), order-sensitive.
+/// A sink appending size-prefixed records to \p flat: an order-sensitive
+/// emission transcript.
+CliqueCallback flat_sink(std::vector<graph::VertexId>& flat) {
+  return [&flat](std::span<const graph::VertexId> clique) {
+    flat.push_back(static_cast<graph::VertexId>(clique.size()));
+    flat.insert(flat.end(), clique.begin(), clique.end());
+  };
+}
+
 std::vector<graph::VertexId> emission_sequence(const graph::GraphView& g,
                                                ParallelBkOptions options) {
   std::vector<graph::VertexId> flat;
-  parallel_bk(
-      g,
-      [&](std::span<const graph::VertexId> clique) {
-        flat.push_back(static_cast<graph::VertexId>(clique.size()));
-        flat.insert(flat.end(), clique.begin(), clique.end());
-      },
-      options);
+  parallel_bk(g, flat_sink(flat), options);
   return flat;
 }
 
-/// Writes \p g to a temporary .gsbg and returns the path.
-std::string write_temp_gsbg(const graph::Graph& g, int tag) {
-  const std::string path =
-      (fs::temp_directory_path() /
-       ("parallel_bk_test_" + std::to_string(tag) + ".gsbg"))
-          .string();
-  storage::write_gsbg_file(g, path);
-  return path;
+/// The normalized clique set of a flat emission transcript.
+std::vector<Clique> decode(const std::vector<graph::VertexId>& flat) {
+  std::vector<Clique> cliques;
+  for (std::size_t i = 0; i < flat.size(); i += flat[i] + 1) {
+    cliques.emplace_back(flat.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                         flat.begin() +
+                             static_cast<std::ptrdiff_t>(i + 1 + flat[i]));
+  }
+  return normalize(std::move(cliques));
 }
 
 TEST(DegeneracyBk, MatchesReferenceOnSmallGraphs) {
@@ -107,55 +107,86 @@ TEST(DegeneracyBk, VisitsFewerNodesThanImprovedOnModuleGraphs) {
   EXPECT_LT(degeneracy_stats.tree_nodes, improved_stats.tree_nodes);
 }
 
+// The one driver over the oracle corpus, in memory and off a mapped
+// .gsbg: degeneracy_bk, and parallel_bk at 2/4/8 threads in deterministic
+// and completion order, must each find the reference maximal cliques, and
+// every deterministic run must emit exactly degeneracy_bk's sequence.  The
+// Clique Enumerator's full maximal set is a second yardstick.  The five
+// dense G(70, 0.8) graphs (~170k-310k maximal cliques each) skip the
+// enumerator and run in one rotating (backend, setting) each.
 TEST(ParallelBk, DifferentialSweepMemoryMappedEnumerator) {
-  for (int seed = 0; seed < 20; ++seed) {
-    const std::size_t n = 30 + static_cast<std::size_t>(seed) * 2;
-    const double p = 0.10 + 0.05 * (seed % 5);
-    const graph::Graph g =
-        test::random_graph(n, p, static_cast<std::uint64_t>(seed));
-    SCOPED_TRACE("seed " + std::to_string(seed));
-
-    // The structurally independent yardsticks: the reference enumerator
-    // and the paper's Clique Enumerator (full maximal set).
+  struct Setting {
+    std::size_t threads;
+    bool deterministic;
+  };
+  // One thread means degeneracy_bk itself.
+  constexpr Setting kSettings[] = {{1, true}, {2, true}, {2, false},
+                                   {4, true}, {4, false}, {8, true},
+                                   {8, false}};
+  constexpr std::size_t kDense = 20000;
+  const auto run = [](const graph::GraphView& g, const Setting& setting) {
+    if (setting.threads == 1) {
+      std::vector<graph::VertexId> flat;
+      degeneracy_bk(g, flat_sink(flat));
+      return flat;
+    }
+    ParallelBkOptions options;
+    options.threads = setting.threads;
+    options.deterministic = setting.deterministic;
+    return emission_sequence(g, options);
+  };
+  const auto corpus = test::oracle_graphs();
+  std::size_t compared = 0;
+  std::size_t expected_runs = 0;
+  for (std::size_t gi = 0; gi < corpus.size(); ++gi) {
+    const auto& [name, g] = corpus[gi];
+    const test::InMemoryAndMapped backends(g);
+    const auto views = backends.views();
     const auto expect = reference_maximal_cliques(g);
-    CliqueEnumeratorOptions enum_options;
-    enum_options.range = SizeRange{1, 0};
-    ASSERT_EQ(test::run_clique_enumerator(g, enum_options), expect);
-
-    // Sequential degeneracy BK over the in-memory graph.
-    ASSERT_EQ(run_degeneracy_bk(g), expect);
-
-    // Sequential degeneracy BK directly off the mapped .gsbg bitmap.
-    const std::string path = write_temp_gsbg(g, seed);
-    {
-      const auto mapped = storage::MappedGraph::open(path);
-      ASSERT_EQ(run_degeneracy_bk(mapped.view()), expect);
-
-      // The parallel driver, over the mapped view, at every thread count.
-      for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-        ParallelBkOptions options;
-        options.threads = threads;
-        ASSERT_EQ(run_parallel_bk(mapped.view(), options), expect)
-            << "threads " << threads;
+    const bool dense = expect.size() > kDense;
+    if (!dense) {
+      CliqueEnumeratorOptions enum_options;
+      enum_options.range = SizeRange{1, 0};
+      ASSERT_EQ(test::run_clique_enumerator(g, enum_options), expect) << name;
+    }
+    const std::size_t per_graph = views.size() * std::size(kSettings);
+    expected_runs += dense ? 1 : per_graph;
+    for (std::size_t where = 0; where < views.size(); ++where) {
+      std::optional<std::vector<graph::VertexId>> one_worker;
+      for (std::size_t si = 0; si < std::size(kSettings); ++si) {
+        if (dense && where * std::size(kSettings) + si != gi % per_graph) {
+          continue;
+        }
+        const Setting& setting = kSettings[si];
+        const auto flat = run(views[where], setting);
+        const std::string what =
+            name + (where == 0 ? " memory" : " mapped") + " threads " +
+            std::to_string(setting.threads) +
+            (setting.deterministic ? " deterministic" : " completion");
+        EXPECT_EQ(decode(flat), expect) << what;
+        if (si == 0) {
+          one_worker = flat;
+        } else if (setting.deterministic) {
+          if (!one_worker) one_worker = run(views[where], kSettings[0]);
+          EXPECT_EQ(flat, *one_worker) << what;
+        }
+        ++compared;
       }
     }
-    std::remove(path.c_str());
   }
+  EXPECT_EQ(compared, expected_runs);
 }
 
 TEST(ParallelBk, DeterministicMergeEmitsIdenticalSequences) {
   const graph::Graph g = test::random_graph(60, 0.3, 11);
-  // The reference sequence: sequential degeneracy BK.
-  std::vector<graph::VertexId> sequential;
-  degeneracy_bk(g, [&](std::span<const graph::VertexId> clique) {
-    sequential.push_back(static_cast<graph::VertexId>(clique.size()));
-    sequential.insert(sequential.end(), clique.begin(), clique.end());
-  });
+  // The reference sequence: the driver at one worker (degeneracy_bk).
+  std::vector<graph::VertexId> one_worker;
+  degeneracy_bk(g, flat_sink(one_worker));
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     ParallelBkOptions options;
     options.threads = threads;
     options.deterministic = true;
-    EXPECT_EQ(emission_sequence(g, options), sequential)
+    EXPECT_EQ(emission_sequence(g, options), one_worker)
         << "threads " << threads;
   }
 }
@@ -171,15 +202,6 @@ TEST(ParallelBk, CompletionOrderModeStillYieldsTheSameSet) {
   }
 }
 
-TEST(ParallelBk, StaticPlanAblationMatchesToo) {
-  const graph::Graph g = test::random_graph(50, 0.3, 17);
-  const auto expect = run_degeneracy_bk(g);
-  ParallelBkOptions options;
-  options.threads = 4;
-  options.dynamic_claiming = false;
-  EXPECT_EQ(run_parallel_bk(g, options), expect);
-}
-
 TEST(ParallelBk, StatsAreCoherent) {
   const graph::Graph g = test::random_graph(60, 0.4, 19);
   CliqueCounter counter;
@@ -191,6 +213,31 @@ TEST(ParallelBk, StatsAreCoherent) {
   EXPECT_EQ(stats.degeneracy, graph::degeneracy_order(g).degeneracy);
   EXPECT_GT(stats.base.tree_nodes, 0u);
   EXPECT_EQ(stats.thread_busy_seconds.size(), 4u);
+}
+
+// Roots run as contiguous range jobs, a fixed number per worker (64, the
+// enumerator's seed grain), not one job per root: on 2,500 vertices at 2
+// threads the scheduler runs at most 2 x 64 jobs.
+TEST(ParallelBk, SchedulesRangeJobsNotOneJobPerRoot) {
+  const graph::Graph g = test::random_graph(2500, 0.002, 29);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const auto jobs_total = [&registry] {
+    for (const auto& metric : registry.scrape().metrics) {
+      if (metric.name == "gsb_sched_jobs_total") return metric.value;
+    }
+    return std::uint64_t{0};
+  };
+  registry.set_enabled(true);
+  const std::uint64_t before = jobs_total();
+  CliqueCounter counter;
+  ParallelBkOptions options;
+  options.threads = 2;
+  const auto stats = parallel_bk(g, counter.callback(), options);
+  const std::uint64_t jobs = jobs_total() - before;
+  registry.set_enabled(false);
+  EXPECT_EQ(stats.base.maximal_cliques, reference_maximal_cliques(g).size());
+  EXPECT_GT(jobs, 0u);
+  EXPECT_LE(jobs, 2u * 64u);
 }
 
 TEST(ParallelBk, ReorderWindowStaysBoundedAndBalanced) {
