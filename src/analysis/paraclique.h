@@ -58,8 +58,11 @@ Paraclique extract_paraclique_from_stream(const graph::GraphView& g,
                                           storage::GsbcReader& stream,
                                           const ParacliqueOptions& options = {});
 
-/// Iteratively extracts disjoint paracliques (each round removes the
-/// found members) until none of at least \p min_size remains.
+/// Iteratively extracts paracliques: each round gloms a maximum clique of
+/// the residue (g minus the edges of earlier paracliques) and removes the
+/// paraclique's edges, until the maximum clique has fewer than \p min_size
+/// vertices.  A seed needs an edge, so a \p min_size below 2 acts as 2.
+/// Each round searches only the vertices of g that have an edge.
 std::vector<Paraclique> extract_all_paracliques(
     const graph::GraphView& g, std::size_t min_size,
     const ParacliqueOptions& options = {});

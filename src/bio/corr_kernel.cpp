@@ -312,7 +312,9 @@ void correlation_cross(const AlignedRows& a, std::size_t a_count,
     };
     spec.complete = [&, t] {
       for (const Hit& h : completed[t]) sink(h.u, h.v, h.corr);
-      completed[t] = {};
+      // Not `= {}`: that assigns an empty initializer list and keeps the
+      // capacity, so every drained tile's hits would stay resident.
+      completed[t] = std::vector<Hit>();
     };
     jobs.add(std::move(spec));
   }

@@ -11,21 +11,17 @@ namespace {
 
 using bits::DynamicBitset;
 
-}  // namespace
+std::span<const std::size_t> degrees_of(const graph::GraphView& g) {
+  return {g.degrees_data(), g.order()};
+}
 
-Clique greedy_clique_lower_bound(const graph::GraphView& g, std::size_t seeds) {
+/// Grows a clique from each seed in turn; keeps the first strictly largest.
+Clique grow_greedy_cliques(const graph::GraphView& g,
+                           std::span<const VertexId> seeds) {
   const std::size_t n = g.order();
-  if (n == 0) return {};
-  std::vector<VertexId> by_degree(n);
-  std::iota(by_degree.begin(), by_degree.end(), VertexId{0});
-  std::sort(by_degree.begin(), by_degree.end(),
-            [&](VertexId a, VertexId b) { return g.degree(a) > g.degree(b); });
-
   Clique best;
   DynamicBitset cand(n);
-  seeds = std::min(seeds, n);
-  for (std::size_t s = 0; s < seeds; ++s) {
-    const VertexId seed = by_degree[s];
+  for (const VertexId seed : seeds) {
     Clique clique{seed};
     cand.assign_and(g.neighbors(seed), g.neighbors(seed));
     while (true) {
@@ -50,16 +46,26 @@ Clique greedy_clique_lower_bound(const graph::GraphView& g, std::size_t seeds) {
   return best;
 }
 
+}  // namespace
+
+std::vector<VertexId> highest_degree_vertices(
+    std::span<const std::size_t> degrees, std::size_t count) {
+  std::vector<VertexId> by_degree(degrees.size());
+  std::iota(by_degree.begin(), by_degree.end(), VertexId{0});
+  std::sort(by_degree.begin(), by_degree.end(),
+            [&](VertexId a, VertexId b) { return degrees[a] > degrees[b]; });
+  by_degree.resize(std::min(count, by_degree.size()));
+  return by_degree;
+}
+
+Clique greedy_clique_lower_bound(const graph::GraphView& g, std::size_t seeds) {
+  return grow_greedy_cliques(g, highest_degree_vertices(degrees_of(g), seeds));
+}
+
 std::size_t greedy_coloring_upper_bound(const graph::GraphView& g) {
   const std::size_t n = g.order();
-  if (n == 0) return 0;
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), VertexId{0});
-  std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return g.degree(a) > g.degree(b);
-  });
   std::vector<DynamicBitset> classes;  // members per color
-  for (VertexId v : order) {
+  for (VertexId v : highest_degree_vertices(degrees_of(g), n)) {
     bool placed = false;
     for (auto& cls : classes) {
       if (!DynamicBitset::intersects(cls, g.neighbors(v))) {
@@ -85,17 +91,19 @@ class MaxCliqueSearch {
   explicit MaxCliqueSearch(const graph::GraphView& g)
       : g_(g), n_(g.order()) {}
 
-  MaxCliqueResult run() {
+  MaxCliqueResult run(std::span<const VertexId> seeds) {
     util::Timer timer;
     MaxCliqueResult result;
-    best_ = greedy_clique_lower_bound(g_);
+    best_ = grow_greedy_cliques(g_, seeds);
     if (n_ > 0) {
       DynamicBitset cand(n_);
       cand.set_all();
-      current_.reserve(n_);
       // Pre-size the frame pool: the vector must never reallocate while
-      // frame references are live across recursive calls.
-      frames_.resize(n_ + 1);
+      // frame references are live across recursive calls.  A node at depth
+      // d extends a d-clique, so d < omega <= max degree + 1.
+      const std::size_t depths = g_.max_degree() + 1;
+      current_.reserve(depths);
+      frames_.resize(depths);
       expand(cand, 0);
     }
     result.clique = best_;
@@ -183,8 +191,17 @@ class MaxCliqueSearch {
 }  // namespace
 
 MaxCliqueResult maximum_clique(const graph::GraphView& g) {
+  util::Timer timer;
+  auto result = maximum_clique(
+      g, highest_degree_vertices(degrees_of(g), kMaxCliqueSeeds));
+  result.seconds = timer.seconds();
+  return result;
+}
+
+MaxCliqueResult maximum_clique(const graph::GraphView& g,
+                               std::span<const VertexId> seeds) {
   MaxCliqueSearch search(g);
-  return search.run();
+  return search.run(seeds);
 }
 
 }  // namespace gsb::core

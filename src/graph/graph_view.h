@@ -66,6 +66,11 @@ class GraphView {
     return degrees_[v];
   }
 
+  /// Flat degree array (n entries), as Graph::degrees_data.
+  [[nodiscard]] const std::size_t* degrees_data() const noexcept {
+    return degrees_;
+  }
+
   [[nodiscard]] std::size_t max_degree() const noexcept;
 
   /// Neighbor indices of \p v in increasing order.
@@ -82,10 +87,6 @@ class GraphView {
   std::vector<const Word*> rows_;   ///< row word pointers, one per vertex
   const std::size_t* degrees_ = nullptr;
 };
-
-/// Deep-copies a view into an owning in-memory Graph (used where an
-/// algorithm must mutate, e.g. the paraclique residue).
-Graph materialize(const GraphView& g);
 
 }  // namespace gsb::graph
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "analysis/clique_stats.h"
@@ -33,6 +34,12 @@ Graph clique_with_satellite() {
   g.add_edge(6, 0);
   g.add_edge(6, 1);
   return g;
+}
+
+void expect_same(const Paraclique& actual, const Paraclique& expected) {
+  EXPECT_EQ(actual.members, expected.members);
+  EXPECT_EQ(actual.seed_size, expected.seed_size);
+  EXPECT_DOUBLE_EQ(actual.density, expected.density);
 }
 
 TEST(Paraclique, GlomOneAbsorbsNearMember) {
@@ -115,6 +122,31 @@ TEST(Paraclique, ExtractAllFindsPlantedModules) {
   EXPECT_GE(paras.front().members.size(), 12u);
 }
 
+TEST(Paraclique, MinSizeBelowTwoActsAsTwo) {
+  // Once no edge is left the maximum clique is one vertex, whose paraclique
+  // removes nothing: min sizes 0 and 1 stop there, as 2 does.
+  // clique_with_satellite plus the isolated vertices 7, 8 and 9.
+  const Graph with_isolated =
+      Graph::from_edges(10, clique_with_satellite().edge_list());
+  const Graph edgeless(6);
+  for (const Graph* g : {&with_isolated, &edgeless}) {
+    const auto expected = extract_all_paracliques(*g, 2);
+    for (const std::size_t min_size : {0, 1}) {
+      const auto actual = extract_all_paracliques(*g, min_size);
+      ASSERT_EQ(actual.size(), expected.size());
+      for (std::size_t i = 0; i < actual.size(); ++i) {
+        expect_same(actual[i], expected[i]);
+      }
+    }
+  }
+  // {0..5} first, then the two edges 6 keeps: 6 and 0 glom 1.
+  const auto paras = extract_all_paracliques(with_isolated, 0);
+  ASSERT_EQ(paras.size(), 2u);
+  EXPECT_EQ(paras[0].members, (Clique{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(paras[1].members, (Clique{0, 1, 6}));
+  EXPECT_TRUE(extract_all_paracliques(edgeless, 1).empty());
+}
+
 // -- oracle: the library against the full-scan references --------------------
 
 /// Glom seeds: the maximum clique, and two small greedy cliques (a random
@@ -132,12 +164,6 @@ std::vector<Clique> oracle_seeds(const Graph& g, util::Rng& rng) {
     seeds.push_back(std::move(clique));
   }
   return seeds;
-}
-
-void expect_same(const Paraclique& actual, const Paraclique& expected) {
-  EXPECT_EQ(actual.members, expected.members);
-  EXPECT_EQ(actual.seed_size, expected.seed_size);
-  EXPECT_DOUBLE_EQ(actual.density, expected.density);
 }
 
 TEST(ParacliqueOracle, GrowMatchesFullScanReference) {
@@ -171,20 +197,30 @@ TEST(ParacliqueOracle, ExtractAllMatchesReferenceLoop) {
     for (std::size_t glom = 0; glom <= 3; ++glom) {
       for (std::size_t rounds = 0; rounds <= 2; ++rounds) {
         const ParacliqueOptions options{glom, rounds};
-        const auto expected =
-            test::reference_extract_all_paracliques(g, 3, options);
-        for (const graph::GraphView& view : backends.views()) {
-          const auto actual = extract_all_paracliques(view, 3, options);
-          ASSERT_EQ(actual.size(), expected.size());
-          for (std::size_t i = 0; i < actual.size(); ++i) {
-            expect_same(actual[i], expected[i]);
+        const auto reference =
+            test::reference_extract_all_paracliques(g, 2, options);
+        for (const std::size_t min_size : {2, 3, 5}) {
+          SCOPED_TRACE("min size " + std::to_string(min_size));
+          // The min size only decides where the loop stops: the reference
+          // run at min_size is the min-2 run up to its first smaller seed.
+          std::vector<Paraclique> expected;
+          for (const Paraclique& para : reference) {
+            if (para.seed_size < min_size) break;
+            expected.push_back(para);
           }
-          ++comparisons;
+          for (const graph::GraphView& view : backends.views()) {
+            const auto actual = extract_all_paracliques(view, min_size, options);
+            ASSERT_EQ(actual.size(), expected.size());
+            for (std::size_t i = 0; i < actual.size(); ++i) {
+              expect_same(actual[i], expected[i]);
+            }
+            ++comparisons;
+          }
         }
       }
     }
   }
-  EXPECT_GT(comparisons, 1000u);
+  EXPECT_GT(comparisons, 5000u);
 }
 
 TEST(CliqueStats, SpectrumAggregates) {

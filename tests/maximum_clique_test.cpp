@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/maximum_clique.h"
 #include "core/verify.h"
@@ -120,6 +122,48 @@ TEST(MaxCliqueOracle, MatchesIntersectsColorSortReference) {
           test::random_graph(n, p, seed));
   }
   EXPECT_GT(comparisons, 200u);
+}
+
+// Given the kMaxCliqueSeeds highest-degree vertices of the n-vertex
+// degree sort, the seeded search is maximum_clique(g): on g itself, and on
+// g without its isolated vertices (ascending ids, mapped back).  An
+// isolated vertex only fills colour class 1 at the top of the search and
+// never branches, so both searches take the same branches and count the
+// same nodes.  An edgeless g keeps no vertex, so it is checked on g alone.
+TEST(MaxCliqueOracle, SeededSearchMatchesWithoutIsolatedVertices) {
+  std::size_t comparisons = 0;
+  for (const auto& [name, g] : test::oracle_graphs()) {
+    SCOPED_TRACE(name);
+    std::vector<std::size_t> degrees(g.order());
+    std::vector<VertexId> live;
+    for (VertexId v = 0; v < g.order(); ++v) {
+      degrees[v] = g.degree(v);
+      if (degrees[v] > 0) live.push_back(v);
+    }
+    const auto seeds = highest_degree_vertices(degrees, kMaxCliqueSeeds);
+    const test::InMemoryAndMapped backends(g);
+    for (const graph::GraphView& view : backends.views()) {
+      const auto expected = maximum_clique(view);
+      const auto seeded = maximum_clique(view, seeds);
+      EXPECT_EQ(seeded.clique, expected.clique);
+      EXPECT_EQ(seeded.tree_nodes, expected.tree_nodes);
+      ++comparisons;
+      if (live.empty()) continue;
+      const auto compact = graph::induced_subgraph(view, live);
+      std::vector<VertexId> compact_seeds;
+      for (const VertexId v : seeds) {
+        if (degrees[v] == 0) break;
+        compact_seeds.push_back(static_cast<VertexId>(
+            std::lower_bound(live.begin(), live.end(), v) - live.begin()));
+      }
+      auto result = maximum_clique(compact.graph, compact_seeds);
+      for (VertexId& v : result.clique) v = compact.mapping[v];
+      EXPECT_EQ(result.clique, expected.clique);
+      EXPECT_EQ(result.tree_nodes, expected.tree_nodes);
+      ++comparisons;
+    }
+  }
+  EXPECT_GT(comparisons, 400u);
 }
 
 }  // namespace

@@ -221,7 +221,7 @@ inline std::vector<analysis::Paraclique> reference_extract_all_paracliques(
     const graph::GraphView& g, std::size_t min_size,
     const analysis::ParacliqueOptions& options) {
   std::vector<analysis::Paraclique> out;
-  graph::Graph residue = graph::materialize(g);
+  graph::Graph residue = graph::Graph::from_edges(g.order(), g.edge_list());
   while (true) {
     const auto seed = reference_maximum_clique(residue);
     if (seed.clique.size() < std::max<std::size_t>(min_size, 1)) break;
