@@ -6,8 +6,10 @@
 //
 //   * scalar all-pairs sweep (profile_dot row loops — the pre-kernel
 //     baseline, kept as the reference);
-//   * blocked all-pairs sweep at 1/2/4/8 threads (the shared
-//     register-tiled kernel both builders call);
+//   * screened all-pairs sweep at 1/2/4/8 threads and |rho| >= 0, 0.3
+//     and 0.85 (the shared kernel both builders call: a float screen with
+//     profile_dot rechecks where few pairs pass, the exact double block
+//     product where most do);
 //   * the full in-memory graph build (standardize + sweep + bitmap graph);
 //   * the tiled out-of-core .gsbg build at 1/2/4/8 threads (kernel plus
 //     scratch/spill I/O).
@@ -100,11 +102,13 @@ BENCHMARK(BM_AllPairsScalar)
     ->Args({512, 64})
     ->Args({2048, 64});
 
-/// The shared blocked kernel, threads in arg 2 (1 = no pool).
+/// The shared kernel's sweep, threads in arg 2 (1 = no pool), the |rho|
+/// threshold in hundredths in arg 3.
 void BM_AllPairsBlocked(benchmark::State& state) {
   const auto genes = static_cast<std::size_t>(state.range(0));
   const auto samples = static_cast<std::size_t>(state.range(1));
   const auto threads = static_cast<std::size_t>(state.range(2));
+  const double threshold = static_cast<double>(state.range(3)) / 100.0;
   const Fixture& f = fixture(genes, samples);
   std::optional<gsb::par::ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
@@ -114,7 +118,7 @@ void BM_AllPairsBlocked(benchmark::State& state) {
   for (auto _ : state) {
     edges = 0;
     gsb::bio::correlation_self(
-        f.rows.rows, genes, f.rows.valid.data(), kThreshold, options,
+        f.rows.rows, genes, f.rows.valid.data(), threshold, options,
         [&](std::uint32_t, std::uint32_t, double) { ++edges; });
     benchmark::DoNotOptimize(edges);
   }
@@ -122,14 +126,20 @@ void BM_AllPairsBlocked(benchmark::State& state) {
       static_cast<double>(state.iterations()) * pairs_of(genes)));
   state.counters["edges"] = static_cast<double>(edges);
 }
+/// |rho| >= 0 (every pair passes: exact blocks), 0.3 (a few percent pass)
+/// and 0.85 (the screen's regime).
+void AllPairsBlockedArgs(benchmark::internal::Benchmark* bench) {
+  for (const std::int64_t hundredths : {0, 30, 85}) {
+    bench->Args({512, 64, 1, hundredths});
+    for (const std::int64_t threads : {1, 2, 4, 8}) {
+      bench->Args({2048, 64, threads, hundredths});
+    }
+  }
+}
 BENCHMARK(BM_AllPairsBlocked)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
-    ->Args({512, 64, 1})
-    ->Args({2048, 64, 1})
-    ->Args({2048, 64, 2})
-    ->Args({2048, 64, 4})
-    ->Args({2048, 64, 8});
+    ->Apply(AllPairsBlockedArgs);
 
 /// Full in-memory build: standardization + blocked sweep + bitmap graph.
 void BM_InMemoryGraphBuild(benchmark::State& state) {

@@ -1,9 +1,14 @@
 #include "bio/corr_kernel.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "parallel/job_graph.h"
@@ -168,6 +173,314 @@ void compute_block_scalar(const double* a_rows, std::size_t a_count,
 
 #endif  // GSB_CORR_VECTOR_KERNEL
 
+// --- The single-precision screen ------------------------------------------
+
+/// Screen columns per register tile: one cache line of floats.
+constexpr std::size_t kScreenJ = 16;
+
+/// A block whose screen passes more than 1/kExactShare of its pairs is
+/// computed with correlation_block instead: rechecking most pairs one
+/// profile_dot (one serial add chain) at a time made dense thresholds
+/// several times slower than the exact block product.
+constexpr std::size_t kExactShare = 16;
+
+/// Screens one block pair of panels (see ScreenPanels); \p upper keeps it
+/// to pairs with j > i (a diagonal block).  Appends every pair (i, j)
+/// whose screen value is not strictly inside (−cut, cut), as (i << 32) |
+/// j, grouped by register tile.  Returns false, leaving the list
+/// incomplete, once it holds more than \p limit pairs.
+using ScreenFn = bool (*)(const float* a_panel, std::size_t a_count,
+                          const float* b_panel, std::size_t b_count,
+                          bool upper, std::size_t samples, float cut,
+                          std::size_t limit,
+                          std::vector<std::uint64_t>& candidates);
+
+/// Upper bound on the Euclidean norm of a row of \p samples doubles whose
+/// squares summed, in any order, to \p ss: covers the sum's rounding
+/// (γ_d(n) <= 2^-33 for n <= 2^20), each square's underflow and the sqrt.
+double norm_bound(double ss, std::size_t samples) noexcept {
+  return std::sqrt(ss + static_cast<double>(samples) *
+                            std::numeric_limits<double>::denorm_min()) *
+         (1.0 + 0x1p-30);
+}
+
+/// Float copy of rows [0, count) for the screen, one panel per sweep block
+/// of rows.  A panel is a run of kScreenJ-row tiles, each sample-major and
+/// contiguous (element (k, c) of tile t at (t * samples + k) * kScreenJ +
+/// c, pad rows zero), so one copy serves a block as the A side
+/// (broadcasts) and as the B side (vector loads), and a register tile
+/// streams through memory in order.  A panel is converted, and its largest
+/// norm bound over valid rows taken, by the first task that asks for it,
+/// so the sweep's workers share the conversion.
+class ScreenPanels {
+ public:
+  ScreenPanels(const AlignedRows& rows, std::size_t count,
+               const unsigned char* valid, std::size_t block)
+      : rows_(rows),
+        count_(count),
+        valid_(valid),
+        block_(block),
+        panel_floats_((std::min(block, count) + kScreenJ - 1) / kScreenJ *
+                      kScreenJ * rows.samples()),
+        panels_((count + block - 1) / block),
+        max_norm_(panels_.size(), 0.0),
+        converted_(std::make_unique<std::once_flag[]>(panels_.size())) {
+    if (panel_floats_ == 0) return;
+    for (auto& panel : panels_) {
+      // A tile is a whole number of cache lines, so the size is a
+      // multiple of the alignment.
+      panel.reset(static_cast<float*>(std::aligned_alloc(
+          AlignedRows::kAlignment, panel_floats_ * sizeof(float))));
+      if (panel == nullptr) throw std::bad_alloc();
+    }
+  }
+
+  /// Panel \p p and its rows' largest norm bound.  Thread-safe.
+  [[nodiscard]] std::pair<const float*, double> panel(std::size_t p) const {
+    std::call_once(converted_[p], [this, p] { convert(p); });
+    return {panels_[p].get(), max_norm_[p]};
+  }
+
+ private:
+  struct FreeDeleter {
+    void operator()(float* p) const noexcept { std::free(p); }
+  };
+
+  void convert(std::size_t p) const {
+    const std::size_t samples = rows_.samples();
+    const std::size_t first = p * block_;
+    const std::size_t live = std::min(block_, count_ - first);
+    float* tile = panels_[p].get();
+    // Tiles past the block's live rows are never read.
+    for (std::size_t t0 = 0; t0 < live;
+         t0 += kScreenJ, tile += kScreenJ * samples) {
+      const std::size_t rows_here = std::min(kScreenJ, live - t0);
+      const double* src[kScreenJ];
+      for (std::size_t c = 0; c < rows_here; ++c) {
+        src[c] = rows_.row(first + t0 + c);
+      }
+      double ss[kScreenJ] = {};
+      for (std::size_t k = 0; k < samples; ++k) {
+        float* out = tile + k * kScreenJ;
+        for (std::size_t c = 0; c < rows_here; ++c) {
+          const double x = src[c][k];
+          out[c] = static_cast<float>(x);
+          ss[c] += x * x;
+        }
+        std::fill(out + rows_here, out + kScreenJ, 0.0f);
+      }
+      for (std::size_t c = 0; c < rows_here; ++c) {
+        if (valid_ != nullptr && valid_[first + t0 + c] == 0) continue;
+        max_norm_[p] = std::max(max_norm_[p], norm_bound(ss[c], samples));
+      }
+    }
+  }
+
+  const AlignedRows& rows_;
+  std::size_t count_;
+  const unsigned char* valid_;
+  std::size_t block_;
+  std::size_t panel_floats_;
+  std::vector<std::unique_ptr<float[], FreeDeleter>> panels_;
+  mutable std::vector<double> max_norm_;
+  std::unique_ptr<std::once_flag[]> converted_;
+};
+
+/// The largest float <= threshold − margin, or 0 (rule nothing out) when
+/// that is not positive.  The (1 − 2^-50) factor absorbs the rounding of
+/// the subtraction.
+float screen_cut(double threshold, double margin) noexcept {
+  const double cut = (threshold - margin) * (1.0 - 0x1p-50);
+  if (!(cut > 0.0)) return 0.0f;
+  if (cut >= static_cast<double>(FLT_MAX)) return FLT_MAX;
+  float f = static_cast<float>(cut);
+  if (static_cast<double>(f) > cut) f = std::nextafter(f, 0.0f);
+  return f;
+}
+
+#if defined(GSB_CORR_VECTOR_KERNEL)
+
+using V4sf = float __attribute__((vector_size(16)));
+using V8sf = float __attribute__((vector_size(32)));
+
+/// One register tile of the screen: kRows A rows (from \p a, rows of the
+/// A tile starting at i0) × kScreenJ columns of the B tile, float
+/// accumulators contracted to FMA where the target has it.  The tile is
+/// dropped in registers when every lane is strictly inside (−cut, cut);
+/// NaN and ±inf lanes compare false, so they survive.  Otherwise its
+/// live pairs (j > i when \p upper) that are not inside are listed.
+template <std::size_t kRows, typename Vec>
+__attribute__((always_inline)) inline void screen_tile(
+    const float* a, const float* b_tile, std::size_t samples, float cut,
+    std::size_t i0, std::size_t rows, std::size_t j0, std::size_t cols,
+    bool upper, std::vector<std::uint64_t>& candidates) {
+  constexpr std::size_t kLanes = sizeof(Vec) / sizeof(float);
+  constexpr std::size_t kVecs = kScreenJ / kLanes;
+  using Mask = decltype(Vec{} < Vec{});
+  Vec acc[kRows][kVecs] = {};
+  for (std::size_t k = 0; k < samples; ++k) {
+    const float* b = b_tile + k * kScreenJ;
+    Vec bv[kVecs];
+    for (std::size_t w = 0; w < kVecs; ++w) {
+      std::memcpy(&bv[w], b + w * kLanes, sizeof(Vec));
+    }
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const float av = a[k * kScreenJ + r];
+      for (std::size_t w = 0; w < kVecs; ++w) acc[r][w] += bv[w] * av;
+    }
+  }
+  const Vec hi = Vec{} + cut;
+  const Vec lo = Vec{} - cut;
+  Mask inside = (acc[0][0] < hi) & (acc[0][0] > lo);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t w = 0; w < kVecs; ++w) {
+      inside &= (acc[r][w] < hi) & (acc[r][w] > lo);
+    }
+  }
+  std::uint64_t words[sizeof(Mask) / sizeof(std::uint64_t)];
+  std::memcpy(words, &inside, sizeof(Mask));
+  std::uint64_t all = ~std::uint64_t{0};
+  for (const std::uint64_t word : words) all &= word;
+  if (all == ~std::uint64_t{0}) return;
+
+  // Spill through copies: taking acc's address would keep it in memory
+  // for every tile.
+  float tile[kRows][kScreenJ];
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t w = 0; w < kVecs; ++w) {
+      const Vec lanes = acc[r][w];
+      std::memcpy(tile[r] + w * kLanes, &lanes, sizeof(Vec));
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = upper && i0 + r >= j0 ? i0 + r + 1 - j0 : 0;
+         c < cols; ++c) {
+      const float v = tile[r][c];
+      if (!(v < cut && v > -cut)) {
+        candidates.push_back(static_cast<std::uint64_t>(i0 + r) << 32 |
+                             (j0 + c));
+      }
+    }
+  }
+}
+
+/// The screen over one block pair: for each pair of kScreenJ-row A and B
+/// tiles (both stay in L1), register tiles of kRows rows, then kTail rows
+/// for what is left of the A tile.
+template <std::size_t kRows, std::size_t kTail, typename Vec>
+__attribute__((always_inline)) inline bool screen_panels(
+    const float* a_panel, std::size_t a_count, const float* b_panel,
+    std::size_t b_count, bool upper, std::size_t samples, float cut,
+    std::size_t limit, std::vector<std::uint64_t>& candidates) {
+  static_assert((kScreenJ % kRows) % kTail == 0 && kTail <= kRows);
+  const std::size_t tile_floats = kScreenJ * samples;
+  for (std::size_t ti = 0; ti < a_count; ti += kScreenJ) {
+    const float* a_tile = a_panel + ti / kScreenJ * tile_floats;
+    const std::size_t a_end = std::min(a_count, ti + kScreenJ);
+    // B tiles left of this A tile lie below the diagonal.
+    for (std::size_t j0 = upper ? ti : 0; j0 < b_count; j0 += kScreenJ) {
+      const float* b_tile = b_panel + j0 / kScreenJ * tile_floats;
+      const std::size_t cols = std::min(kScreenJ, b_count - j0);
+      std::size_t i0 = ti;
+      for (; i0 + kRows <= ti + kScreenJ && i0 < a_end; i0 += kRows) {
+        screen_tile<kRows, Vec>(a_tile + (i0 - ti), b_tile, samples, cut, i0,
+                                std::min(kRows, a_end - i0), j0, cols, upper,
+                                candidates);
+      }
+      for (; i0 < a_end; i0 += kTail) {
+        screen_tile<kTail, Vec>(a_tile + (i0 - ti), b_tile, samples, cut, i0,
+                                std::min(kTail, a_end - i0), j0, cols, upper,
+                                candidates);
+      }
+      if (candidates.size() > limit) return false;
+    }
+  }
+  return true;
+}
+
+bool screen_v128(const float* a_panel, std::size_t a_count,
+                 const float* b_panel, std::size_t b_count, bool upper,
+                 std::size_t samples, float cut, std::size_t limit,
+                 std::vector<std::uint64_t>& candidates) {
+  return screen_panels<2, 2, V4sf>(a_panel, a_count, b_panel, b_count, upper,
+                                   samples, cut, limit, candidates);
+}
+
+#if defined(GSB_CORR_AVX_KERNEL)
+__attribute__((target("avx2,fma"))) bool screen_avx2(
+    const float* a_panel, std::size_t a_count, const float* b_panel,
+    std::size_t b_count, bool upper, std::size_t samples, float cut,
+    std::size_t limit, std::vector<std::uint64_t>& candidates) {
+  return screen_panels<6, 4, V8sf>(a_panel, a_count, b_panel, b_count, upper,
+                                   samples, cut, limit, candidates);
+}
+
+bool cpu_has_avx2_fma() noexcept {
+  static const bool have = __builtin_cpu_supports("avx2") != 0 &&
+                           __builtin_cpu_supports("fma") != 0;
+  return have;
+}
+#endif  // GSB_CORR_AVX_KERNEL
+
+#endif  // GSB_CORR_VECTOR_KERNEL
+
+/// \p kernel's screen, or nullptr when this build or CPU cannot run it.
+ScreenFn screen_fn(detail::ScreenKernel kernel) noexcept {
+  switch (kernel) {
+    case detail::ScreenKernel::kVector128:
+#if defined(GSB_CORR_VECTOR_KERNEL)
+      return screen_v128;
+#else
+      return nullptr;
+#endif
+    case detail::ScreenKernel::kAvx2Fma:
+#if defined(GSB_CORR_AVX_KERNEL)
+      return cpu_has_avx2_fma() ? screen_avx2 : nullptr;
+#else
+      return nullptr;
+#endif
+  }
+  return nullptr;
+}
+
+/// The widest screen this build and CPU run; nullptr (every block exact)
+/// without GNU vector extensions.
+ScreenFn best_screen() noexcept {
+  static const ScreenFn best = [] {
+    const ScreenFn avx2 = screen_fn(detail::ScreenKernel::kAvx2Fma);
+    return avx2 != nullptr ? avx2
+                           : screen_fn(detail::ScreenKernel::kVector128);
+  }();
+  return best;
+}
+
+struct SweepCounters {
+  obs::Counter sweeps;
+  obs::Counter blocks;
+  obs::Counter exact_blocks;
+  obs::Counter rechecked_pairs;
+};
+
+const SweepCounters& sweep_counters() {
+  static const SweepCounters counters = [] {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+    return SweepCounters{
+        registry.counter("gsb_correlation_sweeps_total",
+                         "Blocked correlation sweeps run."),
+        registry.counter("gsb_correlation_blocks_total",
+                         "Correlation tile blocks computed across sweeps."),
+        registry.counter("gsb_correlation_exact_blocks_total",
+                         "Correlation blocks computed exactly with the "
+                         "double block product (screen too dense or no "
+                         "room below the threshold)."),
+        registry.counter("gsb_correlation_rechecked_pairs_total",
+                         "Pairs the single-precision screen passed that "
+                         "were recomputed with profile_dot."),
+    };
+  }();
+  return counters;
+}
+
 }  // namespace
 
 void correlation_block(const double* a_rows, std::size_t a_count,
@@ -211,13 +524,16 @@ void correlation_block(const double* a_rows, std::size_t a_count,
 #endif
 }
 
-void correlation_cross(const AlignedRows& a, std::size_t a_count,
-                       const unsigned char* a_valid, std::uint32_t a_first,
-                       const AlignedRows& b, std::size_t b_count,
-                       const unsigned char* b_valid, std::uint32_t b_first,
-                       bool diagonal, double threshold,
-                       const CorrSweepOptions& options,
-                       const CorrEdgeSink& sink) {
+namespace {
+
+/// correlation_cross with the screen \p screen (nullptr: every block
+/// exact).
+void sweep(ScreenFn screen, const AlignedRows& a, std::size_t a_count,
+           const unsigned char* a_valid, std::uint32_t a_first,
+           const AlignedRows& b, std::size_t b_count,
+           const unsigned char* b_valid, std::uint32_t b_first, bool diagonal,
+           double threshold, const CorrSweepOptions& options,
+           const CorrEdgeSink& sink) {
   if (a_count == 0 || b_count == 0) return;
   if (a.samples() != b.samples()) {
     throw std::invalid_argument("correlation_cross: sample count mismatch");
@@ -236,54 +552,103 @@ void correlation_cross(const AlignedRows& a, std::size_t a_count,
       tasks.push_back(Task{i0, j0});
     }
   }
-  {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-    static const obs::Counter sweeps = registry.counter(
-        "gsb_correlation_sweeps_total", "Blocked correlation sweeps run.");
-    static const obs::Counter blocks = registry.counter(
-        "gsb_correlation_blocks_total",
-        "Correlation tile blocks computed across sweeps.");
-    sweeps.inc();
-    blocks.inc(tasks.size());
+  const SweepCounters& counters = sweep_counters();
+  counters.sweeps.inc();
+  counters.blocks.inc(tasks.size());
+
+  // A threshold that leaves no room below it for even the smallest margin
+  // screens nothing out: every block is computed exactly.
+  if (screen != nullptr &&
+      screen_cut(threshold, detail::screen_margin(samples, 0.0, 0.0)) == 0) {
+    screen = nullptr;
   }
+  // Float copies, made once per call; a self sweep shares one.
+  std::optional<ScreenPanels> a_panels;
+  std::optional<ScreenPanels> b_panels;
+  if (screen != nullptr) {
+    const bool shared = &a == &b && a_valid == b_valid;
+    a_panels.emplace(a, shared ? std::max(a_count, b_count) : a_count,
+                     a_valid, block);
+    if (!shared) b_panels.emplace(b, b_count, b_valid, block);
+  }
+  const ScreenPanels* a_screen = a_panels ? &*a_panels : nullptr;
+  const ScreenPanels* b_screen = b_panels ? &*b_panels : a_screen;
 
   struct Hit {
     std::uint32_t u;
     std::uint32_t v;
     double corr;
   };
-  auto scan_task = [&](const Task& task, std::vector<double>& dense,
-                       std::vector<double>& pack, std::vector<Hit>& hits) {
+  struct Scratch {
+    std::vector<double> dense;
+    std::vector<double> pack;
+    std::vector<std::uint64_t> candidates;
+  };
+  auto emit = [&](const Task& task, std::size_t i, std::size_t j, double corr,
+                  std::vector<Hit>& hits) {
+    if (std::fabs(corr) >= threshold) {
+      hits.push_back(Hit{a_first + static_cast<std::uint32_t>(task.i0 + i),
+                         b_first + static_cast<std::uint32_t>(task.j0 + j),
+                         corr});
+    }
+  };
+  auto scan_task = [&](const Task& task, Scratch& s, std::vector<Hit>& hits) {
     const std::size_t ci = std::min(block, a_count - task.i0);
     const std::size_t cj = std::min(block, b_count - task.j0);
-    dense.resize(ci * cj);
-    correlation_block(a.row(task.i0), ci, b.row(task.j0), cj, samples,
-                      a.stride(), b.stride(), dense.data(), cj, pack);
-    for (std::size_t i = 0; i < ci; ++i) {
-      if (a_valid != nullptr && a_valid[task.i0 + i] == 0) continue;
-      // On a diagonal block pair only pairs above the diagonal are new.
-      std::size_t j = diagonal && task.j0 == task.i0 ? i + 1 : 0;
-      const double* row = dense.data() + i * cj;
-      for (; j < cj; ++j) {
-        if (b_valid != nullptr && b_valid[task.j0 + j] == 0) continue;
-        const double corr = row[j];
-        if (std::fabs(corr) >= threshold) {
-          hits.push_back(
-              Hit{a_first + static_cast<std::uint32_t>(task.i0 + i),
-                  b_first + static_cast<std::uint32_t>(task.j0 + j), corr});
+    // On a diagonal block pair only pairs above the diagonal are new.
+    const bool diagonal_block = diagonal && task.j0 == task.i0;
+    bool exact = true;
+    if (screen != nullptr) {
+      const auto [a_panel, a_norm] = a_screen->panel(task.i0 / block);
+      const auto [b_panel, b_norm] = b_screen->panel(task.j0 / block);
+      const float cut = screen_cut(
+          threshold, detail::screen_margin(samples, a_norm, b_norm));
+      s.candidates.clear();
+      const std::size_t pairs = diagonal_block ? ci * (ci - 1) / 2 : ci * cj;
+      exact = cut == 0.0f ||
+              !screen(a_panel, ci, b_panel, cj, diagonal_block, samples, cut,
+                      pairs / kExactShare, s.candidates);
+    }
+    if (exact) {
+      counters.exact_blocks.inc();
+      s.dense.resize(ci * cj);
+      correlation_block(a.row(task.i0), ci, b.row(task.j0), cj, samples,
+                        a.stride(), b.stride(), s.dense.data(), cj, s.pack);
+      for (std::size_t i = 0; i < ci; ++i) {
+        if (a_valid != nullptr && a_valid[task.i0 + i] == 0) continue;
+        const double* row = s.dense.data() + i * cj;
+        for (std::size_t j = diagonal_block ? i + 1 : 0; j < cj; ++j) {
+          if (b_valid != nullptr && b_valid[task.j0 + j] == 0) continue;
+          emit(task, i, j, row[j], hits);
         }
       }
+      return;
     }
+    // The screen lists its survivors tile by tile; (i, j) order is the
+    // emission order.  The recheck runs here, outside the FMA-targeted
+    // screen, so profile_dot rounds exactly as everywhere else.
+    std::sort(s.candidates.begin(), s.candidates.end());
+    std::uint64_t rechecked = 0;
+    for (const std::uint64_t key : s.candidates) {
+      const auto i = static_cast<std::size_t>(key >> 32);
+      const auto j = static_cast<std::size_t>(key & 0xffffffffu);
+      if (a_valid != nullptr && a_valid[task.i0 + i] == 0) continue;
+      if (b_valid != nullptr && b_valid[task.j0 + j] == 0) continue;
+      ++rechecked;
+      emit(task, i, j,
+           profile_dot(a.row(task.i0 + i), b.row(task.j0 + j), samples),
+           hits);
+    }
+    counters.rechecked_pairs.inc(rechecked);
   };
 
   par::ThreadPool* pool = options.pool;
   if (pool == nullptr || pool->size() <= 1 || tasks.size() <= 1) {
-    std::vector<double> dense;
-    std::vector<double> pack;
+    Scratch scratch;
     std::vector<Hit> hits;
     for (const Task& task : tasks) {
       hits.clear();
-      scan_task(task, dense, pack, hits);
+      scan_task(task, scratch, hits);
       for (const Hit& h : hits) sink(h.u, h.v, h.corr);
     }
     return;
@@ -295,18 +660,13 @@ void correlation_cross(const AlignedRows& a, std::size_t a_count,
   par::JobGraph::Options graph_options;
   graph_options.ordered = true;
   par::JobGraph jobs(pool, graph_options);
-  struct Scratch {
-    std::vector<double> dense;
-    std::vector<double> pack;
-  };
   std::vector<Scratch> scratch(jobs.workers());
   std::vector<std::vector<Hit>> completed(tasks.size());
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     par::JobGraph::JobSpec spec;
     spec.run = [&, t](std::size_t wid) {
-      Scratch& s = scratch[wid];
       std::vector<Hit> hits;
-      scan_task(tasks[t], s.dense, s.pack, hits);
+      scan_task(tasks[t], scratch[wid], hits);
       jobs.set_bytes(static_cast<par::JobId>(t), hits.size() * sizeof(Hit));
       completed[t] = std::move(hits);
     };
@@ -319,6 +679,19 @@ void correlation_cross(const AlignedRows& a, std::size_t a_count,
     jobs.add(std::move(spec));
   }
   jobs.run();
+}
+
+}  // namespace
+
+void correlation_cross(const AlignedRows& a, std::size_t a_count,
+                       const unsigned char* a_valid, std::uint32_t a_first,
+                       const AlignedRows& b, std::size_t b_count,
+                       const unsigned char* b_valid, std::uint32_t b_first,
+                       bool diagonal, double threshold,
+                       const CorrSweepOptions& options,
+                       const CorrEdgeSink& sink) {
+  sweep(best_screen(), a, a_count, a_valid, a_first, b, b_count, b_valid,
+        b_first, diagonal, threshold, options, sink);
 }
 
 void correlation_self(const AlignedRows& rows, std::size_t count,
@@ -343,5 +716,45 @@ StandardizedRows standardize_rows(const ExpressionMatrix& expression,
   }
   return out;
 }
+
+namespace detail {
+
+double screen_margin(std::size_t samples, double norm_x,
+                     double norm_y) noexcept {
+  if (samples > (std::size_t{1} << 20)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const double n = static_cast<double>(samples);
+  const double u = 0x1p-24;
+  const double g = (n + 1) * u / (1 - (n + 1) * u);
+  const double gd = (n + 1) * 0x1p-53 / (1 - (n + 1) * 0x1p-53);
+  const double c1 = 2 * u + u * u + g * (1 + u) * (1 + u) + gd;
+  const double c2 = 0x1p-150 * (1 + u) * (1 + g) * std::sqrt(n);
+  const double c3 = n * (0x1p-149 + 0x1p-300 + 0x1p-1074) * (1 + g);
+  return (c1 * norm_x * norm_y + c2 * (norm_x + norm_y) + c3) *
+         (1 + 0x1p-40);
+}
+
+bool screen_kernel_available(ScreenKernel kernel) noexcept {
+  return screen_fn(kernel) != nullptr;
+}
+
+void correlation_cross_with(ScreenKernel kernel, const AlignedRows& a,
+                            std::size_t a_count, const unsigned char* a_valid,
+                            std::uint32_t a_first, const AlignedRows& b,
+                            std::size_t b_count, const unsigned char* b_valid,
+                            std::uint32_t b_first, bool diagonal,
+                            double threshold, const CorrSweepOptions& options,
+                            const CorrEdgeSink& sink) {
+  const ScreenFn screen = screen_fn(kernel);
+  if (screen == nullptr) {
+    throw std::invalid_argument(
+        "correlation_cross_with: screen kernel not available");
+  }
+  sweep(screen, a, a_count, a_valid, a_first, b, b_count, b_valid, b_first,
+        diagonal, threshold, options, sink);
+}
+
+}  // namespace detail
 
 }  // namespace gsb::bio

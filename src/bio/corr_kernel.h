@@ -15,23 +15,37 @@
 ///     eight doubles (one cache line).  Padding is zero-filled so kernels
 ///     may read a full stride without changing any dot product.
 ///   * correlation_block — a cache-blocked, register-tiled dense block
-///     product: packs the B rows into a transposed (sample-major) panel so
-///     the inner loop is SIMD-friendly (contiguous loads, one broadcast),
-///     and keeps eight independent accumulator chains per A row so the
-///     floating-point latency chain of the naive scalar loop disappears.
+///     product in double precision: packs the B rows into a transposed
+///     (sample-major) panel so the inner loop is SIMD-friendly (contiguous
+///     loads, one broadcast), and keeps eight independent accumulator
+///     chains per A row.  Every entry is bit-identical to profile_dot().
 ///   * correlation_cross / correlation_self — block-pair sweeps that
-///     dispatch blocks over a par::ThreadPool and emit thresholded edges
-///     through a reorder buffer.
+///     threshold the pairs through a single-precision screen, dispatch
+///     blocks over a par::ThreadPool and emit edges through a reorder
+///     buffer.
 ///
-/// Determinism contract: for every pair (i, j) the kernel accumulates
-/// a[k] * b[k] in ascending k with a single accumulator per pair — exactly
-/// the order of the scalar reference profile_dot().  Vectorization happens
-/// *across* pairs (independent accumulator chains in SIMD lanes), never
-/// within one, so every produced correlation is bit-identical to the
-/// scalar reference.  The sweep drivers additionally emit edges in a fixed
-/// (block pair, i, j) order regardless of thread count or scheduling, so
-/// edge sets — and anything built from them, including .gsbg containers —
-/// are byte-identical across thread counts.
+/// The screen: a sweep copies its rows once per call into float panels
+/// and, per block pair, runs a register-tiled float FMA micro kernel
+/// (AVX2+FMA when the CPU has it, a 128-bit vector body otherwise).  A
+/// register tile whose every |approx| lies below threshold − margin is
+/// dropped in registers; margin (detail::screen_margin) is a proved bound
+/// on |approx − profile_dot|, so no dropped pair can be an edge.  Every
+/// surviving valid pair is recomputed with profile_dot() outside the
+/// FMA-targeted code and emitted iff that double value passes.  A block
+/// whose screen passes more than a fixed share of its pairs (dense
+/// thresholds), or whose margin leaves no room below the threshold, is
+/// computed exactly with correlation_block instead.
+///
+/// Determinism contract: every *emitted* correlation is profile_dot()'s
+/// value — from the recheck, or from correlation_block, which accumulates
+/// a[k] * b[k] in ascending k with one accumulator lane per pair (the
+/// scalar reference order; vectorization runs across pairs, never within
+/// one, and uses no FMA).  So the edge decision |corr| >= threshold is
+/// made on the same double in every path and at every ISA.  Screen values
+/// are not exact and are never emitted.  The sweep drivers emit edges in a
+/// fixed (block pair, i, j) order regardless of thread count or
+/// scheduling, so edge sets — and anything built from them, including
+/// .gsbg containers — are byte-identical across thread counts.
 
 #include <cstddef>
 #include <cstdint>
@@ -145,7 +159,8 @@ using CorrEdgeSink =
 /// only upper-triangle block pairs are visited).  Validity pointers may be
 /// null (all rows valid); they index block-local rows.  The sink is called
 /// from one thread at a time, in ascending (block pair, i, j) order,
-/// independent of thread count.
+/// independent of thread count.  Every emitted correlation is
+/// bit-identical to profile_dot() of the two rows (see the file comment).
 void correlation_cross(const AlignedRows& a, std::size_t a_count,
                        const unsigned char* a_valid, std::uint32_t a_first,
                        const AlignedRows& b, std::size_t b_count,
@@ -160,6 +175,61 @@ void correlation_self(const AlignedRows& rows, std::size_t count,
                       const unsigned char* valid, double threshold,
                       const CorrSweepOptions& options,
                       const CorrEdgeSink& sink);
+
+namespace detail {
+
+/// Upper bound on |screen − profile_dot(x, y, samples)| for rows x, y of
+/// Euclidean norm at most \p norm_x and \p norm_y, where the screen value
+/// is the dot product of the float-rounded rows summed in single precision
+/// in any order, with or without FMA.  With n = samples, u = 2^-24 and
+/// u_d = 2^-53 (unit roundoffs), γ(m) = m·u / (1 − m·u), γ_d likewise
+/// with u_d, S = Σ|x_k·y_k| <= ‖x‖‖y‖ and Σ|x_k| <= √n·‖x‖:
+///
+///   * input rounding: x̂_k = x_k(1 + δ_k) + η_k with |δ_k| <= u and
+///     |η_k| <= 2^-150 (float underflow), so
+///     |Σx̂ŷ − Σxy| <= (2u + u²)·S + 2^-150·(1 + u)·(Σ|x| + Σ|y|)
+///                     + n·2^-300 =: E_in;
+///   * float sum: each of the n products and n additions rounds at most
+///     once, relatively by u or absolutely by 2^-150 when subnormal, so
+///     the screen differs from Σx̂ŷ by at most
+///     γ(n + 1)·(S + E_in) + n·2^-149·(1 + γ(n + 1));
+///   * the double reference itself: |profile_dot − Σxy| <=
+///     γ_d(n + 1)·S + n·2^-1074·(1 + γ_d(n + 1)).
+///
+/// Summing, the bound is c1·‖x‖‖y‖ + c2·(‖x‖ + ‖y‖) + c3 with
+/// c1 = 2u + u² + γ(n+1)(1 + u)² + γ_d(n+1),
+/// c2 = 2^-150·(1 + u)(1 + γ(n+1))·√n and
+/// c3 = n·(2^-300 + 2^-149)(1 + γ(n+1)) + n·2^-1074·(1 + γ_d(n+1)).
+/// The returned value is that bound inflated by 2^-40 relatively to cover
+/// its own rounding; it is +inf past 2^20 samples, where the screen is
+/// not used.  For unit-norm rows of 96 samples it is about 5.9e-6.  A NaN
+/// or infinite norm yields a non-finite margin, which screens nothing
+/// out.
+double screen_margin(std::size_t samples, double norm_x,
+                     double norm_y) noexcept;
+
+/// The screen's micro-kernel variants.  correlation_cross runs the widest
+/// one this build and CPU support.
+enum class ScreenKernel {
+  kVector128,  ///< 128-bit GNU-vector body (SSE2 / NEON), any GCC/Clang
+  kAvx2Fma,    ///< 256-bit AVX2 + FMA, x86-64 CPUs that report both
+};
+
+/// True when this build and CPU can run \p kernel.
+bool screen_kernel_available(ScreenKernel kernel) noexcept;
+
+/// correlation_cross with the screen fixed to \p kernel (which must be
+/// available): the entry point that lets tests run a variant the CPU
+/// would not be given.  Emits exactly what correlation_cross emits.
+void correlation_cross_with(ScreenKernel kernel, const AlignedRows& a,
+                            std::size_t a_count, const unsigned char* a_valid,
+                            std::uint32_t a_first, const AlignedRows& b,
+                            std::size_t b_count, const unsigned char* b_valid,
+                            std::uint32_t b_first, bool diagonal,
+                            double threshold, const CorrSweepOptions& options,
+                            const CorrEdgeSink& sink);
+
+}  // namespace detail
 
 }  // namespace gsb::bio
 

@@ -30,28 +30,47 @@ void quantile_normalize(ExpressionMatrix& matrix) {
   const std::size_t samples = matrix.samples();
   if (genes == 0 || samples == 0) return;
 
-  // Rank the genes within each sample.
-  std::vector<std::vector<std::uint32_t>> order(samples,
-                                                std::vector<std::uint32_t>(genes));
-  for (std::size_t s = 0; s < samples; ++s) {
-    auto& idx = order[s];
-    std::iota(idx.begin(), idx.end(), 0u);
-    std::sort(idx.begin(), idx.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return matrix.at(a, s) < matrix.at(b, s);
-    });
-  }
-  // Reference distribution: mean across samples at each rank.
+  // Rank the genes within each sample.  Each column is sorted as a
+  // contiguous (value, gene) copy; the comparator reads only the value,
+  // so std::sort makes the same moves as on a gene-index array compared
+  // through strided matrix reads.  The reference distribution (the mean
+  // across samples at each rank) accumulates from the sorted copy.
+  struct Entry {
+    double value;
+    std::uint32_t gene;
+  };
+  std::vector<Entry> column(genes);
+  std::vector<std::uint32_t> order(samples * genes);
   std::vector<double> reference(genes, 0.0);
   for (std::size_t s = 0; s < samples; ++s) {
+    for (std::size_t g = 0; g < genes; ++g) {
+      column[g] = Entry{matrix.at(g, s), static_cast<std::uint32_t>(g)};
+    }
+    std::sort(column.begin(), column.end(),
+              [](const Entry& a, const Entry& b) { return a.value < b.value; });
+    std::uint32_t* ranked = order.data() + s * genes;
     for (std::size_t r = 0; r < genes; ++r) {
-      reference[r] += matrix.at(order[s][r], s);
+      reference[r] += column[r].value;
+      ranked[r] = column[r].gene;
     }
   }
   for (double& v : reference) v /= static_cast<double>(samples);
-  // Substitute each value by the reference value of its rank.
+  // Substitute each value by the reference value of its rank; a tie group
+  // gets the mean of its ranks' reference values.
   for (std::size_t s = 0; s < samples; ++s) {
-    for (std::size_t r = 0; r < genes; ++r) {
-      matrix.at(order[s][r], s) = reference[r];
+    const std::uint32_t* ranked = order.data() + s * genes;
+    std::size_t r = 0;
+    while (r < genes) {
+      const double value = matrix.at(ranked[r], s);
+      std::size_t end = r + 1;
+      while (end < genes && matrix.at(ranked[end], s) == value) ++end;
+      double quantile = reference[r];
+      if (end - r > 1) {
+        double sum = 0.0;
+        for (std::size_t t = r; t < end; ++t) sum += reference[t];
+        quantile = sum / static_cast<double>(end - r);
+      }
+      for (; r < end; ++r) matrix.at(ranked[r], s) = quantile;
     }
   }
 }

@@ -15,7 +15,11 @@ void zscore_rows(ExpressionMatrix& matrix);
 
 /// Quantile normalization across samples (columns): forces every sample to
 /// share one empirical distribution (the cross-array calibration used for
-/// Affymetrix data).  Ties receive the mean of their quantile values.
+/// Affymetrix data).  The reference distribution is the mean across
+/// samples of each rank's value; a value takes the reference value of its
+/// rank, and the values of a tie group within a column all take the mean
+/// of the group's reference values, so the result does not depend on how
+/// the sort orders equal values.
 void quantile_normalize(ExpressionMatrix& matrix);
 
 /// log2(x - min + 1) transform per matrix (variance stabilization).

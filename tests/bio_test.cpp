@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 
 #include "bio/correlation.h"
@@ -131,6 +133,39 @@ TEST(Normalize, QuantileMakesSampleDistributionsEqual) {
       EXPECT_NEAR(column[g], reference[g], 1e-9);
     }
   }
+}
+
+TEST(Normalize, QuantileTiesGetTheMeanOfTheirQuantiles) {
+  // Column 0 has no tie, column 1 is one tie group, column 2 has two tie
+  // groups ({1, 3} on ranks 0-1, {0, 2} on ranks 2-3) and a singleton.
+  ExpressionMatrix m(5, 3);
+  const double column2[5] = {2.0, 1.0, 2.0, 1.0, 3.0};
+  for (std::size_t g = 0; g < 5; ++g) {
+    m.at(g, 0) = 10.0 * static_cast<double>(g + 1);
+    m.at(g, 1) = 7.0;
+    m.at(g, 2) = column2[g];
+  }
+  // Mean across columns of each rank's value.
+  const double reference[5] = {(10.0 + 7.0 + 1.0) / 3.0,
+                               (20.0 + 7.0 + 1.0) / 3.0,
+                               (30.0 + 7.0 + 2.0) / 3.0,
+                               (40.0 + 7.0 + 2.0) / 3.0,
+                               (50.0 + 7.0 + 3.0) / 3.0};
+  quantile_normalize(m);
+  for (std::size_t g = 0; g < 5; ++g) {
+    EXPECT_NEAR(m.at(g, 0), reference[g], 1e-12) << "gene " << g;
+  }
+  const double all =
+      std::accumulate(std::begin(reference), std::end(reference), 0.0) / 5.0;
+  for (std::size_t g = 0; g < 5; ++g) {
+    EXPECT_NEAR(m.at(g, 1), all, 1e-12) << "gene " << g;
+    EXPECT_EQ(m.at(g, 1), m.at(0, 1)) << "gene " << g;
+  }
+  EXPECT_NEAR(m.at(1, 2), (reference[0] + reference[1]) / 2.0, 1e-12);
+  EXPECT_EQ(m.at(3, 2), m.at(1, 2));
+  EXPECT_NEAR(m.at(0, 2), (reference[2] + reference[3]) / 2.0, 1e-12);
+  EXPECT_EQ(m.at(2, 2), m.at(0, 2));
+  EXPECT_NEAR(m.at(4, 2), reference[4], 1e-12);
 }
 
 TEST(Normalize, Log2TransformPositive) {

@@ -1,13 +1,18 @@
 // Tests for the shared blocked correlation kernel: the blocked block
 // product must be bit-identical to the scalar profile_dot reference on
-// randomized inputs, the sweep drivers must emit the same edge sequence at
-// every thread count and block size, the in-memory builder's graph must be
-// invariant under --threads, and the tiled builder's .gsbg output must be
-// byte-identical across thread counts — for Pearson and Spearman alike.
+// randomized inputs, the screened sweep drivers must emit exactly the
+// scalar reference's (u, v, corr) sequence — also with the threshold on a
+// realized correlation, on either screen variant — and the same sequence
+// at every thread count and block size, the in-memory builder's graph must
+// be invariant under --threads, and the tiled builder's .gsbg output must
+// be byte-identical across thread counts — for Pearson and Spearman alike.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -22,6 +27,8 @@
 #include "bio/generator.h"
 #include "bio/normalize.h"
 #include "bio/tiled_correlation.h"
+#include "graph/graph.h"
+#include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 #include "storage/mapped_graph.h"
 #include "util/rng.h"
@@ -83,6 +90,136 @@ std::vector<Edge> sweep_edges(const bio::StandardizedRows& rows,
                           edges.emplace_back(u, v, corr);
                         });
   return edges;
+}
+
+/// (u, v, bit pattern of corr): compared bitwise, so not even the sign of
+/// a zero may differ.
+using BitEdge = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>;
+
+/// The scalar reference of correlation_cross: profile_dot over every valid
+/// pair, visited in the sweep's (block pair, i, j) emission order.
+std::vector<BitEdge> reference_cross(const bio::AlignedRows& a,
+                                     std::size_t a_count,
+                                     const unsigned char* a_valid,
+                                     const bio::AlignedRows& b,
+                                     std::size_t b_count,
+                                     const unsigned char* b_valid,
+                                     bool diagonal, double threshold,
+                                     std::size_t block) {
+  std::vector<BitEdge> out;
+  for (std::size_t i0 = 0; i0 < a_count; i0 += block) {
+    for (std::size_t j0 = diagonal ? i0 : 0; j0 < b_count; j0 += block) {
+      for (std::size_t i = i0; i < std::min(a_count, i0 + block); ++i) {
+        if (a_valid != nullptr && a_valid[i] == 0) continue;
+        const std::size_t j_first = diagonal && j0 == i0 ? i + 1 : j0;
+        for (std::size_t j = j_first; j < std::min(b_count, j0 + block);
+             ++j) {
+          if (b_valid != nullptr && b_valid[j] == 0) continue;
+          const double corr = bio::profile_dot(a.row(i), b.row(j), a.samples());
+          if (std::fabs(corr) >= threshold) {
+            out.emplace_back(static_cast<std::uint32_t>(i),
+                             static_cast<std::uint32_t>(j),
+                             std::bit_cast<std::uint64_t>(corr));
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<BitEdge> screened_cross(bio::detail::ScreenKernel kernel,
+                                    const bio::AlignedRows& a,
+                                    std::size_t a_count,
+                                    const unsigned char* a_valid,
+                                    const bio::AlignedRows& b,
+                                    std::size_t b_count,
+                                    const unsigned char* b_valid,
+                                    bool diagonal, double threshold,
+                                    std::size_t block, par::ThreadPool* pool) {
+  bio::CorrSweepOptions options;
+  options.block = block;
+  options.pool = pool;
+  std::vector<BitEdge> out;
+  bio::detail::correlation_cross_with(
+      kernel, a, a_count, a_valid, 0, b, b_count, b_valid, 0, diagonal,
+      threshold, options, [&](std::uint32_t u, std::uint32_t v, double corr) {
+        out.emplace_back(u, v, std::bit_cast<std::uint64_t>(corr));
+      });
+  return out;
+}
+
+std::vector<bio::detail::ScreenKernel> available_screen_kernels() {
+  std::vector<bio::detail::ScreenKernel> kernels;
+  for (const auto kernel : {bio::detail::ScreenKernel::kVector128,
+                            bio::detail::ScreenKernel::kAvx2Fma}) {
+    if (bio::detail::screen_kernel_available(kernel)) kernels.push_back(kernel);
+  }
+  return kernels;
+}
+
+/// Thresholds 0 and 1, and three realized |corr| values of the valid
+/// (a_i, b_j) pairs (j > i when \p diagonal), each also one ulp below and
+/// above.
+std::vector<double> edge_case_thresholds(const bio::AlignedRows& a,
+                                         std::size_t a_count,
+                                         const unsigned char* a_valid,
+                                         const bio::AlignedRows& b,
+                                         std::size_t b_count,
+                                         const unsigned char* b_valid,
+                                         bool diagonal) {
+  std::vector<double> realized;
+  for (std::size_t i = 0; i < a_count; ++i) {
+    if (a_valid != nullptr && a_valid[i] == 0) continue;
+    for (std::size_t j = diagonal ? i + 1 : 0; j < b_count; ++j) {
+      if (b_valid != nullptr && b_valid[j] == 0) continue;
+      const double corr =
+          std::fabs(bio::profile_dot(a.row(i), b.row(j), a.samples()));
+      if (std::isfinite(corr)) realized.push_back(corr);
+    }
+  }
+  std::vector<double> thresholds = {0.0, 1.0};
+  if (realized.empty()) return thresholds;
+  std::sort(realized.begin(), realized.end());
+  for (const double q : {0.5, 0.99, 0.9995}) {
+    const double r = realized[static_cast<std::size_t>(
+        q * static_cast<double>(realized.size() - 1))];
+    thresholds.push_back(std::nextafter(r, 0.0));
+    thresholds.push_back(r);
+    thresholds.push_back(std::nextafter(r, 2.0 * r + 1.0));
+  }
+  return thresholds;
+}
+
+/// Runs every available screen variant at 1 and 3 threads over (a, b) at
+/// each edge-case threshold and expects the scalar reference's exact
+/// sequence.
+void expect_screened_exact(const bio::AlignedRows& a, std::size_t a_count,
+                           const unsigned char* a_valid,
+                           const bio::AlignedRows& b, std::size_t b_count,
+                           const unsigned char* b_valid, bool diagonal,
+                           const std::string& label) {
+  par::ThreadPool pool(3);
+  for (const double threshold : edge_case_thresholds(
+           a, a_count, a_valid, b, b_count, b_valid, diagonal)) {
+    for (const std::size_t block : {5u, 64u}) {
+      const auto expected = reference_cross(a, a_count, a_valid, b, b_count,
+                                            b_valid, diagonal, threshold,
+                                            block);
+      for (const auto kernel : available_screen_kernels()) {
+        for (par::ThreadPool* p : {static_cast<par::ThreadPool*>(nullptr),
+                                   &pool}) {
+          EXPECT_EQ(screened_cross(kernel, a, a_count, a_valid, b, b_count,
+                                   b_valid, diagonal, threshold, block, p),
+                    expected)
+              << label << " threshold " << std::hexfloat << threshold
+              << std::defaultfloat << " block " << block << " kernel "
+              << static_cast<int>(kernel) << " threads "
+              << (p == nullptr ? 1 : 3);
+        }
+      }
+    }
+  }
 }
 
 TEST(CorrKernel, BlockedBlockMatchesScalarDotBitwise) {
@@ -253,6 +390,173 @@ TEST(CorrKernel, CorrelationMatrixThreadedMatchesSequential) {
       }
     }
   }
+}
+
+TEST(CorrKernel, ScreenedSweepExactAtTheThreshold) {
+  ASSERT_FALSE(available_screen_kernels().empty());
+
+  // Standardized profiles, with a duplicated, a negated and a constant row,
+  // in memory on both screen variants and through the tiled builder.
+  for (const std::size_t samples : {1u, 2u, 3u, 7u, 96u, 513u}) {
+    const std::size_t genes = samples >= 96 ? 70 : 90;
+    auto expression = synthetic_expression(genes, samples, 100 + samples);
+    for (std::size_t k = 0; k < samples; ++k) {
+      expression.at(5, k) = expression.at(3, k);
+      expression.at(9, k) = -expression.at(3, k);
+      expression.at(11, k) = 4.0;
+    }
+    for (const auto method : {bio::CorrelationMethod::kPearson,
+                              bio::CorrelationMethod::kSpearman}) {
+      const std::string label =
+          std::to_string(samples) + " samples, method " +
+          std::to_string(static_cast<int>(method));
+      const auto rows = bio::standardize_rows(expression, method);
+      const unsigned char* valid = rows.valid.data();
+      expect_screened_exact(rows.rows, genes, valid, rows.rows, genes, valid,
+                            true, label);
+
+      for (const double threshold : edge_case_thresholds(
+               rows.rows, genes, valid, rows.rows, genes, valid, true)) {
+        graph::Graph expected(genes);
+        for (const auto& [u, v, bits] :
+             reference_cross(rows.rows, genes, valid, rows.rows, genes, valid,
+                             true, threshold, genes)) {
+          expected.add_edge(u, v);
+        }
+        for (const std::size_t tile_rows : {25u, 64u}) {
+          for (const std::size_t threads : {1u, 3u}) {
+            bio::TiledCorrelationOptions options;
+            options.method = method;
+            options.threshold = threshold;
+            options.tile_rows = tile_rows;
+            options.block_rows = 16;
+            options.threads = threads;
+            TempPath path("corr_screen");
+            bio::build_correlation_gsbg(expression, path.path(), options);
+            EXPECT_TRUE(storage::MappedGraph::open(path.path()).load() ==
+                        expected)
+                << label << " tiled " << tile_rows << " rows, " << threads
+                << " threads, threshold " << std::hexfloat << threshold;
+          }
+        }
+      }
+    }
+  }
+
+  // Raw rows through correlation_cross directly: norms far from 1, float
+  // subnormal products, double subnormal entries, entries past float range
+  // and a NaN row.
+  util::Rng rng(4242);
+  auto fill = [&](bio::AlignedRows& rows, double scale) {
+    for (std::size_t i = 0; i < rows.rows(); ++i) {
+      for (std::size_t k = 0; k < rows.samples(); ++k) {
+        rows.row(i)[k] = scale * rng.normal();
+      }
+    }
+    // A duplicated and a negated row make |dot| = |a|^2 pairs.
+    for (std::size_t k = 0; k < rows.samples(); ++k) {
+      rows.row(4)[k] = rows.row(2)[k];
+      rows.row(7)[k] = -rows.row(2)[k];
+    }
+  };
+  constexpr std::size_t kSamples = 96;
+  bio::AlignedRows big(40, kSamples);
+  bio::AlignedRows small(37, kSamples);
+  fill(big, 1e3);
+  fill(small, 1e-3);
+  expect_screened_exact(big, 40, nullptr, small, 37, nullptr, false,
+                        "norms 1e3 x 1e-3");
+  expect_screened_exact(big, 40, nullptr, big, 40, nullptr, true,
+                        "norms 1e3");
+
+  bio::AlignedRows tiny(40, kSamples);
+  fill(tiny, 1e-20);  // products ~1e-40: float subnormals
+  expect_screened_exact(tiny, 40, nullptr, tiny, 40, nullptr, true,
+                        "float subnormal products");
+
+  bio::AlignedRows odd(40, kSamples);
+  fill(odd, 1.0);
+  std::vector<unsigned char> odd_valid(40, 1);
+  for (std::size_t k = 0; k < kSamples; k += 3) {
+    odd.row(12)[k] = 1e-310 * (k % 2 == 0 ? 1.0 : -1.0);  // double subnormal
+    odd.row(13)[k] = 1e-40;                               // float subnormal
+  }
+  odd.row(20)[5] = 1e200;  // float infinity, finite double products
+  odd.row(21)[6] = 1e30;   // float products overflow
+  odd.row(21)[7] = -1e30;
+  for (std::size_t k = 0; k < kSamples; ++k) odd.row(22)[k] = 1e200;
+  odd.row(25)[9] = std::numeric_limits<double>::quiet_NaN();
+  odd.row(30)[0] = std::numeric_limits<double>::quiet_NaN();
+  odd_valid[30] = 0;  // an invalid row with garbage in it
+  expect_screened_exact(odd, 40, odd_valid.data(), odd, 40, odd_valid.data(),
+                        true, "subnormal, huge and NaN rows");
+  expect_screened_exact(odd, 40, odd_valid.data(), small, 37, nullptr, false,
+                        "subnormal, huge and NaN rows x norms 1e-3");
+
+  // The margin bounds |screen - profile_dot| for a float sum with or
+  // without FMA, also under heavy cancellation.
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(rng.below(600));
+    std::vector<double> x(n);
+    std::vector<double> y(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      x[k] = rng.normal() *
+             std::ldexp(1.0, static_cast<int>(rng.below(40)) - 20);
+      y[k] = trial % 2 == 0 ? rng.normal() : (k % 2 == 0 ? x[k] : -x[k]);
+    }
+    float fused = 0.0f;
+    float unfused = 0.0f;
+    for (std::size_t k = 0; k < n; ++k) {
+      const float xf = static_cast<float>(x[k]);
+      const float yf = static_cast<float>(y[k]);
+      fused = std::fma(xf, yf, fused);
+      const float product = xf * yf;
+      unfused = unfused + product;
+    }
+    const double exact = bio::profile_dot(x.data(), y.data(), n);
+    const double margin = bio::detail::screen_margin(
+        n, std::sqrt(bio::profile_dot(x.data(), x.data(), n)) * (1 + 1e-12),
+        std::sqrt(bio::profile_dot(y.data(), y.data(), n)) * (1 + 1e-12));
+    EXPECT_LE(std::fabs(static_cast<double>(fused) - exact), margin) << n;
+    EXPECT_LE(std::fabs(static_cast<double>(unfused) - exact), margin) << n;
+  }
+}
+
+TEST(CorrKernel, ScreenCountersTrackRechecksAndExactBlocks) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  auto value = [&](const std::string& name) {
+    for (const auto& metric : registry.scrape().metrics) {
+      if (metric.name == name) return metric.value;
+    }
+    ADD_FAILURE() << "metric not found: " << name;
+    return std::uint64_t{0};
+  };
+  const auto expression = synthetic_expression(300, 24, 71);
+  const auto rows =
+      bio::standardize_rows(expression, bio::CorrelationMethod::kSpearman);
+
+  const std::uint64_t blocks0 = value("gsb_correlation_blocks_total");
+  const std::uint64_t exact0 = value("gsb_correlation_exact_blocks_total");
+  const std::uint64_t rechecked0 =
+      value("gsb_correlation_rechecked_pairs_total");
+  const auto sparse = sweep_edges(rows, 300, 0.7, 32, nullptr);
+  ASSERT_FALSE(sparse.empty());
+  EXPECT_GE(value("gsb_correlation_rechecked_pairs_total") - rechecked0,
+            sparse.size());
+
+  const std::uint64_t blocks1 = value("gsb_correlation_blocks_total");
+  const std::uint64_t exact1 = value("gsb_correlation_exact_blocks_total");
+  EXPECT_LT(exact1 - exact0, blocks1 - blocks0);  // the screen ruled some out
+  const auto dense = sweep_edges(rows, 300, 0.0, 32, nullptr);
+  const auto valid_rows = static_cast<std::size_t>(
+      std::count(rows.valid.begin(), rows.valid.end(), 1));
+  EXPECT_EQ(dense.size(), valid_rows * (valid_rows - 1) / 2);
+  EXPECT_GT(value("gsb_correlation_blocks_total"), blocks1);
+  EXPECT_EQ(value("gsb_correlation_exact_blocks_total") - exact1,
+            value("gsb_correlation_blocks_total") - blocks1);
+  registry.set_enabled(was_enabled);
 }
 
 }  // namespace
