@@ -184,16 +184,12 @@ constexpr std::size_t kScreenJ = 16;
 /// several times slower than the exact block product.
 constexpr std::size_t kExactShare = 16;
 
-/// Screens one block pair of panels (see ScreenPanels); \p upper keeps it
+/// Screens one block pair of panels (see ScreenPanel); \p upper keeps it
 /// to pairs with j > i (a diagonal block).  Appends every pair (i, j)
 /// whose screen value is not strictly inside (−cut, cut), as (i << 32) |
 /// j, grouped by register tile.  Returns false, leaving the list
 /// incomplete, once it holds more than \p limit pairs.
-using ScreenFn = bool (*)(const float* a_panel, std::size_t a_count,
-                          const float* b_panel, std::size_t b_count,
-                          bool upper, std::size_t samples, float cut,
-                          std::size_t limit,
-                          std::vector<std::uint64_t>& candidates);
+using detail::ScreenFn;
 
 /// Upper bound on the Euclidean norm of a row of \p samples doubles whose
 /// squares summed, in any order, to \p ss: covers the sum's rounding
@@ -204,14 +200,9 @@ double norm_bound(double ss, std::size_t samples) noexcept {
          (1.0 + 0x1p-30);
 }
 
-/// Float copy of rows [0, count) for the screen, one panel per sweep block
-/// of rows.  A panel is a run of kScreenJ-row tiles, each sample-major and
-/// contiguous (element (k, c) of tile t at (t * samples + k) * kScreenJ +
-/// c, pad rows zero), so one copy serves a block as the A side
-/// (broadcasts) and as the B side (vector loads), and a register tile
-/// streams through memory in order.  A panel is converted, and its largest
-/// norm bound over valid rows taken, by the first task that asks for it,
-/// so the sweep's workers share the conversion.
+/// The float panels of rows [0, count), one per sweep block.  A panel is
+/// filled by the first task that asks for it, so the sweep's workers
+/// share the conversion.
 class ScreenPanels {
  public:
   ScreenPanels(const AlignedRows& rows, std::size_t count,
@@ -220,70 +211,31 @@ class ScreenPanels {
         count_(count),
         valid_(valid),
         block_(block),
-        panel_floats_((std::min(block, count) + kScreenJ - 1) / kScreenJ *
-                      kScreenJ * rows.samples()),
         panels_((count + block - 1) / block),
-        max_norm_(panels_.size(), 0.0),
-        converted_(std::make_unique<std::once_flag[]>(panels_.size())) {
-    if (panel_floats_ == 0) return;
+        filled_(std::make_unique<std::once_flag[]>(panels_.size())) {
     for (auto& panel : panels_) {
-      // A tile is a whole number of cache lines, so the size is a
-      // multiple of the alignment.
-      panel.reset(static_cast<float*>(std::aligned_alloc(
-          AlignedRows::kAlignment, panel_floats_ * sizeof(float))));
-      if (panel == nullptr) throw std::bad_alloc();
+      panel = ScreenPanel(std::min(block, count), rows.samples());
     }
   }
 
-  /// Panel \p p and its rows' largest norm bound.  Thread-safe.
-  [[nodiscard]] std::pair<const float*, double> panel(std::size_t p) const {
-    std::call_once(converted_[p], [this, p] { convert(p); });
-    return {panels_[p].get(), max_norm_[p]};
+  /// Panel \p p, filled.  Thread-safe.
+  [[nodiscard]] const ScreenPanel& panel(std::size_t p) const {
+    std::call_once(filled_[p], [this, p] {
+      const std::size_t first = p * block_;
+      panels_[p].fill(rows_.row(first), rows_.stride(),
+                      std::min(block_, count_ - first),
+                      valid_ == nullptr ? nullptr : valid_ + first);
+    });
+    return panels_[p];
   }
 
  private:
-  struct FreeDeleter {
-    void operator()(float* p) const noexcept { std::free(p); }
-  };
-
-  void convert(std::size_t p) const {
-    const std::size_t samples = rows_.samples();
-    const std::size_t first = p * block_;
-    const std::size_t live = std::min(block_, count_ - first);
-    float* tile = panels_[p].get();
-    // Tiles past the block's live rows are never read.
-    for (std::size_t t0 = 0; t0 < live;
-         t0 += kScreenJ, tile += kScreenJ * samples) {
-      const std::size_t rows_here = std::min(kScreenJ, live - t0);
-      const double* src[kScreenJ];
-      for (std::size_t c = 0; c < rows_here; ++c) {
-        src[c] = rows_.row(first + t0 + c);
-      }
-      double ss[kScreenJ] = {};
-      for (std::size_t k = 0; k < samples; ++k) {
-        float* out = tile + k * kScreenJ;
-        for (std::size_t c = 0; c < rows_here; ++c) {
-          const double x = src[c][k];
-          out[c] = static_cast<float>(x);
-          ss[c] += x * x;
-        }
-        std::fill(out + rows_here, out + kScreenJ, 0.0f);
-      }
-      for (std::size_t c = 0; c < rows_here; ++c) {
-        if (valid_ != nullptr && valid_[first + t0 + c] == 0) continue;
-        max_norm_[p] = std::max(max_norm_[p], norm_bound(ss[c], samples));
-      }
-    }
-  }
-
   const AlignedRows& rows_;
   std::size_t count_;
   const unsigned char* valid_;
   std::size_t block_;
-  std::size_t panel_floats_;
-  std::vector<std::unique_ptr<float[], FreeDeleter>> panels_;
-  mutable std::vector<double> max_norm_;
-  std::unique_ptr<std::once_flag[]> converted_;
+  mutable std::vector<ScreenPanel> panels_;
+  std::unique_ptr<std::once_flag[]> filled_;
 };
 
 /// The largest float <= threshold − margin, or 0 (rule nothing out) when
@@ -524,21 +476,134 @@ void correlation_block(const double* a_rows, std::size_t a_count,
 #endif
 }
 
+ScreenPanel::ScreenPanel(std::size_t rows, std::size_t samples)
+    : samples_(samples),
+      floats_((rows + kScreenJ - 1) / kScreenJ * kScreenJ * samples) {
+  if (floats_ == 0) return;
+  // A tile is a whole number of cache lines, so the size is a multiple of
+  // the alignment.
+  data_.reset(static_cast<float*>(
+      std::aligned_alloc(AlignedRows::kAlignment, floats_ * sizeof(float))));
+  if (data_ == nullptr) throw std::bad_alloc();
+}
+
+void ScreenPanel::fill(const double* rows, std::size_t stride,
+                       std::size_t count, const unsigned char* valid) noexcept {
+  max_norm_ = 0.0;
+  float* tile = data_.get();
+  // Tiles past the block's live rows are never read.
+  for (std::size_t t0 = 0; t0 < count;
+       t0 += kScreenJ, tile += kScreenJ * samples_) {
+    const std::size_t rows_here = std::min(kScreenJ, count - t0);
+    const double* src[kScreenJ];
+    for (std::size_t c = 0; c < rows_here; ++c) {
+      src[c] = rows + (t0 + c) * stride;
+    }
+    double ss[kScreenJ] = {};
+    for (std::size_t k = 0; k < samples_; ++k) {
+      float* out = tile + k * kScreenJ;
+      for (std::size_t c = 0; c < rows_here; ++c) {
+        const double x = src[c][k];
+        out[c] = static_cast<float>(x);
+        ss[c] += x * x;
+      }
+      std::fill(out + rows_here, out + kScreenJ, 0.0f);
+    }
+    for (std::size_t c = 0; c < rows_here; ++c) {
+      if (valid != nullptr && valid[t0 + c] == 0) continue;
+      max_norm_ = std::max(max_norm_, norm_bound(ss[c], samples_));
+    }
+  }
+}
+
+BlockPairScan::BlockPairScan(std::size_t samples, double threshold)
+    : screen_(best_screen()), samples_(samples), threshold_(threshold) {
+  sweep_counters().sweeps.inc();
+  // A threshold that leaves no room below it for even the smallest margin
+  // screens nothing out: every block is computed exactly.
+  if (screen_cut(threshold, detail::screen_margin(samples, 0.0, 0.0)) == 0) {
+    screen_ = nullptr;
+  }
+}
+
+BlockPairScan::BlockPairScan(std::size_t samples, double threshold,
+                             detail::ScreenKernel kernel)
+    : BlockPairScan(samples, threshold) {
+  const ScreenFn screen = screen_fn(kernel);
+  if (screen == nullptr) {
+    throw std::invalid_argument("BlockPairScan: screen kernel not available");
+  }
+  if (screen_ != nullptr) screen_ = screen;
+}
+
+void BlockPairScan::scan(const CorrBlock& a, const CorrBlock& b,
+                         bool diagonal, CorrScanScratch& scratch,
+                         std::vector<CorrHit>& hits) const {
+  const SweepCounters& counters = sweep_counters();
+  counters.blocks.inc();
+  const std::size_t ci = a.count;
+  const std::size_t cj = b.count;
+  auto emit = [&](std::size_t i, std::size_t j, double corr) {
+    if (std::fabs(corr) >= threshold_) {
+      hits.push_back(CorrHit{a.first + static_cast<std::uint32_t>(i),
+                             b.first + static_cast<std::uint32_t>(j), corr});
+    }
+  };
+  bool exact = true;
+  if (screen_ != nullptr) {
+    const float cut = screen_cut(
+        threshold_, detail::screen_margin(samples_, a.panel->max_norm(),
+                                          b.panel->max_norm()));
+    scratch.candidates.clear();
+    const std::size_t pairs = diagonal ? ci * (ci - 1) / 2 : ci * cj;
+    exact = cut == 0.0f ||
+            !screen_(a.panel->data(), ci, b.panel->data(), cj, diagonal,
+                     samples_, cut, pairs / kExactShare, scratch.candidates);
+  }
+  if (exact) {
+    counters.exact_blocks.inc();
+    scratch.dense.resize(ci * cj);
+    correlation_block(a.rows, ci, b.rows, cj, samples_, a.stride, b.stride,
+                      scratch.dense.data(), cj, scratch.pack);
+    for (std::size_t i = 0; i < ci; ++i) {
+      if (a.valid != nullptr && a.valid[i] == 0) continue;
+      const double* row = scratch.dense.data() + i * cj;
+      for (std::size_t j = diagonal ? i + 1 : 0; j < cj; ++j) {
+        if (b.valid != nullptr && b.valid[j] == 0) continue;
+        emit(i, j, row[j]);
+      }
+    }
+    return;
+  }
+  // The screen lists its survivors tile by tile; (i, j) order is the
+  // emission order.  The recheck runs here, outside the FMA-targeted
+  // screen, so profile_dot rounds exactly as everywhere else.
+  std::sort(scratch.candidates.begin(), scratch.candidates.end());
+  std::uint64_t rechecked = 0;
+  for (const std::uint64_t key : scratch.candidates) {
+    const auto i = static_cast<std::size_t>(key >> 32);
+    const auto j = static_cast<std::size_t>(key & 0xffffffffu);
+    if (a.valid != nullptr && a.valid[i] == 0) continue;
+    if (b.valid != nullptr && b.valid[j] == 0) continue;
+    ++rechecked;
+    emit(i, j, profile_dot(a.rows + i * a.stride, b.rows + j * b.stride,
+                           samples_));
+  }
+  counters.rechecked_pairs.inc(rechecked);
+}
+
 namespace {
 
-/// correlation_cross with the screen \p screen (nullptr: every block
-/// exact).
-void sweep(ScreenFn screen, const AlignedRows& a, std::size_t a_count,
-           const unsigned char* a_valid, std::uint32_t a_first,
-           const AlignedRows& b, std::size_t b_count,
+/// correlation_cross with \p scan's screen.
+void sweep(const BlockPairScan& scan, const AlignedRows& a,
+           std::size_t a_count, const unsigned char* a_valid,
+           std::uint32_t a_first, const AlignedRows& b, std::size_t b_count,
            const unsigned char* b_valid, std::uint32_t b_first, bool diagonal,
-           double threshold, const CorrSweepOptions& options,
-           const CorrEdgeSink& sink) {
+           const CorrSweepOptions& options, const CorrEdgeSink& sink) {
   if (a_count == 0 || b_count == 0) return;
   if (a.samples() != b.samples()) {
     throw std::invalid_argument("correlation_cross: sample count mismatch");
   }
-  const std::size_t samples = a.samples();
   const std::size_t block =
       options.block == 0 ? kDefaultCorrBlock : options.block;
 
@@ -552,20 +617,11 @@ void sweep(ScreenFn screen, const AlignedRows& a, std::size_t a_count,
       tasks.push_back(Task{i0, j0});
     }
   }
-  const SweepCounters& counters = sweep_counters();
-  counters.sweeps.inc();
-  counters.blocks.inc(tasks.size());
 
-  // A threshold that leaves no room below it for even the smallest margin
-  // screens nothing out: every block is computed exactly.
-  if (screen != nullptr &&
-      screen_cut(threshold, detail::screen_margin(samples, 0.0, 0.0)) == 0) {
-    screen = nullptr;
-  }
   // Float copies, made once per call; a self sweep shares one.
   std::optional<ScreenPanels> a_panels;
   std::optional<ScreenPanels> b_panels;
-  if (screen != nullptr) {
+  if (scan.screens()) {
     const bool shared = &a == &b && a_valid == b_valid;
     a_panels.emplace(a, shared ? std::max(a_count, b_count) : a_count,
                      a_valid, block);
@@ -573,108 +629,60 @@ void sweep(ScreenFn screen, const AlignedRows& a, std::size_t a_count,
   }
   const ScreenPanels* a_screen = a_panels ? &*a_panels : nullptr;
   const ScreenPanels* b_screen = b_panels ? &*b_panels : a_screen;
-
-  struct Hit {
-    std::uint32_t u;
-    std::uint32_t v;
-    double corr;
+  auto block_at = [&](const AlignedRows& rows, std::size_t count,
+                      const unsigned char* valid, std::uint32_t first,
+                      const ScreenPanels* panels, std::size_t r0) {
+    CorrBlock view;
+    view.rows = rows.row(r0);
+    view.stride = rows.stride();
+    view.count = std::min(block, count - r0);
+    view.valid = valid == nullptr ? nullptr : valid + r0;
+    view.first = first + static_cast<std::uint32_t>(r0);
+    view.panel = panels == nullptr ? nullptr : &panels->panel(r0 / block);
+    return view;
   };
-  struct Scratch {
-    std::vector<double> dense;
-    std::vector<double> pack;
-    std::vector<std::uint64_t> candidates;
-  };
-  auto emit = [&](const Task& task, std::size_t i, std::size_t j, double corr,
-                  std::vector<Hit>& hits) {
-    if (std::fabs(corr) >= threshold) {
-      hits.push_back(Hit{a_first + static_cast<std::uint32_t>(task.i0 + i),
-                         b_first + static_cast<std::uint32_t>(task.j0 + j),
-                         corr});
-    }
-  };
-  auto scan_task = [&](const Task& task, Scratch& s, std::vector<Hit>& hits) {
-    const std::size_t ci = std::min(block, a_count - task.i0);
-    const std::size_t cj = std::min(block, b_count - task.j0);
+  auto scan_task = [&](const Task& task, CorrScanScratch& scratch,
+                       std::vector<CorrHit>& hits) {
     // On a diagonal block pair only pairs above the diagonal are new.
-    const bool diagonal_block = diagonal && task.j0 == task.i0;
-    bool exact = true;
-    if (screen != nullptr) {
-      const auto [a_panel, a_norm] = a_screen->panel(task.i0 / block);
-      const auto [b_panel, b_norm] = b_screen->panel(task.j0 / block);
-      const float cut = screen_cut(
-          threshold, detail::screen_margin(samples, a_norm, b_norm));
-      s.candidates.clear();
-      const std::size_t pairs = diagonal_block ? ci * (ci - 1) / 2 : ci * cj;
-      exact = cut == 0.0f ||
-              !screen(a_panel, ci, b_panel, cj, diagonal_block, samples, cut,
-                      pairs / kExactShare, s.candidates);
-    }
-    if (exact) {
-      counters.exact_blocks.inc();
-      s.dense.resize(ci * cj);
-      correlation_block(a.row(task.i0), ci, b.row(task.j0), cj, samples,
-                        a.stride(), b.stride(), s.dense.data(), cj, s.pack);
-      for (std::size_t i = 0; i < ci; ++i) {
-        if (a_valid != nullptr && a_valid[task.i0 + i] == 0) continue;
-        const double* row = s.dense.data() + i * cj;
-        for (std::size_t j = diagonal_block ? i + 1 : 0; j < cj; ++j) {
-          if (b_valid != nullptr && b_valid[task.j0 + j] == 0) continue;
-          emit(task, i, j, row[j], hits);
-        }
-      }
-      return;
-    }
-    // The screen lists its survivors tile by tile; (i, j) order is the
-    // emission order.  The recheck runs here, outside the FMA-targeted
-    // screen, so profile_dot rounds exactly as everywhere else.
-    std::sort(s.candidates.begin(), s.candidates.end());
-    std::uint64_t rechecked = 0;
-    for (const std::uint64_t key : s.candidates) {
-      const auto i = static_cast<std::size_t>(key >> 32);
-      const auto j = static_cast<std::size_t>(key & 0xffffffffu);
-      if (a_valid != nullptr && a_valid[task.i0 + i] == 0) continue;
-      if (b_valid != nullptr && b_valid[task.j0 + j] == 0) continue;
-      ++rechecked;
-      emit(task, i, j,
-           profile_dot(a.row(task.i0 + i), b.row(task.j0 + j), samples),
-           hits);
-    }
-    counters.rechecked_pairs.inc(rechecked);
+    scan.scan(block_at(a, a_count, a_valid, a_first, a_screen, task.i0),
+              block_at(b, b_count, b_valid, b_first, b_screen, task.j0),
+              diagonal && task.j0 == task.i0, scratch, hits);
   };
 
   par::ThreadPool* pool = options.pool;
   if (pool == nullptr || pool->size() <= 1 || tasks.size() <= 1) {
-    Scratch scratch;
-    std::vector<Hit> hits;
+    CorrScanScratch scratch;
+    std::vector<CorrHit> hits;
     for (const Task& task : tasks) {
       hits.clear();
       scan_task(task, scratch, hits);
-      for (const Hit& h : hits) sink(h.u, h.v, h.corr);
+      for (const CorrHit& h : hits) sink(h.u, h.v, h.corr);
     }
     return;
   }
 
-  // One scheduler job per tile; bodies run work-stealing across the
-  // pool while the ordered completions replay each tile's hits in task
+  // One scheduler job per block pair; bodies run work-stealing across the
+  // pool while the ordered completions replay each pair's hits in task
   // order, so the sink sees the exact sequence of the sequential path.
   par::JobGraph::Options graph_options;
   graph_options.ordered = true;
   par::JobGraph jobs(pool, graph_options);
-  std::vector<Scratch> scratch(jobs.workers());
-  std::vector<std::vector<Hit>> completed(tasks.size());
+  std::vector<CorrScanScratch> scratch(jobs.workers());
+  std::vector<std::vector<CorrHit>> completed(tasks.size());
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     par::JobGraph::JobSpec spec;
     spec.run = [&, t](std::size_t wid) {
-      std::vector<Hit> hits;
+      std::vector<CorrHit> hits;
       scan_task(tasks[t], scratch[wid], hits);
-      jobs.set_bytes(static_cast<par::JobId>(t), hits.size() * sizeof(Hit));
+      jobs.set_bytes(static_cast<par::JobId>(t),
+                     hits.size() * sizeof(CorrHit));
       completed[t] = std::move(hits);
     };
     spec.complete = [&, t] {
-      for (const Hit& h : completed[t]) sink(h.u, h.v, h.corr);
+      for (const CorrHit& h : completed[t]) sink(h.u, h.v, h.corr);
       // Not `= {}`: that assigns an empty initializer list and keeps the
-      // capacity, so every drained tile's hits would stay resident.
-      completed[t] = std::vector<Hit>();
+      // capacity, so every drained pair's hits would stay resident.
+      completed[t] = std::vector<CorrHit>();
     };
     jobs.add(std::move(spec));
   }
@@ -690,8 +698,8 @@ void correlation_cross(const AlignedRows& a, std::size_t a_count,
                        bool diagonal, double threshold,
                        const CorrSweepOptions& options,
                        const CorrEdgeSink& sink) {
-  sweep(best_screen(), a, a_count, a_valid, a_first, b, b_count, b_valid,
-        b_first, diagonal, threshold, options, sink);
+  sweep(BlockPairScan(a.samples(), threshold), a, a_count, a_valid, a_first,
+        b, b_count, b_valid, b_first, diagonal, options, sink);
 }
 
 void correlation_self(const AlignedRows& rows, std::size_t count,
@@ -746,13 +754,8 @@ void correlation_cross_with(ScreenKernel kernel, const AlignedRows& a,
                             std::uint32_t b_first, bool diagonal,
                             double threshold, const CorrSweepOptions& options,
                             const CorrEdgeSink& sink) {
-  const ScreenFn screen = screen_fn(kernel);
-  if (screen == nullptr) {
-    throw std::invalid_argument(
-        "correlation_cross_with: screen kernel not available");
-  }
-  sweep(screen, a, a_count, a_valid, a_first, b, b_count, b_valid, b_first,
-        diagonal, threshold, options, sink);
+  sweep(BlockPairScan(a.samples(), threshold, kernel), a, a_count, a_valid,
+        a_first, b, b_count, b_valid, b_first, diagonal, options, sink);
 }
 
 }  // namespace detail

@@ -19,14 +19,17 @@
 ///     (sample-major) panel so the inner loop is SIMD-friendly (contiguous
 ///     loads, one broadcast), and keeps eight independent accumulator
 ///     chains per A row.  Every entry is bit-identical to profile_dot().
-///   * correlation_cross / correlation_self — block-pair sweeps that
-///     threshold the pairs through a single-precision screen, dispatch
-///     blocks over a par::ThreadPool and emit edges through a reorder
-///     buffer.
+///   * BlockPairScan — the block-pair body: thresholds the pairs of two
+///     row blocks through a single-precision screen and appends the hits.
+///     Every sweep runs it: correlation_cross below, and the tiled
+///     builder's block jobs (bio/tiled_correlation.h).
+///   * correlation_cross / correlation_self — block-pair sweeps over
+///     in-RAM rows that dispatch BlockPairScan over a par::ThreadPool and
+///     emit edges through a reorder buffer.
 ///
-/// The screen: a sweep copies its rows once per call into float panels
-/// and, per block pair, runs a register-tiled float FMA micro kernel
-/// (AVX2+FMA when the CPU has it, a 128-bit vector body otherwise).  A
+/// The screen: a sweep keeps a float copy of each block of rows (a
+/// ScreenPanel) and, per block pair, runs a register-tiled float FMA micro
+/// kernel (AVX2+FMA when the CPU has it, a 128-bit vector body otherwise).  A
 /// register tile whose every |approx| lies below threshold − margin is
 /// dropped in registers; margin (detail::screen_margin) is a proved bound
 /// on |approx − profile_dot|, so no dropped pair can be an edge.  Every
@@ -138,6 +141,110 @@ void correlation_block(const double* a_rows, std::size_t a_count,
                        std::size_t b_stride, double* out,
                        std::size_t out_stride, std::vector<double>& scratch);
 
+namespace detail {
+enum class ScreenKernel;
+/// A screen micro-kernel over one block pair of panels (see BlockPairScan).
+using ScreenFn = bool (*)(const float* a_panel, std::size_t a_count,
+                          const float* b_panel, std::size_t b_count,
+                          bool upper, std::size_t samples, float cut,
+                          std::size_t limit,
+                          std::vector<std::uint64_t>& candidates);
+}  // namespace detail
+
+/// One thresholded pair: global ids (u, v) and the correlation.
+struct CorrHit {
+  std::uint32_t u;
+  std::uint32_t v;
+  double corr;
+};
+
+/// Float copy of one block of rows for the screen: a run of 16-row tiles,
+/// each sample-major and contiguous (element (k, c) of tile t at
+/// (t * samples + k) * 16 + c, pad rows zero), so one copy serves the
+/// block as the A side (broadcasts) and as the B side (vector loads), and
+/// a register tile streams through memory in order.
+class ScreenPanel {
+ public:
+  ScreenPanel() = default;
+  /// Room for up to \p rows rows of \p samples.
+  ScreenPanel(std::size_t rows, std::size_t samples);
+
+  /// Converts \p count (at most the panel's rows) rows starting at \p rows,
+  /// \p stride doubles apart, and takes the largest norm bound over the
+  /// rows \p valid marks (block-local; nullptr = all valid).
+  void fill(const double* rows, std::size_t stride, std::size_t count,
+            const unsigned char* valid) noexcept;
+
+  [[nodiscard]] const float* data() const noexcept { return data_.get(); }
+  /// Largest norm bound over the valid rows of the last fill (0 if none).
+  [[nodiscard]] double max_norm() const noexcept { return max_norm_; }
+  /// Bytes owned by the panel.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return floats_ * sizeof(float);
+  }
+
+ private:
+  struct FreeDeleter {
+    void operator()(float* p) const noexcept { std::free(p); }
+  };
+
+  std::size_t samples_ = 0;
+  std::size_t floats_ = 0;
+  double max_norm_ = 0.0;
+  std::unique_ptr<float[], FreeDeleter> data_;
+};
+
+/// One block of rows as the block-pair body reads it.
+struct CorrBlock {
+  const double* rows = nullptr;  ///< row 0; row r at rows + r * stride
+  std::size_t stride = 0;        ///< doubles between row starts
+  std::size_t count = 0;         ///< rows in the block
+  const unsigned char* valid = nullptr;  ///< block-local; nullptr = all valid
+  std::uint32_t first = 0;               ///< global id of row 0
+  /// The block's filled float copy; read only when the scan screens.
+  const ScreenPanel* panel = nullptr;
+};
+
+/// Per-worker scratch for BlockPairScan::scan, reused across calls.
+struct CorrScanScratch {
+  std::vector<double> dense;
+  std::vector<double> pack;
+  std::vector<std::uint64_t> candidates;
+};
+
+/// The block-pair screen/recheck body of every sweep.  A scan screens the
+/// pair's panels in float, rechecks each surviving valid pair with
+/// profile_dot and keeps it iff |corr| >= threshold; a block whose screen
+/// passes too many pairs, or whose margin leaves no room below the
+/// threshold, is computed exactly with correlation_block instead.
+class BlockPairScan {
+ public:
+  /// Scans rows of \p samples at \p threshold with the widest screen this
+  /// build and CPU run.  Each scan object counts as one sweep
+  /// (gsb_correlation_sweeps_total).
+  BlockPairScan(std::size_t samples, double threshold);
+  /// The same with the screen fixed to \p kernel; throws
+  /// std::invalid_argument when this build or CPU cannot run it.
+  BlockPairScan(std::size_t samples, double threshold,
+                detail::ScreenKernel kernel);
+
+  /// False when every block is computed exactly (no screen kernel, or a
+  /// threshold that leaves no room below it): then no block needs a panel.
+  [[nodiscard]] bool screens() const noexcept { return screen_ != nullptr; }
+
+  /// Appends to \p hits, in ascending (i, j) order, every pair of row i of
+  /// \p a and row j of \p b with both rows valid and |corr| >= threshold;
+  /// \p diagonal marks a and b as the same block (then only j > i).  Every
+  /// hit's corr is bit-identical to profile_dot() of the two rows.
+  void scan(const CorrBlock& a, const CorrBlock& b, bool diagonal,
+            CorrScanScratch& scratch, std::vector<CorrHit>& hits) const;
+
+ private:
+  detail::ScreenFn screen_ = nullptr;
+  std::size_t samples_ = 0;
+  double threshold_ = 0.0;
+};
+
 /// Options for the block-pair sweep drivers.
 struct CorrSweepOptions {
   /// Rows per cache block; 0 = kDefaultCorrBlock.
@@ -208,7 +315,7 @@ namespace detail {
 double screen_margin(std::size_t samples, double norm_x,
                      double norm_y) noexcept;
 
-/// The screen's micro-kernel variants.  correlation_cross runs the widest
+/// The screen's micro-kernel variants.  BlockPairScan runs the widest
 /// one this build and CPU support.
 enum class ScreenKernel {
   kVector128,  ///< 128-bit GNU-vector body (SSE2 / NEON), any GCC/Clang

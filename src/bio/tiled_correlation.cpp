@@ -1,17 +1,25 @@
 #include "bio/tiled_correlation.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "bio/corr_kernel.h"
+#include "obs/timeline.h"
+#include "parallel/job_graph.h"
 #include "parallel/thread_pool.h"
+#include "util/io.h"
 
 namespace gsb::bio {
 namespace {
@@ -19,6 +27,7 @@ namespace {
 using util::MemTag;
 
 constexpr char kExpressionMagic[8] = {'G', 'S', 'B', 'X', 'P', 'R', '0', '1'};
+constexpr std::uint64_t kExpressionHeaderBytes = 24;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("tiled correlation: " + what);
@@ -36,18 +45,43 @@ std::ifstream open_in(const std::string& path) {
   return in;
 }
 
-/// Scratch file that deletes itself on scope exit.
+/// Read-write scratch file that deletes itself on scope exit.  Positioned
+/// reads and writes never move the file offset, so a pass's jobs share
+/// the descriptor.
 class ScratchFile {
  public:
-  explicit ScratchFile(std::string path) : path_(std::move(path)) {}
+  explicit ScratchFile(std::string path) : path_(std::move(path)) {
+    fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+    if (fd_ < 0) fail("cannot open '" + path_ + "' for writing");
+  }
+  ScratchFile(const ScratchFile&) = delete;
+  ScratchFile& operator=(const ScratchFile&) = delete;
   ~ScratchFile() {
+    ::close(fd_);
     std::error_code ec;
     std::filesystem::remove(path_, ec);
   }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+  void append(const void* data, std::size_t bytes) const {
+    if (!util::io::write_full(fd_, data, bytes)) {
+      fail("write failed for '" + path_ + "'");
+    }
+  }
+  void write_at(std::uint64_t offset, const void* data,
+                std::size_t bytes) const {
+    if (!util::io::pwrite_full(fd_, data, bytes, offset)) {
+      fail("write failed for '" + path_ + "'");
+    }
+  }
+  void read_at(std::uint64_t offset, void* data, std::size_t bytes) const {
+    if (!util::io::pread_full(fd_, data, bytes, offset)) {
+      fail("short read from '" + path_ + "'");
+    }
+  }
 
  private:
   std::string path_;
+  int fd_ = -1;
 };
 
 /// One thresholded edge in the spill file.
@@ -55,6 +89,9 @@ struct SpillEdge {
   std::uint32_t u;
   std::uint32_t v;
 };
+
+/// Edges per spill write and per spill read (8 KiB).
+constexpr std::size_t kSpillBatch = 1024;
 
 /// RAII allocation recorded against two trackers: the builder's private one
 /// (whose peak is the bounded-memory measurement the result reports) and
@@ -80,6 +117,226 @@ class DualAlloc {
   util::MemoryTracker& external_;
   std::size_t bytes_;
   MemTag tag_;
+};
+
+/// One resident tile of standardized rows, split into sweep blocks, with
+/// each block's float panel and the bookkeeping that orders its refills:
+/// a block is refilled by a read job that waits for every job that read
+/// the block since its last fill.
+struct TileSlots {
+  TileSlots(std::size_t rows, std::size_t samples, std::size_t block,
+            bool screens)
+      : rows(rows, samples),
+        readers((rows + block - 1) / block),
+        fill(readers.size(), 0) {
+    if (screens) panels.resize(readers.size());
+    for (auto& panel : panels) {
+      panel = ScreenPanel(std::min(block, rows), samples);
+    }
+  }
+
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    std::size_t total = rows.bytes();
+    for (const auto& panel : panels) total += panel.bytes();
+    return total;
+  }
+
+  AlignedRows rows;
+  std::vector<ScreenPanel> panels;  ///< one per block; empty: no screen
+  std::vector<std::vector<par::JobId>> readers;
+  std::vector<par::JobId> fill;
+};
+
+/// Pass 2: every block pair of the upper tile triangle as a job of one
+/// ordered JobGraph.  Tile-block reads are jobs too: a pair job waits for
+/// the reads of its two blocks, and a read waits for the jobs still
+/// reading the block it refills, so two tiles (and their panels) stay
+/// resident and reads overlap the screen.  Completions drain in (tile
+/// pair, block pair) order, the order of the sequential sweep.
+class TileSweep {
+ public:
+  using Sink = std::function<void(const std::vector<CorrHit>&)>;
+
+  TileSweep(const ScratchFile& scratch, std::size_t genes,
+            std::size_t samples, std::size_t tile, std::size_t block,
+            const unsigned char* valid, const BlockPairScan& scan,
+            par::ThreadPool* pool, util::MemoryTracker& tracker,
+            util::MemoryTracker& external, const Sink& sink)
+      : scratch_(scratch),
+        n_(genes),
+        tile_(tile),
+        block_(block),
+        valid_(valid),
+        scan_(scan),
+        sink_(sink),
+        a_(std::min(tile, genes), samples, block, scan.screens()),
+        b_(genes > tile ? tile : 0, samples, block, scan.screens()),
+        tile_bytes_(tracker, external, a_.bytes() + b_.bytes(),
+                    MemTag::kScratch),
+        window_(window_for(pool, tile, genes, block)),
+        graph_(pool, graph_options(pool, window_, block)),
+        scan_scratch_(graph_.workers()) {}
+
+  /// Bound on the bytes of hits held between a pair job's end and its
+  /// turn to drain: one dense tile pair of hits, and at least room for two
+  /// more block pairs than there are workers.
+  [[nodiscard]] std::size_t window_bytes() const noexcept { return window_; }
+
+  void run() {
+    for (std::size_t fi = 0; fi < n_; fi += tile_) {
+      const std::size_t ci = std::min(tile_, n_ - fi);
+      for (std::size_t i0 = 0; i0 < ci; i0 += block_) {
+        add_read(a_, i0 / block_, fi + i0, std::min(block_, ci - i0));
+      }
+      for (std::size_t fj = fi; fj < n_; fj += tile_) {
+        const std::size_t cj = std::min(tile_, n_ - fj);
+        const bool same_tile = fj == fi;
+        if (!same_tile) {
+          for (std::size_t j0 = 0; j0 < cj; j0 += block_) {
+            add_read(b_, j0 / block_, fj + j0, std::min(block_, cj - j0));
+          }
+        }
+        for (std::size_t i0 = 0; i0 < ci; i0 += block_) {
+          for (std::size_t j0 = same_tile ? i0 : 0; j0 < cj; j0 += block_) {
+            add_pair(Pair{fi + i0, std::min(block_, ci - i0), fj + j0,
+                          std::min(block_, cj - j0), same_tile});
+          }
+        }
+      }
+    }
+    graph_.run();
+  }
+
+ private:
+  struct Read {
+    TileSlots* slots;
+    std::size_t block;  ///< block index within the tile
+    std::size_t first;  ///< global id of the block's first row
+    std::size_t count;
+  };
+  struct Pair {
+    std::size_t a_first;
+    std::size_t a_count;
+    std::size_t b_first;
+    std::size_t b_count;
+    bool same_tile;  ///< B rows are the A tile's (a diagonal tile pair)
+    par::JobId id = 0;
+  };
+
+  static std::size_t workers(const par::ThreadPool* pool) noexcept {
+    return pool == nullptr ? 1 : pool->size();
+  }
+
+  static std::size_t window_for(const par::ThreadPool* pool,
+                                std::size_t tile, std::size_t genes,
+                                std::size_t block) noexcept {
+    // Clamped so that no realistic tile overflows the product.
+    const std::size_t rows = std::min({tile, genes, std::size_t{1} << 24});
+    return std::max(rows * rows, (workers(pool) + 2) * block * block) *
+           sizeof(CorrHit);
+  }
+
+  static par::JobGraph::Options graph_options(const par::ThreadPool* pool,
+                                              std::size_t window,
+                                              std::size_t block) noexcept {
+    par::JobGraph::Options options;
+    options.ordered = true;
+    // The graph stops opening pairs at its bound.  Past it, each worker's
+    // pair in flight, and the next pair to drain (which the graph runs to
+    // unblock the drain), may each still add one block pair of hits.
+    options.window_bytes =
+        window - (workers(pool) + 1) * block * block * sizeof(CorrHit);
+    return options;
+  }
+
+  void add_read(TileSlots& slots, std::size_t blk, std::size_t first,
+                std::size_t count) {
+    reads_.push_back(Read{&slots, blk, first, count});
+    par::JobGraph::JobSpec spec;
+    spec.label = "tile-read";
+    spec.deps = std::move(slots.readers[blk]);
+    slots.readers[blk].clear();
+    spec.run = [this, r = reads_.size() - 1](std::size_t) { read(reads_[r]); };
+    slots.fill[blk] = graph_.add(std::move(spec));
+  }
+
+  void add_pair(Pair pair) {
+    const std::size_t ab = (pair.a_first % tile_) / block_;
+    const std::size_t bb = (pair.b_first % tile_) / block_;
+    TileSlots& b = pair.same_tile ? a_ : b_;
+    const bool one_block = pair.same_tile && ab == bb;
+    par::JobGraph::JobSpec spec;
+    spec.label = "block-pair";
+    spec.deps.push_back(a_.fill[ab]);
+    if (!one_block) spec.deps.push_back(b.fill[bb]);
+    const std::size_t t = pairs_.size();
+    spec.run = [this, t](std::size_t worker) { screen(t, worker); };
+    spec.complete = [this, t] { drain(t); };
+    pairs_.push_back(pair);
+    completed_.emplace_back();
+    const par::JobId id = graph_.add(std::move(spec));
+    pairs_[t].id = id;
+    a_.readers[ab].push_back(id);
+    if (!one_block) b.readers[bb].push_back(id);
+  }
+
+  void read(const Read& r) {
+    const std::size_t stride = r.slots->rows.stride();
+    double* rows = r.slots->rows.row(r.block * block_);
+    scratch_.read_at(r.first * stride * sizeof(double), rows,
+                     r.count * stride * sizeof(double));
+    if (!r.slots->panels.empty()) {
+      r.slots->panels[r.block].fill(rows, stride, r.count, valid_ + r.first);
+    }
+  }
+
+  [[nodiscard]] CorrBlock view(const TileSlots& slots, std::size_t first,
+                               std::size_t count) const {
+    const std::size_t blk = (first % tile_) / block_;
+    CorrBlock block;
+    block.rows = slots.rows.row(blk * block_);
+    block.stride = slots.rows.stride();
+    block.count = count;
+    block.valid = valid_ + first;
+    block.first = static_cast<std::uint32_t>(first);
+    block.panel = slots.panels.empty() ? nullptr : &slots.panels[blk];
+    return block;
+  }
+
+  void screen(std::size_t t, std::size_t worker) {
+    const Pair& pair = pairs_[t];
+    std::vector<CorrHit> hits;
+    scan_.scan(view(a_, pair.a_first, pair.a_count),
+               view(pair.same_tile ? a_ : b_, pair.b_first, pair.b_count),
+               pair.same_tile && pair.a_first == pair.b_first,
+               scan_scratch_[worker], hits);
+    graph_.set_bytes(pair.id, hits.size() * sizeof(CorrHit));
+    completed_[t] = std::move(hits);
+  }
+
+  void drain(std::size_t t) {
+    sink_(completed_[t]);
+    // Not `= {}`: that assigns an empty initializer list and keeps the
+    // capacity, so every drained pair's hits would stay resident.
+    completed_[t] = std::vector<CorrHit>();
+  }
+
+  const ScratchFile& scratch_;
+  std::size_t n_;
+  std::size_t tile_;
+  std::size_t block_;
+  const unsigned char* valid_;
+  const BlockPairScan& scan_;
+  const Sink& sink_;
+  TileSlots a_;
+  TileSlots b_;
+  DualAlloc tile_bytes_;
+  std::size_t window_;
+  par::JobGraph graph_;
+  std::vector<CorrScanScratch> scan_scratch_;  ///< per worker
+  std::vector<Read> reads_;
+  std::vector<Pair> pairs_;
+  std::vector<std::vector<CorrHit>> completed_;
 };
 
 }  // namespace
@@ -108,6 +365,22 @@ BinaryFileRowSource::BinaryFileRowSource(const std::string& path)
   if (!impl_->in || std::memcmp(magic, kExpressionMagic, 8) != 0) {
     fail("bad expression file '" + path + "'");
   }
+  // The header must describe exactly the bytes that follow it, and every
+  // gene needs a 32-bit id; checked before anything is sized from it.
+  std::error_code ec;
+  const std::uint64_t file_bytes = std::filesystem::file_size(path, ec);
+  constexpr std::uint64_t kMaxValues =
+      std::numeric_limits<std::uint64_t>::max() / sizeof(double);
+  if (ec || genes > std::numeric_limits<std::uint32_t>::max() ||
+      (samples != 0 && genes > kMaxValues / samples) ||
+      file_bytes < kExpressionHeaderBytes ||
+      (file_bytes - kExpressionHeaderBytes) / sizeof(double) !=
+          genes * samples ||
+      (file_bytes - kExpressionHeaderBytes) % sizeof(double) != 0) {
+    fail("expression file '" + path + "' header (" + std::to_string(genes) +
+         " genes x " + std::to_string(samples) +
+         " samples) does not match its size");
+  }
   genes_ = genes;
   samples_ = samples;
 }
@@ -116,7 +389,7 @@ BinaryFileRowSource::~BinaryFileRowSource() = default;
 
 void BinaryFileRowSource::fetch(std::size_t first, std::size_t count,
                                 double* out) const {
-  const std::streamoff base = 24;
+  const auto base = static_cast<std::streamoff>(kExpressionHeaderBytes);
   impl_->in.seekg(base + static_cast<std::streamoff>(
                              first * samples_ * sizeof(double)));
   impl_->in.read(reinterpret_cast<char*>(out),
@@ -146,7 +419,13 @@ TiledCorrelationResult build_correlation_gsbg(
     const TiledCorrelationOptions& options) {
   const std::size_t n = source.genes();
   const std::size_t s = source.samples();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    fail(std::to_string(n) + " genes do not fit 32-bit ids");
+  }
   const std::size_t tile = std::max<std::size_t>(options.tile_rows, 1);
+  // Rows per block job, the same partition of each tile as the kernel's.
+  const std::size_t block = std::min(
+      options.block_rows == 0 ? kDefaultCorrBlock : options.block_rows, tile);
   util::MemoryTracker& external = options.tracker != nullptr
                                       ? *options.tracker
                                       : util::global_memory_tracker();
@@ -172,110 +451,112 @@ TiledCorrelationResult build_correlation_gsbg(
   DualAlloc valid_bytes(tracker, external, valid.capacity(),
                         MemTag::kScratch);
 
-  // --- pass 1: standardized rows to scratch, one tile resident ------------
+  // One pool serves both parallel passes.
+  const std::size_t threads = options.threads == 0
+                                  ? par::ThreadPool::default_threads()
+                                  : options.threads;
+  std::optional<par::ThreadPool> pool;
+  if (threads > 1 && n > 1) pool.emplace(threads);
+  par::ThreadPool* workers = pool ? &*pool : nullptr;
+
+  // --- pass 1: standardized rows to scratch, two tiles resident ------------
+  // Tile fetches form one dependency chain, so the source is never called
+  // concurrently; each tile's row blocks standardize in place and write
+  // themselves out as jobs.  Rows go to scratch at the padded stride the
+  // sweep reads them at, so a tile block is one contiguous read.
   {
-    auto out = open_out(std_file.path());
-    std::vector<double> block(tile * s);
-    std::vector<double> standardized(s);
-    DualAlloc block_bytes(
+    obs::TimelineSpan span(obs::TimelineEventKind::kStage, "standardize");
+    const std::size_t rows = std::min(tile, n);
+    AlignedRows slots[2] = {AlignedRows(rows, s),
+                            AlignedRows(n > tile ? rows : 0, s)};
+    const std::size_t stride = slots[0].stride();
+    // Fetches land here first when the rows need padding.
+    std::vector<double> staging(stride == s ? 0 : rows * s);
+    DualAlloc slot_bytes(
         tracker, external,
-        (block.capacity() + standardized.capacity()) * sizeof(double),
+        slots[0].bytes() + slots[1].bytes() + staging.size() * sizeof(double),
         MemTag::kScratch);
-    StandardizeScratch scratch;  // rank buffers reused across all rows
-    for (std::size_t first = 0; first < n; first += tile) {
+    par::JobGraph jobs(workers);
+    std::vector<StandardizeScratch> ranks(jobs.workers());
+    std::vector<par::JobId> readers[2];
+    par::JobId fetched = 0;
+    for (std::size_t first = 0, t = 0; first < n; first += tile, ++t) {
       const std::size_t count = std::min(tile, n - first);
-      source.fetch(first, count, block.data());
-      for (std::size_t r = 0; r < count; ++r) {
-        valid[first + r] = standardized_profile_into(
-                               std::span<const double>(block.data() + r * s,
-                                                       s),
-                               options.method, standardized.data(), scratch)
-                               ? 1
-                               : 0;
-        out.write(reinterpret_cast<const char*>(standardized.data()),
-                  static_cast<std::streamsize>(s * sizeof(double)));
+      AlignedRows* slot = &slots[t % 2];
+      par::JobGraph::JobSpec fetch;
+      fetch.label = "fetch";
+      fetch.deps = std::move(readers[t % 2]);
+      readers[t % 2].clear();
+      if (t > 0) fetch.deps.push_back(fetched);
+      fetch.run = [&source, &staging, slot, first, count, s](std::size_t) {
+        if (staging.empty()) {
+          source.fetch(first, count, slot->row(0));
+          return;
+        }
+        source.fetch(first, count, staging.data());
+        for (std::size_t r = 0; r < count; ++r) {
+          std::copy_n(staging.data() + r * s, s, slot->row(r));
+        }
+      };
+      fetched = jobs.add(std::move(fetch));
+      for (std::size_t r0 = 0; r0 < count; r0 += block) {
+        par::JobGraph::JobSpec spec;
+        spec.label = "standardize";
+        spec.deps = {fetched};
+        spec.run = [&, slot, first, r0, rows_here = std::min(block, count - r0)](
+                       std::size_t worker) {
+          for (std::size_t r = r0; r < r0 + rows_here; ++r) {
+            double* row = slot->row(r);
+            valid[first + r] =
+                standardized_profile_into(std::span<const double>(row, s),
+                                          options.method, row, ranks[worker])
+                    ? 1
+                    : 0;
+          }
+          std_file.write_at((first + r0) * stride * sizeof(double),
+                            slot->row(r0), rows_here * stride * sizeof(double));
+        };
+        readers[t % 2].push_back(jobs.add(std::move(spec)));
       }
     }
-    if (!out) fail("write failed for standardized scratch");
+    jobs.run();
   }
 
-  // --- pass 2: blocked tile x tile sweep, two tiles resident ----------------
-  // The arithmetic runs through the shared blocked kernel; blocks are
-  // dispatched over the thread pool and their edges reordered back into a
-  // fixed sequence, so the spill file — and the final container — is
-  // byte-identical at every thread count.
-  std::uint64_t edges = 0;
+  // --- pass 2: every block pair on one job graph, two tiles resident -------
   // Degrees stream out of the sweep itself (counting is order-free), so
   // the spill file is read once, for the scatter, instead of twice.
+  std::uint64_t edges = 0;
   std::vector<std::uint64_t> offsets(n + 1, 0);
   DualAlloc offsets_bytes(tracker, external,
                           offsets.capacity() * sizeof(std::uint64_t),
                           MemTag::kGraph);
   {
-    auto std_in = open_in(std_file.path());
-    auto read_tile = [&](std::size_t first, std::size_t count,
-                         AlignedRows& dst) {
-      std_in.seekg(static_cast<std::streamoff>(first * s * sizeof(double)));
-      for (std::size_t r = 0; r < count; ++r) {
-        std_in.read(reinterpret_cast<char*>(dst.row(r)),
-                    static_cast<std::streamsize>(s * sizeof(double)));
-      }
-      if (!std_in) fail("short read from standardized scratch");
-    };
-
-    auto edges_out = open_out(edge_file.path());
+    obs::TimelineSpan span(obs::TimelineEventKind::kStage, "sweep");
     std::vector<SpillEdge> edge_buffer;
-    edge_buffer.reserve(4096);
+    edge_buffer.reserve(kSpillBatch);
     DualAlloc edge_buffer_bytes(tracker, external,
                                 edge_buffer.capacity() * sizeof(SpillEdge),
                                 MemTag::kScratch);
     auto flush_edges = [&] {
-      edges_out.write(reinterpret_cast<const char*>(edge_buffer.data()),
-                      static_cast<std::streamsize>(edge_buffer.size() *
-                                                   sizeof(SpillEdge)));
+      edge_file.append(edge_buffer.data(),
+                       edge_buffer.size() * sizeof(SpillEdge));
       edge_buffer.clear();
     };
-
-    AlignedRows tile_a(tile, s);
-    AlignedRows tile_b(tile, s);
-    DualAlloc tiles_bytes(tracker, external, tile_a.bytes() + tile_b.bytes(),
-                          MemTag::kScratch);
-
-    const std::size_t threads = options.threads == 0
-                                    ? par::ThreadPool::default_threads()
-                                    : options.threads;
-    std::optional<par::ThreadPool> pool;
-    if (threads > 1 && n > 1) pool.emplace(threads);
-    CorrSweepOptions sweep;
-    sweep.block = options.block_rows;
-    sweep.pool = pool ? &*pool : nullptr;
-    const CorrEdgeSink sink = [&](std::uint32_t u, std::uint32_t v, double) {
-      edge_buffer.push_back(SpillEdge{u, v});
-      ++offsets[u + 1];
-      ++offsets[v + 1];
-      ++edges;
-      if (edge_buffer.size() == edge_buffer.capacity()) flush_edges();
-    };
-
-    for (std::size_t fi = 0; fi < n; fi += tile) {
-      const std::size_t ci = std::min(tile, n - fi);
-      read_tile(fi, ci, tile_a);
-      for (std::size_t fj = fi; fj < n; fj += tile) {
-        const std::size_t cj = std::min(tile, n - fj);
-        const AlignedRows* rows_b = &tile_a;
-        if (fj != fi) {
-          read_tile(fj, cj, tile_b);
-          rows_b = &tile_b;
-        }
-        correlation_cross(tile_a, ci, valid.data() + fi,
-                          static_cast<std::uint32_t>(fi), *rows_b, cj,
-                          valid.data() + fj, static_cast<std::uint32_t>(fj),
-                          /*diagonal=*/fj == fi, options.threshold, sweep,
-                          sink);
+    const TileSweep::Sink sink = [&](const std::vector<CorrHit>& hits) {
+      for (const CorrHit& h : hits) {
+        edge_buffer.push_back(SpillEdge{h.u, h.v});
+        ++offsets[h.u + 1];
+        ++offsets[h.v + 1];
+        if (edge_buffer.size() == edge_buffer.capacity()) flush_edges();
       }
-    }
+      edges += hits.size();
+    };
+    const BlockPairScan scan(s, options.threshold);
+    TileSweep sweep(std_file, n, s, tile, block, valid.data(), scan, workers,
+                    tracker, external, sink);
+    sweep.run();
     flush_edges();
-    if (!edges_out) fail("write failed for edge spill");
+    result.reorder_window_bytes = sweep.window_bytes();
   }
   result.edges = edges;
 
@@ -283,26 +564,12 @@ TiledCorrelationResult build_correlation_gsbg(
   // Degrees were counted in-flight above, so the spill is swept exactly
   // once here, for the scatter.
   {
+    std::optional<obs::TimelineSpan> span;
+    span.emplace(obs::TimelineEventKind::kStage, "csr");
     std::vector<std::uint32_t> targets(2 * edges);
     DualAlloc csr_bytes(tracker, external,
                         targets.capacity() * sizeof(std::uint32_t),
                         MemTag::kGraph);
-
-    auto sweep_spill = [&](auto&& per_edge) {
-      auto in = open_in(edge_file.path());
-      std::vector<SpillEdge> buffer(4096);
-      std::uint64_t remaining = edges;
-      while (remaining > 0) {
-        const std::size_t count =
-            static_cast<std::size_t>(std::min<std::uint64_t>(buffer.size(),
-                                                             remaining));
-        in.read(reinterpret_cast<char*>(buffer.data()),
-                static_cast<std::streamsize>(count * sizeof(SpillEdge)));
-        if (!in) fail("short read from edge spill");
-        for (std::size_t e = 0; e < count; ++e) per_edge(buffer[e]);
-        remaining -= count;
-      }
-    };
 
     for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
 
@@ -310,15 +577,30 @@ TiledCorrelationResult build_correlation_gsbg(
     DualAlloc cursor_bytes(tracker, external,
                            cursor.capacity() * sizeof(std::uint64_t),
                            MemTag::kScratch);
-    sweep_spill([&](const SpillEdge& e) {
-      targets[cursor[e.u]++] = e.v;
-      targets[cursor[e.v]++] = e.u;
-    });
+    {
+      std::vector<SpillEdge> buffer(kSpillBatch);
+      DualAlloc buffer_bytes(tracker, external,
+                             buffer.capacity() * sizeof(SpillEdge),
+                             MemTag::kScratch);
+      for (std::uint64_t done = 0; done < edges;) {
+        const auto count = static_cast<std::size_t>(
+            std::min<std::uint64_t>(buffer.size(), edges - done));
+        edge_file.read_at(done * sizeof(SpillEdge), buffer.data(),
+                          count * sizeof(SpillEdge));
+        for (std::size_t e = 0; e < count; ++e) {
+          const SpillEdge& edge = buffer[e];
+          targets[cursor[edge.u]++] = edge.v;
+          targets[cursor[edge.v]++] = edge.u;
+        }
+        done += count;
+      }
+    }
     for (std::size_t v = 0; v < n; ++v) {
       std::sort(targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
                 targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
     }
 
+    span.emplace(obs::TimelineEventKind::kStage, "gsbg-write");
     storage::write_gsbg_from_csr(n, offsets, targets, out_path,
                                  options.storage);
   }

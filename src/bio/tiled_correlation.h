@@ -7,22 +7,37 @@
 /// The in-memory builder (bio/correlation.h) standardizes every profile at
 /// once and holds the full bitmap graph while thresholding — O(genes ×
 /// samples) + O(genes² / 8) bytes, which is exactly what caps the repo
-/// below genome scale.  This builder instead
-///   1. streams expression rows block-by-block, writing standardized
-///      profiles to a scratch file (one pass, one tile resident);
-///   2. sweeps tile × tile over the scratch file with the blocked,
-///      multithreaded kernel (bio/corr_kernel.h), appending every edge
-///      with |corr| >= threshold to an edge spill file (two tiles
-///      resident);
-///   3. finalizes the spill into CSR and hands it to the streaming .gsbg
+/// below genome scale.  This builder runs three passes; the first two are
+/// each one par::JobGraph over one thread pool:
+///   1. standardize: tiles of expression rows are fetched into two
+///      alternating tile buffers; each tile's row blocks standardize in
+///      place and write themselves to a scratch file, padded to the sweep's
+///      stride.  RowBlockSource::fetch is called from one thread at a time:
+///      the fetches form one dependency chain, and a fetch waits for the
+///      blocks still standardizing the buffer it refills.  Resident: two
+///      tiles of doubles (plus a one-tile staging buffer when the samples
+///      are not a whole cache line of doubles).
+///   2. sweep: every block pair of the upper tile triangle is one job, and
+///      so is every tile-block read from the scratch file.  A pair job waits
+///      for the reads of its two blocks; a read refills its block as soon
+///      as the jobs reading the block's previous rows finish, and converts
+///      the block's float screen panel (bio/corr_kernel.h) once, so an A
+///      tile's panels serve its whole row of tile pairs.  Resident: the A
+///      and B tiles of doubles with their float panels, and the hits of
+///      finished pairs awaiting their turn, which the graph keeps within
+///      TiledCorrelationResult::reorder_window_bytes (about one dense tile
+///      pair of hits).  Completions drain in (tile pair, block pair, i, j)
+///      order and append each edge to an edge spill file.
+///   3. finalize: the spill becomes CSR and goes to the streaming .gsbg
 ///      writer (O(n + m) resident, one bitmap row of scratch).
 /// Peak resident bytes are therefore bounded by the tile budget plus the
 /// *output* size, never by genes² — the Fabregat-Traver/Bientinesi
 /// out-of-core recipe applied to the paper's pipeline.  All arithmetic
-/// goes through the same standardization and blocked-dot kernels as the
-/// in-memory builder (every dot product accumulated in the scalar
-/// profile_dot order), so the produced edge set is bit-identical — across
-/// builders and across thread counts.
+/// goes through the same standardization and block-pair body as the
+/// in-memory builder (every emitted dot product is profile_dot's value),
+/// so the produced edge set is bit-identical — across builders and across
+/// thread counts.  The job graph's own bookkeeping (a few hundred bytes
+/// per job, one job per block pair) is not in the tracked peak.
 
 #include <cstdint>
 #include <memory>
@@ -96,11 +111,12 @@ struct TiledCorrelationOptions {
   double threshold = 0.85;
   /// Rows per tile — the memory budget knob.  Peak resident expression
   /// bytes are 2 * tile_rows * stride * 8 (stride = samples padded to a
-  /// cache line of doubles).
+  /// cache line of doubles), plus the sweep's float panels (half that).
   std::size_t tile_rows = 512;
-  /// Worker threads for the blocked tile x tile sweep: 0 = hardware
-  /// concurrency, 1 = sequential.  The produced .gsbg is byte-identical
-  /// at every thread count (see corr_kernel.h's determinism contract).
+  /// Worker threads for the standardize and sweep passes: 0 = hardware
+  /// concurrency, 1 = the calling thread alone.  The produced .gsbg is
+  /// byte-identical at every thread count (see corr_kernel.h's
+  /// determinism contract).
   std::size_t threads = 1;
   /// Rows per cache block inside a tile pair; 0 = kernel default.
   std::size_t block_rows = 0;
@@ -119,8 +135,13 @@ struct TiledCorrelationResult {
   std::size_t edges = 0;
   std::size_t tiles = 0;
   double threshold_used = 0.0;
-  /// Peak bytes the builder had resident (tracked buffers only).
+  /// Peak bytes of the builder's buffers: tiles, float panels, spill
+  /// batches, validity, CSR.
   std::size_t peak_tracked_bytes = 0;
+  /// Bound on the bytes of hits the sweep holds between a pair job's end
+  /// and its turn to drain (its JobGraph's pending bytes), outside the
+  /// tracked peak.
+  std::size_t reorder_window_bytes = 0;
 };
 
 /// Builds the thresholded correlation graph of \p source out-of-core and

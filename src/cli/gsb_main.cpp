@@ -440,7 +440,10 @@ int cmd_pipeline(const util::Cli& cli) {
     config.samples = samples;
     config.modules =
         size_flag(cli, "modules", static_cast<std::int64_t>(genes / 40));
-    auto data = bio::generate_microarray(config, rng);
+    auto data = [&] {
+      obs::TimelineSpan span(obs::TimelineEventKind::kStage, "microarray");
+      return bio::generate_microarray(config, rng);
+    }();
     std::printf("microarray: %zu probes x %zu arrays, %zu planted modules\n",
                 data.expression.genes(), data.expression.samples(),
                 data.modules.size());

@@ -216,6 +216,34 @@ bool pwrite_full(int fd, const void* buf, std::size_t n,
   return true;
 }
 
+bool pread_full(int fd, void* buf, std::size_t n,
+                std::uint64_t offset) noexcept {
+  auto* cursor = static_cast<char*>(buf);
+  while (n > 0) {
+    std::size_t want = n;
+    ssize_t injected = 0;
+    int attempts = 0;
+    while (injected_fault(fault::Op::kRead, want, injected, attempts)) {
+      ++attempts;
+      want = n;
+    }
+    if (injected < 0) return false;
+    const ssize_t got = ::pread(fd, cursor, want, static_cast<off_t>(offset));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (got == 0) {
+      errno = EIO;  // premature EOF: the file is shorter than promised
+      return false;
+    }
+    cursor += got;
+    offset += static_cast<std::uint64_t>(got);
+    n -= static_cast<std::size_t>(got);
+  }
+  return true;
+}
+
 int accept_nonblock(int listen_fd) noexcept {
 #if defined(__linux__)
   for (int attempts = 0;; ++attempts) {

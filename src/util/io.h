@@ -28,7 +28,9 @@ namespace gsb::util::io {
 // The *_some calls behave like the underlying syscall minus EINTR: they
 // may return short but never -1/EINTR.  The *_full calls additionally
 // loop over short transfers; they return false with errno set on a real
-// error (write_full) or on error/premature EOF (read_full).
+// error (write_full, pwrite_full) or on error/premature EOF (read_full,
+// pread_full).  The positioned pair never moves the file offset, so
+// threads may share one descriptor.
 
 ssize_t read_some(int fd, void* buf, std::size_t n) noexcept;
 ssize_t recv_some(int fd, void* buf, std::size_t n, int flags) noexcept;
@@ -37,6 +39,8 @@ bool read_full(int fd, void* buf, std::size_t n) noexcept;
 bool write_full(int fd, const void* buf, std::size_t n) noexcept;
 bool pwrite_full(int fd, const void* buf, std::size_t n,
                  std::uint64_t offset) noexcept;
+bool pread_full(int fd, void* buf, std::size_t n,
+                std::uint64_t offset) noexcept;
 
 /// accept4(SOCK_NONBLOCK | SOCK_CLOEXEC) with EINTR retry and fault
 /// interception; -1/errno like accept (ENOSYS off Linux).

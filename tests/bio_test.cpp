@@ -5,14 +5,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <tuple>
 
 #include "bio/correlation.h"
 #include "bio/expression.h"
 #include "bio/generator.h"
 #include "bio/normalize.h"
 #include "bio/presets.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace gsb::bio {
@@ -166,6 +171,61 @@ TEST(Normalize, QuantileTiesGetTheMeanOfTheirQuantiles) {
   EXPECT_NEAR(m.at(0, 2), (reference[2] + reference[3]) / 2.0, 1e-12);
   EXPECT_EQ(m.at(2, 2), m.at(0, 2));
   EXPECT_NEAR(m.at(4, 2), reference[4], 1e-12);
+}
+
+TEST(Normalize, QuantileMatchesSortReference) {
+  // The radix-sorted normalization must equal the comparison-sort body it
+  // replaced bit for bit: ties (also across -0.0 and +0.0), negatives,
+  // subnormals and infinities, and the one-gene and one-sample shapes.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double special[] = {-0.0,    0.0,    -2.5,   1.0,     3.25,
+                            5e-324,  -5e-324, 2.2e-310, -1e-315, kInf,
+                            -kInf,   1e300,  -1e300, 0.1};
+  util::Rng rng(2024);
+  auto cell = [&](double tie_share) {
+    if (rng.uniform() < tie_share) {
+      return special[rng.below(std::size(special))];
+    }
+    return rng.normal(0.0, 3.0);
+  };
+  struct Case {
+    std::string name;
+    ExpressionMatrix matrix;
+  };
+  std::vector<Case> cases;
+  for (const auto& [genes, samples, tie_share] :
+       {std::tuple{300u, 7u, 0.5}, std::tuple{1u, 5u, 0.5},
+        std::tuple{50u, 1u, 0.5}, std::tuple{200u, 4u, 0.0},
+        std::tuple{64u, 3u, 1.0}, std::tuple{1u, 1u, 0.0}}) {
+    ExpressionMatrix m(genes, samples);
+    for (std::size_t g = 0; g < genes; ++g) {
+      for (std::size_t s = 0; s < samples; ++s) m.at(g, s) = cell(tie_share);
+    }
+    cases.push_back({std::to_string(genes) + " x " + std::to_string(samples) +
+                         " ties " + std::to_string(tie_share),
+                     std::move(m)});
+  }
+  // Columns of one repeated value, of zeros of both signs, and of five
+  // repeated levels.
+  ExpressionMatrix flat(40, 3);
+  for (std::size_t g = 0; g < 40; ++g) {
+    flat.at(g, 0) = 4.5;
+    flat.at(g, 1) = g % 2 == 0 ? 0.0 : -0.0;
+    flat.at(g, 2) = static_cast<double>(g % 5) - 2.0;
+  }
+  cases.push_back({"flat columns", std::move(flat)});
+
+  for (auto& [name, matrix] : cases) {
+    ExpressionMatrix expected = matrix;
+    test::reference_quantile_normalize(expected);
+    quantile_normalize(matrix);
+    for (std::size_t g = 0; g < matrix.genes(); ++g) {
+      EXPECT_EQ(std::memcmp(matrix.row(g).data(), expected.row(g).data(),
+                            matrix.samples() * sizeof(double)),
+                0)
+          << name << ", gene " << g;
+    }
+  }
 }
 
 TEST(Normalize, Log2TransformPositive) {

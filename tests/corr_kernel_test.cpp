@@ -335,26 +335,7 @@ TEST(CorrKernel, TiledGsbgByteIdenticalAcrossThreadCounts) {
   const auto expression = synthetic_expression(200, 24, 53);
   for (const auto method : {bio::CorrelationMethod::kPearson,
                             bio::CorrelationMethod::kSpearman}) {
-    bio::TiledCorrelationOptions options;
-    options.method = method;
-    options.threshold = 0.6;
-    options.tile_rows = 48;   // multi-tile sweep with a ragged tail
-    options.block_rows = 16;  // multiple blocks per tile pair
-    options.threads = 1;
-    TempPath baseline_path("corr_threads1");
-    bio::build_correlation_gsbg(expression, baseline_path.path(), options);
-    const auto baseline_bytes = read_file_bytes(baseline_path.path());
-    ASSERT_FALSE(baseline_bytes.empty());
-
-    for (const std::size_t threads : {2u, 4u, 8u}) {
-      options.threads = threads;
-      TempPath path("corr_threadsN");
-      bio::build_correlation_gsbg(expression, path.path(), options);
-      EXPECT_EQ(read_file_bytes(path.path()), baseline_bytes)
-          << threads << " threads";
-    }
-
-    // And the mapped edge set equals the in-memory builder's graph.
+    // The in-memory builder's graph, which every container must hold.
     bio::CorrelationGraphOptions in_memory;
     in_memory.method = method;
     in_memory.threshold = 0.6;
@@ -362,8 +343,34 @@ TEST(CorrKernel, TiledGsbgByteIdenticalAcrossThreadCounts) {
     util::Rng rng(1);
     const auto expected =
         bio::build_correlation_graph(expression, in_memory, rng);
-    const auto mapped = storage::MappedGraph::open(baseline_path.path());
-    EXPECT_TRUE(mapped.load() == expected.graph);
+
+    // 48: multi-tile sweep with a ragged tail; 37: tiles that are not a
+    // whole number of 16-row blocks; 200: the whole input in one tile.
+    for (const std::size_t tile_rows : {48u, 37u, 200u}) {
+      bio::TiledCorrelationOptions options;
+      options.method = method;
+      options.threshold = 0.6;
+      options.tile_rows = tile_rows;
+      options.block_rows = 16;  // multiple blocks per tile pair
+      options.threads = 1;
+      TempPath baseline_path("corr_threads1");
+      bio::build_correlation_gsbg(expression, baseline_path.path(), options);
+      const auto baseline_bytes = read_file_bytes(baseline_path.path());
+      ASSERT_FALSE(baseline_bytes.empty());
+
+      for (const std::size_t threads : {2u, 4u, 8u}) {
+        options.threads = threads;
+        TempPath path("corr_threadsN");
+        bio::build_correlation_gsbg(expression, path.path(), options);
+        EXPECT_EQ(read_file_bytes(path.path()), baseline_bytes)
+            << threads << " threads, " << tile_rows << "-row tiles";
+      }
+
+      // And the mapped edge set equals the in-memory builder's graph.
+      const auto mapped = storage::MappedGraph::open(baseline_path.path());
+      EXPECT_TRUE(mapped.load() == expected.graph)
+          << tile_rows << "-row tiles";
+    }
   }
 }
 

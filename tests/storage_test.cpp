@@ -1,7 +1,9 @@
-// Tests for the out-of-core storage engine: .gsbg round-trips, corruption
-// rejection, and — the load-bearing guarantee — byte-identical clique /
-// paraclique results between the in-memory path and the memory-mapped path.
+// Tests for the out-of-core storage engine: the FNV-1a checksum against its
+// byte-at-a-time definition, .gsbg round-trips, corruption rejection, and —
+// the load-bearing guarantee — byte-identical clique / paraclique results
+// between the in-memory path and the memory-mapped path.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -36,6 +38,59 @@ void expect_same_adjacency(const graph::GraphView& a,
   for (graph::VertexId v = 0; v < a.order(); ++v) {
     ASSERT_EQ(a.degree(v), b.degree(v)) << "degree mismatch at " << v;
     ASSERT_TRUE(a.neighbors(v) == b.neighbors(v)) << "row mismatch at " << v;
+  }
+}
+
+TEST(Fnv1a, ZeroWordFoldMatchesByteReference) {
+  // The byte-at-a-time FNV-1a the checksum is defined as.
+  auto reference = [](const std::vector<unsigned char>& bytes) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  util::Rng rng(8);
+  auto check = [&](const std::vector<unsigned char>& bytes,
+                   const std::string& label) {
+    const std::uint64_t expected = reference(bytes);
+    storage::Fnv1a whole;
+    whole.update(bytes.data(), bytes.size());
+    EXPECT_EQ(whole.digest(), expected) << label;
+    // The same bytes fed in pieces split at arbitrary points, so words
+    // straddle the calls and start at every alignment.
+    storage::Fnv1a pieces;
+    std::size_t at = 0;
+    while (at < bytes.size()) {
+      const std::size_t piece = std::min<std::size_t>(
+          bytes.size() - at, static_cast<std::size_t>(rng.below(23)));
+      pieces.update(bytes.data() + at, piece);
+      at += piece;
+    }
+    EXPECT_EQ(pieces.digest(), expected) << label << " (split)";
+  };
+  // Zero runs of every length up to three words, starting at every offset
+  // mod 8, among nonzero bytes.
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t run = 0; run <= 24; ++run) {
+      std::vector<unsigned char> bytes(48);
+      for (auto& b : bytes) b = static_cast<unsigned char>(1 + rng.below(255));
+      std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(8 + start), run,
+                  0);
+      check(bytes, "run " + std::to_string(run) + " at " +
+                       std::to_string(8 + start));
+    }
+  }
+  // Random lengths mixing long zero stretches (a sparse bitmap's shape),
+  // stray zero bytes and random bytes.
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<unsigned char> bytes(static_cast<std::size_t>(rng.below(200)));
+    for (auto& b : bytes) {
+      b = rng.uniform() < 0.8 ? 0
+                              : static_cast<unsigned char>(rng.below(256));
+    }
+    check(bytes, "trial " + std::to_string(trial));
   }
 }
 

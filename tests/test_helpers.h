@@ -1,11 +1,12 @@
 #ifndef GSB_TESTS_TEST_HELPERS_H
 #define GSB_TESTS_TEST_HELPERS_H
 
-/// Shared fixtures for the clique-algorithm test suites: seeded random
-/// graphs, collector-based wrappers that return normalized clique sets
-/// for order-insensitive comparison, scratch .gsbg files, and the scalar
-/// references (full-scan glom, intersects-based colour sort) the
-/// paraclique and maximum-clique oracle tests compare the library against.
+/// Shared fixtures for the test suites: seeded random graphs,
+/// collector-based wrappers that return normalized clique sets for
+/// order-insensitive comparison, scratch .gsbg files, and the scalar
+/// references (full-scan glom, intersects-based colour sort, comparison-
+/// sorted quantile normalization) the oracle tests compare the library
+/// against.
 
 #include <unistd.h>
 
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "analysis/paraclique.h"
+#include "bio/expression.h"
 #include "bitset/dynamic_bitset.h"
 #include "core/bron_kerbosch.h"
 #include "core/clique.h"
@@ -341,6 +343,53 @@ inline std::vector<core::Clique> emission_sequence(
 inline std::vector<core::Clique> reference_emission_sequence(
     const graph::Graph& g, const core::SizeRange& range) {
   return emission_sequence(core::reference_maximal_cliques(g), range);
+}
+
+/// Reference for bio::quantile_normalize: the comparison-sort body it
+/// replaced.  Each column is sorted as (value, gene) pairs with std::sort
+/// under <, the reference distribution is the mean across samples of each
+/// rank's value, and every member of a tie group (values equal under ==)
+/// gets the mean of its ranks' reference values.
+inline void reference_quantile_normalize(bio::ExpressionMatrix& matrix) {
+  const std::size_t genes = matrix.genes();
+  const std::size_t samples = matrix.samples();
+  if (genes == 0 || samples == 0) return;
+  struct Entry {
+    double value;
+    std::uint32_t gene;
+  };
+  std::vector<Entry> column(genes);
+  std::vector<std::uint32_t> order(samples * genes);
+  std::vector<double> reference(genes, 0.0);
+  for (std::size_t s = 0; s < samples; ++s) {
+    for (std::size_t g = 0; g < genes; ++g) {
+      column[g] = Entry{matrix.at(g, s), static_cast<std::uint32_t>(g)};
+    }
+    std::sort(column.begin(), column.end(),
+              [](const Entry& a, const Entry& b) { return a.value < b.value; });
+    std::uint32_t* ranked = order.data() + s * genes;
+    for (std::size_t r = 0; r < genes; ++r) {
+      reference[r] += column[r].value;
+      ranked[r] = column[r].gene;
+    }
+  }
+  for (double& v : reference) v /= static_cast<double>(samples);
+  for (std::size_t s = 0; s < samples; ++s) {
+    const std::uint32_t* ranked = order.data() + s * genes;
+    std::size_t r = 0;
+    while (r < genes) {
+      const double value = matrix.at(ranked[r], s);
+      std::size_t end = r + 1;
+      while (end < genes && matrix.at(ranked[end], s) == value) ++end;
+      double quantile = reference[r];
+      if (end - r > 1) {
+        double sum = 0.0;
+        for (std::size_t t = r; t < end; ++t) sum += reference[t];
+        quantile = sum / static_cast<double>(end - r);
+      }
+      for (; r < end; ++r) matrix.at(ranked[r], s) = quantile;
+    }
+  }
 }
 
 }  // namespace gsb::test
