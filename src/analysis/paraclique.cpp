@@ -93,19 +93,17 @@ std::vector<Paraclique> extract_all_paracliques(
     const graph::GraphView& g, std::size_t min_size,
     const ParacliqueOptions& options) {
   std::vector<Paraclique> out;
-  const std::size_t n = g.order();
   // Iterative extraction removes edges, so this is the one analysis stage
   // that cannot run off a read-only mapping: it materializes a mutable
   // copy, the residue.  Only vertices with an edge can ever join a round's
   // clique or paraclique, so the residue holds just those, in ascending
-  // order; every ascending scan and first-in-id-order tie break of the
-  // search and the glom then runs as it would over all n.  Recorded with
-  // the tracker so out-of-core runs report it honestly.
-  std::vector<std::size_t> degree(n);
+  // order; every ascending scan, (degree, id) seed order and
+  // first-in-id-order tie break of the search and the glom then runs as it
+  // would over all n.  Recorded with the tracker so out-of-core runs
+  // report it honestly.
   std::vector<VertexId> live;
-  for (VertexId v = 0; v < n; ++v) {
-    degree[v] = g.degree(v);
-    if (degree[v] > 0) live.push_back(v);
+  for (VertexId v = 0; v < g.order(); ++v) {
+    if (g.degree(v) > 0) live.push_back(v);
   }
   auto [residue, to_g] = graph::induced_subgraph(g, live);
   util::ScopedAllocation residue_bytes(util::global_memory_tracker(),
@@ -113,20 +111,8 @@ std::vector<Paraclique> extract_all_paracliques(
                                        util::MemTag::kGraph);
   // A one-vertex seed removes no edge, so sizes below 2 act as 2.
   min_size = std::max<std::size_t>(min_size, 2);
-  std::vector<VertexId> seeds;
   while (residue.num_edges() > 0) {
-    // The greedy bound's seeds are those of the search over all n: the
-    // same sort of the residue's n degrees.  Vertices without an edge sort
-    // last and only ever grow one-vertex cliques, so leaving them out
-    // changes no bound.
-    seeds.clear();
-    for (const VertexId v :
-         core::highest_degree_vertices(degree, core::kMaxCliqueSeeds)) {
-      if (degree[v] == 0) break;
-      seeds.push_back(static_cast<VertexId>(
-          std::lower_bound(to_g.begin(), to_g.end(), v) - to_g.begin()));
-    }
-    const auto seed = core::maximum_clique(residue, seeds);
+    const auto seed = core::maximum_clique(residue);
     if (seed.clique.size() < min_size) break;
     Paraclique para = grow_paraclique(residue, seed.clique, options);
     // Remove the paraclique's edges from the residue graph.
@@ -135,10 +121,7 @@ std::vector<Paraclique> extract_all_paracliques(
         residue.remove_edge(para.members[i], para.members[j]);
       }
     }
-    for (VertexId& v : para.members) {
-      degree[to_g[v]] = residue.degree(v);
-      v = to_g[v];
-    }
+    for (VertexId& v : para.members) v = to_g[v];
     out.push_back(std::move(para));
   }
   return out;

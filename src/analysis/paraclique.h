@@ -62,7 +62,11 @@ Paraclique extract_paraclique_from_stream(const graph::GraphView& g,
 /// the residue (g minus the edges of earlier paracliques) and removes the
 /// paraclique's edges, until the maximum clique has fewer than \p min_size
 /// vertices.  A seed needs an edge, so a \p min_size below 2 acts as 2.
-/// Each round searches only the vertices of g that have an edge.
+/// Each round runs core::maximum_clique on a residue that holds only the
+/// vertices of g with an edge, in ascending order: its seeds are the
+/// residue's highest-degree vertices in (degree desc, id asc) order, its
+/// branches run on local rows of at most a vertex's degree, and g's
+/// isolated vertices change no round.
 std::vector<Paraclique> extract_all_paracliques(
     const graph::GraphView& g, std::size_t min_size,
     const ParacliqueOptions& options = {});

@@ -25,14 +25,19 @@ namespace gsb::core {
 /// greedy lower bound from.
 inline constexpr std::size_t kMaxCliqueSeeds = 8;
 
-/// The first \p count of the vertices [0, degrees.size()) after one
-/// `std::sort` of all of them by descending degree (ties in that sort's
-/// order): the seeds of greedy_clique_lower_bound and maximum_clique.
+/// The first \p count of the vertices [0, degrees.size()) in the order
+/// (degree descending, id ascending), selected with one
+/// `std::partial_sort`: the seeds of greedy_clique_lower_bound and
+/// maximum_clique.  The order is total, so the seeds do not depend on the
+/// standard library's sort.
 std::vector<VertexId> highest_degree_vertices(
     std::span<const std::size_t> degrees, std::size_t count);
 
 /// Greedy lower bound: grows a clique from each of the highest-degree
-/// seeds; returns the best found (a valid clique, not necessarily maximum).
+/// seeds, in order, by repeatedly adding the candidate with the most
+/// neighbours among the candidates (ties: lowest id); returns the first
+/// strictly largest (a valid clique, not necessarily maximum).  Each seed's
+/// neighbourhood is re-indexed into ⌈deg/64⌉-word local rows first.
 Clique greedy_clique_lower_bound(const graph::GraphView& g,
                                  std::size_t seeds = kMaxCliqueSeeds);
 
@@ -50,13 +55,15 @@ struct MaxCliqueResult {
 /// (Tomita-style).  Exponential worst case; effective on the sparse
 /// correlation graphs this framework targets.  The search starts from the
 /// greedy lower bound over g's kMaxCliqueSeeds highest-degree vertices.
+///
+/// Only the root colours g's n-bit rows.  Each root branch v re-indexes its
+/// candidates (N(v) minus the root vertices already expanded) into
+/// ascending local ids with ⌈k/64⌉-word rows, k <= deg(v), and every node
+/// below it colours, branches and prunes on those rows.  Local ids are
+/// monotone in g's ids, so the search visits the same tree (`tree_nodes`)
+/// and returns the same clique as one that ran every node on n-bit rows;
+/// of several maximum cliques it returns the first found.
 MaxCliqueResult maximum_clique(const graph::GraphView& g);
-
-/// The same search with its lower bound grown greedily from \p seeds, in
-/// order (the first strictly largest clique wins).  Given the seeds
-/// maximum_clique(g) would pick, it returns the same result.
-MaxCliqueResult maximum_clique(const graph::GraphView& g,
-                               std::span<const VertexId> seeds);
 
 }  // namespace gsb::core
 

@@ -223,6 +223,27 @@ TEST(ParacliqueOracle, ExtractAllMatchesReferenceLoop) {
   EXPECT_GT(comparisons, 5000u);
 }
 
+// Isolated vertices never join a round: appending them to g (so every
+// other id stays) changes no paraclique, in memory or mapped.
+TEST(ParacliqueOracle, AppendedIsolatedVerticesChangeNoRound) {
+  std::size_t comparisons = 0;
+  for (const auto& [name, g] : test::oracle_graphs()) {
+    SCOPED_TRACE(name);
+    const Graph padded = Graph::from_edges(g.order() + 70, g.edge_list());
+    const test::InMemoryAndMapped backends(padded);
+    const auto expected = extract_all_paracliques(g, 2);
+    for (const graph::GraphView& view : backends.views()) {
+      const auto actual = extract_all_paracliques(view, 2);
+      ASSERT_EQ(actual.size(), expected.size());
+      for (std::size_t i = 0; i < actual.size(); ++i) {
+        expect_same(actual[i], expected[i]);
+      }
+      ++comparisons;
+    }
+  }
+  EXPECT_GT(comparisons, 200u);
+}
+
 TEST(CliqueStats, SpectrumAggregates) {
   const std::vector<Clique> cliques{{0, 1}, {1, 2, 3}, {0, 2}, {4, 5, 6, 7}};
   const auto spectrum = clique_spectrum(cliques);

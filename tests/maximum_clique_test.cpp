@@ -121,49 +121,77 @@ TEST(MaxCliqueOracle, MatchesIntersectsColorSortReference) {
     check("gnp sweep seed=" + std::to_string(seed),
           test::random_graph(n, p, seed));
   }
+  // Root branches whose local rows span two or three 64-bit words:
+  // degrees of 120-142 in G(300, 0.4), up to 159 in a 330-vertex p = 0.4
+  // module scattered over a sparse 700-vertex background, and a 200-leaf
+  // star whose hub's branch holds every leaf.  (A 150-vertex p = 0.9
+  // module would give such rows too, but its search takes 2.3 M nodes.)
+  check("gnp n=300 p=0.4", test::random_graph(300, 0.4, 300));
+  util::Rng rng(150);
+  graph::ModuleGraphConfig config;
+  config.n = 700;
+  config.num_modules = 1;
+  config.min_module_size = 330;
+  config.max_module_size = 330;
+  config.p_in = 0.4;
+  config.overlap = 0.0;
+  config.background_edges = 700;
+  check("module 330 p=0.4 on background",
+        graph::planted_modules(config, rng).graph);
+  graph::Graph star(202);  // hub 1, leaves 2..201, vertex 0 isolated
+  for (VertexId v = 2; v < 202; ++v) star.add_edge(1, v);
+  check("star n=200", star);
   EXPECT_GT(comparisons, 200u);
 }
 
-// Given the kMaxCliqueSeeds highest-degree vertices of the n-vertex
-// degree sort, the seeded search is maximum_clique(g): on g itself, and on
-// g without its isolated vertices (ascending ids, mapped back).  An
-// isolated vertex only fills colour class 1 at the top of the search and
-// never branches, so both searches take the same branches and count the
-// same nodes.  An edgeless g keeps no vertex, so it is checked on g alone.
-TEST(MaxCliqueOracle, SeededSearchMatchesWithoutIsolatedVertices) {
+// highest_degree_vertices is the (degree desc, id asc) order: the prefix
+// of a stable sort by descending degree, on degree arrays full of ties.
+TEST(MaxClique, HighestDegreeVerticesIsStableSortPrefix) {
+  util::Rng rng(22);
+  for (const std::size_t n : {0, 1, 9, 64, 300}) {
+    for (const std::size_t spread : {1, 3, 12}) {
+      std::vector<std::size_t> degrees(n);
+      for (std::size_t& d : degrees) d = rng.below(spread);
+      for (const std::size_t count : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{8}, n, n + 5}) {
+        SCOPED_TRACE("n " + std::to_string(n) + " spread " +
+                     std::to_string(spread) + " count " +
+                     std::to_string(count));
+        EXPECT_EQ(highest_degree_vertices(degrees, count),
+                  test::reference_highest_degree_vertices(degrees, count));
+      }
+    }
+  }
+}
+
+// The search on g without its isolated vertices (ascending ids, mapped
+// back) is the search on g.  The seeds are the same vertices: an isolated
+// vertex sorts after every vertex with an edge and only grows a one-vertex
+// clique, which never beats one with an edge.  At the root it only fills
+// colour class 1 and never branches, so both searches take the same
+// branches and count the same nodes.  An edgeless g keeps no vertex and
+// is skipped.
+TEST(MaxCliqueOracle, SearchMatchesWithoutIsolatedVertices) {
   std::size_t comparisons = 0;
   for (const auto& [name, g] : test::oracle_graphs()) {
     SCOPED_TRACE(name);
-    std::vector<std::size_t> degrees(g.order());
     std::vector<VertexId> live;
     for (VertexId v = 0; v < g.order(); ++v) {
-      degrees[v] = g.degree(v);
-      if (degrees[v] > 0) live.push_back(v);
+      if (g.degree(v) > 0) live.push_back(v);
     }
-    const auto seeds = highest_degree_vertices(degrees, kMaxCliqueSeeds);
+    if (live.empty()) continue;
     const test::InMemoryAndMapped backends(g);
     for (const graph::GraphView& view : backends.views()) {
       const auto expected = maximum_clique(view);
-      const auto seeded = maximum_clique(view, seeds);
-      EXPECT_EQ(seeded.clique, expected.clique);
-      EXPECT_EQ(seeded.tree_nodes, expected.tree_nodes);
-      ++comparisons;
-      if (live.empty()) continue;
       const auto compact = graph::induced_subgraph(view, live);
-      std::vector<VertexId> compact_seeds;
-      for (const VertexId v : seeds) {
-        if (degrees[v] == 0) break;
-        compact_seeds.push_back(static_cast<VertexId>(
-            std::lower_bound(live.begin(), live.end(), v) - live.begin()));
-      }
-      auto result = maximum_clique(compact.graph, compact_seeds);
+      auto result = maximum_clique(compact.graph);
       for (VertexId& v : result.clique) v = compact.mapping[v];
       EXPECT_EQ(result.clique, expected.clique);
       EXPECT_EQ(result.tree_nodes, expected.tree_nodes);
       ++comparisons;
     }
   }
-  EXPECT_GT(comparisons, 400u);
+  EXPECT_GT(comparisons, 200u);
 }
 
 }  // namespace

@@ -4,15 +4,16 @@
 /// Shared fixtures for the test suites: seeded random graphs,
 /// collector-based wrappers that return normalized clique sets for
 /// order-insensitive comparison, scratch .gsbg files, and the scalar
-/// references (full-scan glom, intersects-based colour sort, comparison-
-/// sorted quantile normalization) the oracle tests compare the library
-/// against.
+/// references (full-scan glom, stable-sorted seed order, n-bit greedy
+/// bound and intersects-based colour sort, comparison-sorted quantile
+/// normalization) the oracle tests compare the library against.
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <numeric>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -138,17 +139,70 @@ inline analysis::Paraclique reference_grow_paraclique(
   return result;
 }
 
+/// Reference seed order for core::highest_degree_vertices: one
+/// `std::stable_sort` of all vertices by descending degree, so equal
+/// degrees keep ascending ids; the first \p count of them.
+inline std::vector<graph::VertexId> reference_highest_degree_vertices(
+    const std::vector<std::size_t>& degrees, std::size_t count) {
+  std::vector<graph::VertexId> order(degrees.size());
+  std::iota(order.begin(), order.end(), graph::VertexId{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](graph::VertexId a, graph::VertexId b) {
+                     return degrees[a] > degrees[b];
+                   });
+  order.resize(std::min(count, order.size()));
+  return order;
+}
+
+/// Reference for core::greedy_clique_lower_bound on n-bit rows: from each
+/// seed in turn, repeatedly add the candidate with the most neighbours
+/// among the candidates (the lowest id on ties); the first strictly
+/// largest clique wins.
+inline core::Clique reference_greedy_clique(
+    const graph::GraphView& g, const std::vector<graph::VertexId>& seeds) {
+  using bits::DynamicBitset;
+  const std::size_t n = g.order();
+  core::Clique best;
+  DynamicBitset cand(n);
+  for (const graph::VertexId seed : seeds) {
+    core::Clique clique{seed};
+    cand.assign(g.neighbors(seed));
+    while (true) {
+      graph::VertexId pick = static_cast<graph::VertexId>(n);
+      std::size_t pick_links = 0;
+      for (std::size_t v = cand.find_first(); v < n; v = cand.find_next(v)) {
+        const std::size_t links = DynamicBitset::count_and(
+            cand, g.neighbors(static_cast<graph::VertexId>(v)));
+        if (pick == n || links > pick_links) {
+          pick = static_cast<graph::VertexId>(v);
+          pick_links = links;
+        }
+      }
+      if (pick == n) break;
+      clique.push_back(pick);
+      cand &= g.neighbors(pick);
+    }
+    if (clique.size() > best.size()) best = std::move(clique);
+  }
+  std::sort(best.begin(), best.end());
+  return best;
+}
+
 /// Scalar reference for core::maximum_clique: the same Tomita-style
-/// branch and bound, seeded by the same greedy lower bound, with the
-/// intersects-based colour sort — v joins the open colour class iff
-/// N(v) AND class is empty, one n/64-word test per vertex per class.
+/// branch and bound on n-bit rows at every node, seeded by its own greedy
+/// lower bound over the reference seed order, with the intersects-based
+/// colour sort — v joins the open colour class iff N(v) AND class is
+/// empty, one n/64-word test per vertex per class.
 class ReferenceMaxClique {
  public:
   explicit ReferenceMaxClique(const graph::GraphView& g)
       : g_(g), n_(g.order()) {}
 
   core::MaxCliqueResult run() {
-    best_ = core::greedy_clique_lower_bound(g_);
+    std::vector<std::size_t> degrees(n_);
+    for (graph::VertexId v = 0; v < n_; ++v) degrees[v] = g_.degree(v);
+    best_ = reference_greedy_clique(
+        g_, reference_highest_degree_vertices(degrees, core::kMaxCliqueSeeds));
     if (n_ > 0) {
       bits::DynamicBitset cand(n_);
       cand.set_all();
