@@ -35,7 +35,7 @@
 #include "core/bron_kerbosch.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/timeline.h"
 #include "service/batch_executor.h"
 #include "service/client.h"
 #include "service/clique_index.h"
@@ -352,17 +352,17 @@ double closed_loop_seconds(const std::string& address, std::size_t clients,
 }
 
 // The observability acceptance number: the same closed loop against the
-// same server with the registry+tracer off, then on.  The per-request
-// delta divided by the baseline lands in `instr_overhead_pct` — the
-// budget is < 3%, and the response bytes are identical either way (the
-// service tests pin that part).
+// same server with the registry and request traces off, then on.  The
+// per-request delta divided by the baseline lands in `instr_overhead_pct`
+// — the budget is < 3%, and the response bytes are identical either way
+// (the service tests pin that part).
 void BM_TcpInstrumentationOverhead(benchmark::State& state) {
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kDepth = 8;
   constexpr std::size_t kRequestsPerClient = 256;
   TcpBench bench(/*threads=*/4);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  obs::Tracer& tracer = obs::Tracer::global();
+  obs::TimelineJournal& journal = obs::TimelineJournal::global();
   // Warm the server (engines, cache, page faults) off the record.
   closed_loop_seconds(bench.address(), kClients, kDepth, kRequestsPerClient);
 
@@ -371,11 +371,11 @@ void BM_TcpInstrumentationOverhead(benchmark::State& state) {
   std::uint64_t completed = 0;
   for (auto _ : state) {
     registry.set_enabled(false);
-    tracer.set_enabled(false);
+    journal.set_request_traces_enabled(false);
     off_seconds += closed_loop_seconds(bench.address(), kClients, kDepth,
                                        kRequestsPerClient);
     registry.set_enabled(true);
-    tracer.set_enabled(true);
+    journal.set_request_traces_enabled(true);
     on_seconds += closed_loop_seconds(bench.address(), kClients, kDepth,
                                       kRequestsPerClient);
     completed += 2 * kClients * kRequestsPerClient;
@@ -394,7 +394,7 @@ void BM_TcpInstrumentationOverhead(benchmark::State& state) {
     merged.sum_micros += metric.histogram.sum_micros;
   }
   registry.set_enabled(false);
-  tracer.set_enabled(false);
+  journal.set_request_traces_enabled(false);
   state.SetItemsProcessed(static_cast<std::int64_t>(completed));
   state.counters["server_p50_us"] = static_cast<double>(
       obs::histogram_quantile_micros(merged, 0.50));

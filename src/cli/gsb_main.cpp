@@ -63,7 +63,6 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/timeline_export.h"
-#include "obs/trace.h"
 #include "service/control_text.h"
 #include "pipeline/overlap.h"
 #include "service/artifact_verify.h"
@@ -1242,8 +1241,8 @@ int cmd_serve(const util::Cli& cli) {
   const auto write_timeout = size_flag(cli, "write-timeout", 0);
   handle_stale_temps(cli, {cli.get("graph-file", ""), cli.get("cliques", ""),
                            cli.get("index", "")});
-  // A slow-query threshold needs the tracer, which needs the registry, so
-  // --slow-query-log implies --metrics.
+  // A slow-query threshold needs request traces, which come with the
+  // registry, so --slow-query-log implies --metrics.
   const bool metrics = cli.get_bool("metrics", false) || slow_query_log > 0;
   if (!socket_path.empty() && !tcp_address.empty()) {
     std::fprintf(stderr, "error: --socket and --tcp are exclusive\n");
@@ -1251,10 +1250,9 @@ int cmd_serve(const util::Cli& cli) {
   }
   if (metrics) {
     obs::MetricsRegistry::global().set_enabled(true);
-    obs::Tracer::global().set_enabled(true);
-    if (slow_query_log > 0) {
-      obs::Tracer::global().set_slow_log_micros(slow_query_log);
-    }
+    obs::TimelineJournal& journal = obs::TimelineJournal::global();
+    journal.set_request_traces_enabled(true);
+    journal.requests().set_slow_log_micros(slow_query_log);
   }
   const std::string trace_out = arm_timeline(cli);
 
@@ -1334,7 +1332,6 @@ int cmd_serve(const util::Cli& cli) {
   }
 
   service::ServeOptions options;
-  options.threads = threads;
   options.cache = cache ? &*cache : nullptr;
   options.stop = &g_serve_stop;
   options.request_timeout_ms = request_timeout;

@@ -140,10 +140,10 @@ std::string render_json(const RegistrySnapshot& snapshot) {
   return out;
 }
 
-std::string render_traces_json(const std::vector<Trace>& traces) {
+std::string render_traces_json(const std::vector<RequestTrace>& traces) {
   std::string out = "[";
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    const Trace& t = traces[i];
+    const RequestTrace& t = traces[i];
     if (i != 0) out += ',';
     out += "{\"total_micros\":";
     out += std::to_string(t.total_micros);
@@ -153,14 +153,14 @@ std::string render_traces_json(const std::vector<Trace>& traces) {
     out += json_escape(t.request);
     out += "\",\"spans\":{";
     bool first = true;
-    for (std::size_t s = 0; s < kNumSpans; ++s) {
-      if (t.span_micros[s] == 0) continue;
+    for (std::size_t s = 0; s < t.span_count; ++s) {
+      if (t.spans[s].micros == 0) continue;
       if (!first) out += ',';
       first = false;
       out += '"';
-      out += span_name(static_cast<Span>(s));
+      out += json_escape(t.spans[s].key);
       out += "\":";
-      out += std::to_string(t.span_micros[s]);
+      out += std::to_string(t.spans[s].micros);
     }
     out += "}}";
   }

@@ -1,7 +1,8 @@
 #ifndef GSB_OBS_EXPOSITION_H
 #define GSB_OBS_EXPOSITION_H
 
-/// Rendering the metrics registry and trace buffer for scraping.
+/// Rendering the metrics registry and the slowest-request buffer for
+/// scraping.
 ///
 /// Two formats: Prometheus text exposition (HELP/TYPE comments, families
 /// grouped, cumulative `_bucket{le=...}` histograms ending in `+Inf`)
@@ -15,7 +16,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/timeline.h"
 
 namespace gsb::obs {
 
@@ -27,8 +28,8 @@ std::string render_prometheus(const RegistrySnapshot& snapshot);
 /// last; the bound scheme is log2 microseconds (see metrics.h).
 std::string render_json(const RegistrySnapshot& snapshot);
 
-/// Single-line JSON array of the retained traces, slowest first.
-std::string render_traces_json(const std::vector<Trace>& traces);
+/// Single-line JSON array of the retained request traces, slowest first.
+std::string render_traces_json(const std::vector<RequestTrace>& traces);
 
 /// Reversible one-line framing: `\` -> `\\`, newline -> `\n`.
 std::string escape_multiline(const std::string& text);

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "obs/timeline.h"
-#include "obs/trace.h"
 #include "util/memory_tracker.h"
 
 namespace gsb::obs {
@@ -85,8 +84,8 @@ const char* build_isa() noexcept {
 }
 
 /// Default collectors sampled at every scrape of the global registry:
-/// process uptime/RSS, build identity, MemoryTracker tag gauges, tracer
-/// and timeline activity.
+/// process uptime/RSS, build identity, MemoryTracker tag gauges, request
+/// traces and timeline activity.
 void collect_process_metrics(RegistrySnapshot& out) {
   const auto add_gauge = [&out](const char* name, const char* help,
                                 std::string labels, std::uint64_t value) {
@@ -137,21 +136,21 @@ void collect_process_metrics(RegistrySnapshot& out) {
             "Peak total bytes across MemoryTracker tags.", {},
             tracker.peak());
 
-  const Tracer& tracer = Tracer::global();
+  const TimelineJournal& journal = TimelineJournal::global();
   MetricSnapshot slow;
   slow.name = "gsb_slow_queries_total";
   slow.help = "Requests over the --slow-query-log threshold.";
   slow.type = MetricType::kCounter;
-  slow.value = tracer.slow_logged();
+  slow.value = journal.requests().slow_logged();
   out.metrics.push_back(std::move(slow));
   add_gauge("gsb_traces_retained", "Traces held in the slowest-N buffer.", {},
-            tracer.retained());
+            journal.requests().retained());
 
   MetricSnapshot dropped;
   dropped.name = "gsb_timeline_events_dropped_total";
   dropped.help = "Timeline events lost to full per-thread buffers.";
   dropped.type = MetricType::kCounter;
-  dropped.value = TimelineJournal::global().events_dropped();
+  dropped.value = journal.events_dropped();
   out.metrics.push_back(std::move(dropped));
 }
 

@@ -132,7 +132,7 @@ class MetricsRegistry {
 
   /// The process-wide registry every instrumented layer reports to.  The
   /// first call also installs the default process collectors (uptime,
-  /// RSS, MemoryTracker tags, tracer activity).
+  /// RSS, MemoryTracker tags, request-trace activity).
   static MetricsRegistry& global();
 
   void set_enabled(bool enabled) noexcept {

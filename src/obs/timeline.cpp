@@ -1,11 +1,29 @@
 #include "obs/timeline.h"
 
 #include <algorithm>
-#include <chrono>
+#include <cstring>
+
+#include "util/log.h"
 
 namespace gsb::obs {
 
 namespace {
+
+/// The request scope open on this thread, if request traces are on.
+thread_local RequestTrace* tl_open_request = nullptr;
+
+/// NUL-terminated copy of \p label truncated to the event label width.
+void copy_label(char (&out)[TimelineEvent::kLabelChars + 1],
+                std::string_view label) noexcept {
+  const std::size_t n =
+      std::min(label.size(), std::size_t{TimelineEvent::kLabelChars});
+  std::memcpy(out, label.data(), n);
+  out[n] = '\0';
+}
+
+bool slower(const RequestTrace& a, const RequestTrace& b) {
+  return a.total_micros > b.total_micros;
+}
 
 std::uint64_t next_journal_id() {
   static std::atomic<std::uint64_t> next{1};
@@ -147,10 +165,7 @@ void TimelineJournal::record(TimelineEventKind kind,
   e.id = id;
   e.tid = lane.tid;
   e.kind = kind;
-  const std::size_t n =
-      std::min(label.size(), std::size_t{TimelineEvent::kLabelChars});
-  std::memcpy(e.label, label.data(), n);
-  e.label[n] = '\0';
+  copy_label(e.label, label);
   lane.head.store(head + 1, std::memory_order_release);
 }
 
@@ -190,6 +205,116 @@ void TimelineJournal::reset() noexcept {
   for (const auto& lane : lanes_) {
     lane->dropped.store(0, std::memory_order_relaxed);
   }
+}
+
+void TimelineSpan::open(TimelineJournal& journal, TimelineEventKind kind,
+                        std::string_view label, std::uint64_t id) noexcept {
+  request_ = tl_open_request;
+  if (request_ == nullptr && !journal.enabled()) return;  // nothing to feed
+  journal_ = &journal;
+  kind_ = kind;
+  id_ = id;
+  start_ = journal.now_micros();
+  copy_label(label_, label);
+}
+
+void TimelineSpan::close() noexcept {
+  const std::uint64_t dur = journal_->now_micros() - start_;
+  journal_->record(kind_, start_, dur, id_, label_);
+  if (request_ != nullptr) request_->add_span(label_, dur);
+}
+
+void RequestScope::open(TimelineJournal& journal, const char* transport,
+                        std::string_view request, std::uint64_t id,
+                        std::optional<Clock::time_point> dispatched) {
+  journal_ = &journal;
+  id_ = id;
+  start_ = journal.now_micros();
+  copy_label(label_, request);
+  if (dispatched) {
+    waited_ = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            Clock::now() - *dispatched)
+            .count());
+    journal.record(TimelineEventKind::kQueueWait,
+                   start_ >= waited_ ? start_ - waited_ : 0, waited_, id,
+                   label_);
+  }
+  if (!journal.request_traces_enabled()) return;
+  trace_.emplace();
+  trace_->transport = transport;
+  trace_->request.assign(request.substr(0, RequestTrace::kMaxRequestChars));
+  if (dispatched) trace_->add_span("queue_wait", waited_);
+  previous_ = tl_open_request;
+  tl_open_request = &*trace_;
+}
+
+void RequestScope::close() {
+  const std::uint64_t dur = journal_->now_micros() - start_;
+  journal_->record(TimelineEventKind::kRequest, start_, dur, id_, label_);
+  if (!trace_) return;
+  tl_open_request = previous_;
+  trace_->total_micros = waited_ + dur;
+  journal_->requests().complete(std::move(*trace_));
+}
+
+void RequestTrace::add_span(std::string_view label,
+                            std::uint64_t micros) noexcept {
+  const std::string_view key = label.substr(
+      0, std::min(label.find(':'), sizeof(Span::key) - 1));
+  for (std::size_t i = 0; i < span_count; ++i) {
+    if (key == spans[i].key) {
+      spans[i].micros += micros;
+      return;
+    }
+  }
+  if (span_count == kMaxSpans) return;
+  Span& span = spans[span_count++];
+  std::memcpy(span.key, key.data(), key.size());
+  span.micros = micros;
+}
+
+void RequestLog::complete(RequestTrace trace) {
+  const std::uint64_t slow_at =
+      slow_log_micros_.load(std::memory_order_relaxed);
+  if (slow_at != 0 && trace.total_micros >= slow_at) {
+    slow_logged_.fetch_add(1, std::memory_order_relaxed);
+    std::string line = "slow query (" + std::to_string(trace.total_micros) +
+                       "us, " + trace.transport + ") \"" + trace.request +
+                       "\"";
+    for (std::size_t i = 0; i < trace.span_count; ++i) {
+      const auto& [key, micros] = trace.spans[i];
+      if (micros == 0) continue;
+      line += ' ' + std::string(key) + '=' + std::to_string(micros) + "us";
+    }
+    util::log_warn(line);
+  }
+
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (slowest_.size() == kCapacity &&
+      trace.total_micros <= slowest_.back().total_micros) {
+    return;
+  }
+  slowest_.insert(
+      std::upper_bound(slowest_.begin(), slowest_.end(), trace, slower),
+      std::move(trace));
+  if (slowest_.size() > kCapacity) slowest_.pop_back();
+}
+
+std::vector<RequestTrace> RequestLog::slowest() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return slowest_;
+}
+
+std::size_t RequestLog::retained() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return slowest_.size();
+}
+
+void RequestLog::clear() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  slowest_.clear();
+  slow_logged_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace gsb::obs

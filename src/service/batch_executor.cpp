@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "parallel/job_graph.h"
-#include "obs/trace.h"
 #include "util/timer.h"
 
 namespace gsb::service {
@@ -66,32 +65,10 @@ std::string execute_cached_line(QueryEngine& engine, ResultCache* cache,
   const RequestMetrics& metrics = request_metrics();
   const bool instrumented = obs::MetricsRegistry::global().enabled();
   util::Timer timer;
-
-  Query query;
-  bool parsed = false;
-  {
-    obs::SpanTimer span(obs::Span::kParse);
-    try {
-      query = parse_query(line);
-      parsed = true;
-    } catch (const std::exception&) {
-    }
-  }
-  if (!parsed) {
-    // Counted + formatted by the engine; metered as type="invalid".
-    std::string response = engine.execute_line(line);
-    if (instrumented) {
-      metrics.requests[kNumQueryKinds].inc();
-      metrics.errors[kNumQueryKinds].inc();
-      metrics.duration[kNumQueryKinds].observe_micros(
-          static_cast<std::uint64_t>(timer.micros()));
-    }
-    return response;
-  }
-  const auto kind = static_cast<std::size_t>(query.kind);
-  metrics.requests[kind].inc();
+  std::size_t kind = kNumQueryKinds;  // type="invalid" until parsed
   const auto finish = [&](std::string response) {
     if (instrumented) {
+      metrics.requests[kind].inc();
       if (response.starts_with("error:")) metrics.errors[kind].inc();
       metrics.duration[kind].observe_micros(
           static_cast<std::uint64_t>(timer.micros()));
@@ -99,14 +76,22 @@ std::string execute_cached_line(QueryEngine& engine, ResultCache* cache,
     return response;
   };
 
-  if (cache == nullptr) {
-    obs::SpanTimer span(obs::Span::kExecute);
-    return finish(engine.execute(query));
+  Query query;
+  {
+    obs::TimelineSpan span(obs::TimelineEventKind::kStage, "parse");
+    try {
+      query = parse_query(line);
+      kind = static_cast<std::size_t>(query.kind);
+    } catch (const std::exception&) {
+    }
   }
+  // The engine counts and formats the parse error.
+  if (kind == kNumQueryKinds) return finish(engine.execute_line(line));
+  if (cache == nullptr) return finish(engine.execute(query));
   const std::uint64_t epoch = engine.entry().epoch();
   const std::string canonical = canonical_query(query);
   {
-    obs::SpanTimer span(obs::Span::kCacheLookup);
+    obs::TimelineSpan span(obs::TimelineEventKind::kStage, "cache_lookup");
     if (auto cached = cache->lookup(epoch, canonical)) {
       ++cache_hits;
       metrics.cache_hits.inc();
@@ -119,33 +104,23 @@ std::string execute_cached_line(QueryEngine& engine, ResultCache* cache,
   metrics.cache_misses.inc();
   obs::TimelineJournal::global().record_instant(
       obs::TimelineEventKind::kCacheMiss, 0, canonical);
-  std::string response;
-  {
-    obs::SpanTimer span(obs::Span::kExecute);
-    response = engine.execute(query);
-  }
+  std::string response = engine.execute(query);
   if (!response.starts_with("error:")) {
-    obs::SpanTimer span(obs::Span::kCacheLookup);
+    obs::TimelineSpan span(obs::TimelineEventKind::kStage, "cache_lookup");
     cache->insert(epoch, canonical, response);
   }
   return finish(std::move(response));
 }
 
-namespace {
-
-/// This call's activity out of a borrowed engine's cumulative counters.
-QueryEngineStats stats_since(const QueryEngineStats& after,
-                             const QueryEngineStats& before) {
-  QueryEngineStats delta;
-  delta.executed = after.executed - before.executed;
-  delta.errors = after.errors - before.errors;
-  delta.index_queries = after.index_queries - before.index_queries;
-  delta.stream_scans = after.stream_scans - before.stream_scans;
-  delta.records_decoded = after.records_decoded - before.records_decoded;
-  return delta;
+std::string execute_request(
+    QueryEngine& engine, ResultCache* cache, const std::string& line,
+    const char* transport, std::uint64_t& cache_hits,
+    std::uint64_t& cache_misses, std::uint64_t id,
+    std::optional<std::chrono::steady_clock::time_point> dispatched) {
+  const obs::RequestScope scope(obs::TimelineJournal::global(), transport,
+                                line, id, dispatched);
+  return execute_cached_line(engine, cache, line, cache_hits, cache_misses);
 }
-
-}  // namespace
 
 BatchResult execute_batch(std::shared_ptr<const GraphEntry> entry,
                           const std::vector<std::string>& lines,
@@ -155,8 +130,7 @@ BatchResult execute_batch(std::shared_ptr<const GraphEntry> entry,
   }
   static const obs::Counter batches_total =
       obs::MetricsRegistry::global().counter(
-          "gsb_batches_total",
-          "Batch executions (CLI --batch and serve groups).");
+          "gsb_batches_total", "Batch executions (gsb query --batch).");
   static const obs::Counter batch_lines_total =
       obs::MetricsRegistry::global().counter(
           "gsb_batch_lines_total", "Query lines executed through batches.");
@@ -169,76 +143,45 @@ BatchResult execute_batch(std::shared_ptr<const GraphEntry> entry,
   std::size_t threads = options.threads;
   if (threads == 0) threads = par::ThreadPool::default_threads();
   threads = std::min(threads, std::max<std::size_t>(lines.size(), 1));
-  if (options.engines != nullptr) {
-    threads = std::min(threads, std::max<std::size_t>(
-                                    options.engines->size(), 1));
-  }
   result.threads_used = threads;
-  auto borrowed = [&](std::size_t thread_id) -> QueryEngine* {
-    return options.engines != nullptr && thread_id < options.engines->size()
-               ? &(*options.engines)[thread_id]
-               : nullptr;
-  };
 
   if (threads == 1) {
-    std::optional<QueryEngine> local;
-    QueryEngine* engine = borrowed(0);
-    if (engine == nullptr) engine = &local.emplace(entry);
-    const QueryEngineStats before = engine->stats();
+    QueryEngine engine(entry);
     for (std::size_t i = 0; i < lines.size(); ++i) {
       result.responses[i] =
-          execute_cached_line(*engine, options.cache, lines[i],
-                              result.cache_hits, result.cache_misses);
+          execute_request(engine, options.cache, lines[i], "batch",
+                          result.cache_hits, result.cache_misses, i);
     }
-    result.engine = stats_since(engine->stats(), before);
+    result.engine = engine.stats();
     return result;
   }
 
   // One scheduler job per request line, unordered: response slots make
   // output order a function of the input alone, so work distribution is
-  // free to be racy.  A borrowed pool may be larger than the batch's
-  // thread budget; worker_limit keeps the clamp (and the engine-per-
-  // worker invariant) without re-creating the pool.
-  std::optional<par::ThreadPool> owned_pool;
-  par::ThreadPool* pool = options.pool;
-  if (pool == nullptr || pool->size() < threads) {
-    owned_pool.emplace(threads);
-    pool = &*owned_pool;
-  }
-  par::JobGraph::Options graph_options;
-  graph_options.worker_limit = threads;
-  par::JobGraph jobs(pool, graph_options);
+  // free to be racy.
+  par::ThreadPool pool(threads);
+  par::JobGraph jobs(&pool);
 
-  /// Per-worker engine state, built lazily on the worker's first line.
+  /// Per-worker engine, built on the worker's first line.
   struct Worker {
-    std::optional<QueryEngine> local;
-    QueryEngine* engine = nullptr;
-    QueryEngineStats before;
+    std::optional<QueryEngine> engine;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
   };
   std::vector<Worker> workers(jobs.workers());
-  auto engine_for = [&](std::size_t wid) -> Worker& {
-    Worker& w = workers[wid];
-    if (w.engine == nullptr) {
-      w.engine = borrowed(wid);
-      if (w.engine == nullptr) w.engine = &w.local.emplace(entry);
-      w.before = w.engine->stats();
-    }
-    return w;
-  };
   for (std::size_t i = 0; i < lines.size(); ++i) {
     jobs.add([&, i](std::size_t wid) {
-      Worker& w = engine_for(wid);
-      obs::TimelineSpan span(obs::TimelineEventKind::kRequest, lines[i]);
-      result.responses[i] = execute_cached_line(*w.engine, options.cache,
-                                                lines[i], w.hits, w.misses);
+      Worker& w = workers[wid];
+      if (!w.engine) w.engine.emplace(entry);
+      result.responses[i] = execute_request(*w.engine, options.cache,
+                                            lines[i], "batch", w.hits,
+                                            w.misses, i);
     });
   }
   jobs.run();
   for (const Worker& w : workers) {
-    if (w.engine == nullptr) continue;
-    result.engine += stats_since(w.engine->stats(), w.before);
+    if (!w.engine) continue;
+    result.engine += w.engine->stats();
     result.cache_hits += w.hits;
     result.cache_misses += w.misses;
   }

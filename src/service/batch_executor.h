@@ -13,12 +13,13 @@
 /// scale comes from many concurrent independent requests against one
 /// resident model.
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "parallel/thread_pool.h"
 #include "service/graph_catalog.h"
 #include "service/query_engine.h"
 #include "service/result_cache.h"
@@ -28,13 +29,6 @@ namespace gsb::service {
 struct BatchOptions {
   std::size_t threads = 0;       ///< 0 = hardware cores, 1 = run inline
   ResultCache* cache = nullptr;  ///< optional shared response cache
-  par::ThreadPool* pool = nullptr;  ///< borrowed pool (serve loop reuse);
-                                    ///< must have >= `threads` workers
-  /// Borrowed per-thread engines over the same entry (serve loop reuse,
-  /// so lazily opened clique readers persist across calls).  Fewer
-  /// entries than `threads` clamps the thread count; BatchResult.engine
-  /// still reports this call's activity only.
-  std::vector<QueryEngine>* engines = nullptr;
 };
 
 struct BatchResult {
@@ -52,14 +46,27 @@ BatchResult execute_batch(std::shared_ptr<const GraphEntry> entry,
                           const std::vector<std::string>& lines,
                           const BatchOptions& options = {});
 
-/// One request line through parse -> cache -> engine — the single code
-/// path both execute_batch and the serve loop's connections use, so every
-/// transport serves identical bytes.  Successful responses are cached
-/// under (entry epoch, canonical query); `error:` responses never are.
+/// One request line through parse -> cache -> engine, so every transport
+/// serves identical bytes.  Successful responses are cached under (entry
+/// epoch, canonical query); `error:` responses never are.  Its `parse`,
+/// `cache_lookup` and `execute:<kind>` spans make the request breakdown.
 std::string execute_cached_line(QueryEngine& engine, ResultCache* cache,
                                 const std::string& line,
                                 std::uint64_t& cache_hits,
                                 std::uint64_t& cache_misses);
+
+/// execute_cached_line inside the request's obs::RequestScope — the path
+/// every request takes: stdin lines, socket workers and both branches of
+/// execute_batch.  \p transport labels the request trace ("stream",
+/// "unix", "tcp", "batch"); \p id tags its timeline events.
+/// \p dispatched, when set, is when the request was handed to a worker;
+/// the wait since then is the request's queue_wait.
+std::string execute_request(
+    QueryEngine& engine, ResultCache* cache, const std::string& line,
+    const char* transport, std::uint64_t& cache_hits,
+    std::uint64_t& cache_misses, std::uint64_t id = 0,
+    std::optional<std::chrono::steady_clock::time_point> dispatched =
+        std::nullopt);
 
 }  // namespace gsb::service
 

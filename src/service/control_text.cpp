@@ -4,7 +4,6 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/timeline_export.h"
-#include "obs/trace.h"
 #include "service/result_cache.h"
 #include "util/memory_tracker.h"
 
@@ -79,7 +78,8 @@ std::optional<std::string> metrics_response(const std::string& request) {
   }
   if (format == "traces") {
     return "ok metrics traces " +
-           obs::render_traces_json(obs::Tracer::global().slowest());
+           obs::render_traces_json(
+               obs::TimelineJournal::global().requests().slowest());
   }
   return "error: unknown metrics format '" + format +
          "' (expected prom, json, or traces)";

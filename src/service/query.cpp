@@ -60,6 +60,20 @@ const char* query_kind_name(QueryKind kind) {
   return "?";
 }
 
+std::string_view query_execute_label(QueryKind kind) {
+  switch (kind) {
+    case QueryKind::kNeighbors: return "execute:neighbors";
+    case QueryKind::kDegree: return "execute:degree";
+    case QueryKind::kCommonNeighbors: return "execute:common-neighbors";
+    case QueryKind::kInducedSubgraph: return "execute:induced-subgraph";
+    case QueryKind::kKcoreMembership: return "execute:kcore-membership";
+    case QueryKind::kCliquesContaining: return "execute:cliques-containing";
+    case QueryKind::kParacliqueExpand: return "execute:paraclique-expand";
+    case QueryKind::kTopHubs: return "execute:top-hubs";
+  }
+  return "execute:?";
+}
+
 Query parse_query(const std::string& line) {
   const auto tokens = tokenize(line);
   if (tokens.empty()) fail("empty query");

@@ -26,6 +26,7 @@
 /// response.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.h"
@@ -62,6 +63,10 @@ std::string canonical_query(const Query& query);
 
 /// Keyword for \p kind ("neighbors", "cliques-containing", ...).
 const char* query_kind_name(QueryKind kind);
+
+/// Label of \p kind's execution span, `execute:<keyword>`.  Static
+/// storage: a span site that records nothing builds no string.
+std::string_view query_execute_label(QueryKind kind);
 
 }  // namespace gsb::service
 

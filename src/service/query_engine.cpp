@@ -99,8 +99,7 @@ std::string QueryEngine::execute(const Query& query) {
   std::string response;
   try {
     obs::TimelineSpan span(obs::TimelineEventKind::kStage,
-                           std::string("execute:") +
-                               query_kind_name(query.kind));
+                           query_execute_label(query.kind));
     response = dispatch(query);
   } catch (const std::exception& error) {
     ++stats_.errors;

@@ -7,13 +7,13 @@
 /// line per request out (wire format in docs/SERVICE.md).
 ///
 /// serve_stream reads requests from an istream (stdin in the CLI) and
-/// writes responses to an ostream.  Contiguously available request lines
-/// are grouped and fanned over the thread pool via execute_batch;
-/// responses are always emitted in request order, so a scripted session's
-/// output is byte-reproducible at any thread count.  The socket
-/// transports (`--socket`, `--tcp`) are one epoll loop, TcpServer in
-/// tcp_server.h.  Both loops trim, time, trace and meter each request
-/// through the helpers declared at the end of this header.
+/// writes responses to an ostream.  It answers every line in request order
+/// on the calling thread, with one QueryEngine for the session, so a
+/// scripted session's output is byte-reproducible.  The socket transports
+/// (`--socket`, `--tcp`) are one epoll loop, TcpServer in tcp_server.h,
+/// whose worker pool `--threads` sizes.  Both loops trim, time and meter
+/// each request through the helpers declared at the end of this header,
+/// and run it through execute_request (batch_executor.h).
 ///
 /// Control requests: `ping` (liveness), `stats` (served/cache counters),
 /// `shutdown` (graceful stop: requests already read are still answered).
@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -36,17 +35,15 @@
 namespace gsb::service {
 
 struct ServeOptions {
-  std::size_t threads = 0;       ///< 0 = hardware cores
   ResultCache* cache = nullptr;  ///< optional shared response cache
   /// Optional external shutdown flag (e.g. set by a SIGTERM handler);
   /// polled between request groups.
   const std::atomic<bool>* stop = nullptr;
-  /// Request deadline in milliseconds (0 = none).  A query answered later
-  /// than this after its group arrived gets a typed `error: deadline
-  /// exceeded` instead of its result; order is preserved, and requests
-  /// already past deadline are shed without executing.  With a deadline
-  /// set the loop answers line by line as it scans (no batch fan-out), so
-  /// every request is individually timed.
+  /// Request deadline in milliseconds (0 = none).  The lines available
+  /// together form a group, and a query answered later than this after its
+  /// group arrived gets a typed `error: deadline exceeded` instead of its
+  /// result; order is preserved, and requests already past deadline are
+  /// shed without executing.
   std::size_t request_timeout_ms = 0;
 };
 
@@ -94,18 +91,6 @@ struct TransportMetrics {
   obs::Histogram socket_write;
 };
 TransportMetrics transport_metrics(const char* transport);
-
-/// One query line through execute_cached_line inside its request scope:
-/// a trace labelled \p transport (slowest-N and the slow-query log) and a
-/// timeline request span carrying \p id.  \p dispatched, when set, is
-/// when the request was handed to a worker; the wait since then is
-/// attributed to the trace's and the timeline's queue_wait.
-std::string execute_request(
-    QueryEngine& engine, ResultCache* cache, const std::string& line,
-    const char* transport, std::uint64_t& cache_hits,
-    std::uint64_t& cache_misses, std::uint64_t id = 0,
-    std::optional<std::chrono::steady_clock::time_point> dispatched =
-        std::nullopt);
 
 }  // namespace gsb::service
 

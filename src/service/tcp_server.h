@@ -14,8 +14,9 @@
 /// sniffed from its first byte (wire_protocol.h): the newline-delimited
 /// line protocol, or the length-prefixed binary protocol with request ids
 /// and pipelining.  Response payloads are produced by the same
-/// execute_request path the stdin transport uses (server.h), so bytes
-/// are identical across stdin, Unix-socket, TCP, line and binary serving.
+/// execute_request path the stdin transport uses (batch_executor.h), so
+/// bytes are identical across stdin, Unix-socket, TCP, line and binary
+/// serving.
 ///
 /// Admission control: a connection may hold at most `max_pipeline` queued
 /// requests and `max_inflight_bytes` of un-drained response bytes; beyond

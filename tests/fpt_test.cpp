@@ -5,7 +5,6 @@
 
 #include "core/maximum_clique.h"
 #include "core/verify.h"
-#include "fpt/feedback_vertex_set.h"
 #include "fpt/max_clique_vc.h"
 #include "fpt/vertex_cover.h"
 #include "graph/generators.h"
@@ -183,88 +182,6 @@ TEST(MaxCliqueVc, DenseCompatibilityGraphIsEasy) {
   EXPECT_TRUE(core::is_clique(g, result.clique));
   EXPECT_GE(result.clique.size(), 40u);
 }
-
-}  // namespace
-}  // namespace gsb::fpt
-
-namespace gsb::fpt {
-namespace {
-
-/// Brute-force minimum FVS for n <= 18.
-std::size_t brute_force_fvs(const graph::Graph& g) {
-  const std::size_t n = g.order();
-  std::size_t best = n;
-  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-    const auto size = static_cast<std::size_t>(__builtin_popcount(mask));
-    if (size >= best) continue;
-    std::vector<VertexId> fvs;
-    for (std::uint32_t rest = mask; rest != 0; rest &= rest - 1) {
-      fvs.push_back(static_cast<VertexId>(__builtin_ctz(rest)));
-    }
-    if (is_feedback_vertex_set(g, fvs)) best = size;
-  }
-  return best;
-}
-
-TEST(FeedbackVertexSet, KnownSmallGraphs) {
-  // A tree needs nothing.
-  graph::Graph tree(5);
-  tree.add_edge(0, 1);
-  tree.add_edge(0, 2);
-  tree.add_edge(2, 3);
-  tree.add_edge(2, 4);
-  EXPECT_TRUE(feedback_vertex_set_decide(tree, 0).feasible);
-  EXPECT_TRUE(minimum_feedback_vertex_set(tree).fvs.empty());
-
-  // A cycle needs exactly one vertex.
-  graph::Graph cycle(5);
-  for (VertexId v = 0; v < 5; ++v) cycle.add_edge(v, (v + 1) % 5);
-  EXPECT_FALSE(feedback_vertex_set_decide(cycle, 0).feasible);
-  const auto one = feedback_vertex_set_decide(cycle, 1);
-  EXPECT_TRUE(one.feasible);
-  EXPECT_TRUE(is_feedback_vertex_set(cycle, one.fvs));
-
-  // K4 needs two.
-  util::Rng rng(1);
-  const auto k4 = graph::gnp(4, 1.0, rng);
-  EXPECT_FALSE(feedback_vertex_set_decide(k4, 1).feasible);
-  EXPECT_TRUE(feedback_vertex_set_decide(k4, 2).feasible);
-  EXPECT_EQ(minimum_feedback_vertex_set(k4).fvs.size(), 2u);
-}
-
-TEST(FeedbackVertexSet, IsFvsValidator) {
-  graph::Graph cycle(4);
-  for (VertexId v = 0; v < 4; ++v) cycle.add_edge(v, (v + 1) % 4);
-  EXPECT_FALSE(is_feedback_vertex_set(cycle, {}));
-  EXPECT_TRUE(is_feedback_vertex_set(cycle, {0}));
-  EXPECT_FALSE(is_feedback_vertex_set(cycle, {9}));  // out of range
-}
-
-TEST(FeedbackVertexSet, NodeBudgetAborts) {
-  util::Rng rng(5);
-  const auto g = graph::gnp(30, 0.4, rng);
-  FeedbackVertexSetOptions options;
-  options.max_nodes = 3;
-  const auto result = feedback_vertex_set_decide(g, 2, options);
-  EXPECT_TRUE(result.aborted);
-}
-
-class FvsSweepTest
-    : public ::testing::TestWithParam<std::tuple<std::size_t, double, int>> {};
-
-TEST_P(FvsSweepTest, MatchesBruteForce) {
-  const auto [n, p, seed] = GetParam();
-  const auto g = test::random_graph(n, p, static_cast<std::uint64_t>(seed));
-  const auto result = minimum_feedback_vertex_set(g);
-  EXPECT_TRUE(is_feedback_vertex_set(g, result.fvs));
-  EXPECT_EQ(result.fvs.size(), brute_force_fvs(g));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RandomSweep, FvsSweepTest,
-    ::testing::Combine(::testing::Values<std::size_t>(8, 12, 15),
-                       ::testing::Values(0.15, 0.3, 0.5),
-                       ::testing::Values(1, 2)));
 
 }  // namespace
 }  // namespace gsb::fpt

@@ -1,10 +1,14 @@
 // Tests for the observability subsystem: sharded metrics registry,
-// latency histograms, trace retention, and the exposition formats.
+// latency histograms, request scopes and the slowest-N log, the timeline
+// journal, and the exposition formats.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -15,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/timeline_export.h"
-#include "obs/trace.h"
 
 namespace gsb::obs {
 namespace {
@@ -277,100 +280,188 @@ TEST(Exposition, JsonEscapeControlCharacters) {
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
 }
 
-// ---- Tracer ---------------------------------------------------------------
+// ---- Request scopes and the slowest-N log ---------------------------------
 
-Trace make_trace(std::uint64_t total) {
-  Trace trace;
+RequestTrace make_trace(std::uint64_t total) {
+  RequestTrace trace;
   trace.request = "neighbors " + std::to_string(total);
   trace.transport = "test";
   trace.total_micros = total;
-  trace.span_micros[static_cast<std::size_t>(Span::kExecute)] = total;
+  trace.add_span("execute:neighbors", total);
   return trace;
 }
 
-TEST(Tracer, RetainsSlowestN) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  tracer.set_capacity(4);
-  for (std::uint64_t total = 1; total <= 10; ++total) {
-    tracer.complete(make_trace(total));
+std::vector<std::string> keys(const RequestTrace& trace) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < trace.span_count; ++i) {
+    out.emplace_back(trace.spans[i].key);
   }
-  const std::vector<Trace> slowest = tracer.slowest();
-  ASSERT_EQ(slowest.size(), 4u);
-  EXPECT_EQ(slowest[0].total_micros, 10u);
-  EXPECT_EQ(slowest[1].total_micros, 9u);
-  EXPECT_EQ(slowest[2].total_micros, 8u);
-  EXPECT_EQ(slowest[3].total_micros, 7u);
-  EXPECT_EQ(tracer.retained(), 4u);
-  tracer.clear();
-  EXPECT_EQ(tracer.retained(), 0u);
+  return out;
 }
 
-TEST(Tracer, SlowLogThresholdCounts) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  tracer.set_slow_log_micros(100);
-  tracer.complete(make_trace(50));
-  EXPECT_EQ(tracer.slow_logged(), 0u);
-  tracer.complete(make_trace(100));
-  tracer.complete(make_trace(5000));
-  EXPECT_EQ(tracer.slow_logged(), 2u);
+TEST(RequestLog, RetainsSlowestN) {
+  RequestLog log;
+  for (std::uint64_t i = 1; i <= 40; ++i) {
+    log.complete(make_trace(i * 17 % 41));  // 1..40, shuffled
+  }
+  const std::vector<RequestTrace> slowest = log.slowest();
+  ASSERT_EQ(slowest.size(), RequestLog::kCapacity);
+  for (std::size_t i = 0; i < slowest.size(); ++i) {
+    EXPECT_EQ(slowest[i].total_micros, 40 - i);  // 40 down to 9
+  }
+  EXPECT_EQ(log.retained(), RequestLog::kCapacity);
+  log.clear();
+  EXPECT_EQ(log.retained(), 0u);
 }
 
-TEST(Tracer, TraceScopeFillsSpansAndTotal) {
-  Tracer tracer;
-  tracer.set_enabled(true);
+TEST(RequestLog, SlowLogThresholdCounts) {
+  RequestLog log;
+  log.set_slow_log_micros(100);
+  log.complete(make_trace(50));
+  EXPECT_EQ(log.slow_logged(), 0u);
+  log.complete(make_trace(100));
+  log.complete(make_trace(5000));
+  EXPECT_EQ(log.slow_logged(), 2u);
+}
+
+TEST(RequestScope, FillsSpansAndTotal) {
+  TimelineJournal journal;
+  journal.set_request_traces_enabled(true);
   {
-    TraceScope scope(tracer, "unix", "degree 3");
-    ASSERT_TRUE(scope.active());
-    ASSERT_NE(active_trace(), nullptr);
-    scope.add_pre_span(Span::kQueueWait, 250);
-    { SpanTimer timer(Span::kExecute); }
+    const RequestScope scope(
+        journal, "unix", "degree 3", 7,
+        RequestScope::Clock::now() - std::chrono::microseconds(250));
+    TimelineSpan span(journal, TimelineEventKind::kStage, "execute:degree");
   }
-  EXPECT_EQ(active_trace(), nullptr);
-  const std::vector<Trace> slowest = tracer.slowest();
+  const std::vector<RequestTrace> slowest = journal.requests().slowest();
   ASSERT_EQ(slowest.size(), 1u);
-  const Trace& trace = slowest[0];
+  const RequestTrace& trace = slowest[0];
   EXPECT_EQ(trace.request, "degree 3");
   EXPECT_STREQ(trace.transport, "unix");
-  EXPECT_EQ(trace.span_micros[static_cast<std::size_t>(Span::kQueueWait)],
-            250u);
-  EXPECT_GE(trace.total_micros, 250u);  // pre-span counts into the total
+  EXPECT_EQ(keys(trace), (std::vector<std::string>{"queue_wait", "execute"}));
+  EXPECT_GE(trace.spans[0].micros, 250u);
+  EXPECT_GE(trace.total_micros, trace.spans[0].micros + trace.spans[1].micros);
+  EXPECT_TRUE(journal.snapshot().events.empty());  // recording stayed off
 }
 
-TEST(Tracer, DisabledTracerMakesScopesInert) {
-  Tracer tracer;  // disabled by default
+TEST(RequestScope, InertWhenOff) {
+  TimelineJournal journal;  // recording and request traces off by default
+  EXPECT_FALSE(journal.spans_armed());
   {
-    TraceScope scope(tracer, "unix", "ping");
-    EXPECT_FALSE(scope.active());
-    EXPECT_EQ(active_trace(), nullptr);
+    const RequestScope scope(journal, "unix", "ping", 1,
+                             RequestScope::Clock::now());
+    TimelineSpan span(journal, TimelineEventKind::kStage, "execute:degree");
   }
-  EXPECT_EQ(tracer.retained(), 0u);
+  EXPECT_EQ(journal.requests().retained(), 0u);
+  EXPECT_TRUE(journal.snapshot().events.empty());
 }
 
-TEST(Tracer, LongRequestsAreTruncated) {
-  Tracer tracer;
-  tracer.set_enabled(true);
+TEST(RequestScope, LongRequestsAreTruncated) {
+  TimelineJournal journal;
+  journal.set_request_traces_enabled(true);
   const std::string request(1000, 'x');
-  { TraceScope scope(tracer, "tcp", request); }
-  const std::vector<Trace> slowest = tracer.slowest();
+  { const RequestScope scope(journal, "tcp", request); }
+  const std::vector<RequestTrace> slowest = journal.requests().slowest();
   ASSERT_EQ(slowest.size(), 1u);
-  EXPECT_EQ(slowest[0].request.size(), Trace::kMaxRequestChars);
+  EXPECT_EQ(slowest[0].request.size(), RequestTrace::kMaxRequestChars);
 }
 
-TEST(Tracer, RenderTracesJsonShape) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  Trace trace = make_trace(123);
+TEST(RequestLog, RenderTracesJsonShape) {
+  RequestLog log;
+  RequestTrace trace = make_trace(123);
   trace.request = "say \"hi\"";
-  tracer.complete(std::move(trace));
-  const std::string json = render_traces_json(tracer.slowest());
+  log.complete(std::move(trace));
+  const std::string json = render_traces_json(log.slowest());
   EXPECT_EQ(json.find('\n'), std::string::npos);
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.back(), ']');
   EXPECT_NE(json.find("\"total_micros\":123"), std::string::npos);
   EXPECT_NE(json.find("\\\"hi\\\""), std::string::npos);
-  EXPECT_NE(json.find("\"execute\":123"), std::string::npos);
+  EXPECT_NE(json.find("\"spans\":{\"execute\":123}"), std::string::npos);
+}
+
+TEST(RequestScope, BreakdownEqualsTheSpansClosedInside) {
+  for (const bool recording : {false, true}) {
+    TimelineJournal journal;
+    journal.set_request_traces_enabled(true);
+    journal.set_enabled(recording);
+    {
+      const RequestScope scope(journal, "tcp", "degree 3", 5);
+      { TimelineSpan span(journal, TimelineEventKind::kStage, "parse"); }
+      {
+        TimelineSpan span(journal, TimelineEventKind::kStage, "cache_lookup");
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      {
+        TimelineSpan span(journal, TimelineEventKind::kStage,
+                          "execute:degree");
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      { TimelineSpan span(journal, TimelineEventKind::kStage, "cache_lookup"); }
+    }
+    const std::vector<RequestTrace> slowest = journal.requests().slowest();
+    ASSERT_EQ(slowest.size(), 1u) << "recording " << recording;
+    const auto& spans = slowest[0].spans;
+    ASSERT_EQ(keys(slowest[0]), (std::vector<std::string>{
+                                    "parse", "cache_lookup", "execute"}));
+    EXPECT_GE(spans[1].micros, 1000u);
+    EXPECT_GE(spans[2].micros, 2000u);
+    EXPECT_GE(slowest[0].total_micros,
+              spans[0].micros + spans[1].micros + spans[2].micros);
+    if (!recording) {
+      EXPECT_TRUE(journal.snapshot().events.empty());
+      continue;
+    }
+    // The recorded stage events, summed by key, are the breakdown; the
+    // request event lasts the trace's total.
+    std::map<std::string, std::uint64_t> by_key;
+    std::size_t requests = 0;
+    for (const TimelineEvent& event : journal.snapshot().events) {
+      if (event.kind == TimelineEventKind::kRequest) {
+        ++requests;
+        EXPECT_EQ(event.id, 5u);
+        EXPECT_EQ(event.dur_micros, slowest[0].total_micros);
+        continue;
+      }
+      ASSERT_EQ(event.kind, TimelineEventKind::kStage);
+      const std::string_view label(event.label);
+      by_key[std::string(label.substr(0, label.find(':')))] +=
+          event.dur_micros;
+    }
+    EXPECT_EQ(requests, 1u);
+    EXPECT_EQ(by_key.size(), slowest[0].span_count);
+    for (std::size_t i = 0; i < slowest[0].span_count; ++i) {
+      EXPECT_EQ(by_key[spans[i].key], spans[i].micros) << spans[i].key;
+    }
+  }
+}
+
+TEST(RequestScope, SpansOutsideAnyRequestFeedNone) {
+  for (const bool recording : {false, true}) {
+    TimelineJournal journal;
+    journal.set_request_traces_enabled(true);
+    journal.set_enabled(recording);
+    // A pipeline stage with no request open feeds nothing.
+    { TimelineSpan stage(journal, TimelineEventKind::kStage, "normalize"); }
+    EXPECT_EQ(journal.requests().retained(), 0u);
+    {
+      // Opened before the request: not part of it, though it closes inside.
+      std::optional<TimelineSpan> outer;
+      outer.emplace(journal, TimelineEventKind::kStage, "sweep");
+      const RequestScope scope(journal, "stream", "degree 1");
+      outer.reset();
+      // Another thread's span is not part of this thread's request.
+      std::thread other([&journal] {
+        TimelineSpan span(journal, TimelineEventKind::kStage, "csr");
+      });
+      other.join();
+      TimelineSpan span(journal, TimelineEventKind::kStage, "execute:degree");
+    }
+    const std::vector<RequestTrace> slowest = journal.requests().slowest();
+    ASSERT_EQ(slowest.size(), 1u) << "recording " << recording;
+    EXPECT_EQ(keys(slowest[0]), std::vector<std::string>{"execute"});
+    EXPECT_EQ(journal.snapshot().events.empty(), !recording);
+  }
 }
 
 TEST(Uptime, MonotoneNonNegative) {

@@ -32,7 +32,6 @@
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
-#include "obs/trace.h"
 #include "service/batch_executor.h"
 #include "service/client.h"
 #include "service/clique_index.h"
@@ -129,19 +128,20 @@ std::vector<std::string> mixed_workload(const graph::Graph& g) {
   return lines;
 }
 
-/// Turns the global metrics registry and tracer on for one test and
-/// restores the disabled default on exit, so instrumentation state never
-/// leaks between tests.
+/// Turns the global metrics registry and request traces on for one test
+/// (what `gsb serve --metrics` does) and restores the disabled default on
+/// exit, so instrumentation state never leaks between tests.
 struct ScopedObservability {
   ScopedObservability() {
     obs::MetricsRegistry::global().set_enabled(true);
-    obs::Tracer::global().set_enabled(true);
+    obs::TimelineJournal::global().set_request_traces_enabled(true);
   }
   ~ScopedObservability() {
     obs::MetricsRegistry::global().set_enabled(false);
-    obs::Tracer::global().set_enabled(false);
-    obs::Tracer::global().set_slow_log_micros(0);
-    obs::Tracer::global().clear();
+    obs::TimelineJournal& journal = obs::TimelineJournal::global();
+    journal.set_request_traces_enabled(false);
+    journal.requests().set_slow_log_micros(0);
+    journal.requests().clear();
   }
 };
 
@@ -175,6 +175,24 @@ TEST(Query, ParsesAndCanonicalizes) {
   EXPECT_THROW(parse_query("common-neighbors 4 4"), std::runtime_error);
   EXPECT_THROW(parse_query("top-hubs 0"), std::runtime_error);
   EXPECT_THROW(parse_query("frobnicate 1"), std::runtime_error);
+}
+
+TEST(Query, ExecuteSpanLabelsNameEveryKind) {
+  const std::pair<QueryKind, const char*> expected[] = {
+      {QueryKind::kNeighbors, "execute:neighbors"},
+      {QueryKind::kDegree, "execute:degree"},
+      {QueryKind::kCommonNeighbors, "execute:common-neighbors"},
+      {QueryKind::kInducedSubgraph, "execute:induced-subgraph"},
+      {QueryKind::kKcoreMembership, "execute:kcore-membership"},
+      {QueryKind::kCliquesContaining, "execute:cliques-containing"},
+      {QueryKind::kParacliqueExpand, "execute:paraclique-expand"},
+      {QueryKind::kTopHubs, "execute:top-hubs"},
+  };
+  for (const auto& [kind, label] : expected) {
+    EXPECT_EQ(query_execute_label(kind), label);
+    EXPECT_EQ(query_execute_label(kind),
+              std::string("execute:") + query_kind_name(kind));
+  }
 }
 
 TEST(QueryEngine, AnswersMatchDirectComputation) {
@@ -451,6 +469,31 @@ TEST(Batch, CacheOnOffAndThreadCountsAreByteIdentical) {
   }
 }
 
+TEST(Batch, RecordsOneRequestEventPerLineAtEveryThreadCount) {
+  const auto a = make_artifacts(32, 0.3, 17, "service_batch_events");
+  GraphCatalog catalog;
+  auto entry = catalog.open("g", spec_for(a));
+  const auto lines = mixed_workload(a.graph);
+  for (const std::size_t threads : {1u, 4u}) {
+    ScopedTimeline timeline_on;
+    BatchOptions options;
+    options.threads = threads;
+    execute_batch(entry, lines, options);
+    std::vector<std::size_t> per_line(lines.size());
+    for (const obs::TimelineEvent& event :
+         obs::TimelineJournal::global().snapshot().events) {
+      if (event.kind != obs::TimelineEventKind::kRequest) continue;
+      ASSERT_LT(event.id, lines.size());
+      ++per_line[event.id];
+      EXPECT_EQ(std::string_view(event.label),
+                std::string_view(lines[event.id])
+                    .substr(0, obs::TimelineEvent::kLabelChars));
+    }
+    EXPECT_EQ(per_line, std::vector<std::size_t>(lines.size(), 1))
+        << "threads " << threads;
+  }
+}
+
 TEST(ResultCache, LruEvictionRespectsByteBudget) {
   util::MemoryTracker tracker;
   const std::size_t budget = 4096;
@@ -529,33 +572,35 @@ TEST(GraphCatalog, NamesEpochsAndRefCounts) {
   EXPECT_THROW(catalog.open("bad", bad), std::runtime_error);
 }
 
-TEST(Serve, StreamSessionIsByteReproducibleAcrossThreadCounts) {
+TEST(Serve, StreamSessionMatchesBatchAtEveryThreadCount) {
+  // stdin answers every line in order on one thread; its query responses
+  // are the batch executor's bytes at every thread count.
   const auto a = make_artifacts(40, 0.3, 23, "service_stream");
   GraphCatalog catalog;
   auto entry = catalog.open("g", spec_for(a));
+  std::vector<std::string> lines = mixed_workload(a.graph);
 
-  std::string script;
-  script += "ping\n";
-  for (const auto& line : mixed_workload(a.graph)) script += line + '\n';
+  std::string script = "ping\n";
+  for (const auto& line : lines) script += line + '\n';
   script += "shutdown\n";
   script += "degree 1\n";  // after shutdown: still answered (drain), then stop
+  std::istringstream in(script);
+  std::ostringstream out;
+  const auto stats = serve_stream(entry, in, out, {});
+  EXPECT_TRUE(stats.shutdown_requested);
+  EXPECT_EQ(stats.requests, lines.size() + 3);
 
-  std::string reference;
+  lines.push_back("degree 1");
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    std::istringstream in(script);
-    std::ostringstream out;
-    ServeOptions options;
+    BatchOptions options;
     options.threads = threads;
-    const auto stats = serve_stream(entry, in, out, options);
-    EXPECT_TRUE(stats.shutdown_requested);
-    EXPECT_GT(stats.requests, 0u);
-    if (threads == 1) {
-      reference = out.str();
-      EXPECT_NE(reference.find("ok pong\n"), std::string::npos);
-      EXPECT_NE(reference.find("ok shutdown\n"), std::string::npos);
-    } else {
-      EXPECT_EQ(out.str(), reference) << "threads " << threads;
+    const auto batch = execute_batch(entry, lines, options);
+    std::string expected = "ok pong\n";
+    for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+      expected += batch.responses[i] + '\n';
     }
+    expected += "ok shutdown\n" + batch.responses.back() + '\n';
+    EXPECT_EQ(out.str(), expected) << "threads " << threads;
   }
 }
 
@@ -574,16 +619,15 @@ TEST(Serve, StreamSessionBytesAreIdenticalWithMetricsOnAndOff) {
   auto run = [&] {
     std::istringstream in(script);
     std::ostringstream out;
-    ServeOptions options;
-    options.threads = 2;
-    serve_stream(entry, in, out, options);
+    serve_stream(entry, in, out, {});
     return out.str();
   };
   const std::string reference = run();
   std::string instrumented;
   {
     ScopedObservability obs_on;
-    obs::Tracer::global().set_slow_log_micros(1);  // log every request too
+    // Log every request too.
+    obs::TimelineJournal::global().requests().set_slow_log_micros(1);
     instrumented = run();
   }
   EXPECT_EQ(instrumented, reference);
@@ -638,6 +682,32 @@ TEST(Serve, MetricsRequestRendersPromOverStream) {
   EXPECT_NE(json_line.find("\"counters\""), std::string::npos);
 }
 
+TEST(Serve, EveryStreamRequestReachesTheSlowestBuffer) {
+  ScopedObservability obs_on;
+  const auto a = make_artifacts(24, 0.3, 59, "service_stream_traces");
+  GraphCatalog catalog;
+  auto entry = catalog.open("g", spec_for(a));
+  std::string script;
+  for (int v = 0; v < 40; ++v) {
+    script += "degree " + std::to_string(v % 24) + '\n';
+  }
+  script += "metrics traces\nmetrics\nshutdown\n";
+  std::istringstream in(script);
+  std::ostringstream out;
+  serve_stream(entry, in, out, {});
+  std::istringstream lines(out.str());
+  std::string line, traces_line, prom_line;
+  for (int i = 0; i < 40; ++i) std::getline(lines, line);
+  std::getline(lines, traces_line);
+  std::getline(lines, prom_line);
+  ASSERT_TRUE(traces_line.starts_with("ok metrics traces [{")) << traces_line;
+  EXPECT_NE(traces_line.find("\"transport\":\"stream\""), std::string::npos);
+  EXPECT_EQ(traces_line.find("\"transport\":\"batch\""), std::string::npos);
+  const std::string text =
+      obs::unescape_multiline(prom_line.substr(sizeof("ok metrics prom ") - 1));
+  EXPECT_NE(text.find("\ngsb_traces_retained 32\n"), std::string::npos);
+}
+
 TEST(Serve, ProfileCapturesBoundedWindowOverStream) {
   const auto a = make_artifacts(24, 0.3, 61, "service_stream_profile");
   GraphCatalog catalog;
@@ -677,9 +747,7 @@ TEST(Serve, StreamSessionBytesAreIdenticalWithTimelineOnAndOff) {
   auto run = [&] {
     std::istringstream in(script);
     std::ostringstream out;
-    ServeOptions options;
-    options.threads = 2;
-    serve_stream(entry, in, out, options);
+    serve_stream(entry, in, out, {});
     return out.str();
   };
   const std::string reference = run();
@@ -1498,7 +1566,8 @@ TEST(TcpServe, MetricsOnLeavesResponsesByteIdenticalAndScrapes) {
   ASSERT_TRUE(json.starts_with("ok metrics json {")) << json;
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   const std::string traces = client.request("metrics traces");
-  EXPECT_TRUE(traces.starts_with("ok metrics traces [")) << traces;
+  EXPECT_TRUE(traces.starts_with("ok metrics traces [{")) << traces;
+  EXPECT_NE(traces.find("\"transport\":\"tcp\""), std::string::npos);
 
   // The binary framing carries the identical payload with kOk status (on
   // its own connection: the first byte commits a connection's framing).
