@@ -12,7 +12,11 @@
 //     product where most do);
 //   * the full in-memory graph build (standardize + sweep + bitmap graph);
 //   * the tiled out-of-core .gsbg build at 1/2/4/8 threads (kernel plus
-//     scratch/spill I/O).
+//     scratch/spill I/O);
+//   * one 128 × 128-row, 96-sample block pair at |rho| >= 0.70 through
+//     BlockPairScan, one row per screen kernel this CPU runs
+//     (BM_ScreenBlockPair/<kernel>); the JSON context's screen_kernel
+//     names the body the sweeps above ran.
 //
 // Every variant reports pairs/s (items) on the same synthetic matrices, so
 // blocked-vs-scalar speedup and thread scaling read directly off the JSON.
@@ -27,6 +31,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bio/corr_kernel.h"
 #include "bio/correlation.h"
@@ -200,6 +205,63 @@ BENCHMARK(BM_TiledGsbgBuild)
     ->Args({2048, 64, 4})
     ->Args({2048, 64, 8});
 
+/// One block pair through BlockPairScan on \p kernel's screen: quantized
+/// panels filled once (not timed), then the scan (screen, recheck).  The
+/// blocks are rows [0, 128) and [1024, 1152) of a 2048-gene matrix, so
+/// few pairs pass, as in a genome-scale sweep.
+void BM_ScreenBlockPair(benchmark::State& state,
+                        gsb::bio::detail::ScreenKernel kernel) {
+  constexpr std::size_t kRows = 128;
+  constexpr std::size_t kSamples = 96;
+  const Fixture& f = fixture(2048, kSamples);
+  const gsb::bio::BlockPairScan scan(kSamples, 0.70, kernel);
+  gsb::bio::ScreenPanel panels[2] = {gsb::bio::ScreenPanel(kRows, kSamples),
+                                     gsb::bio::ScreenPanel(kRows, kSamples)};
+  gsb::bio::CorrBlock blocks[2];
+  for (std::size_t b = 0; b < 2; ++b) {
+    const std::size_t first = b * 1024;
+    blocks[b].rows = f.rows.rows.row(first);
+    blocks[b].stride = f.rows.rows.stride();
+    blocks[b].count = kRows;
+    blocks[b].valid = f.rows.valid.data() + first;
+    blocks[b].first = static_cast<std::uint32_t>(first);
+    blocks[b].panel = &panels[b];
+    panels[b].fill(blocks[b].rows, blocks[b].stride, kRows, blocks[b].valid);
+  }
+  gsb::bio::CorrScanScratch scratch;
+  std::vector<gsb::bio::CorrHit> hits;
+  for (auto _ : state) {
+    hits.clear();
+    scan.scan(blocks[0], blocks[1], false, scratch, hits);
+    benchmark::DoNotOptimize(hits.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRows * kRows));
+  state.counters["hits"] = static_cast<double>(hits.size());
+}
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  using gsb::bio::detail::ScreenKernel;
+  for (const auto kernel : {ScreenKernel::kVector128, ScreenKernel::kAvx2,
+                            ScreenKernel::kAvxVnni,
+                            ScreenKernel::kAvx512Vnni}) {
+    if (!gsb::bio::detail::screen_kernel_available(kernel)) continue;
+    benchmark::RegisterBenchmark(
+        (std::string("BM_ScreenBlockPair/") +
+         gsb::bio::detail::screen_kernel_name(kernel))
+            .c_str(),
+        BM_ScreenBlockPair, kernel)
+        ->Unit(benchmark::kMicrosecond);
+  }
+  const auto kernel = gsb::bio::detail::default_screen_kernel();
+  benchmark::AddCustomContext(
+      "screen_kernel",
+      kernel ? gsb::bio::detail::screen_kernel_name(*kernel) : "none");
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

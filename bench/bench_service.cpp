@@ -246,7 +246,8 @@ struct TcpBench {
   }
 };
 
-double percentile_us(std::vector<double>& sorted, double q) {
+/// Nearest-rank quantile \p q of an ascending vector (0 when empty).
+double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const auto rank = static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5);
@@ -304,8 +305,8 @@ void BM_TcpClosedLoop(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(completed));
   std::sort(latencies_us.begin(), latencies_us.end());
-  state.counters["p50_us"] = percentile_us(latencies_us, 0.50);
-  state.counters["p99_us"] = percentile_us(latencies_us, 0.99);
+  state.counters["p50_us"] = percentile(latencies_us, 0.50);
+  state.counters["p99_us"] = percentile(latencies_us, 0.99);
 }
 // {clients, pipeline depth}: a single sequential caller, a small
 // pipelined pool, and a wide configuration that saturates the four
@@ -351,39 +352,61 @@ double closed_loop_seconds(const std::string& address, std::size_t clients,
       .count();
 }
 
-// The observability acceptance number: the same closed loop against the
-// same server with the registry and request traces off, then on.  The
-// per-request delta divided by the baseline lands in `instr_overhead_pct`
-// — the budget is < 3%, and the response bytes are identical either way
-// (the service tests pin that part).
-void BM_TcpInstrumentationOverhead(benchmark::State& state) {
+/// Runs one closed loop with a switch off and one with it on, per
+/// iteration, alternating which goes first, and reports the median of the
+/// per-iteration on/off time ratios as `<name>_pct` (percent over the off
+/// run), with its quartiles as `<name>_q1_pct` and `<name>_q3_pct`.  A
+/// ratio of sums would let one slow pass of either half swing the result.
+template <typename SetOn>
+void measure_overhead(benchmark::State& state, const std::string& address,
+                      const std::string& name, const SetOn& set_on) {
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kDepth = 8;
   constexpr std::size_t kRequestsPerClient = 256;
+  // Warm the server (engines, cache, page faults) off the record.
+  closed_loop_seconds(address, kClients, kDepth, kRequestsPerClient);
+  std::vector<double> ratios;
+  std::uint64_t completed = 0;
+  bool on_first = false;
+  for (auto _ : state) {
+    double seconds[2] = {};  // off, on
+    for (const bool on : {on_first, !on_first}) {
+      set_on(on);
+      seconds[on ? 1 : 0] =
+          closed_loop_seconds(address, kClients, kDepth, kRequestsPerClient);
+    }
+    if (seconds[0] > 0.0) ratios.push_back(seconds[1] / seconds[0]);
+    on_first = !on_first;
+    completed += 2 * kClients * kRequestsPerClient;
+  }
+  std::sort(ratios.begin(), ratios.end());
+  state.SetItemsProcessed(static_cast<std::int64_t>(completed));
+  auto pct = [&](double q) {
+    return ratios.empty() ? 0.0 : (percentile(ratios, q) - 1.0) * 100.0;
+  };
+  state.counters[name + "_pct"] = pct(0.50);
+  state.counters[name + "_q1_pct"] = pct(0.25);
+  state.counters[name + "_q3_pct"] = pct(0.75);
+}
+
+// The observability acceptance number: the same closed loop against the
+// same server with the registry and request traces off, then on
+// (`instr_overhead_pct`, see measure_overhead) — the budget is < 3%, and
+// the response bytes are identical either way (the service tests pin that
+// part).
+void BM_TcpInstrumentationOverhead(benchmark::State& state) {
   TcpBench bench(/*threads=*/4);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   obs::TimelineJournal& journal = obs::TimelineJournal::global();
-  // Warm the server (engines, cache, page faults) off the record.
-  closed_loop_seconds(bench.address(), kClients, kDepth, kRequestsPerClient);
-
-  double off_seconds = 0.0;
-  double on_seconds = 0.0;
-  std::uint64_t completed = 0;
-  for (auto _ : state) {
-    registry.set_enabled(false);
-    journal.set_request_traces_enabled(false);
-    off_seconds += closed_loop_seconds(bench.address(), kClients, kDepth,
-                                       kRequestsPerClient);
-    registry.set_enabled(true);
-    journal.set_request_traces_enabled(true);
-    on_seconds += closed_loop_seconds(bench.address(), kClients, kDepth,
-                                      kRequestsPerClient);
-    completed += 2 * kClients * kRequestsPerClient;
-  }
+  measure_overhead(state, bench.address(), "instr_overhead", [&](bool on) {
+    registry.set_enabled(on);
+    journal.set_request_traces_enabled(on);
+  });
   // Server-side quantiles interpolated from the same log2-bucket
   // histogram the `stats` control line reads, via the shared
   // obs::histogram_quantile_micros helper — scraped while the registry
   // is still live so the instrumented half's observations are in it.
+  registry.set_enabled(true);
   obs::HistogramSnapshot merged;
   for (const auto& metric : registry.scrape().metrics) {
     if (metric.name != "gsb_request_duration_microseconds") continue;
@@ -395,13 +418,10 @@ void BM_TcpInstrumentationOverhead(benchmark::State& state) {
   }
   registry.set_enabled(false);
   journal.set_request_traces_enabled(false);
-  state.SetItemsProcessed(static_cast<std::int64_t>(completed));
   state.counters["server_p50_us"] = static_cast<double>(
       obs::histogram_quantile_micros(merged, 0.50));
   state.counters["server_p99_us"] = static_cast<double>(
       obs::histogram_quantile_micros(merged, 0.99));
-  state.counters["instr_overhead_pct"] =
-      off_seconds > 0.0 ? (on_seconds / off_seconds - 1.0) * 100.0 : 0.0;
 }
 BENCHMARK(BM_TcpInstrumentationOverhead)
     ->Unit(benchmark::kMillisecond)
@@ -415,30 +435,16 @@ BENCHMARK(BM_TcpInstrumentationOverhead)
 // (`fault_overhead_pct`, asserted by CI); the armed state here bounds
 // the consult cost, not any injected fault.
 void BM_TcpFaultInjectionOverhead(benchmark::State& state) {
-  constexpr std::size_t kClients = 4;
-  constexpr std::size_t kDepth = 8;
-  constexpr std::size_t kRequestsPerClient = 256;
   TcpBench bench(/*threads=*/4);
-  // Warm the server (engines, cache, page faults) off the record.
-  closed_loop_seconds(bench.address(), kClients, kDepth, kRequestsPerClient);
-
   const fault::Schedule never_fires;  // armed shim, zero probabilities
-  double off_seconds = 0.0;
-  double on_seconds = 0.0;
-  std::uint64_t completed = 0;
-  for (auto _ : state) {
-    fault::disable();
-    off_seconds += closed_loop_seconds(bench.address(), kClients, kDepth,
-                                       kRequestsPerClient);
-    fault::install(never_fires);
-    on_seconds += closed_loop_seconds(bench.address(), kClients, kDepth,
-                                      kRequestsPerClient);
-    completed += 2 * kClients * kRequestsPerClient;
-  }
+  measure_overhead(state, bench.address(), "fault_overhead", [&](bool on) {
+    if (on) {
+      fault::install(never_fires);
+    } else {
+      fault::disable();
+    }
+  });
   fault::disable();
-  state.SetItemsProcessed(static_cast<std::int64_t>(completed));
-  state.counters["fault_overhead_pct"] =
-      off_seconds > 0.0 ? (on_seconds / off_seconds - 1.0) * 100.0 : 0.0;
 }
 BENCHMARK(BM_TcpFaultInjectionOverhead)
     ->Unit(benchmark::kMillisecond)

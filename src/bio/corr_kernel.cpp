@@ -1,6 +1,7 @@
 #include "bio/corr_kernel.h"
 
 #include <algorithm>
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstring>
@@ -12,6 +13,12 @@
 
 #include "obs/metrics.h"
 #include "parallel/job_graph.h"
+
+#if (defined(__GNUC__) || defined(__clang__)) && \
+    (defined(__x86_64__) || defined(__i386__))
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace gsb::bio {
 namespace {
@@ -173,10 +180,19 @@ void compute_block_scalar(const double* a_rows, std::size_t a_count,
 
 #endif  // GSB_CORR_VECTOR_KERNEL
 
-// --- The single-precision screen ------------------------------------------
+// --- The integer screen -----------------------------------------------------
 
-/// Screen columns per register tile: one cache line of floats.
+/// Rows per panel tile and columns per register tile: the dwords of one
+/// sample group of a tile fill one cache line.
 constexpr std::size_t kScreenJ = 16;
+
+/// Samples per code dword.
+constexpr std::size_t kGroup = 4;
+
+/// Largest code magnitude.  The A side's codes are offset by it to
+/// [0, 2 · kCodeMax], so a vpmaddubsw pair sum stays within 2 · 180 · 90 =
+/// 32,400 and never saturates int16.
+constexpr int kCodeMax = 90;
 
 /// A block whose screen passes more than 1/kExactShare of its pairs is
 /// computed with correlation_block instead: rechecking most pairs one
@@ -184,12 +200,62 @@ constexpr std::size_t kScreenJ = 16;
 /// several times slower than the exact block product.
 constexpr std::size_t kExactShare = 16;
 
-/// Screens one block pair of panels (see ScreenPanel); \p upper keeps it
-/// to pairs with j > i (a diagonal block).  Appends every pair (i, j)
-/// whose screen value is not strictly inside (−cut, cut), as (i << 32) |
-/// j, grouped by register tile.  Returns false, leaving the list
-/// incomplete, once it holds more than \p limit pairs.
+/// Screens one block pair (see detail::ScreenOperands; `upper` keeps it to
+/// pairs with j > i, a diagonal block).  Appends every pair (i, j) the
+/// screen does not rule out, as (i << 32) | j, grouped by register tile.
+/// Returns false, leaving the list incomplete, once it holds more than
+/// \p limit pairs.
 using detail::ScreenFn;
+
+}  // namespace
+
+namespace detail {
+
+/// One block pair as a screen body reads it: the A panel's codes offset to
+/// unsigned with each row's cut, the B panel as filled.
+struct ScreenOperands {
+  const std::uint32_t* a_codes;  ///< A codes + kCodeMax, panel layout
+  const float* a_cut;            ///< per A row (whole tiles): c_i
+  std::size_t a_count;
+  const std::uint32_t* b_codes;   ///< B codes, panel layout
+  const std::int32_t* b_offset;   ///< per B row: −kCodeMax · Σq
+  const float* b_scale;           ///< per B row: s
+  std::size_t b_count;
+  std::size_t groups;  ///< sample groups per row
+  bool upper;          ///< a diagonal block: only pairs with j > i
+};
+
+}  // namespace detail
+
+namespace {
+
+using detail::ScreenOperands;
+
+/// The screen's test for one pair with exact code product \p dot: true
+/// (ruled out) when |fl(fl(D) · s_b)| < c_i.  Every body makes the same
+/// float operations in registers, so all list the same pairs.
+inline bool screen_inside(std::int32_t dot, float scale_b,
+                          float cut_a) noexcept {
+  return std::fabs(static_cast<float>(dot) * scale_b) < cut_a;
+}
+
+/// Appends the live pairs of one spilled register tile (row r's dot
+/// products at dots + r * kScreenJ) that screen_inside does not rule out,
+/// as (i << 32) | j.
+void list_outside(const ScreenOperands& op, const std::int32_t* dots,
+                  std::size_t i0, std::size_t rows, std::size_t j0,
+                  std::size_t cols, std::vector<std::uint64_t>& candidates) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = op.upper && i0 + r >= j0 ? i0 + r + 1 - j0 : 0;
+         c < cols; ++c) {
+      if (!screen_inside(dots[r * kScreenJ + c], op.b_scale[j0 + c],
+                         op.a_cut[i0 + r])) {
+        candidates.push_back(static_cast<std::uint64_t>(i0 + r) << 32 |
+                             (j0 + c));
+      }
+    }
+  }
+}
 
 /// Upper bound on the Euclidean norm of a row of \p samples doubles whose
 /// squares summed, in any order, to \p ss: covers the sum's rounding
@@ -200,9 +266,25 @@ double norm_bound(double ss, std::size_t samples) noexcept {
          (1.0 + 0x1p-30);
 }
 
-/// The float panels of rows [0, count), one per sweep block.  A panel is
-/// filled by the first task that asks for it, so the sweep's workers
-/// share the conversion.
+/// The largest float <= \p v, for v > 0 (FLT_MAX past it).
+float float_below(double v) noexcept {
+  if (v >= static_cast<double>(FLT_MAX)) return FLT_MAX;
+  float f = static_cast<float>(v);
+  if (static_cast<double>(f) > v) f = std::nextafter(f, 0.0f);
+  return f;
+}
+
+/// The largest float <= threshold − margin, or 0 (rule nothing out) when
+/// that is not positive.  The (1 − 2^-50) factor absorbs the rounding of
+/// the subtraction.
+float screen_cut(double threshold, double margin) noexcept {
+  const double cut = (threshold - margin) * (1.0 - 0x1p-50);
+  return cut > 0.0 ? float_below(cut) : 0.0f;
+}
+
+/// The quantized panels of rows [0, count), one per sweep block.  A panel
+/// is filled by the first task that asks for it, so the sweep's workers
+/// share the quantization.
 class ScreenPanels {
  public:
   ScreenPanels(const AlignedRows& rows, std::size_t count,
@@ -238,138 +320,111 @@ class ScreenPanels {
   std::unique_ptr<std::once_flag[]> filled_;
 };
 
-/// The largest float <= threshold − margin, or 0 (rule nothing out) when
-/// that is not positive.  The (1 − 2^-50) factor absorbs the rounding of
-/// the subtraction.
-float screen_cut(double threshold, double margin) noexcept {
-  const double cut = (threshold - margin) * (1.0 - 0x1p-50);
-  if (!(cut > 0.0)) return 0.0f;
-  if (cut >= static_cast<double>(FLT_MAX)) return FLT_MAX;
-  float f = static_cast<float>(cut);
-  if (static_cast<double>(f) > cut) f = std::nextafter(f, 0.0f);
-  return f;
-}
-
 #if defined(GSB_CORR_VECTOR_KERNEL)
 
-using V4sf = float __attribute__((vector_size(16)));
-using V8sf = float __attribute__((vector_size(32)));
+using V4si = std::int32_t __attribute__((vector_size(16)));
 
-/// One register tile of the screen: kRows A rows (from \p a, rows of the
-/// A tile starting at i0) × kScreenJ columns of the B tile, float
-/// accumulators contracted to FMA where the target has it.  The tile is
-/// dropped in registers when every lane is strictly inside (−cut, cut);
-/// NaN and ±inf lanes compare false, so they survive.  Otherwise its
-/// live pairs (j > i when \p upper) that are not inside are listed.
-template <std::size_t kRows, typename Vec>
-__attribute__((always_inline)) inline void screen_tile(
-    const float* a, const float* b_tile, std::size_t samples, float cut,
-    std::size_t i0, std::size_t rows, std::size_t j0, std::size_t cols,
-    bool upper, std::vector<std::uint64_t>& candidates) {
-  constexpr std::size_t kLanes = sizeof(Vec) / sizeof(float);
-  constexpr std::size_t kVecs = kScreenJ / kLanes;
-  using Mask = decltype(Vec{} < Vec{});
-  Vec acc[kRows][kVecs] = {};
-  for (std::size_t k = 0; k < samples; ++k) {
-    const float* b = b_tile + k * kScreenJ;
-    Vec bv[kVecs];
-    for (std::size_t w = 0; w < kVecs; ++w) {
-      std::memcpy(&bv[w], b + w * kLanes, sizeof(Vec));
-    }
-    for (std::size_t r = 0; r < kRows; ++r) {
-      const float av = a[k * kScreenJ + r];
-      for (std::size_t w = 0; w < kVecs; ++w) acc[r][w] += bv[w] * av;
-    }
-  }
-  const Vec hi = Vec{} + cut;
-  const Vec lo = Vec{} - cut;
-  Mask inside = (acc[0][0] < hi) & (acc[0][0] > lo);
-  for (std::size_t r = 0; r < kRows; ++r) {
-    for (std::size_t w = 0; w < kVecs; ++w) {
-      inside &= (acc[r][w] < hi) & (acc[r][w] > lo);
-    }
-  }
-  std::uint64_t words[sizeof(Mask) / sizeof(std::uint64_t)];
-  std::memcpy(words, &inside, sizeof(Mask));
-  std::uint64_t all = ~std::uint64_t{0};
-  for (const std::uint64_t word : words) all &= word;
-  if (all == ~std::uint64_t{0}) return;
+/// The portable body: 128-bit GNU vectors (SSE2 / NEON).
+namespace screen_v128 {
+#define GSB_SCREEN_TARGET
+using Vec = V4si;
+constexpr std::size_t kRows = 2;
+constexpr std::size_t kTail = 2;
 
-  // Spill through copies: taking acc's address would keep it in memory
-  // for every tile.
-  float tile[kRows][kScreenJ];
-  for (std::size_t r = 0; r < kRows; ++r) {
-    for (std::size_t w = 0; w < kVecs; ++w) {
-      const Vec lanes = acc[r][w];
-      std::memcpy(tile[r] + w * kLanes, &lanes, sizeof(Vec));
-    }
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = upper && i0 + r >= j0 ? i0 + r + 1 - j0 : 0;
-         c < cols; ++c) {
-      const float v = tile[r][c];
-      if (!(v < cut && v > -cut)) {
-        candidates.push_back(static_cast<std::uint64_t>(i0 + r) << 32 |
-                             (j0 + c));
-      }
-    }
-  }
+/// Each int16 lane multiplies its two bytes separately (signed B, unsigned
+/// A) and sums them, at most 32,400; each int32 lane then adds its two
+/// int16 halves.  Every step is a native 128-bit operation.
+inline Vec dot(Vec acc, Vec a, Vec b) {
+  using V8hi = std::int16_t __attribute__((vector_size(16)));
+  using V8hu = std::uint16_t __attribute__((vector_size(16)));
+  const V8hi bw = (V8hi)b;
+  const V8hu aw = (V8hu)a;
+  const V8hi pairs = ((V8hi)(bw << 8) >> 8) * (V8hi)(aw & 0xff) +
+                     (bw >> 8) * (V8hi)(aw >> 8);
+  const Vec halves = (Vec)pairs;
+  return acc + ((halves << 16) >> 16) + (halves >> 16);
 }
 
-/// The screen over one block pair: for each pair of kScreenJ-row A and B
-/// tiles (both stay in L1), register tiles of kRows rows, then kTail rows
-/// for what is left of the A tile.
-template <std::size_t kRows, std::size_t kTail, typename Vec>
-__attribute__((always_inline)) inline bool screen_panels(
-    const float* a_panel, std::size_t a_count, const float* b_panel,
-    std::size_t b_count, bool upper, std::size_t samples, float cut,
-    std::size_t limit, std::vector<std::uint64_t>& candidates) {
-  static_assert((kScreenJ % kRows) % kTail == 0 && kTail <= kRows);
-  const std::size_t tile_floats = kScreenJ * samples;
-  for (std::size_t ti = 0; ti < a_count; ti += kScreenJ) {
-    const float* a_tile = a_panel + ti / kScreenJ * tile_floats;
-    const std::size_t a_end = std::min(a_count, ti + kScreenJ);
-    // B tiles left of this A tile lie below the diagonal.
-    for (std::size_t j0 = upper ? ti : 0; j0 < b_count; j0 += kScreenJ) {
-      const float* b_tile = b_panel + j0 / kScreenJ * tile_floats;
-      const std::size_t cols = std::min(kScreenJ, b_count - j0);
-      std::size_t i0 = ti;
-      for (; i0 + kRows <= ti + kScreenJ && i0 < a_end; i0 += kRows) {
-        screen_tile<kRows, Vec>(a_tile + (i0 - ti), b_tile, samples, cut, i0,
-                                std::min(kRows, a_end - i0), j0, cols, upper,
-                                candidates);
-      }
-      for (; i0 < a_end; i0 += kTail) {
-        screen_tile<kTail, Vec>(a_tile + (i0 - ti), b_tile, samples, cut, i0,
-                                std::min(kTail, a_end - i0), j0, cols, upper,
-                                candidates);
-      }
-      if (candidates.size() > limit) return false;
-    }
-  }
-  return true;
-}
-
-bool screen_v128(const float* a_panel, std::size_t a_count,
-                 const float* b_panel, std::size_t b_count, bool upper,
-                 std::size_t samples, float cut, std::size_t limit,
-                 std::vector<std::uint64_t>& candidates) {
-  return screen_panels<2, 2, V4sf>(a_panel, a_count, b_panel, b_count, upper,
-                                   samples, cut, limit, candidates);
-}
+#include "bio/corr_screen.inc"
+#undef GSB_SCREEN_TARGET
+}  // namespace screen_v128
 
 #if defined(GSB_CORR_AVX_KERNEL)
-__attribute__((target("avx2,fma"))) bool screen_avx2(
-    const float* a_panel, std::size_t a_count, const float* b_panel,
-    std::size_t b_count, bool upper, std::size_t samples, float cut,
-    std::size_t limit, std::vector<std::uint64_t>& candidates) {
-  return screen_panels<6, 4, V8sf>(a_panel, a_count, b_panel, b_count, upper,
-                                   samples, cut, limit, candidates);
+
+using V8si = std::int32_t __attribute__((vector_size(32)));
+
+/// AVX2: vpmaddubsw sums adjacent byte products into int16 (no saturation
+/// at 32,400), vpmaddwd the int16 pairs into int32.
+namespace screen_avx2 {
+#define GSB_SCREEN_TARGET __attribute__((target("avx2")))
+using Vec = V8si;
+constexpr std::size_t kRows = 4;
+constexpr std::size_t kTail = 4;
+
+GSB_SCREEN_TARGET inline Vec dot(Vec acc, Vec a, Vec b) {
+  const __m256i pairs = _mm256_maddubs_epi16((__m256i)a, (__m256i)b);
+  return acc + (Vec)_mm256_madd_epi16(pairs, _mm256_set1_epi16(1));
 }
 
-bool cpu_has_avx2_fma() noexcept {
-  static const bool have = __builtin_cpu_supports("avx2") != 0 &&
-                           __builtin_cpu_supports("fma") != 0;
+#include "bio/corr_screen.inc"
+#undef GSB_SCREEN_TARGET
+}  // namespace screen_avx2
+
+/// AVX-VNNI: one VEX vpdpbusd per four samples.
+namespace screen_avx_vnni {
+#define GSB_SCREEN_TARGET __attribute__((target("avx2,avxvnni")))
+using Vec = V8si;
+constexpr std::size_t kRows = 6;
+constexpr std::size_t kTail = 4;
+
+GSB_SCREEN_TARGET inline Vec dot(Vec acc, Vec a, Vec b) {
+  return (Vec)_mm256_dpbusd_avx_epi32((__m256i)acc, (__m256i)a, (__m256i)b);
+}
+
+#include "bio/corr_screen.inc"
+#undef GSB_SCREEN_TARGET
+}  // namespace screen_avx_vnni
+
+/// AVX512-VNNI with VL: the EVEX vpdpbusd on ymm registers.
+namespace screen_avx512_vnni {
+#define GSB_SCREEN_TARGET \
+  __attribute__((target("avx2,avx512vnni,avx512vl")))
+using Vec = V8si;
+constexpr std::size_t kRows = 6;
+constexpr std::size_t kTail = 4;
+
+GSB_SCREEN_TARGET inline Vec dot(Vec acc, Vec a, Vec b) {
+  return (Vec)_mm256_dpbusd_epi32((__m256i)acc, (__m256i)a, (__m256i)b);
+}
+
+#include "bio/corr_screen.inc"
+#undef GSB_SCREEN_TARGET
+}  // namespace screen_avx512_vnni
+
+bool cpu_has_avx2() noexcept {
+  static const bool have = __builtin_cpu_supports("avx2") != 0;
+  return have;
+}
+
+/// CPUID.(EAX=7, ECX=1):EAX bit 4.  Read directly: not every compiler's
+/// __builtin_cpu_supports knows "avxvnni".  The OS's AVX state check comes
+/// with avx2.
+bool cpu_has_avx_vnni() noexcept {
+  static const bool have = [] {
+    unsigned eax = 0;
+    unsigned ebx = 0;
+    unsigned ecx = 0;
+    unsigned edx = 0;
+    return cpu_has_avx2() && __get_cpuid_count(7, 1, &eax, &ebx, &ecx, &edx) &&
+           (eax & (1u << 4)) != 0;
+  }();
+  return have;
+}
+
+bool cpu_has_avx512_vnni() noexcept {
+  static const bool have = cpu_has_avx2() &&
+                           __builtin_cpu_supports("avx512vnni") != 0 &&
+                           __builtin_cpu_supports("avx512vl") != 0;
   return have;
 }
 #endif  // GSB_CORR_AVX_KERNEL
@@ -381,13 +436,25 @@ ScreenFn screen_fn(detail::ScreenKernel kernel) noexcept {
   switch (kernel) {
     case detail::ScreenKernel::kVector128:
 #if defined(GSB_CORR_VECTOR_KERNEL)
-      return screen_v128;
+      return screen_v128::screen;
 #else
       return nullptr;
 #endif
-    case detail::ScreenKernel::kAvx2Fma:
+    case detail::ScreenKernel::kAvx2:
 #if defined(GSB_CORR_AVX_KERNEL)
-      return cpu_has_avx2_fma() ? screen_avx2 : nullptr;
+      return cpu_has_avx2() ? screen_avx2::screen : nullptr;
+#else
+      return nullptr;
+#endif
+    case detail::ScreenKernel::kAvxVnni:
+#if defined(GSB_CORR_AVX_KERNEL)
+      return cpu_has_avx_vnni() ? screen_avx_vnni::screen : nullptr;
+#else
+      return nullptr;
+#endif
+    case detail::ScreenKernel::kAvx512Vnni:
+#if defined(GSB_CORR_AVX_KERNEL)
+      return cpu_has_avx512_vnni() ? screen_avx512_vnni::screen : nullptr;
 #else
       return nullptr;
 #endif
@@ -395,15 +462,53 @@ ScreenFn screen_fn(detail::ScreenKernel kernel) noexcept {
   return nullptr;
 }
 
-/// The widest screen this build and CPU run; nullptr (every block exact)
-/// without GNU vector extensions.
+/// The default screen; nullptr (every block exact) without GNU vector
+/// extensions.
 ScreenFn best_screen() noexcept {
   static const ScreenFn best = [] {
-    const ScreenFn avx2 = screen_fn(detail::ScreenKernel::kAvx2Fma);
-    return avx2 != nullptr ? avx2
-                           : screen_fn(detail::ScreenKernel::kVector128);
+    const auto kernel = detail::default_screen_kernel();
+    return kernel ? screen_fn(*kernel) : nullptr;
   }();
   return best;
+}
+
+/// Screens one block pair with \p screen at \p threshold, leaving the
+/// pairs it does not rule out in scratch.candidates.  False when the block
+/// must be computed exactly: a panel that does not screen, a margin that
+/// leaves no room below the threshold, or more than \p limit candidates
+/// (the list is then incomplete).
+bool screen_pair(ScreenFn screen, double threshold, const ScreenPanel& a,
+                 std::size_t a_count, const ScreenPanel& b,
+                 std::size_t b_count, bool diagonal, std::size_t limit,
+                 CorrScanScratch& scratch) {
+  if (!a.screens() || !b.screens()) return false;
+  const float cut = screen_cut(
+      threshold, detail::screen_margin(a.samples(), a.max_norm(),
+                                       a.max_error(), b.max_norm(),
+                                       b.max_error()));
+  if (cut == 0.0f) return false;
+  // The A side as unsigned bytes q + kCodeMax, and each row's cut c_i: the
+  // largest float with c_i · s_i < cut.  Pad rows get FLT_MAX (their dot
+  // products are 0).
+  const std::size_t rows = (a_count + kScreenJ - 1) / kScreenJ * kScreenJ;
+  const std::size_t bytes = rows * a.groups() * sizeof(std::uint32_t);
+  scratch.codes.resize(rows * a.groups());
+  const auto* src = reinterpret_cast<const unsigned char*>(a.codes());
+  auto* dst = reinterpret_cast<unsigned char*>(scratch.codes.data());
+  for (std::size_t k = 0; k < bytes; ++k) {
+    dst[k] = static_cast<unsigned char>(src[k] + kCodeMax);
+  }
+  scratch.cuts.assign(rows, FLT_MAX);
+  for (std::size_t i = 0; i < a_count; ++i) {
+    scratch.cuts[i] = float_below(static_cast<double>(cut) /
+                                  static_cast<double>(a.scales()[i]) *
+                                  (1.0 - 0x1p-50));
+  }
+  const ScreenOperands op{scratch.codes.data(), scratch.cuts.data(), a_count,
+                          b.codes(),            b.offsets(),         b.scales(),
+                          b_count,              a.groups(),          diagonal};
+  scratch.candidates.clear();
+  return screen(op, limit, scratch.candidates);
 }
 
 struct SweepCounters {
@@ -423,11 +528,12 @@ const SweepCounters& sweep_counters() {
                          "Correlation tile blocks computed across sweeps."),
         registry.counter("gsb_correlation_exact_blocks_total",
                          "Correlation blocks computed exactly with the "
-                         "double block product (screen too dense or no "
-                         "room below the threshold)."),
+                         "double block product (screen too dense, no room "
+                         "below the threshold, or rows the screen cannot "
+                         "quantize)."),
         registry.counter("gsb_correlation_rechecked_pairs_total",
-                         "Pairs the single-precision screen passed that "
-                         "were recomputed with profile_dot."),
+                         "Pairs the integer screen passed that were "
+                         "recomputed with profile_dot."),
     };
   }();
   return counters;
@@ -478,42 +584,224 @@ void correlation_block(const double* a_rows, std::size_t a_count,
 
 ScreenPanel::ScreenPanel(std::size_t rows, std::size_t samples)
     : samples_(samples),
-      floats_((rows + kScreenJ - 1) / kScreenJ * kScreenJ * samples) {
-  if (floats_ == 0) return;
-  // A tile is a whole number of cache lines, so the size is a multiple of
-  // the alignment.
-  data_.reset(static_cast<float*>(
-      std::aligned_alloc(AlignedRows::kAlignment, floats_ * sizeof(float))));
-  if (data_ == nullptr) throw std::bad_alloc();
+      groups_((samples + kGroup - 1) / kGroup),
+      rows_((rows + kScreenJ - 1) / kScreenJ * kScreenJ),
+      scales_(rows_),
+      offsets_(rows_) {
+  const std::size_t bytes = rows_ * groups_ * sizeof(std::uint32_t);
+  if (bytes == 0) return;
+  // A tile's group is one cache line, so the size is a multiple of the
+  // alignment.
+  codes_.reset(static_cast<std::uint32_t*>(
+      std::aligned_alloc(AlignedRows::kAlignment, bytes)));
+  if (codes_ == nullptr) throw std::bad_alloc();
 }
+
+namespace {
+
+/// One row's quantization (see ScreenPanel::fill).
+struct RowCodes {
+  float scale = 1.0f;
+  std::int32_t offset = 0;  ///< −kCodeMax · Σq
+  double norm_ss = 0.0;     ///< Σx², computed
+  double error_ss = 0.0;    ///< Σ(x − s·q)², computed
+};
+
+/// Quantizes row \p x of \p samples into the dwords column[g * kScreenJ],
+/// one per sample group, pad samples zero, with \p Vd (a GNU vector of 2
+/// or 4 doubles) covering a group in kGroup / lanes halves; \p Vi is the
+/// int64 vector of its size.  False, writing nothing, when the row holds a
+/// NaN or infinity, when Σx² overflows, or when its scale is not a normal
+/// float.
+template <typename Vd, typename Vi>
+__attribute__((always_inline)) inline bool quantize_row(
+    const double* x, std::size_t samples, std::uint32_t* column,
+    RowCodes& out) noexcept {
+  constexpr std::size_t kLanes = sizeof(Vd) / sizeof(double);
+  constexpr std::size_t kHalves = kGroup / kLanes;
+  using V4si = std::int32_t __attribute__((vector_size(16)));
+  using V16qi = std::int8_t __attribute__((vector_size(16)));
+  // (v + kRound) − kRound rounds v to the nearest integer for |v| < 2^51.
+  constexpr double kRound = 0x1.8p52;
+  const std::size_t full = samples / kGroup;
+  const std::size_t groups = (samples + kGroup - 1) / kGroup;
+  // The last group with its pad samples zero, which adds nothing to any
+  // sum below.
+  double tail[kGroup] = {};
+  if (full < groups) std::copy(x + full * kGroup, x + samples, tail);
+  auto load = [&](std::size_t g, Vd (&v)[kHalves]) {
+    const double* src = g < full ? x + g * kGroup : tail;
+    for (std::size_t h = 0; h < kHalves; ++h) {
+      std::memcpy(&v[h], src + h * kLanes, sizeof(Vd));
+    }
+  };
+  // Two sets of partial sums per lane, one for even and one for odd
+  // groups, so consecutive groups do not wait on one add chain; the norm
+  // bounds hold for any order.
+  const Vi magnitude = Vi{} + std::numeric_limits<std::int64_t>::max();
+  Vd top[2][kHalves] = {};
+  Vd ss[2][kHalves] = {};
+  auto scan = [&](std::size_t g, std::size_t c) {
+    Vd v[kHalves];
+    load(g, v);
+    for (std::size_t h = 0; h < kHalves; ++h) {
+      const Vd size = (Vd)((Vi)v[h] & magnitude);
+      top[c][h] = size > top[c][h] ? size : top[c][h];  // NaN never wins
+      ss[c][h] += v[h] * v[h];
+    }
+  };
+  std::size_t g = 0;
+  for (; g + 2 <= groups; g += 2) {
+    scan(g, 0);
+    scan(g + 1, 1);
+  }
+  if (g < groups) scan(g, 0);
+  double m = 0.0;
+  out.norm_ss = 0.0;
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (std::size_t h = 0; h < kHalves; ++h) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        m = std::max(m, top[c][h][l]);
+        out.norm_ss += ss[c][h][l];
+      }
+    }
+  }
+  if (!std::isfinite(out.norm_ss)) return false;
+  // s: the smallest float >= m / kCodeMax, so every |x_k / s| <= 90.
+  out.scale = 1.0f;
+  if (m > 0.0) {
+    const double want = m / kCodeMax;
+    if (!(want >= static_cast<double>(FLT_MIN)) ||
+        want > static_cast<double>(FLT_MAX)) {
+      return false;
+    }
+    out.scale = static_cast<float>(want);
+    if (static_cast<double>(out.scale) < want) {  // the next float up
+      out.scale =
+          std::bit_cast<float>(std::bit_cast<std::uint32_t>(out.scale) + 1);
+    }
+  }
+  const double scale = out.scale;
+  const double inv = 1.0 / scale;
+  Vd err[2][kHalves] = {};
+  Vd sum[2][kHalves] = {};
+  auto quantize = [&](std::size_t g, std::size_t c) {
+    Vd v[kHalves];
+    load(g, v);
+    Vd y[kHalves];
+    Vd q[kHalves];
+    for (std::size_t h = 0; h < kHalves; ++h) {
+      y[h] = v[h] * inv + kRound;
+      q[h] = y[h] - kRound;               // in [−90, 90]
+      const Vd e = v[h] - scale * q[h];  // scale · q is exact
+      err[c][h] += e * e;
+      sum[c][h] += q[h];
+    }
+    if constexpr (kHalves == 1) {
+      // Four int32 lanes, then their low bytes (one byte shuffle).
+      const V4si ints = __builtin_convertvector(q[0], V4si);
+      const auto codes =
+          __builtin_shufflevector((V16qi)ints, (V16qi)ints, 0, 4, 8, 12);
+      std::memcpy(column + g * kScreenJ, &codes, sizeof(std::uint32_t));
+    } else {
+      // 128-bit targets may lack a byte shuffle: y's low byte is the code
+      // in two's complement; shift each into place in its int64 lane and
+      // OR the lanes together.
+      Vi word = {};
+      for (std::size_t h = 0; h < kHalves; ++h) {
+        const Vi shift = {static_cast<std::int64_t>(16 * h),
+                          static_cast<std::int64_t>(16 * h + 8)};
+        word |= ((Vi)y[h] & 0xff) << shift;
+      }
+      word |= __builtin_shufflevector(word, word, 1, 0);
+      column[g * kScreenJ] = static_cast<std::uint32_t>(word[0]);
+    }
+  };
+  for (g = 0; g + 2 <= groups; g += 2) {
+    quantize(g, 0);
+    quantize(g + 1, 1);
+  }
+  if (g < groups) quantize(g, 0);
+  out.error_ss = 0.0;
+  double total = 0.0;
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (std::size_t h = 0; h < kHalves; ++h) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        out.error_ss += err[c][h][l];
+        total += sum[c][h][l];
+      }
+    }
+  }
+  out.offset = static_cast<std::int32_t>(-kCodeMax *
+                                         static_cast<std::int64_t>(total));
+  return true;
+}
+
+using QuantizeFn = bool (*)(const double*, std::size_t, std::uint32_t*,
+                            RowCodes&) noexcept;
+
+bool quantize_row_v128(const double* x, std::size_t samples,
+                       std::uint32_t* column, RowCodes& out) noexcept {
+  using V2df = double __attribute__((vector_size(16)));
+  using V2di = std::int64_t __attribute__((vector_size(16)));
+  return quantize_row<V2df, V2di>(x, samples, column, out);
+}
+
+#if defined(GSB_CORR_AVX_KERNEL)
+__attribute__((target("avx2"))) bool quantize_row_avx2(
+    const double* x, std::size_t samples, std::uint32_t* column,
+    RowCodes& out) noexcept {
+  using V4df = double __attribute__((vector_size(32)));
+  using V4di = std::int64_t __attribute__((vector_size(32)));
+  return quantize_row<V4df, V4di>(x, samples, column, out);
+}
+#endif
+
+/// The row quantizer for this CPU; every one writes the same codes.
+QuantizeFn row_quantizer() noexcept {
+#if defined(GSB_CORR_AVX_KERNEL)
+  if (cpu_has_avx2()) return quantize_row_avx2;
+#endif
+  return quantize_row_v128;
+}
+
+}  // namespace
 
 void ScreenPanel::fill(const double* rows, std::size_t stride,
                        std::size_t count, const unsigned char* valid) noexcept {
-  max_norm_ = 0.0;
-  float* tile = data_.get();
-  // Tiles past the block's live rows are never read.
+  screens_ = true;
+  std::uint32_t* tile = codes_.get();
+  static const QuantizeFn quantize = row_quantizer();
+  // Tiles past the block's live rows are never read.  Pad rows, invalid
+  // rows and rows that do not quantize get zero codes and scale 1, so
+  // their dot products are 0.
+  bool any = false;
+  double norm_ss = 0.0;
+  double error_ss = 0.0;
   for (std::size_t t0 = 0; t0 < count;
-       t0 += kScreenJ, tile += kScreenJ * samples_) {
-    const std::size_t rows_here = std::min(kScreenJ, count - t0);
-    const double* src[kScreenJ];
-    for (std::size_t c = 0; c < rows_here; ++c) {
-      src[c] = rows + (t0 + c) * stride;
-    }
-    double ss[kScreenJ] = {};
-    for (std::size_t k = 0; k < samples_; ++k) {
-      float* out = tile + k * kScreenJ;
-      for (std::size_t c = 0; c < rows_here; ++c) {
-        const double x = src[c][k];
-        out[c] = static_cast<float>(x);
-        ss[c] += x * x;
+       t0 += kScreenJ, tile += kScreenJ * groups_) {
+    for (std::size_t c = 0; c < kScreenJ; ++c) {
+      const std::size_t r = t0 + c;
+      RowCodes row;
+      if (r < count && (valid == nullptr || valid[r] != 0)) {
+        if (quantize(rows + r * stride, samples_, tile + c, row)) {
+          any = true;
+          norm_ss = std::max(norm_ss, row.norm_ss);
+          error_ss = std::max(error_ss, row.error_ss);
+          scales_[r] = row.scale;
+          offsets_[r] = row.offset;
+          continue;
+        }
+        screens_ = false;
       }
-      std::fill(out + rows_here, out + kScreenJ, 0.0f);
-    }
-    for (std::size_t c = 0; c < rows_here; ++c) {
-      if (valid != nullptr && valid[t0 + c] == 0) continue;
-      max_norm_ = std::max(max_norm_, norm_bound(ss[c], samples_));
+      for (std::size_t g = 0; g < groups_; ++g) tile[g * kScreenJ + c] = 0;
+      scales_[r] = 1.0f;
+      offsets_[r] = 0;
     }
   }
+  // norm_bound is increasing, so the largest sum gives the largest bound.
+  max_norm_ = any ? norm_bound(norm_ss, samples_) : 0.0;
+  max_error_ = any ? norm_bound(error_ss, samples_) : 0.0;
 }
 
 BlockPairScan::BlockPairScan(std::size_t samples, double threshold)
@@ -521,7 +809,8 @@ BlockPairScan::BlockPairScan(std::size_t samples, double threshold)
   sweep_counters().sweeps.inc();
   // A threshold that leaves no room below it for even the smallest margin
   // screens nothing out: every block is computed exactly.
-  if (screen_cut(threshold, detail::screen_margin(samples, 0.0, 0.0)) == 0) {
+  if (screen_cut(threshold,
+                 detail::screen_margin(samples, 0.0, 0.0, 0.0, 0.0)) == 0) {
     screen_ = nullptr;
   }
 }
@@ -549,18 +838,10 @@ void BlockPairScan::scan(const CorrBlock& a, const CorrBlock& b,
                              b.first + static_cast<std::uint32_t>(j), corr});
     }
   };
-  bool exact = true;
-  if (screen_ != nullptr) {
-    const float cut = screen_cut(
-        threshold_, detail::screen_margin(samples_, a.panel->max_norm(),
-                                          b.panel->max_norm()));
-    scratch.candidates.clear();
-    const std::size_t pairs = diagonal ? ci * (ci - 1) / 2 : ci * cj;
-    exact = cut == 0.0f ||
-            !screen_(a.panel->data(), ci, b.panel->data(), cj, diagonal,
-                     samples_, cut, pairs / kExactShare, scratch.candidates);
-  }
-  if (exact) {
+  const std::size_t pairs = diagonal ? ci * (ci - 1) / 2 : ci * cj;
+  if (screen_ == nullptr ||
+      !screen_pair(screen_, threshold_, *a.panel, ci, *b.panel, cj, diagonal,
+                   pairs / kExactShare, scratch)) {
     counters.exact_blocks.inc();
     scratch.dense.resize(ci * cj);
     correlation_block(a.rows, ci, b.rows, cj, samples_, a.stride, b.stride,
@@ -576,8 +857,7 @@ void BlockPairScan::scan(const CorrBlock& a, const CorrBlock& b,
     return;
   }
   // The screen lists its survivors tile by tile; (i, j) order is the
-  // emission order.  The recheck runs here, outside the FMA-targeted
-  // screen, so profile_dot rounds exactly as everywhere else.
+  // emission order.
   std::sort(scratch.candidates.begin(), scratch.candidates.end());
   std::uint64_t rechecked = 0;
   for (const std::uint64_t key : scratch.candidates) {
@@ -725,26 +1005,66 @@ StandardizedRows standardize_rows(const ExpressionMatrix& expression,
   return out;
 }
 
+
 namespace detail {
 
-double screen_margin(std::size_t samples, double norm_x,
-                     double norm_y) noexcept {
-  if (samples > (std::size_t{1} << 20)) {
+double screen_margin(std::size_t samples, double norm_x, double err_x,
+                     double norm_y, double err_y) noexcept {
+  if (samples > kMaxScreenSamples) {
     return std::numeric_limits<double>::infinity();
   }
   const double n = static_cast<double>(samples);
   const double u = 0x1p-24;
-  const double g = (n + 1) * u / (1 - (n + 1) * u);
   const double gd = (n + 1) * 0x1p-53 / (1 - (n + 1) * 0x1p-53);
-  const double c1 = 2 * u + u * u + g * (1 + u) * (1 + u) + gd;
-  const double c2 = 0x1p-150 * (1 + u) * (1 + g) * std::sqrt(n);
-  const double c3 = n * (0x1p-149 + 0x1p-300 + 0x1p-1074) * (1 + g);
-  return (c1 * norm_x * norm_y + c2 * (norm_x + norm_y) + c3) *
-         (1 + 0x1p-40);
+  const double h_x = norm_x + err_x;  // bounds ‖x̂‖
+  const double h_y = norm_y + err_y;
+  const double bound = err_x * norm_y + h_x * err_y +
+                       (2 * u + u * u) * h_x * h_y + 0x1p-150 * norm_x +
+                       gd * norm_x * norm_y + n * 0x1p-1074 * (1 + gd);
+  return bound * (1 + 0x1p-40);
 }
 
 bool screen_kernel_available(ScreenKernel kernel) noexcept {
   return screen_fn(kernel) != nullptr;
+}
+
+std::optional<ScreenKernel> default_screen_kernel() noexcept {
+  for (const auto kernel : {ScreenKernel::kAvxVnni, ScreenKernel::kAvx512Vnni,
+                            ScreenKernel::kAvx2, ScreenKernel::kVector128}) {
+    if (screen_kernel_available(kernel)) return kernel;
+  }
+  return std::nullopt;
+}
+
+const char* screen_kernel_name(ScreenKernel kernel) noexcept {
+  switch (kernel) {
+    case ScreenKernel::kVector128:
+      return "vector128";
+    case ScreenKernel::kAvx2:
+      return "avx2";
+    case ScreenKernel::kAvxVnni:
+      return "avx_vnni";
+    case ScreenKernel::kAvx512Vnni:
+      return "avx512_vnni";
+  }
+  return "unknown";
+}
+
+std::vector<std::uint64_t> screen_candidates(
+    ScreenKernel kernel, double threshold, const ScreenPanel& a,
+    std::size_t a_count, const ScreenPanel& b, std::size_t b_count,
+    bool diagonal) {
+  const ScreenFn screen = screen_fn(kernel);
+  if (screen == nullptr) {
+    throw std::invalid_argument("screen_candidates: kernel not available");
+  }
+  CorrScanScratch scratch;
+  if (!screen_pair(screen, threshold, a, a_count, b, b_count, diagonal,
+                   std::numeric_limits<std::size_t>::max(), scratch)) {
+    throw std::invalid_argument("screen_candidates: block not screened");
+  }
+  std::sort(scratch.candidates.begin(), scratch.candidates.end());
+  return std::move(scratch.candidates);
 }
 
 void correlation_cross_with(ScreenKernel kernel, const AlignedRows& a,

@@ -20,24 +20,31 @@
 ///     loads, one broadcast), and keeps eight independent accumulator
 ///     chains per A row.  Every entry is bit-identical to profile_dot().
 ///   * BlockPairScan — the block-pair body: thresholds the pairs of two
-///     row blocks through a single-precision screen and appends the hits.
-///     Every sweep runs it: correlation_cross below, and the tiled
+///     row blocks through an exact 8-bit integer screen and appends the
+///     hits.  Every sweep runs it: correlation_cross below, and the tiled
 ///     builder's block jobs (bio/tiled_correlation.h).
 ///   * correlation_cross / correlation_self — block-pair sweeps over
 ///     in-RAM rows that dispatch BlockPairScan over a par::ThreadPool and
 ///     emit edges through a reorder buffer.
 ///
-/// The screen: a sweep keeps a float copy of each block of rows (a
-/// ScreenPanel) and, per block pair, runs a register-tiled float FMA micro
-/// kernel (AVX2+FMA when the CPU has it, a 128-bit vector body otherwise).  A
-/// register tile whose every |approx| lies below threshold − margin is
-/// dropped in registers; margin (detail::screen_margin) is a proved bound
-/// on |approx − profile_dot|, so no dropped pair can be an edge.  Every
-/// surviving valid pair is recomputed with profile_dot() outside the
-/// FMA-targeted code and emitted iff that double value passes.  A block
-/// whose screen passes more than a fixed share of its pairs (dense
-/// thresholds), or whose margin leaves no room below the threshold, is
-/// computed exactly with correlation_block instead.
+/// The screen: a sweep keeps a quantized copy of each block of rows (a
+/// ScreenPanel).  Each row x is stored as 8-bit codes q_k = round(x_k / s)
+/// in [−90, 90] with one scale s per row.  Per block pair, a register-tiled
+/// micro kernel computes D = Σ q_a·q_b exactly in int32 lanes — vpdpbusd
+/// on AVX-VNNI or AVX512-VNNI+VL, vpmaddubsw + vpmaddwd on AVX2, a 128-bit
+/// GNU-vector body elsewhere — and the screen value is fl(fl(D)·s_b)·s_a.
+/// A register tile whose every screen value lies strictly inside
+/// (−cut, cut), cut = threshold − margin, is dropped in registers; margin
+/// (detail::screen_margin) is a proved bound on |screen − profile_dot|, so
+/// no dropped pair can be an edge.  Integer sums are exact and the float
+/// epilogue is the same operations on every body, so every kernel lists
+/// the same candidates.  Every surviving valid pair is recomputed with
+/// profile_dot() and emitted iff that double value passes.  A block is
+/// computed exactly with correlation_block instead when its screen passes
+/// more than a fixed share of its pairs (dense thresholds), when the margin
+/// leaves no room below the threshold, when a valid row holds a NaN or
+/// infinity or its scale is not a normal float, and, for every block, past
+/// kMaxScreenSamples samples.
 ///
 /// Determinism contract: every *emitted* correlation is profile_dot()'s
 /// value — from the recheck, or from correlation_block, which accumulates
@@ -55,6 +62,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bio/correlation.h"
@@ -143,13 +151,17 @@ void correlation_block(const double* a_rows, std::size_t a_count,
 
 namespace detail {
 enum class ScreenKernel;
-/// A screen micro-kernel over one block pair of panels (see BlockPairScan).
-using ScreenFn = bool (*)(const float* a_panel, std::size_t a_count,
-                          const float* b_panel, std::size_t b_count,
-                          bool upper, std::size_t samples, float cut,
-                          std::size_t limit,
+struct ScreenOperands;
+/// A screen micro-kernel over one block pair (see BlockPairScan).
+using ScreenFn = bool (*)(const ScreenOperands& operands, std::size_t limit,
                           std::vector<std::uint64_t>& candidates);
 }  // namespace detail
+
+/// Most samples the integer screen runs at: every partial sum of a dot
+/// product of codes, Σ_done q_a·q_b − 90·Σ_rest q_b, stays within
+/// 90 · 90 · samples, which must fit int32.  Past it every block is
+/// computed exactly.
+inline constexpr std::size_t kMaxScreenSamples = 2147483647 / (90 * 90);
 
 /// One thresholded pair: global ids (u, v) and the correlation.
 struct CorrHit {
@@ -158,9 +170,10 @@ struct CorrHit {
   double corr;
 };
 
-/// Float copy of one block of rows for the screen: a run of 16-row tiles,
-/// each sample-major and contiguous (element (k, c) of tile t at
-/// (t * samples + k) * 16 + c, pad rows zero), so one copy serves the
+/// Quantized copy of one block of rows for the screen.  Row r's samples
+/// 4g .. 4g + 3 are one dword of four int8 codes, pad samples zero, at
+/// codes()[((r / 16) * groups() + g) * 16 + r % 16]: a run of 16-row
+/// tiles, each group of a tile one cache line, so one copy serves the
 /// block as the A side (broadcasts) and as the B side (vector loads), and
 /// a register tile streams through memory in order.
 class ScreenPanel {
@@ -169,29 +182,55 @@ class ScreenPanel {
   /// Room for up to \p rows rows of \p samples.
   ScreenPanel(std::size_t rows, std::size_t samples);
 
-  /// Converts \p count (at most the panel's rows) rows starting at \p rows,
-  /// \p stride doubles apart, and takes the largest norm bound over the
-  /// rows \p valid marks (block-local; nullptr = all valid).
+  /// Quantizes \p count (at most the panel's rows) rows starting at
+  /// \p rows, \p stride doubles apart: row x gets the scale s, the
+  /// smallest float >= max|x_k| / 90, and codes q_k = round(x_k / s).  It
+  /// takes the largest norm bound of ‖x‖ and of ‖x − s·q‖ over the rows
+  /// \p valid marks (block-local; nullptr = all valid).  Invalid rows get
+  /// zero codes.
   void fill(const double* rows, std::size_t stride, std::size_t count,
             const unsigned char* valid) noexcept;
 
-  [[nodiscard]] const float* data() const noexcept { return data_.get(); }
+  [[nodiscard]] const std::uint32_t* codes() const noexcept {
+    return codes_.get();
+  }
+  /// Per row: the scale s.
+  [[nodiscard]] const float* scales() const noexcept { return scales_.data(); }
+  /// Per row: −90 · Σq, a B row's start value for its dot products.
+  [[nodiscard]] const std::int32_t* offsets() const noexcept {
+    return offsets_.data();
+  }
+  [[nodiscard]] std::size_t samples() const noexcept { return samples_; }
+  /// Code dwords per row.
+  [[nodiscard]] std::size_t groups() const noexcept { return groups_; }
+  /// False when a valid row of the last fill holds a NaN or infinity,
+  /// overflows its sum of squares, or has a scale that is not a normal
+  /// float: blocks with this panel are then computed exactly.
+  [[nodiscard]] bool screens() const noexcept { return screens_; }
   /// Largest norm bound over the valid rows of the last fill (0 if none).
   [[nodiscard]] double max_norm() const noexcept { return max_norm_; }
+  /// Largest bound on a valid row's quantization error ‖x − s·q‖.
+  [[nodiscard]] double max_error() const noexcept { return max_error_; }
   /// Bytes owned by the panel.
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return floats_ * sizeof(float);
+    return rows_ * (groups_ * sizeof(std::uint32_t) + sizeof(float) +
+                    sizeof(std::int32_t));
   }
 
  private:
   struct FreeDeleter {
-    void operator()(float* p) const noexcept { std::free(p); }
+    void operator()(std::uint32_t* p) const noexcept { std::free(p); }
   };
 
   std::size_t samples_ = 0;
-  std::size_t floats_ = 0;
+  std::size_t groups_ = 0;
+  std::size_t rows_ = 0;  ///< rows rounded up to whole tiles
+  bool screens_ = true;
   double max_norm_ = 0.0;
-  std::unique_ptr<float[], FreeDeleter> data_;
+  double max_error_ = 0.0;
+  std::unique_ptr<std::uint32_t[], FreeDeleter> codes_;
+  std::vector<float> scales_;
+  std::vector<std::int32_t> offsets_;
 };
 
 /// One block of rows as the block-pair body reads it.
@@ -201,7 +240,7 @@ struct CorrBlock {
   std::size_t count = 0;         ///< rows in the block
   const unsigned char* valid = nullptr;  ///< block-local; nullptr = all valid
   std::uint32_t first = 0;               ///< global id of row 0
-  /// The block's filled float copy; read only when the scan screens.
+  /// The block's filled quantized copy; read only when the scan screens.
   const ScreenPanel* panel = nullptr;
 };
 
@@ -210,17 +249,20 @@ struct CorrScanScratch {
   std::vector<double> dense;
   std::vector<double> pack;
   std::vector<std::uint64_t> candidates;
+  std::vector<std::uint32_t> codes;  ///< the A panel's unsigned codes
+  std::vector<float> cuts;           ///< per A row
 };
 
 /// The block-pair screen/recheck body of every sweep.  A scan screens the
-/// pair's panels in float, rechecks each surviving valid pair with
+/// pair's quantized panels, rechecks each surviving valid pair with
 /// profile_dot and keeps it iff |corr| >= threshold; a block whose screen
-/// passes too many pairs, or whose margin leaves no room below the
-/// threshold, is computed exactly with correlation_block instead.
+/// passes too many pairs, whose margin leaves no room below the threshold,
+/// or whose panel does not screen, is computed exactly with
+/// correlation_block instead.
 class BlockPairScan {
  public:
-  /// Scans rows of \p samples at \p threshold with the widest screen this
-  /// build and CPU run.  Each scan object counts as one sweep
+  /// Scans rows of \p samples at \p threshold with the default screen
+  /// (detail::default_screen_kernel).  Each scan object counts as one sweep
   /// (gsb_correlation_sweeps_total).
   BlockPairScan(std::size_t samples, double threshold);
   /// The same with the screen fixed to \p kernel; throws
@@ -228,8 +270,9 @@ class BlockPairScan {
   BlockPairScan(std::size_t samples, double threshold,
                 detail::ScreenKernel kernel);
 
-  /// False when every block is computed exactly (no screen kernel, or a
-  /// threshold that leaves no room below it): then no block needs a panel.
+  /// False when every block is computed exactly (no screen kernel, more
+  /// than kMaxScreenSamples samples, or a threshold that leaves no room
+  /// below it): then no block needs a panel.
   [[nodiscard]] bool screens() const noexcept { return screen_ != nullptr; }
 
   /// Appends to \p hits, in ascending (i, j) order, every pair of row i of
@@ -285,45 +328,53 @@ void correlation_self(const AlignedRows& rows, std::size_t count,
 
 namespace detail {
 
-/// Upper bound on |screen − profile_dot(x, y, samples)| for rows x, y of
-/// Euclidean norm at most \p norm_x and \p norm_y, where the screen value
-/// is the dot product of the float-rounded rows summed in single precision
-/// in any order, with or without FMA.  With n = samples, u = 2^-24 and
-/// u_d = 2^-53 (unit roundoffs), γ(m) = m·u / (1 − m·u), γ_d likewise
-/// with u_d, S = Σ|x_k·y_k| <= ‖x‖‖y‖ and Σ|x_k| <= √n·‖x‖:
+/// Upper bound on |screen − profile_dot(x, y, samples)| for rows x, y with
+/// ‖x‖ <= norm_x, ‖x − s_x·q_x‖ <= err_x and likewise for y, where the
+/// screen value is V = fl(fl(D)·s_y)·s_x for the exact code product
+/// D = q_x·q_y (fl: float rounding).  With x̂ = s_x·q_x, ŷ = s_y·q_y (so
+/// x̂·ŷ = s_x·s_y·D), n = samples, u = 2^-24, u_d = 2^-53 and
+/// γ_d(m) = m·u_d / (1 − m·u_d):
 ///
-///   * input rounding: x̂_k = x_k(1 + δ_k) + η_k with |δ_k| <= u and
-///     |η_k| <= 2^-150 (float underflow), so
-///     |Σx̂ŷ − Σxy| <= (2u + u²)·S + 2^-150·(1 + u)·(Σ|x| + Σ|y|)
-///                     + n·2^-300 =: E_in;
-///   * float sum: each of the n products and n additions rounds at most
-///     once, relatively by u or absolutely by 2^-150 when subnormal, so
-///     the screen differs from Σx̂ŷ by at most
-///     γ(n + 1)·(S + E_in) + n·2^-149·(1 + γ(n + 1));
-///   * the double reference itself: |profile_dot − Σxy| <=
-///     γ_d(n + 1)·S + n·2^-1074·(1 + γ_d(n + 1)).
+///   * quantization: x·y − x̂·ŷ = (x − x̂)·y + x̂·(y − ŷ), so
+///     |x·y − x̂·ŷ| <= err_x·‖y‖ + ‖x̂‖·err_y, with ‖x̂‖ <= norm_x + err_x;
+///   * the epilogue: fl(D) = D(1 + δ0) (exact below 2^24), and the
+///     product rounds relatively by u or absolutely by 2^-150 when
+///     subnormal, so |V − x̂·ŷ| <= (2u + u²)·‖x̂‖‖ŷ‖ + 2^-150·s_x, and
+///     s_x <= ‖x‖ (s_x is max|x_k| / 90 rounded up to a float);
+///   * the integer sums are exact: every partial sum stays within
+///     90 · 90 · n <= 2^31 − 1 for n <= kMaxScreenSamples;
+///   * the double reference itself: |profile_dot − x·y| <=
+///     γ_d(n + 1)·‖x‖‖y‖ + n·2^-1074·(1 + γ_d(n + 1)).
 ///
-/// Summing, the bound is c1·‖x‖‖y‖ + c2·(‖x‖ + ‖y‖) + c3 with
-/// c1 = 2u + u² + γ(n+1)(1 + u)² + γ_d(n+1),
-/// c2 = 2^-150·(1 + u)(1 + γ(n+1))·√n and
-/// c3 = n·(2^-300 + 2^-149)(1 + γ(n+1)) + n·2^-1074·(1 + γ_d(n+1)).
-/// The returned value is that bound inflated by 2^-40 relatively to cover
-/// its own rounding; it is +inf past 2^20 samples, where the screen is
-/// not used.  For unit-norm rows of 96 samples it is about 5.9e-6.  A NaN
-/// or infinite norm yields a non-finite margin, which screens nothing
-/// out.
-double screen_margin(std::size_t samples, double norm_x,
-                     double norm_y) noexcept;
+/// Summing, with h_x = norm_x + err_x and h_y = norm_y + err_y, the bound
+/// is err_x·norm_y + h_x·err_y + (2u + u²)·h_x·h_y + 2^-150·norm_x +
+/// γ_d(n + 1)·norm_x·norm_y + n·2^-1074·(1 + γ_d(n + 1)), inflated by
+/// 2^-40 relatively to cover its own rounding.  It holds at every sample
+/// count up to kMaxScreenSamples and is +inf past it, where the screen is
+/// not used.  For unit-norm standardized ranks of 96 samples (err ≈
+/// 0.0055) it is about 0.011.
+double screen_margin(std::size_t samples, double norm_x, double err_x,
+                     double norm_y, double err_y) noexcept;
 
-/// The screen's micro-kernel variants.  BlockPairScan runs the widest
-/// one this build and CPU support.
+/// The screen's micro-kernel variants, all listing the same candidates.
+/// BlockPairScan runs the first of kAvxVnni, kAvx512Vnni, kAvx2 and
+/// kVector128 this build and CPU support.
 enum class ScreenKernel {
-  kVector128,  ///< 128-bit GNU-vector body (SSE2 / NEON), any GCC/Clang
-  kAvx2Fma,    ///< 256-bit AVX2 + FMA, x86-64 CPUs that report both
+  kVector128,   ///< 128-bit GNU-vector body (SSE2 / NEON), any GCC/Clang
+  kAvx2,        ///< vpmaddubsw + vpmaddwd, x86-64 CPUs with AVX2
+  kAvxVnni,     ///< VEX vpdpbusd, CPUs with AVX-VNNI
+  kAvx512Vnni,  ///< EVEX vpdpbusd on ymm, CPUs with AVX512-VNNI and VL
 };
 
 /// True when this build and CPU can run \p kernel.
 bool screen_kernel_available(ScreenKernel kernel) noexcept;
+
+/// The kernel BlockPairScan runs by default; nullopt when this build has
+/// none (then every block is computed exactly).
+std::optional<ScreenKernel> default_screen_kernel() noexcept;
+
+/// "vector128", "avx2", "avx_vnni" or "avx512_vnni".
+const char* screen_kernel_name(ScreenKernel kernel) noexcept;
 
 /// correlation_cross with the screen fixed to \p kernel (which must be
 /// available): the entry point that lets tests run a variant the CPU
@@ -335,6 +386,19 @@ void correlation_cross_with(ScreenKernel kernel, const AlignedRows& a,
                             std::uint32_t b_first, bool diagonal,
                             double threshold, const CorrSweepOptions& options,
                             const CorrEdgeSink& sink);
+
+/// The pairs (i << 32 | j, ascending) that \p kernel's screen does not rule
+/// out at \p threshold between the first \p a_count rows of \p a and the
+/// first \p b_count of \p b (j > i when \p diagonal), with no density
+/// limit.  Throws std::invalid_argument when the kernel is not available
+/// or the block would be computed exactly.  For tests.
+std::vector<std::uint64_t> screen_candidates(ScreenKernel kernel,
+                                             double threshold,
+                                             const ScreenPanel& a,
+                                             std::size_t a_count,
+                                             const ScreenPanel& b,
+                                             std::size_t b_count,
+                                             bool diagonal);
 
 }  // namespace detail
 

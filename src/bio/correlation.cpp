@@ -47,22 +47,29 @@ std::size_t resolve_threads(std::size_t threads) {
 void midranks_into(std::span<const double> values,
                    StandardizeScratch& scratch) {
   const std::size_t n = values.size();
-  scratch.order.resize(n);
-  std::iota(scratch.order.begin(), scratch.order.end(), 0u);
-  std::sort(scratch.order.begin(), scratch.order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return values[a] < values[b];
+  scratch.keys.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scratch.keys[i] =
+        KeyedIndex{sort_key(values[i]), static_cast<std::uint32_t>(i)};
+  }
+  // Equal keys are equal values, so the order within a tie group does not
+  // matter.
+  std::sort(scratch.keys.begin(), scratch.keys.end(),
+            [](const KeyedIndex& a, const KeyedIndex& b) {
+              return a.key < b.key;
             });
-  scratch.ranks.assign(n, 0.0);
+  scratch.ranks.resize(n);
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i + 1;
-    while (j < n && values[scratch.order[j]] == values[scratch.order[i]]) ++j;
+    while (j < n && scratch.keys[j].key == scratch.keys[i].key) ++j;
     // Average 1-based rank for the tie group [i, j).
     const double rank = (static_cast<double>(i) + static_cast<double>(j - 1)) /
                             2.0 +
                         1.0;
-    for (std::size_t t = i; t < j; ++t) scratch.ranks[scratch.order[t]] = rank;
+    for (std::size_t t = i; t < j; ++t) {
+      scratch.ranks[scratch.keys[t].index] = rank;
+    }
     i = j;
   }
 }

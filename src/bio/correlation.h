@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bio/expression.h"
+#include "bio/sort_key.h"
 #include "graph/graph.h"
 #include "util/rng.h"
 
@@ -31,15 +32,17 @@ double spearman(std::span<const double> x, std::span<const double> y);
 std::vector<double> midranks(std::span<const double> values);
 
 /// Reusable scratch for standardized_profile_into: the Spearman path needs
-/// a sort permutation and a rank buffer per call, and reusing them across
-/// a genes-long standardization pass removes the per-row allocation churn.
+/// the values' sort keys and a rank buffer per call, and reusing them
+/// across a genes-long standardization pass removes the per-row allocation
+/// churn.
 struct StandardizeScratch {
   std::vector<double> ranks;
-  std::vector<std::uint32_t> order;
+  std::vector<KeyedIndex> keys;
 };
 
-/// midranks, but writing into scratch.ranks and reusing scratch.order for
-/// the sort permutation — no allocations after the first call.
+/// midranks, but writing into scratch.ranks and sorting (key, index) pairs
+/// in scratch.keys (bio/sort_key.h) — no indirect comparisons, and no
+/// allocations after the first call.
 void midranks_into(std::span<const double> values,
                    StandardizeScratch& scratch);
 

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <utility>
 #include <vector>
 
+#include "bio/sort_key.h"
 #include "obs/timeline.h"
 
 namespace gsb::bio {
@@ -33,38 +33,17 @@ void zscore_rows(ExpressionMatrix& matrix) {
 
 namespace {
 
-/// One gene of a column being ranked: its value's sort key and its row.
-struct RankedGene {
-  std::uint64_t key;
-  std::uint32_t gene;
-};
-
-/// Order-preserving key of a value: keys compare as unsigned integers the
-/// way the values compare under <, and -0.0 takes +0.0's key, since the
-/// two compare equal.  (NaN has no place in that order.)
-std::uint64_t sort_key(double value) noexcept {
-  if (value == 0.0) value = 0.0;
-  const auto bits = std::bit_cast<std::uint64_t>(value);
-  return bits >> 63 != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
-}
-
-/// The value behind a sort key (+0.0 for either zero).
-double key_value(std::uint64_t key) noexcept {
-  return std::bit_cast<double>(key >> 63 != 0 ? key & ~(std::uint64_t{1} << 63)
-                                              : ~key);
-}
-
 /// Stable LSD radix sort of \p items by key in 11-bit digits, with \p spare
 /// (the same size) as the second buffer.  A digit every key shares is
 /// skipped.
-void radix_sort(std::vector<RankedGene>& items,
-                std::vector<RankedGene>& spare) {
+void radix_sort(std::vector<KeyedIndex>& items,
+                std::vector<KeyedIndex>& spare) {
   constexpr unsigned kBits = 11;
   constexpr std::size_t kBuckets = std::size_t{1} << kBits;
   constexpr unsigned kPasses = (64 + kBits - 1) / kBits;
   const std::size_t n = items.size();
   std::array<std::array<std::uint32_t, kBuckets>, kPasses> counts{};
-  for (const RankedGene& item : items) {
+  for (const KeyedIndex& item : items) {
     for (unsigned p = 0; p < kPasses; ++p) {
       ++counts[p][(item.key >> (p * kBits)) & (kBuckets - 1)];
     }
@@ -75,7 +54,7 @@ void radix_sort(std::vector<RankedGene>& items,
     if (offset[(items[0].key >> shift) & (kBuckets - 1)] == n) continue;
     std::uint32_t sum = 0;
     for (auto& count : offset) sum += std::exchange(count, sum);
-    for (const RankedGene& item : items) {
+    for (const KeyedIndex& item : items) {
       spare[offset[(item.key >> shift) & (kBuckets - 1)]++] = item;
     }
     items.swap(spare);
@@ -95,22 +74,22 @@ void quantile_normalize(ExpressionMatrix& matrix) {
   // (the mean across samples at each rank) and mark where a run of equal
   // values continues, so the second pass reads neither the matrix nor a
   // comparison.
-  std::vector<RankedGene> column(genes);
-  std::vector<RankedGene> spare(genes);
+  std::vector<KeyedIndex> column(genes);
+  std::vector<KeyedIndex> spare(genes);
   std::vector<std::uint32_t> order(samples * genes);
   // Bit s * genes + r: rank r of sample s holds the value of rank r - 1.
   std::vector<std::uint64_t> tied((samples * genes + 63) / 64, 0);
   std::vector<double> reference(genes, 0.0);
   for (std::size_t s = 0; s < samples; ++s) {
     for (std::size_t g = 0; g < genes; ++g) {
-      column[g] = RankedGene{sort_key(matrix.at(g, s)),
+      column[g] = KeyedIndex{sort_key(matrix.at(g, s)),
                              static_cast<std::uint32_t>(g)};
     }
     radix_sort(column, spare);
     std::uint32_t* ranked = order.data() + s * genes;
     for (std::size_t r = 0; r < genes; ++r) {
       reference[r] += key_value(column[r].key);
-      ranked[r] = column[r].gene;
+      ranked[r] = column[r].index;
       if (r > 0 && column[r].key == column[r - 1].key) {
         const std::size_t bit = s * genes + r;
         tied[bit / 64] |= std::uint64_t{1} << (bit % 64);

@@ -120,7 +120,7 @@ class DualAlloc {
 };
 
 /// One resident tile of standardized rows, split into sweep blocks, with
-/// each block's float panel and the bookkeeping that orders its refills:
+/// each block's quantized panel and the bookkeeping that orders its refills:
 /// a block is refilled by a read job that waits for every job that read
 /// the block since its last fill.
 struct TileSlots {

@@ -20,10 +20,10 @@
 ///   2. sweep: every block pair of the upper tile triangle is one job, and
 ///      so is every tile-block read from the scratch file.  A pair job waits
 ///      for the reads of its two blocks; a read refills its block as soon
-///      as the jobs reading the block's previous rows finish, and converts
-///      the block's float screen panel (bio/corr_kernel.h) once, so an A
-///      tile's panels serve its whole row of tile pairs.  Resident: the A
-///      and B tiles of doubles with their float panels, and the hits of
+///      as the jobs reading the block's previous rows finish, and
+///      quantizes the block's screen panel (bio/corr_kernel.h) once, so an
+///      A tile's panels serve its whole row of tile pairs.  Resident: the A
+///      and B tiles of doubles with their quantized panels, and the hits of
 ///      finished pairs awaiting their turn, which the graph keeps within
 ///      TiledCorrelationResult::reorder_window_bytes (about one dense tile
 ///      pair of hits).  Completions drain in (tile pair, block pair, i, j)
@@ -111,7 +111,8 @@ struct TiledCorrelationOptions {
   double threshold = 0.85;
   /// Rows per tile — the memory budget knob.  Peak resident expression
   /// bytes are 2 * tile_rows * stride * 8 (stride = samples padded to a
-  /// cache line of doubles), plus the sweep's float panels (half that).
+  /// cache line of doubles), plus the sweep's quantized panels (about an
+  /// eighth of that: one byte per sample and eight per row).
   std::size_t tile_rows = 512;
   /// Worker threads for the standardize and sweep passes: 0 = hardware
   /// concurrency, 1 = the calling thread alone.  The produced .gsbg is
@@ -135,7 +136,7 @@ struct TiledCorrelationResult {
   std::size_t edges = 0;
   std::size_t tiles = 0;
   double threshold_used = 0.0;
-  /// Peak bytes of the builder's buffers: tiles, float panels, spill
+  /// Peak bytes of the builder's buffers: tiles, quantized panels, spill
   /// batches, validity, CSR.
   std::size_t peak_tracked_bytes = 0;
   /// Bound on the bytes of hits the sweep holds between a pair job's end

@@ -21,6 +21,20 @@
 
 namespace gsb::bits {
 
+/// Number of set bits in \p word.  Where the target has no POPCNT
+/// instruction (x86 built without -mpopcnt) __builtin_popcountll is a call
+/// into libgcc, so there it is a SWAR sum instead.
+[[nodiscard]] inline std::size_t popcount(std::uint64_t word) noexcept {
+#if defined(__POPCNT__) || !(defined(__x86_64__) || defined(__i386__))
+  return static_cast<std::size_t>(__builtin_popcountll(word));
+#else
+  word -= (word >> 1) & 0x5555555555555555ULL;
+  word = (word & 0x3333333333333333ULL) + ((word >> 2) & 0x3333333333333333ULL);
+  word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<std::size_t>((word * 0x0101010101010101ULL) >> 56);
+#endif
+}
+
 class BitsetView {
  public:
   using Word = std::uint64_t;
@@ -50,7 +64,7 @@ class BitsetView {
     std::size_t total = 0;
     const std::size_t nw = num_words();
     for (std::size_t w = 0; w < nw; ++w) {
-      total += static_cast<std::size_t>(__builtin_popcountll(words_[w]));
+      total += popcount(words_[w]);
     }
     return total;
   }
@@ -59,12 +73,10 @@ class BitsetView {
   [[nodiscard]] std::size_t count_from(std::size_t pos) const noexcept {
     if (pos >= nbits_) return 0;
     std::size_t w = pos / kWordBits;
-    std::size_t total = static_cast<std::size_t>(
-        __builtin_popcountll(words_[w] & (~Word{0} << (pos % kWordBits))));
+    std::size_t total =
+        popcount(words_[w] & (~Word{0} << (pos % kWordBits)));
     const std::size_t nw = num_words();
-    for (++w; w < nw; ++w) {
-      total += static_cast<std::size_t>(__builtin_popcountll(words_[w]));
-    }
+    for (++w; w < nw; ++w) total += popcount(words_[w]);
     return total;
   }
 
@@ -150,8 +162,7 @@ class BitsetView {
     std::size_t total = 0;
     const std::size_t nw = a.num_words();
     for (std::size_t w = 0; w < nw; ++w) {
-      total += static_cast<std::size_t>(
-          __builtin_popcountll(a.words_[w] & b.words_[w]));
+      total += popcount(a.words_[w] & b.words_[w]);
     }
     return total;
   }

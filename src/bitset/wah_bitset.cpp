@@ -4,6 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "bitset/bitset_view.h"
+
 namespace gsb::bits {
 namespace {
 
@@ -167,7 +169,7 @@ std::size_t WahBitset::count() const noexcept {
         total += static_cast<std::size_t>(fill_count(word)) * kGroupBits;
       }
     } else {
-      total += static_cast<std::size_t>(__builtin_popcount(word));
+      total += popcount(word);
     }
   }
   // A trailing 1-fill may cover bits past nbits_; the encoder only emits

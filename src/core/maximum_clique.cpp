@@ -79,7 +79,7 @@ class LocalGraph {
             gathered = (gathered << 1) |
                        ((global[u / kWordBits] >> (u % kWordBits)) & 1);
           }
-          degrees_[i] += static_cast<std::size_t>(__builtin_popcountll(gathered));
+          degrees_[i] += bits::popcount(gathered);
         }
         local[b] = gathered;
       }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -11,6 +13,7 @@
 #include <numeric>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "bio/correlation.h"
 #include "bio/expression.h"
@@ -42,6 +45,72 @@ TEST(Midranks, HandlesTies) {
   EXPECT_DOUBLE_EQ(ranks[3], 2.0);
   EXPECT_DOUBLE_EQ(ranks[0], 3.5);
   EXPECT_DOUBLE_EQ(ranks[2], 3.5);
+}
+
+/// midranks as it was before it sorted keys: an index sort compared
+/// through the values.  The reference for the keyed sort.
+std::vector<double> reference_midranks(const std::vector<double>& values) {
+  const std::size_t n = values.size();
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return values[a] < values[b];
+  });
+  std::vector<double> ranks(n, 0.0);
+  std::size_t i = 0;
+  while (i < n) {
+    std::size_t j = i + 1;
+    while (j < n && values[order[j]] == values[order[i]]) ++j;
+    const double rank =
+        (static_cast<double>(i) + static_cast<double>(j - 1)) / 2.0 + 1.0;
+    for (std::size_t t = i; t < j; ++t) ranks[order[t]] = rank;
+    i = j;
+  }
+  return ranks;
+}
+
+TEST(Midranks, MatchesIndexSortReference) {
+  util::Rng rng(21);
+  const double special[] = {0.0,
+                            -0.0,
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::denorm_min(),
+                            -std::numeric_limits<double>::denorm_min(),
+                            4.9e-310,
+                            -2.2e-308,
+                            1.0,
+                            -1.0};
+  StandardizeScratch scratch;
+  for (const std::size_t n : {1u, 2u, 3u, 96u, 600u}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<double> values(n);
+      for (double& v : values) {
+        switch (trial % 4) {
+          case 0:  // distinct
+            v = rng.normal();
+            break;
+          case 1:  // heavy ties
+            v = static_cast<double>(rng.below(5)) - 2.0;
+            break;
+          case 2:  // zeros of both signs, infinities and subnormals
+            v = rng.below(2) == 0 ? special[rng.below(10)] : rng.normal();
+            break;
+          default:  // all equal
+            v = trial % 8 == 3 ? 7.5 : -0.0;
+        }
+      }
+      const std::vector<double> expected = reference_midranks(values);
+      midranks_into(values, scratch);
+      ASSERT_EQ(scratch.ranks.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(scratch.ranks[i]),
+                  std::bit_cast<std::uint64_t>(expected[i]))
+            << "n " << n << " trial " << trial << " index " << i;
+      }
+      EXPECT_EQ(midranks(values), expected);
+    }
+  }
 }
 
 TEST(Correlation, PearsonKnownValues) {

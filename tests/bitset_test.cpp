@@ -1,17 +1,47 @@
 // Tests for DynamicBitset: single-bit ops, whole-set algebra, the fused
-// kernels the enumerator depends on, and randomized equivalence against a
-// std::vector<bool> reference model.
+// kernels the enumerator depends on, randomized equivalence against a
+// std::vector<bool> reference model, and the inline bits::popcount.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
+#include "bitset/bitset_view.h"
 #include "bitset/dynamic_bitset.h"
 #include "util/rng.h"
 
 namespace gsb::bits {
 namespace {
+
+TEST(Bitset, PopcountMatchesBitLoop) {
+  auto loop = [](std::uint64_t word) {
+    std::size_t bits = 0;
+    for (int b = 0; b < 64; ++b) bits += (word >> b) & 1;
+    return bits;
+  };
+  std::vector<std::uint64_t> words = {0, ~std::uint64_t{0},
+                                      0x5555555555555555ULL,
+                                      0x8000000000000001ULL};
+  for (int b = 0; b < 64; ++b) {
+    words.push_back(std::uint64_t{1} << b);
+    words.push_back(~(std::uint64_t{1} << b));
+  }
+  util::Rng rng(64);
+  for (int i = 0; i < 1000; ++i) {
+    // Random words at every density: each bit set with chance d/8.
+    const auto d = rng.below(9);
+    std::uint64_t word = 0;
+    for (int b = 0; b < 64; ++b) {
+      if (rng.below(8) < d) word |= std::uint64_t{1} << b;
+    }
+    words.push_back(word);
+  }
+  for (const std::uint64_t word : words) {
+    EXPECT_EQ(bits::popcount(word), loop(word)) << std::hex << word;
+  }
+}
 
 TEST(DynamicBitset, StartsClear) {
   DynamicBitset bits(130);

@@ -2,10 +2,12 @@
 // product must be bit-identical to the scalar profile_dot reference on
 // randomized inputs, the screened sweep drivers must emit exactly the
 // scalar reference's (u, v, corr) sequence — also with the threshold on a
-// realized correlation, on either screen variant — and the same sequence
-// at every thread count and block size, the in-memory builder's graph must
-// be invariant under --threads, and the tiled builder's .gsbg output must
-// be byte-identical across thread counts — for Pearson and Spearman alike.
+// realized correlation, on every integer screen body — and the same
+// sequence at every thread count and block size, every screen body must
+// list the same candidates, the screen's margin must bound its error, the
+// in-memory builder's graph must be invariant under --threads, and the
+// tiled builder's .gsbg output must be byte-identical across thread
+// counts — for Pearson and Spearman alike.
 
 #include <algorithm>
 #include <bit>
@@ -152,7 +154,9 @@ std::vector<BitEdge> screened_cross(bio::detail::ScreenKernel kernel,
 std::vector<bio::detail::ScreenKernel> available_screen_kernels() {
   std::vector<bio::detail::ScreenKernel> kernels;
   for (const auto kernel : {bio::detail::ScreenKernel::kVector128,
-                            bio::detail::ScreenKernel::kAvx2Fma}) {
+                            bio::detail::ScreenKernel::kAvx2,
+                            bio::detail::ScreenKernel::kAvxVnni,
+                            bio::detail::ScreenKernel::kAvx512Vnni}) {
     if (bio::detail::screen_kernel_available(kernel)) kernels.push_back(kernel);
   }
   return kernels;
@@ -191,7 +195,7 @@ std::vector<double> edge_case_thresholds(const bio::AlignedRows& a,
   return thresholds;
 }
 
-/// Runs every available screen variant at 1 and 3 threads over (a, b) at
+/// Runs every available screen body at 1 and 3 threads over (a, b) at
 /// each edge-case threshold and expects the scalar reference's exact
 /// sequence.
 void expect_screened_exact(const bio::AlignedRows& a, std::size_t a_count,
@@ -214,7 +218,7 @@ void expect_screened_exact(const bio::AlignedRows& a, std::size_t a_count,
                     expected)
               << label << " threshold " << std::hexfloat << threshold
               << std::defaultfloat << " block " << block << " kernel "
-              << static_cast<int>(kernel) << " threads "
+              << bio::detail::screen_kernel_name(kernel) << " threads "
               << (p == nullptr ? 1 : 3);
         }
       }
@@ -403,8 +407,9 @@ TEST(CorrKernel, ScreenedSweepExactAtTheThreshold) {
   ASSERT_FALSE(available_screen_kernels().empty());
 
   // Standardized profiles, with a duplicated, a negated and a constant row,
-  // in memory on both screen variants and through the tiled builder.
-  for (const std::size_t samples : {1u, 2u, 3u, 7u, 96u, 513u}) {
+  // in memory on every screen body and through the tiled builder.  Sample
+  // counts pad to 4-sample groups in every way.
+  for (const std::size_t samples : {1u, 2u, 3u, 5u, 96u, 97u, 600u}) {
     const std::size_t genes = samples >= 96 ? 70 : 90;
     auto expression = synthetic_expression(genes, samples, 100 + samples);
     for (std::size_t k = 0; k < samples; ++k) {
@@ -488,8 +493,8 @@ TEST(CorrKernel, ScreenedSweepExactAtTheThreshold) {
     odd.row(12)[k] = 1e-310 * (k % 2 == 0 ? 1.0 : -1.0);  // double subnormal
     odd.row(13)[k] = 1e-40;                               // float subnormal
   }
-  odd.row(20)[5] = 1e200;  // float infinity, finite double products
-  odd.row(21)[6] = 1e30;   // float products overflow
+  odd.row(20)[5] = 1e200;  // Σx² overflows: the block is computed exactly
+  odd.row(21)[6] = 1e30;
   odd.row(21)[7] = -1e30;
   for (std::size_t k = 0; k < kSamples; ++k) odd.row(22)[k] = 1e200;
   odd.row(25)[9] = std::numeric_limits<double>::quiet_NaN();
@@ -500,32 +505,172 @@ TEST(CorrKernel, ScreenedSweepExactAtTheThreshold) {
   expect_screened_exact(odd, 40, odd_valid.data(), small, 37, nullptr, false,
                         "subnormal, huge and NaN rows x norms 1e-3");
 
-  // The margin bounds |screen - profile_dot| for a float sum with or
-  // without FMA, also under heavy cancellation.
-  for (int trial = 0; trial < 200; ++trial) {
+  // A block that mixes a 1e200-scaled row (its scale overflows a float), a
+  // 1e-300 row (its scale underflows) and unit rows; the unit rows alone
+  // in the other block screen.
+  bio::AlignedRows mixed(24, kSamples);
+  fill(mixed, 1.0);
+  for (std::size_t k = 0; k < kSamples; ++k) {
+    mixed.row(10)[k] *= 1e200;
+    mixed.row(15)[k] *= 1e-300;
+  }
+  bio::AlignedRows unit(24, kSamples);
+  fill(unit, 1.0);
+  expect_screened_exact(mixed, 24, nullptr, mixed, 24, nullptr, true,
+                        "1e200, 1e-300 and unit rows");
+  expect_screened_exact(mixed, 24, nullptr, unit, 24, nullptr, false,
+                        "1e200, 1e-300 and unit rows x unit rows");
+  expect_screened_exact(unit, 24, nullptr, mixed, 24, nullptr, false,
+                        "unit rows x 1e200, 1e-300 and unit rows");
+
+  // 2,100 samples of ±1: a duplicated row's code product is 8100 · 2100,
+  // past 2^24, where the int32 → float conversion rounds.
+  bio::AlignedRows signs(30, 2100);
+  for (std::size_t i = 0; i < signs.rows(); ++i) {
+    for (std::size_t k = 0; k < signs.samples(); ++k) {
+      signs.row(i)[k] = rng.below(2) == 0 ? 1.0 : -1.0;
+    }
+  }
+  for (std::size_t k = 0; k < signs.samples(); ++k) {
+    signs.row(4)[k] = signs.row(2)[k];
+    signs.row(7)[k] = -signs.row(2)[k];
+    signs.row(9)[k] = k < 2000 ? signs.row(2)[k] : -signs.row(2)[k];
+  }
+  expect_screened_exact(signs, 30, nullptr, signs, 30, nullptr, true,
+                        "2100 samples of ±1");
+}
+
+/// One quantized row as the screen sees it: its codes read back from the
+/// panel layout, its scale and offset.
+struct DecodedRow {
+  std::vector<int> codes;
+  float scale = 0.0f;
+  std::int32_t offset = 0;
+};
+
+DecodedRow decode_row(const bio::ScreenPanel& panel, std::size_t r) {
+  DecodedRow row;
+  for (std::size_t k = 0; k < panel.samples(); ++k) {
+    const std::size_t g = k / 4;
+    const std::uint32_t word =
+        panel.codes()[((r / 16) * panel.groups() + g) * 16 + r % 16];
+    row.codes.push_back(static_cast<std::int8_t>(word >> (8 * (k % 4))));
+  }
+  row.scale = panel.scales()[r];
+  row.offset = panel.offsets()[r];
+  return row;
+}
+
+TEST(CorrKernel, QuantizedPanelLayoutAndMarginBoundTheScreen) {
+  // |screen value − profile_dot| <= screen_margin for random rows of 1–600
+  // samples whose entries span 2^±20, and for cancelling pairs (y = ±x
+  // alternating, so x·y is a sum of terms that cancel).
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
     const std::size_t n = 1 + static_cast<std::size_t>(rng.below(600));
-    std::vector<double> x(n);
-    std::vector<double> y(n);
+    bio::AlignedRows rows(2, n);
     for (std::size_t k = 0; k < n; ++k) {
-      x[k] = rng.normal() *
-             std::ldexp(1.0, static_cast<int>(rng.below(40)) - 20);
-      y[k] = trial % 2 == 0 ? rng.normal() : (k % 2 == 0 ? x[k] : -x[k]);
+      const double x =
+          rng.normal() * std::ldexp(1.0, static_cast<int>(rng.below(41)) - 20);
+      rows.row(0)[k] = x;
+      rows.row(1)[k] = trial % 2 == 0 ? rng.normal() *
+                                            std::ldexp(1.0, static_cast<int>(
+                                                                rng.below(41)) -
+                                                                20)
+                                      : (k % 2 == 0 ? x : -x);
     }
-    float fused = 0.0f;
-    float unfused = 0.0f;
+    bio::ScreenPanel a(1, n);
+    bio::ScreenPanel b(1, n);
+    a.fill(rows.row(0), rows.stride(), 1, nullptr);
+    b.fill(rows.row(1), rows.stride(), 1, nullptr);
+    ASSERT_TRUE(a.screens() && b.screens()) << "trial " << trial;
+    const DecodedRow x = decode_row(a, 0);
+    const DecodedRow y = decode_row(b, 0);
+    std::int64_t dot = 0;
+    std::int64_t sum_y = 0;
+    double err_x = 0.0;
+    double norm_x = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
-      const float xf = static_cast<float>(x[k]);
-      const float yf = static_cast<float>(y[k]);
-      fused = std::fma(xf, yf, fused);
-      const float product = xf * yf;
-      unfused = unfused + product;
+      ASSERT_LE(std::abs(x.codes[k]), 90);
+      ASSERT_LE(std::abs(y.codes[k]), 90);
+      dot += x.codes[k] * y.codes[k];
+      sum_y += y.codes[k];
+      const double e =
+          rows.row(0)[k] - static_cast<double>(x.scale) * x.codes[k];
+      err_x += e * e;
+      norm_x += rows.row(0)[k] * rows.row(0)[k];
     }
-    const double exact = bio::profile_dot(x.data(), y.data(), n);
+    EXPECT_EQ(y.offset, -90 * sum_y);
+    // The panel's bounds cover the row's own norms.
+    EXPECT_GE(a.max_norm(), std::sqrt(norm_x));
+    EXPECT_GE(a.max_error(), std::sqrt(err_x));
+    const double screen =
+        static_cast<double>(static_cast<float>(dot) * y.scale) *
+        static_cast<double>(x.scale);
+    const double exact = bio::profile_dot(rows.row(0), rows.row(1), n);
     const double margin = bio::detail::screen_margin(
-        n, std::sqrt(bio::profile_dot(x.data(), x.data(), n)) * (1 + 1e-12),
-        std::sqrt(bio::profile_dot(y.data(), y.data(), n)) * (1 + 1e-12));
-    EXPECT_LE(std::fabs(static_cast<double>(fused) - exact), margin) << n;
-    EXPECT_LE(std::fabs(static_cast<double>(unfused) - exact), margin) << n;
+        n, a.max_norm(), a.max_error(), b.max_norm(), b.max_error());
+    EXPECT_LE(std::fabs(screen - exact), margin)
+        << "trial " << trial << ", " << n << " samples";
+  }
+  // Past the int32 proof the margin switches the screen off.
+  EXPECT_TRUE(std::isinf(
+      bio::detail::screen_margin(bio::kMaxScreenSamples + 1, 1, 0, 1, 0)));
+  EXPECT_TRUE(std::isfinite(
+      bio::detail::screen_margin(bio::kMaxScreenSamples, 1, 0, 1, 0)));
+}
+
+TEST(CorrKernel, EveryScreenKernelListsTheSameCandidates) {
+  const auto kernels = available_screen_kernels();
+  ASSERT_FALSE(kernels.empty());
+  for (const std::size_t samples : {1u, 2u, 3u, 5u, 96u, 97u, 600u, 2100u}) {
+    // Standardized module rows, so pairs near the threshold are common.
+    const auto expression =
+        synthetic_expression(90, samples, 300 + samples);
+    const auto rows =
+        bio::standardize_rows(expression, bio::CorrelationMethod::kPearson);
+    for (const auto& [a_first, a_count, b_first, b_count, diagonal] :
+         {std::tuple<std::size_t, std::size_t, std::size_t, std::size_t,
+                     bool>{0, 40, 0, 40, true},
+          {0, 37, 40, 50, false},
+          {5, 16, 60, 17, false}}) {
+      bio::ScreenPanel a(a_count, samples);
+      bio::ScreenPanel b(b_count, samples);
+      a.fill(rows.rows.row(a_first), rows.rows.stride(), a_count,
+             rows.valid.data() + a_first);
+      b.fill(rows.rows.row(b_first), rows.rows.stride(), b_count,
+             rows.valid.data() + b_first);
+      for (const double threshold : {0.3, 0.6, 0.9}) {
+        const auto expected = bio::detail::screen_candidates(
+            kernels.front(), threshold, a, a_count, diagonal ? a : b,
+            diagonal ? a_count : b_count, diagonal);
+        // No edge is ruled out.
+        for (std::size_t i = 0; i < a_count; ++i) {
+          if (rows.valid[a_first + i] == 0) continue;
+          for (std::size_t j = diagonal ? i + 1 : 0;
+               j < (diagonal ? a_count : b_count); ++j) {
+            const std::size_t gj = (diagonal ? a_first : b_first) + j;
+            if (rows.valid[gj] == 0) continue;
+            const double corr = bio::profile_dot(
+                rows.rows.row(a_first + i), rows.rows.row(gj), samples);
+            if (std::fabs(corr) >= threshold) {
+              EXPECT_TRUE(std::binary_search(
+                  expected.begin(), expected.end(),
+                  static_cast<std::uint64_t>(i) << 32 | j))
+                  << samples << " samples, pair (" << i << ", " << j << ")";
+            }
+          }
+        }
+        for (const auto kernel : kernels) {
+          EXPECT_EQ(bio::detail::screen_candidates(
+                        kernel, threshold, a, a_count, diagonal ? a : b,
+                        diagonal ? a_count : b_count, diagonal),
+                    expected)
+              << bio::detail::screen_kernel_name(kernel) << ", " << samples
+              << " samples, threshold " << threshold;
+        }
+      }
+    }
   }
 }
 
