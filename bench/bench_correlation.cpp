@@ -7,9 +7,9 @@
 //   * scalar all-pairs sweep (profile_dot row loops — the pre-kernel
 //     baseline, kept as the reference);
 //   * screened all-pairs sweep at 1/2/4/8 threads and |rho| >= 0, 0.3
-//     and 0.85 (the shared kernel both builders call: a float screen with
-//     profile_dot rechecks where few pairs pass, the exact double block
-//     product where most do);
+//     and 0.85 (sweep_resident, the sweep both builders run: an exact
+//     8-bit integer screen with profile_dot rechecks where few pairs pass,
+//     the exact double block product where most do);
 //   * the full in-memory graph build (standardize + sweep + bitmap graph);
 //   * the tiled out-of-core .gsbg build at 1/2/4/8 threads (kernel plus
 //     scratch/spill I/O);
@@ -107,8 +107,8 @@ BENCHMARK(BM_AllPairsScalar)
     ->Args({512, 64})
     ->Args({2048, 64});
 
-/// The shared kernel's sweep, threads in arg 2 (1 = no pool), the |rho|
-/// threshold in hundredths in arg 3.
+/// The resident sweep over the standardized rows, threads in arg 2 (1 = no
+/// pool), the |rho| threshold in hundredths in arg 3.
 void BM_AllPairsBlocked(benchmark::State& state) {
   const auto genes = static_cast<std::size_t>(state.range(0));
   const auto samples = static_cast<std::size_t>(state.range(1));
@@ -117,14 +117,15 @@ void BM_AllPairsBlocked(benchmark::State& state) {
   const Fixture& f = fixture(genes, samples);
   std::optional<gsb::par::ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
-  gsb::bio::CorrSweepOptions options;
-  options.pool = pool ? &*pool : nullptr;
   std::uint64_t edges = 0;
   for (auto _ : state) {
     edges = 0;
-    gsb::bio::correlation_self(
-        f.rows.rows, genes, f.rows.valid.data(), threshold, options,
-        [&](std::uint32_t, std::uint32_t, double) { ++edges; });
+    gsb::bio::sweep_resident(
+        f.rows.rows, f.rows.valid.data(), 0,
+        gsb::bio::BlockPairScan(samples, threshold), pool ? &*pool : nullptr,
+        [&](const std::vector<gsb::bio::CorrHit>& hits) {
+          edges += hits.size();
+        });
     benchmark::DoNotOptimize(edges);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(
@@ -255,10 +256,9 @@ int main(int argc, char** argv) {
         BM_ScreenBlockPair, kernel)
         ->Unit(benchmark::kMicrosecond);
   }
-  const auto kernel = gsb::bio::detail::default_screen_kernel();
   benchmark::AddCustomContext(
-      "screen_kernel",
-      kernel ? gsb::bio::detail::screen_kernel_name(*kernel) : "none");
+      "screen_kernel", gsb::bio::detail::screen_kernel_name(
+                           gsb::bio::detail::default_screen_kernel()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -6,13 +6,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "parallel/job_graph.h"
 
 #if (defined(__GNUC__) || defined(__clang__)) && \
     (defined(__x86_64__) || defined(__i386__))
@@ -26,22 +23,16 @@ namespace {
 /// Packed-panel columns per register tile: one cache line of doubles.
 constexpr std::size_t kPackJ = 8;
 
-// The register-tiled micro kernel exists in three flavors sharing one
-// body: a portable scalar fallback, an explicit 128-bit vector version
+// The register-tiled micro kernel exists in two flavors sharing one body,
+// written with GNU vector extensions: an explicit 128-bit vector version
 // (SSE2 / NEON — two lanes per register, sixteen independent chains), and
 // a 256-bit AVX version selected at runtime on x86-64.  The explicit
 // vector form matters: left to itself the autovectorizer turns the k loop
 // into an in-order vectorized reduction (it may not reassociate the adds),
-// which runs at half the speed of vectorizing *across* columns.  Every
-// flavor accumulates each (row, column) pair in ascending k with one
-// accumulator lane — the exact profile_dot order — so all three produce
+// which runs at half the speed of vectorizing *across* columns.  Both
+// flavors accumulate each (row, column) pair in ascending k with one
+// accumulator lane — the exact profile_dot order — so they produce
 // bit-identical results on every ISA.
-#if defined(__GNUC__) || defined(__clang__)
-#define GSB_CORR_VECTOR_KERNEL 1
-#endif
-
-#if defined(GSB_CORR_VECTOR_KERNEL)
-
 using V2df = double __attribute__((vector_size(16)));
 using V4df = double __attribute__((vector_size(32)));
 
@@ -134,51 +125,6 @@ __attribute__((target("avx"))) void compute_block_avx(
   }
 }
 #endif  // x86
-
-#else  // !GSB_CORR_VECTOR_KERNEL
-
-/// Portable fallback for compilers without GNU vector extensions.
-template <std::size_t kIRows>
-void micro_panel_scalar(const double* a, std::size_t a_stride,
-                        const double* bt, std::size_t ldb,
-                        std::size_t samples, std::size_t b_count, double* out,
-                        std::size_t out_stride) {
-  for (std::size_t j0 = 0; j0 < b_count; j0 += kPackJ) {
-    double acc[kIRows][kPackJ] = {};
-    const double* panel = bt + j0;
-    for (std::size_t k = 0; k < samples; ++k) {
-      const double* b = panel + k * ldb;
-      for (std::size_t r = 0; r < kIRows; ++r) {
-        const double av = a[r * a_stride + k];
-        for (std::size_t t = 0; t < kPackJ; ++t) acc[r][t] += av * b[t];
-      }
-    }
-    const std::size_t jn = std::min(kPackJ, b_count - j0);
-    for (std::size_t r = 0; r < kIRows; ++r) {
-      for (std::size_t t = 0; t < jn; ++t) {
-        out[r * out_stride + j0 + t] = acc[r][t];
-      }
-    }
-  }
-}
-
-void compute_block_scalar(const double* a_rows, std::size_t a_count,
-                          std::size_t a_stride, const double* bt,
-                          std::size_t ldb, std::size_t samples,
-                          std::size_t b_count, double* out,
-                          std::size_t out_stride) {
-  std::size_t i = 0;
-  for (; i + 2 <= a_count; i += 2) {
-    micro_panel_scalar<2>(a_rows + i * a_stride, a_stride, bt, ldb, samples,
-                          b_count, out + i * out_stride, out_stride);
-  }
-  if (i < a_count) {
-    micro_panel_scalar<1>(a_rows + i * a_stride, a_stride, bt, ldb, samples,
-                          b_count, out + i * out_stride, out_stride);
-  }
-}
-
-#endif  // GSB_CORR_VECTOR_KERNEL
 
 // --- The integer screen -----------------------------------------------------
 
@@ -281,46 +227,6 @@ float screen_cut(double threshold, double margin) noexcept {
   const double cut = (threshold - margin) * (1.0 - 0x1p-50);
   return cut > 0.0 ? float_below(cut) : 0.0f;
 }
-
-/// The quantized panels of rows [0, count), one per sweep block.  A panel
-/// is filled by the first task that asks for it, so the sweep's workers
-/// share the quantization.
-class ScreenPanels {
- public:
-  ScreenPanels(const AlignedRows& rows, std::size_t count,
-               const unsigned char* valid, std::size_t block)
-      : rows_(rows),
-        count_(count),
-        valid_(valid),
-        block_(block),
-        panels_((count + block - 1) / block),
-        filled_(std::make_unique<std::once_flag[]>(panels_.size())) {
-    for (auto& panel : panels_) {
-      panel = ScreenPanel(std::min(block, count), rows.samples());
-    }
-  }
-
-  /// Panel \p p, filled.  Thread-safe.
-  [[nodiscard]] const ScreenPanel& panel(std::size_t p) const {
-    std::call_once(filled_[p], [this, p] {
-      const std::size_t first = p * block_;
-      panels_[p].fill(rows_.row(first), rows_.stride(),
-                      std::min(block_, count_ - first),
-                      valid_ == nullptr ? nullptr : valid_ + first);
-    });
-    return panels_[p];
-  }
-
- private:
-  const AlignedRows& rows_;
-  std::size_t count_;
-  const unsigned char* valid_;
-  std::size_t block_;
-  mutable std::vector<ScreenPanel> panels_;
-  std::unique_ptr<std::once_flag[]> filled_;
-};
-
-#if defined(GSB_CORR_VECTOR_KERNEL)
 
 using V4si = std::int32_t __attribute__((vector_size(16)));
 
@@ -429,46 +335,29 @@ bool cpu_has_avx512_vnni() noexcept {
 }
 #endif  // GSB_CORR_AVX_KERNEL
 
-#endif  // GSB_CORR_VECTOR_KERNEL
-
 /// \p kernel's screen, or nullptr when this build or CPU cannot run it.
 ScreenFn screen_fn(detail::ScreenKernel kernel) noexcept {
   switch (kernel) {
     case detail::ScreenKernel::kVector128:
-#if defined(GSB_CORR_VECTOR_KERNEL)
       return screen_v128::screen;
-#else
-      return nullptr;
-#endif
+#if defined(GSB_CORR_AVX_KERNEL)
     case detail::ScreenKernel::kAvx2:
-#if defined(GSB_CORR_AVX_KERNEL)
       return cpu_has_avx2() ? screen_avx2::screen : nullptr;
-#else
-      return nullptr;
-#endif
     case detail::ScreenKernel::kAvxVnni:
-#if defined(GSB_CORR_AVX_KERNEL)
       return cpu_has_avx_vnni() ? screen_avx_vnni::screen : nullptr;
-#else
-      return nullptr;
-#endif
     case detail::ScreenKernel::kAvx512Vnni:
-#if defined(GSB_CORR_AVX_KERNEL)
       return cpu_has_avx512_vnni() ? screen_avx512_vnni::screen : nullptr;
 #else
+    default:  // the x86 bodies
       return nullptr;
 #endif
   }
   return nullptr;
 }
 
-/// The default screen; nullptr (every block exact) without GNU vector
-/// extensions.
+/// The default screen.
 ScreenFn best_screen() noexcept {
-  static const ScreenFn best = [] {
-    const auto kernel = detail::default_screen_kernel();
-    return kernel ? screen_fn(*kernel) : nullptr;
-  }();
+  static const ScreenFn best = screen_fn(detail::default_screen_kernel());
   return best;
 }
 
@@ -573,13 +462,8 @@ void correlation_block(const double* a_rows, std::size_t a_count,
     return;
   }
 #endif
-#if defined(GSB_CORR_VECTOR_KERNEL)
   compute_block_v128(a_rows, a_count, a_stride, scratch.data(), ldb, samples,
                      b_count, out, out_stride);
-#else
-  compute_block_scalar(a_rows, a_count, a_stride, scratch.data(), ldb,
-                       samples, b_count, out, out_stride);
-#endif
 }
 
 ScreenPanel::ScreenPanel(std::size_t rows, std::size_t samples)
@@ -872,124 +756,6 @@ void BlockPairScan::scan(const CorrBlock& a, const CorrBlock& b,
   counters.rechecked_pairs.inc(rechecked);
 }
 
-namespace {
-
-/// correlation_cross with \p scan's screen.
-void sweep(const BlockPairScan& scan, const AlignedRows& a,
-           std::size_t a_count, const unsigned char* a_valid,
-           std::uint32_t a_first, const AlignedRows& b, std::size_t b_count,
-           const unsigned char* b_valid, std::uint32_t b_first, bool diagonal,
-           const CorrSweepOptions& options, const CorrEdgeSink& sink) {
-  if (a_count == 0 || b_count == 0) return;
-  if (a.samples() != b.samples()) {
-    throw std::invalid_argument("correlation_cross: sample count mismatch");
-  }
-  const std::size_t block =
-      options.block == 0 ? kDefaultCorrBlock : options.block;
-
-  struct Task {
-    std::size_t i0;
-    std::size_t j0;
-  };
-  std::vector<Task> tasks;
-  for (std::size_t i0 = 0; i0 < a_count; i0 += block) {
-    for (std::size_t j0 = diagonal ? i0 : 0; j0 < b_count; j0 += block) {
-      tasks.push_back(Task{i0, j0});
-    }
-  }
-
-  // Float copies, made once per call; a self sweep shares one.
-  std::optional<ScreenPanels> a_panels;
-  std::optional<ScreenPanels> b_panels;
-  if (scan.screens()) {
-    const bool shared = &a == &b && a_valid == b_valid;
-    a_panels.emplace(a, shared ? std::max(a_count, b_count) : a_count,
-                     a_valid, block);
-    if (!shared) b_panels.emplace(b, b_count, b_valid, block);
-  }
-  const ScreenPanels* a_screen = a_panels ? &*a_panels : nullptr;
-  const ScreenPanels* b_screen = b_panels ? &*b_panels : a_screen;
-  auto block_at = [&](const AlignedRows& rows, std::size_t count,
-                      const unsigned char* valid, std::uint32_t first,
-                      const ScreenPanels* panels, std::size_t r0) {
-    CorrBlock view;
-    view.rows = rows.row(r0);
-    view.stride = rows.stride();
-    view.count = std::min(block, count - r0);
-    view.valid = valid == nullptr ? nullptr : valid + r0;
-    view.first = first + static_cast<std::uint32_t>(r0);
-    view.panel = panels == nullptr ? nullptr : &panels->panel(r0 / block);
-    return view;
-  };
-  auto scan_task = [&](const Task& task, CorrScanScratch& scratch,
-                       std::vector<CorrHit>& hits) {
-    // On a diagonal block pair only pairs above the diagonal are new.
-    scan.scan(block_at(a, a_count, a_valid, a_first, a_screen, task.i0),
-              block_at(b, b_count, b_valid, b_first, b_screen, task.j0),
-              diagonal && task.j0 == task.i0, scratch, hits);
-  };
-
-  par::ThreadPool* pool = options.pool;
-  if (pool == nullptr || pool->size() <= 1 || tasks.size() <= 1) {
-    CorrScanScratch scratch;
-    std::vector<CorrHit> hits;
-    for (const Task& task : tasks) {
-      hits.clear();
-      scan_task(task, scratch, hits);
-      for (const CorrHit& h : hits) sink(h.u, h.v, h.corr);
-    }
-    return;
-  }
-
-  // One scheduler job per block pair; bodies run work-stealing across the
-  // pool while the ordered completions replay each pair's hits in task
-  // order, so the sink sees the exact sequence of the sequential path.
-  par::JobGraph::Options graph_options;
-  graph_options.ordered = true;
-  par::JobGraph jobs(pool, graph_options);
-  std::vector<CorrScanScratch> scratch(jobs.workers());
-  std::vector<std::vector<CorrHit>> completed(tasks.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    par::JobGraph::JobSpec spec;
-    spec.run = [&, t](std::size_t wid) {
-      std::vector<CorrHit> hits;
-      scan_task(tasks[t], scratch[wid], hits);
-      jobs.set_bytes(static_cast<par::JobId>(t),
-                     hits.size() * sizeof(CorrHit));
-      completed[t] = std::move(hits);
-    };
-    spec.complete = [&, t] {
-      for (const CorrHit& h : completed[t]) sink(h.u, h.v, h.corr);
-      // Not `= {}`: that assigns an empty initializer list and keeps the
-      // capacity, so every drained pair's hits would stay resident.
-      completed[t] = std::vector<CorrHit>();
-    };
-    jobs.add(std::move(spec));
-  }
-  jobs.run();
-}
-
-}  // namespace
-
-void correlation_cross(const AlignedRows& a, std::size_t a_count,
-                       const unsigned char* a_valid, std::uint32_t a_first,
-                       const AlignedRows& b, std::size_t b_count,
-                       const unsigned char* b_valid, std::uint32_t b_first,
-                       bool diagonal, double threshold,
-                       const CorrSweepOptions& options,
-                       const CorrEdgeSink& sink) {
-  sweep(BlockPairScan(a.samples(), threshold), a, a_count, a_valid, a_first,
-        b, b_count, b_valid, b_first, diagonal, options, sink);
-}
-
-void correlation_self(const AlignedRows& rows, std::size_t count,
-                      const unsigned char* valid, double threshold,
-                      const CorrSweepOptions& options,
-                      const CorrEdgeSink& sink) {
-  correlation_cross(rows, count, valid, 0, rows, count, valid, 0,
-                    /*diagonal=*/true, threshold, options, sink);
-}
-
 StandardizedRows standardize_rows(const ExpressionMatrix& expression,
                                   CorrelationMethod method) {
   StandardizedRows out{
@@ -1004,7 +770,6 @@ StandardizedRows standardize_rows(const ExpressionMatrix& expression,
   }
   return out;
 }
-
 
 namespace detail {
 
@@ -1028,12 +793,12 @@ bool screen_kernel_available(ScreenKernel kernel) noexcept {
   return screen_fn(kernel) != nullptr;
 }
 
-std::optional<ScreenKernel> default_screen_kernel() noexcept {
+ScreenKernel default_screen_kernel() noexcept {
   for (const auto kernel : {ScreenKernel::kAvxVnni, ScreenKernel::kAvx512Vnni,
-                            ScreenKernel::kAvx2, ScreenKernel::kVector128}) {
+                            ScreenKernel::kAvx2}) {
     if (screen_kernel_available(kernel)) return kernel;
   }
-  return std::nullopt;
+  return ScreenKernel::kVector128;
 }
 
 const char* screen_kernel_name(ScreenKernel kernel) noexcept {
@@ -1065,17 +830,6 @@ std::vector<std::uint64_t> screen_candidates(
   }
   std::sort(scratch.candidates.begin(), scratch.candidates.end());
   return std::move(scratch.candidates);
-}
-
-void correlation_cross_with(ScreenKernel kernel, const AlignedRows& a,
-                            std::size_t a_count, const unsigned char* a_valid,
-                            std::uint32_t a_first, const AlignedRows& b,
-                            std::size_t b_count, const unsigned char* b_valid,
-                            std::uint32_t b_first, bool diagonal,
-                            double threshold, const CorrSweepOptions& options,
-                            const CorrEdgeSink& sink) {
-  sweep(BlockPairScan(a.samples(), threshold, kernel), a, a_count, a_valid,
-        a_first, b, b_count, b_valid, b_first, diagonal, options, sink);
 }
 
 }  // namespace detail

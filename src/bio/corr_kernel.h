@@ -21,11 +21,10 @@
 ///     chains per A row.  Every entry is bit-identical to profile_dot().
 ///   * BlockPairScan — the block-pair body: thresholds the pairs of two
 ///     row blocks through an exact 8-bit integer screen and appends the
-///     hits.  Every sweep runs it: correlation_cross below, and the tiled
-///     builder's block jobs (bio/tiled_correlation.h).
-///   * correlation_cross / correlation_self — block-pair sweeps over
-///     in-RAM rows that dispatch BlockPairScan over a par::ThreadPool and
-///     emit edges through a reorder buffer.
+///     hits.  One sweep driver runs it, the tiled builder's block-pair job
+///     graph (bio/tiled_correlation.h): over a scratch file of rows, or
+///     over rows already in memory as one resident tile (sweep_resident,
+///     which the in-memory builder calls).
 ///
 /// The screen: a sweep keeps a quantized copy of each block of rows (a
 /// ScreenPanel).  Each row x is stored as 8-bit codes q_k = round(x_k / s)
@@ -52,26 +51,23 @@
 /// scalar reference order; vectorization runs across pairs, never within
 /// one, and uses no FMA).  So the edge decision |corr| >= threshold is
 /// made on the same double in every path and at every ISA.  Screen values
-/// are not exact and are never emitted.  The sweep drivers emit edges in a
-/// fixed (block pair, i, j) order regardless of thread count or
-/// scheduling, so edge sets — and anything built from them, including
-/// .gsbg containers — are byte-identical across thread counts.
+/// are not exact and are never emitted.  The sweep emits edges in a fixed
+/// (block pair, i, j) order regardless of thread count or scheduling, so
+/// edge sets — and anything built from them, including .gsbg containers —
+/// are byte-identical across thread counts.
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "bio/correlation.h"
 #include "bio/expression.h"
-#include "parallel/thread_pool.h"
 
 namespace gsb::bio {
 
-/// Default rows per cache block for the sweep drivers.  Two 128-row blocks
+/// Default rows per cache block for the sweep.  Two 128-row blocks
 /// of 64–512 samples (128 KiB – 1 MiB of doubles) sit comfortably in L2
 /// while each packed panel is reused across the whole opposing block.
 inline constexpr std::size_t kDefaultCorrBlock = 128;
@@ -270,9 +266,9 @@ class BlockPairScan {
   BlockPairScan(std::size_t samples, double threshold,
                 detail::ScreenKernel kernel);
 
-  /// False when every block is computed exactly (no screen kernel, more
-  /// than kMaxScreenSamples samples, or a threshold that leaves no room
-  /// below it): then no block needs a panel.
+  /// False when every block is computed exactly (more than
+  /// kMaxScreenSamples samples, or a threshold that leaves no room below
+  /// it): then no block needs a panel.
   [[nodiscard]] bool screens() const noexcept { return screen_ != nullptr; }
 
   /// Appends to \p hits, in ascending (i, j) order, every pair of row i of
@@ -287,44 +283,6 @@ class BlockPairScan {
   std::size_t samples_ = 0;
   double threshold_ = 0.0;
 };
-
-/// Options for the block-pair sweep drivers.
-struct CorrSweepOptions {
-  /// Rows per cache block; 0 = kDefaultCorrBlock.
-  std::size_t block = 0;
-  /// Worker pool for block-level parallelism; nullptr (or a 1-thread pool)
-  /// runs sequentially.  The produced edge sequence is identical either
-  /// way.
-  par::ThreadPool* pool = nullptr;
-};
-
-/// Receives one thresholded pair: global ids (u, v) and the correlation.
-using CorrEdgeSink =
-    std::function<void(std::uint32_t, std::uint32_t, double)>;
-
-/// Sweeps all (i, j) pairs between row block A (global ids a_first + i)
-/// and row block B (global ids b_first + j), emitting every pair with both
-/// rows valid and |corr| >= threshold.  \p diagonal marks A and B as the
-/// *same* row range (then only pairs with global i < j are emitted and
-/// only upper-triangle block pairs are visited).  Validity pointers may be
-/// null (all rows valid); they index block-local rows.  The sink is called
-/// from one thread at a time, in ascending (block pair, i, j) order,
-/// independent of thread count.  Every emitted correlation is
-/// bit-identical to profile_dot() of the two rows (see the file comment).
-void correlation_cross(const AlignedRows& a, std::size_t a_count,
-                       const unsigned char* a_valid, std::uint32_t a_first,
-                       const AlignedRows& b, std::size_t b_count,
-                       const unsigned char* b_valid, std::uint32_t b_first,
-                       bool diagonal, double threshold,
-                       const CorrSweepOptions& options,
-                       const CorrEdgeSink& sink);
-
-/// All-pairs upper-triangle sweep of one row block (the in-memory
-/// builder's shape): correlation_cross of the block with itself.
-void correlation_self(const AlignedRows& rows, std::size_t count,
-                      const unsigned char* valid, double threshold,
-                      const CorrSweepOptions& options,
-                      const CorrEdgeSink& sink);
 
 namespace detail {
 
@@ -369,23 +327,11 @@ enum class ScreenKernel {
 /// True when this build and CPU can run \p kernel.
 bool screen_kernel_available(ScreenKernel kernel) noexcept;
 
-/// The kernel BlockPairScan runs by default; nullopt when this build has
-/// none (then every block is computed exactly).
-std::optional<ScreenKernel> default_screen_kernel() noexcept;
+/// The kernel BlockPairScan runs by default.
+ScreenKernel default_screen_kernel() noexcept;
 
 /// "vector128", "avx2", "avx_vnni" or "avx512_vnni".
 const char* screen_kernel_name(ScreenKernel kernel) noexcept;
-
-/// correlation_cross with the screen fixed to \p kernel (which must be
-/// available): the entry point that lets tests run a variant the CPU
-/// would not be given.  Emits exactly what correlation_cross emits.
-void correlation_cross_with(ScreenKernel kernel, const AlignedRows& a,
-                            std::size_t a_count, const unsigned char* a_valid,
-                            std::uint32_t a_first, const AlignedRows& b,
-                            std::size_t b_count, const unsigned char* b_valid,
-                            std::uint32_t b_first, bool diagonal,
-                            double threshold, const CorrSweepOptions& options,
-                            const CorrEdgeSink& sink);
 
 /// The pairs (i << 32 | j, ascending) that \p kernel's screen does not rule
 /// out at \p threshold between the first \p a_count rows of \p a and the

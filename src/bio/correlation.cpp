@@ -1,12 +1,13 @@
 #include "bio/correlation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <optional>
 
 #include "bio/corr_kernel.h"
+#include "bio/tiled_correlation.h"
+#include "obs/timeline.h"
 #include "parallel/thread_pool.h"
 #include "util/stats.h"
 
@@ -36,10 +37,6 @@ bool standardize_into(const double* in, std::size_t n, double* out) {
 bool standardize(std::span<const double> in, std::vector<double>& out) {
   out.resize(in.size());
   return standardize_into(in.data(), in.size(), out.data());
-}
-
-std::size_t resolve_threads(std::size_t threads) {
-  return threads == 0 ? par::ThreadPool::default_threads() : threads;
 }
 
 }  // namespace
@@ -117,77 +114,16 @@ double spearman(std::span<const double> x, std::span<const double> y) {
   return pearson(rx, ry);
 }
 
-CorrelationMatrix correlation_matrix(const ExpressionMatrix& expression,
-                                     CorrelationMethod method,
-                                     std::size_t threads) {
-  const std::size_t genes = expression.genes();
-  CorrelationMatrix out(genes);
-  if (genes == 0) return out;
-  const StandardizedRows rows = standardize_rows(expression, method);
-  const std::size_t samples = expression.samples();
-  const std::size_t block = kDefaultCorrBlock;
-
-  // Upper-triangle block pairs only; set() mirrors each entry, so the
-  // lower triangle is never recomputed.  Constant rows standardize to
-  // all-zero, so their correlations come out exactly 0 without a branch.
-  struct Task {
-    std::size_t i0;
-    std::size_t j0;
-  };
-  std::vector<Task> tasks;
-  for (std::size_t i0 = 0; i0 < genes; i0 += block) {
-    for (std::size_t j0 = i0; j0 < genes; j0 += block) {
-      tasks.push_back(Task{i0, j0});
-    }
-  }
-  auto fill_task = [&](const Task& task, std::vector<double>& dense,
-                       std::vector<double>& pack) {
-    const std::size_t ci = std::min(block, genes - task.i0);
-    const std::size_t cj = std::min(block, genes - task.j0);
-    dense.resize(ci * cj);
-    correlation_block(rows.rows.row(task.i0), ci, rows.rows.row(task.j0), cj,
-                      samples, rows.rows.stride(), rows.rows.stride(),
-                      dense.data(), cj, pack);
-    for (std::size_t i = 0; i < ci; ++i) {
-      const std::size_t gi = task.i0 + i;
-      std::size_t j = task.j0 == task.i0 ? i + 1 : 0;
-      for (; j < cj; ++j) {
-        out.set(gi, task.j0 + j, static_cast<float>(dense[i * cj + j]));
-      }
-    }
-  };
-
-  const std::size_t workers = resolve_threads(threads);
-  if (workers <= 1 || tasks.size() <= 1) {
-    std::vector<double> dense;
-    std::vector<double> pack;
-    for (const Task& task : tasks) fill_task(task, dense, pack);
-  } else {
-    // Each block pair owns a disjoint set of (i, j) cells (and their
-    // mirrors), so workers write without synchronization.
-    par::ThreadPool pool(workers);
-    std::atomic<std::size_t> next{0};
-    pool.run_round([&](std::size_t) {
-      std::vector<double> dense;
-      std::vector<double> pack;
-      while (true) {
-        const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
-        if (t >= tasks.size()) return;
-        fill_task(tasks[t], dense, pack);
-      }
-    });
-  }
-  for (std::size_t i = 0; i < genes; ++i) out.set(i, i, 1.0f);
-  return out;
-}
-
 CorrelationGraphResult build_correlation_graph(
     const ExpressionMatrix& expression,
     const CorrelationGraphOptions& options, util::Rng& rng) {
   const std::size_t genes = expression.genes();
   CorrelationGraphResult result{graph::Graph(genes), options.threshold};
   if (genes < 2) return result;
-  const StandardizedRows rows = standardize_rows(expression, options.method);
+  const StandardizedRows rows = [&] {
+    obs::TimelineSpan span(obs::TimelineEventKind::kStage, "standardize");
+    return standardize_rows(expression, options.method);
+  }();
   const std::size_t samples = expression.samples();
 
   double threshold = options.threshold;
@@ -221,17 +157,19 @@ CorrelationGraphResult build_correlation_graph(
   }
   result.threshold_used = threshold;
 
-  const std::size_t workers = resolve_threads(options.threads);
+  const std::size_t workers = options.threads == 0
+                                  ? par::ThreadPool::default_threads()
+                                  : options.threads;
   std::optional<par::ThreadPool> pool;
   if (workers > 1) pool.emplace(workers);
-  CorrSweepOptions sweep;
-  sweep.block = options.corr_block;
-  sweep.pool = pool ? &*pool : nullptr;
-  correlation_self(rows.rows, genes, rows.valid.data(), threshold, sweep,
-                   [&](std::uint32_t u, std::uint32_t v, double) {
-                     result.graph.add_edge(static_cast<graph::VertexId>(u),
-                                           static_cast<graph::VertexId>(v));
-                   });
+  sweep_resident(rows.rows, rows.valid.data(), options.corr_block,
+                 BlockPairScan(samples, threshold), pool ? &*pool : nullptr,
+                 [&](const std::vector<CorrHit>& hits) {
+                   for (const CorrHit& h : hits) {
+                     result.graph.add_edge(static_cast<graph::VertexId>(h.u),
+                                           static_cast<graph::VertexId>(h.v));
+                   }
+                 });
   return result;
 }
 

@@ -4,7 +4,10 @@
 /// \file correlation.h
 /// Pairwise gene correlation and thresholded graph construction — stages
 /// two and three of the paper's pipeline ("pairwise rank coefficient
-/// calculation, and filtering using threshold").
+/// calculation, and filtering using threshold").  The in-memory builder
+/// here and the out-of-core one (bio/tiled_correlation.h) run one sweep:
+/// build_correlation_graph hands its standardized rows to the out-of-core
+/// builder's block-pair job graph as one resident tile.
 
 #include <cstdint>
 #include <vector>
@@ -66,37 +69,6 @@ bool standardized_profile(std::span<const double> profile,
 /// point addition is not associative; a different order could flip edges
 /// sitting exactly on the threshold).
 double profile_dot(const double* a, const double* b, std::size_t n) noexcept;
-
-/// Dense symmetric correlation matrix (genes x genes, float to halve the
-/// footprint).  Quadratic in genes; prefer build_correlation_graph for
-/// thresholded use.
-class CorrelationMatrix {
- public:
-  CorrelationMatrix() = default;
-  explicit CorrelationMatrix(std::size_t n) : n_(n), values_(n * n, 0.0f) {}
-
-  [[nodiscard]] std::size_t size() const noexcept { return n_; }
-  [[nodiscard]] float at(std::size_t i, std::size_t j) const noexcept {
-    return values_[i * n_ + j];
-  }
-  void set(std::size_t i, std::size_t j, float value) noexcept {
-    values_[i * n_ + j] = value;
-    values_[j * n_ + i] = value;
-  }
-
- private:
-  std::size_t n_ = 0;
-  std::vector<float> values_;
-};
-
-/// Full correlation matrix under the chosen method.  Computed with the
-/// blocked kernel over upper-triangle block pairs only; symmetric entries
-/// are mirrored, never recomputed.  \p threads workers compute disjoint
-/// blocks (0 = hardware concurrency, 1 = sequential); the result is
-/// identical for every thread count.
-CorrelationMatrix correlation_matrix(const ExpressionMatrix& expression,
-                                     CorrelationMethod method,
-                                     std::size_t threads = 1);
 
 /// Options for thresholded graph construction.
 struct CorrelationGraphOptions {

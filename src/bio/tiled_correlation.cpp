@@ -8,7 +8,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <span>
@@ -119,49 +118,60 @@ class DualAlloc {
   MemTag tag_;
 };
 
-/// One resident tile of standardized rows, split into sweep blocks, with
-/// each block's quantized panel and the bookkeeping that orders its refills:
+/// One tile of standardized rows, split into sweep blocks, with each
+/// block's quantized panel and the bookkeeping that orders its refills:
 /// a block is refilled by a read job that waits for every job that read
-/// the block since its last fill.
+/// the block since its last fill.  A resident tile views rows already in
+/// memory instead of holding its own.
 struct TileSlots {
-  TileSlots(std::size_t rows, std::size_t samples, std::size_t block,
-            bool screens)
-      : rows(rows, samples),
-        readers((rows + block - 1) / block),
+  TileSlots(const AlignedRows* resident, std::size_t count,
+            std::size_t samples, std::size_t block, bool screens)
+      : resident(resident),
+        held(resident == nullptr ? count : 0, samples),
+        readers((count + block - 1) / block),
         fill(readers.size(), 0) {
     if (screens) panels.resize(readers.size());
     for (auto& panel : panels) {
-      panel = ScreenPanel(std::min(block, rows), samples);
+      panel = ScreenPanel(std::min(block, count), samples);
     }
   }
 
+  [[nodiscard]] const AlignedRows& rows() const noexcept {
+    return resident != nullptr ? *resident : held;
+  }
+
   [[nodiscard]] std::size_t bytes() const noexcept {
-    std::size_t total = rows.bytes();
+    std::size_t total = held.bytes();
     for (const auto& panel : panels) total += panel.bytes();
     return total;
   }
 
-  AlignedRows rows;
+  const AlignedRows* resident;  ///< the rows when already in memory
+  AlignedRows held;             ///< otherwise, the rows read from scratch
   std::vector<ScreenPanel> panels;  ///< one per block; empty: no screen
   std::vector<std::vector<par::JobId>> readers;
   std::vector<par::JobId> fill;
 };
 
-/// Pass 2: every block pair of the upper tile triangle as a job of one
-/// ordered JobGraph.  Tile-block reads are jobs too: a pair job waits for
-/// the reads of its two blocks, and a read waits for the jobs still
-/// reading the block it refills, so two tiles (and their panels) stay
-/// resident and reads overlap the screen.  Completions drain in (tile
-/// pair, block pair) order, the order of the sequential sweep.
+/// The sweep of both builders: every block pair of the upper tile triangle
+/// as a job of one ordered JobGraph.  Block reads are jobs too: a pair job
+/// waits for the reads of its two blocks, and a read waits for the jobs
+/// still reading the block it refills, so two tiles (and their panels)
+/// stay resident and reads overlap the screen.  The out-of-core build
+/// reads its blocks from the scratch file; the in-memory build's rows are
+/// one resident tile, whose reads only quantize each block's panel.
+/// Completions drain in (tile pair, block pair) order, the order of the
+/// sequential sweep.
 class TileSweep {
  public:
-  using Sink = std::function<void(const std::vector<CorrHit>&)>;
-
-  TileSweep(const ScratchFile& scratch, std::size_t genes,
-            std::size_t samples, std::size_t tile, std::size_t block,
-            const unsigned char* valid, const BlockPairScan& scan,
-            par::ThreadPool* pool, util::MemoryTracker& tracker,
-            util::MemoryTracker& external, const Sink& sink)
+  /// Sweeps \p genes rows of \p samples, read from \p scratch in tiles of
+  /// \p tile rows or, when \p scratch is null, held in \p resident (then
+  /// \p tile must be at least \p genes).
+  TileSweep(const ScratchFile* scratch, const AlignedRows* resident,
+            std::size_t genes, std::size_t samples, std::size_t tile,
+            std::size_t block, const unsigned char* valid,
+            const BlockPairScan& scan, par::ThreadPool* pool,
+            const CorrHitSink& sink)
       : scratch_(scratch),
         n_(genes),
         tile_(tile),
@@ -169,13 +179,17 @@ class TileSweep {
         valid_(valid),
         scan_(scan),
         sink_(sink),
-        a_(std::min(tile, genes), samples, block, scan.screens()),
-        b_(genes > tile ? tile : 0, samples, block, scan.screens()),
-        tile_bytes_(tracker, external, a_.bytes() + b_.bytes(),
-                    MemTag::kScratch),
+        a_(resident, std::min(tile, genes), samples, block, scan.screens()),
+        b_(resident, genes > tile ? tile : 0, samples, block,
+           scan.screens()),
         window_(window_for(pool, tile, genes, block)),
         graph_(pool, graph_options(pool, window_, block)),
         scan_scratch_(graph_.workers()) {}
+
+  /// Bytes of the tiles this sweep holds and their panels.
+  [[nodiscard]] std::size_t tile_bytes() const noexcept {
+    return a_.bytes() + b_.bytes();
+  }
 
   /// Bound on the bytes of hits held between a pair job's end and its
   /// turn to drain: one dense tile pair of hits, and at least room for two
@@ -183,6 +197,7 @@ class TileSweep {
   [[nodiscard]] std::size_t window_bytes() const noexcept { return window_; }
 
   void run() {
+    obs::TimelineSpan span(obs::TimelineEventKind::kStage, "sweep");
     for (std::size_t fi = 0; fi < n_; fi += tile_) {
       const std::size_t ci = std::min(tile_, n_ - fi);
       for (std::size_t i0 = 0; i0 < ci; i0 += block_) {
@@ -281,12 +296,16 @@ class TileSweep {
   }
 
   void read(const Read& r) {
-    const std::size_t stride = r.slots->rows.stride();
-    double* rows = r.slots->rows.row(r.block * block_);
-    scratch_.read_at(r.first * stride * sizeof(double), rows,
-                     r.count * stride * sizeof(double));
-    if (!r.slots->panels.empty()) {
-      r.slots->panels[r.block].fill(rows, stride, r.count, valid_ + r.first);
+    TileSlots& slots = *r.slots;
+    const std::size_t stride = slots.rows().stride();
+    if (slots.resident == nullptr) {
+      scratch_->read_at(r.first * stride * sizeof(double),
+                        slots.held.row(r.block * block_),
+                        r.count * stride * sizeof(double));
+    }
+    if (!slots.panels.empty()) {
+      slots.panels[r.block].fill(slots.rows().row(r.block * block_), stride,
+                                 r.count, valid_ + r.first);
     }
   }
 
@@ -294,8 +313,8 @@ class TileSweep {
                                std::size_t count) const {
     const std::size_t blk = (first % tile_) / block_;
     CorrBlock block;
-    block.rows = slots.rows.row(blk * block_);
-    block.stride = slots.rows.stride();
+    block.rows = slots.rows().row(blk * block_);
+    block.stride = slots.rows().stride();
     block.count = count;
     block.valid = valid_ + first;
     block.first = static_cast<std::uint32_t>(first);
@@ -321,16 +340,15 @@ class TileSweep {
     completed_[t] = std::vector<CorrHit>();
   }
 
-  const ScratchFile& scratch_;
+  const ScratchFile* scratch_;
   std::size_t n_;
   std::size_t tile_;
   std::size_t block_;
   const unsigned char* valid_;
   const BlockPairScan& scan_;
-  const Sink& sink_;
+  const CorrHitSink& sink_;
   TileSlots a_;
   TileSlots b_;
-  DualAlloc tile_bytes_;
   std::size_t window_;
   par::JobGraph graph_;
   std::vector<CorrScanScratch> scan_scratch_;  ///< per worker
@@ -339,7 +357,22 @@ class TileSweep {
   std::vector<std::vector<CorrHit>> completed_;
 };
 
+/// Rows per block: \p block_rows (0 = the kernel's default), at most a
+/// tile.
+std::size_t block_for(std::size_t block_rows, std::size_t tile) noexcept {
+  return std::min(block_rows == 0 ? kDefaultCorrBlock : block_rows, tile);
+}
+
 }  // namespace
+
+void sweep_resident(const AlignedRows& rows, const unsigned char* valid,
+                    std::size_t block_rows, const BlockPairScan& scan,
+                    par::ThreadPool* pool, const CorrHitSink& sink) {
+  const std::size_t tile = std::max<std::size_t>(rows.rows(), 1);
+  TileSweep(nullptr, &rows, rows.rows(), rows.samples(), tile,
+            block_for(block_rows, tile), valid, scan, pool, sink)
+      .run();
+}
 
 void MatrixRowSource::fetch(std::size_t first, std::size_t count,
                             double* out) const {
@@ -423,9 +456,7 @@ TiledCorrelationResult build_correlation_gsbg(
     fail(std::to_string(n) + " genes do not fit 32-bit ids");
   }
   const std::size_t tile = std::max<std::size_t>(options.tile_rows, 1);
-  // Rows per block job, the same partition of each tile as the kernel's.
-  const std::size_t block = std::min(
-      options.block_rows == 0 ? kDefaultCorrBlock : options.block_rows, tile);
+  const std::size_t block = block_for(options.block_rows, tile);
   util::MemoryTracker& external = options.tracker != nullptr
                                       ? *options.tracker
                                       : util::global_memory_tracker();
@@ -531,7 +562,6 @@ TiledCorrelationResult build_correlation_gsbg(
                           offsets.capacity() * sizeof(std::uint64_t),
                           MemTag::kGraph);
   {
-    obs::TimelineSpan span(obs::TimelineEventKind::kStage, "sweep");
     std::vector<SpillEdge> edge_buffer;
     edge_buffer.reserve(kSpillBatch);
     DualAlloc edge_buffer_bytes(tracker, external,
@@ -542,7 +572,7 @@ TiledCorrelationResult build_correlation_gsbg(
                        edge_buffer.size() * sizeof(SpillEdge));
       edge_buffer.clear();
     };
-    const TileSweep::Sink sink = [&](const std::vector<CorrHit>& hits) {
+    const CorrHitSink sink = [&](const std::vector<CorrHit>& hits) {
       for (const CorrHit& h : hits) {
         edge_buffer.push_back(SpillEdge{h.u, h.v});
         ++offsets[h.u + 1];
@@ -552,8 +582,10 @@ TiledCorrelationResult build_correlation_gsbg(
       edges += hits.size();
     };
     const BlockPairScan scan(s, options.threshold);
-    TileSweep sweep(std_file, n, s, tile, block, valid.data(), scan, workers,
-                    tracker, external, sink);
+    TileSweep sweep(&std_file, nullptr, n, s, tile, block, valid.data(), scan,
+                    workers, sink);
+    DualAlloc tile_bytes(tracker, external, sweep.tile_bytes(),
+                         MemTag::kScratch);
     sweep.run();
     flush_edges();
     result.reorder_window_bytes = sweep.window_bytes();

@@ -2,13 +2,15 @@
 #define GSB_BIO_TILED_CORRELATION_H
 
 /// \file tiled_correlation.h
-/// Tiled, out-of-core thresholded-correlation graph construction.
+/// Tiled, out-of-core thresholded-correlation graph construction, and the
+/// one correlation sweep both builders run.
 ///
 /// The in-memory builder (bio/correlation.h) standardizes every profile at
 /// once and holds the full bitmap graph while thresholding — O(genes ×
 /// samples) + O(genes² / 8) bytes, which is exactly what caps the repo
-/// below genome scale.  This builder runs three passes; the first two are
-/// each one par::JobGraph over one thread pool:
+/// below genome scale.  It sweeps its rows with this builder's pass 2, as
+/// one resident tile (sweep_resident).  This builder runs three passes;
+/// the first two are each one par::JobGraph over one thread pool:
 ///   1. standardize: tiles of expression rows are fetched into two
 ///      alternating tile buffers; each tile's row blocks standardize in
 ///      place and write themselves to a scratch file, padded to the sweep's
@@ -32,23 +34,46 @@
 ///      writer (O(n + m) resident, one bitmap row of scratch).
 /// Peak resident bytes are therefore bounded by the tile budget plus the
 /// *output* size, never by genes² — the Fabregat-Traver/Bientinesi
-/// out-of-core recipe applied to the paper's pipeline.  All arithmetic
-/// goes through the same standardization and block-pair body as the
-/// in-memory builder (every emitted dot product is profile_dot's value),
-/// so the produced edge set is bit-identical — across builders and across
-/// thread counts.  The job graph's own bookkeeping (a few hundred bytes
-/// per job, one job per block pair) is not in the tracked peak.
+/// out-of-core recipe applied to the paper's pipeline, in which an in-core
+/// run is the streamed run with one tile.  Both builders go through the
+/// same standardization and sweep (every emitted dot product is
+/// profile_dot's value), so the produced edge set is bit-identical —
+/// across builders and across thread counts.  The job graph's own
+/// bookkeeping (a few hundred bytes per job, one job per block pair) is
+/// not in the tracked peak.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "bio/corr_kernel.h"
 #include "bio/correlation.h"
 #include "bio/expression.h"
 #include "storage/gsbg_writer.h"
 #include "util/memory_tracker.h"
 
+namespace gsb::par {
+class ThreadPool;
+}  // namespace gsb::par
+
 namespace gsb::bio {
+
+/// Receives the hits of one block pair, in (i, j) order.  Called from one
+/// thread at a time, block pairs in (tile pair, block pair) order.
+using CorrHitSink = std::function<void(const std::vector<CorrHit>&)>;
+
+/// Pass 2 over rows already in memory, as one resident tile: \p scan runs
+/// on every block pair of \p block_rows-row blocks (0 = kDefaultCorrBlock)
+/// of the upper triangle of \p rows, and \p sink receives, block pair by
+/// block pair, every pair with both rows valid (\p valid: one flag per
+/// row) and |corr| >= threshold, row i as global id i.  The block reads
+/// only quantize each block's panel.  \p pool may be null (one worker);
+/// the hit sequence is the same at every worker count.
+void sweep_resident(const AlignedRows& rows, const unsigned char* valid,
+                    std::size_t block_rows, const BlockPairScan& scan,
+                    par::ThreadPool* pool, const CorrHitSink& sink);
 
 /// Streaming source of expression rows.  Implementations exist for the
 /// in-RAM ExpressionMatrix and for a binary on-disk matrix; the builder

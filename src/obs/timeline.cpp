@@ -209,7 +209,7 @@ void TimelineJournal::reset() noexcept {
 
 void TimelineSpan::open(TimelineJournal& journal, TimelineEventKind kind,
                         std::string_view label, std::uint64_t id) noexcept {
-  request_ = tl_open_request;
+  request_ = kind == TimelineEventKind::kIo ? nullptr : tl_open_request;
   if (request_ == nullptr && !journal.enabled()) return;  // nothing to feed
   journal_ = &journal;
   kind_ = kind;

@@ -137,8 +137,9 @@ class RequestLog {
 
 class TimelineJournal {
  public:
-  /// Default per-thread buffer capacity in events (64 KiB per lane).
-  static constexpr std::size_t kDefaultCapacity = 1024;
+  /// Default per-thread buffer capacity in events (1 MiB per lane): a
+  /// one-thread build's job events and its stage spans fit one lane.
+  static constexpr std::size_t kDefaultCapacity = 16384;
 
   TimelineJournal();
   ~TimelineJournal();
@@ -154,10 +155,10 @@ class TimelineJournal {
   /// Syscall spans (util::io) are gated separately so per-read events
   /// don't swamp the buffers; both gates must be on for kIo events.
   void set_io_spans_enabled(bool enabled) noexcept {
-    set_flag(kIoSpans, enabled);
+    set_flag(kTraceIo, enabled);
   }
   bool io_spans_enabled() const noexcept {
-    return (flags() & (kRecording | kIoSpans)) == (kRecording | kIoSpans);
+    return (flags() & (kRecording | kTraceIo)) == (kRecording | kTraceIo);
   }
 
   /// Request traces: each RequestScope collects its span breakdown and
@@ -223,7 +224,7 @@ class TimelineJournal {
   struct Lane;
 
   static constexpr std::uint8_t kRecording = 1;
-  static constexpr std::uint8_t kIoSpans = 2;
+  static constexpr std::uint8_t kTraceIo = 2;
   static constexpr std::uint8_t kRequestTraces = 4;
 
   std::uint8_t flags() const noexcept {
@@ -257,7 +258,8 @@ class TimelineJournal {
 /// complete event (when the journal records) and adds its duration to
 /// the request open on this thread (when request traces are on), so a
 /// span opened inside a RequestScope must close before the scope does.
-/// Costs one relaxed load while both are off.
+/// Costs one relaxed load while both are off.  A kIo span records only
+/// when io_spans_enabled(), and joins no request's breakdown.
 class TimelineSpan {
  public:
   TimelineSpan(TimelineEventKind kind, std::string_view label,
@@ -266,7 +268,10 @@ class TimelineSpan {
 
   TimelineSpan(TimelineJournal& journal, TimelineEventKind kind,
                std::string_view label, std::uint64_t id = 0) noexcept {
-    if (journal.spans_armed()) open(journal, kind, label, id);
+    if (kind == TimelineEventKind::kIo ? journal.io_spans_enabled()
+                                       : journal.spans_armed()) {
+      open(journal, kind, label, id);
+    }
   }
 
   TimelineSpan(const TimelineSpan&) = delete;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -75,10 +75,12 @@ struct JobGraph::Impl {
   std::mutex mutex;
   std::condition_variable cv;
   std::vector<Job> jobs;
-  /// Per-worker ready queues.  Lazy removal: entries whose job is no
+  /// Per-worker ready queues, each a min-heap of ids: a worker runs its
+  /// lowest ready id first, so an ordered graph's completions can drain
+  /// as soon as the edges allow.  Lazy removal: entries whose job is no
   /// longer kReady (claimed directly by the backpressure gate or
   /// skipped after a failure) are dropped on pop.
-  std::vector<std::deque<JobId>> queues;
+  std::vector<std::vector<JobId>> queues;
   std::size_t next_queue = 0;  ///< round-robin cursor for homeless jobs
   std::size_t ready_count = 0;
   std::size_t finished = 0;  ///< bodies done or skipped
@@ -96,11 +98,7 @@ JobGraph::JobGraph(ThreadPool* pool) : JobGraph(pool, Options{}) {}
 
 JobGraph::JobGraph(ThreadPool* pool, Options options)
     : pool_(pool), options_(options), impl_(std::make_unique<Impl>()) {
-  std::size_t workers = pool_ ? pool_->size() : 1;
-  if (options_.worker_limit != 0) {
-    workers = std::min(workers, options_.worker_limit);
-  }
-  workers_ = std::max<std::size_t>(1, workers);
+  workers_ = std::max<std::size_t>(1, pool_ ? pool_->size() : 1);
   impl_->queues.resize(workers_);
   impl_->metrics_on = obs::MetricsRegistry::global().enabled();
   impl_->timeline_on = obs::TimelineJournal::global().enabled();
@@ -221,10 +219,7 @@ void JobGraph::run() {
     }
   }
   if (pool_ != nullptr && workers_ > 1) {
-    const std::size_t limit = workers_;
-    pool_->run_round([this, limit](std::size_t id) {
-      if (id < limit) worker_loop(id);
-    });
+    pool_->run_round([this](std::size_t id) { worker_loop(id); });
   } else {
     worker_loop(0);
   }
@@ -256,7 +251,9 @@ void JobGraph::make_ready_locked(JobId id) {
                            : static_cast<std::size_t>(job.home)) %
       workers_;
   job.queue = static_cast<std::uint32_t>(queue);
-  impl_->queues[queue].push_back(id);
+  std::vector<JobId>& ready = impl_->queues[queue];
+  ready.push_back(id);
+  std::push_heap(ready.begin(), ready.end(), std::greater<>());
   ++impl_->ready_count;
   stats_.peak_ready = std::max<std::uint64_t>(stats_.peak_ready, impl_->ready_count);
 }
@@ -289,8 +286,9 @@ JobId JobGraph::pop_locked(std::size_t worker, bool* stolen) {
   for (std::size_t i = 0; i < scan; ++i) {
     auto& queue = impl_->queues[(worker + i) % workers_];
     while (!queue.empty()) {
-      const JobId id = queue.front();
-      queue.pop_front();
+      std::pop_heap(queue.begin(), queue.end(), std::greater<>());
+      const JobId id = queue.back();
+      queue.pop_back();
       if (impl_->jobs[id].state == JobState::kReady) {
         *stolen = i != 0;
         return id;

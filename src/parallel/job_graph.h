@@ -22,7 +22,9 @@
 /// set, each job's `complete` callback runs exactly in JobId order —
 /// the order `add` was called — one at a time, regardless of worker
 /// count.  Emitting output only from `complete` therefore yields the
-/// same bytes at 1 or N threads.  `Options::window_bytes` bounds the
+/// same bytes at 1 or N threads.  A worker runs the lowest JobId ready in
+/// its queue (or, stealing, in another's), so completions drain as soon
+/// as the edges allow.  `Options::window_bytes` bounds the
 /// reorder window exactly like parallel_bk's emitter: when finished-
 /// but-undrained completions exceed the window, workers redirect to the
 /// next-to-drain job instead of opening new work.
@@ -36,7 +38,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,23 +60,6 @@ struct JobGraphStats {
   std::uint64_t peak_pending_bytes = 0;  ///< high-water reorder-window occupancy
 };
 
-/// Typed data-passing edge.  A producer job `set`s the cell; consumers
-/// connected by a graph edge `get` it.  The scheduler's completion
-/// publish (edge release happens under the graph mutex) provides the
-/// happens-before, so no atomics are needed in the payload itself.
-template <typename T>
-class JobValue {
- public:
-  JobValue() : cell_(std::make_shared<std::optional<T>>()) {}
-
-  void set(T value) const { cell_->emplace(std::move(value)); }
-  [[nodiscard]] bool has_value() const noexcept { return cell_->has_value(); }
-  [[nodiscard]] T& get() const { return cell_->value(); }
-
- private:
-  std::shared_ptr<std::optional<T>> cell_;
-};
-
 /// Single-shot DAG scheduler.  Build the graph with add/add_edge, call
 /// run() once, then read stats().  Thread-safe for add() from inside
 /// running job bodies (dynamic spawn); construction-phase calls are
@@ -91,9 +75,6 @@ class JobGraph {
     /// Jobs account against the window with JobSpec::bytes from body
     /// finish until their completion drains.
     std::size_t window_bytes = 0;
-    /// Cap on participating workers (0 = the pool's full size).  Lets a
-    /// caller with a borrowed, larger pool keep its own clamp.
-    std::size_t worker_limit = 0;
     /// Idle workers take ready jobs from other workers' queues.  Off,
     /// each worker only runs jobs homed to it (static-plan ablation).
     bool steal = true;

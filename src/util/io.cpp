@@ -24,34 +24,6 @@ namespace gsb::util::io {
 
 namespace {
 
-/// Optional syscall span for the full-transfer helpers.  Doubly gated
-/// (journal enabled AND io spans on) so per-read events only appear when
-/// explicitly requested; the disabled cost stays one relaxed load.
-class IoSpan {
- public:
-  IoSpan(const char* label, std::size_t bytes) noexcept {
-    obs::TimelineJournal& journal = obs::TimelineJournal::global();
-    if (!journal.io_spans_enabled()) return;
-    journal_ = &journal;
-    label_ = label;
-    bytes_ = bytes;
-    start_ = journal.now_micros();
-  }
-  IoSpan(const IoSpan&) = delete;
-  IoSpan& operator=(const IoSpan&) = delete;
-  ~IoSpan() {
-    if (journal_ == nullptr) return;
-    journal_->record(obs::TimelineEventKind::kIo, start_,
-                     journal_->now_micros() - start_, bytes_, label_);
-  }
-
- private:
-  obs::TimelineJournal* journal_ = nullptr;
-  const char* label_ = "";
-  std::uint64_t bytes_ = 0;
-  std::uint64_t start_ = 0;
-};
-
 /// Injected EINTR storms must terminate even under a hostile schedule:
 /// after this many consecutive injected interrupts a wrapper stops
 /// consulting the shim for the current call and issues the real syscall.
@@ -153,7 +125,7 @@ ssize_t send_some(int fd, const void* buf, std::size_t n,
 }
 
 bool read_full(int fd, void* buf, std::size_t n) noexcept {
-  IoSpan span("read", n);
+  obs::TimelineSpan span(obs::TimelineEventKind::kIo, "read", n);
   auto* cursor = static_cast<char*>(buf);
   while (n > 0) {
     const ssize_t got = read_some(fd, cursor, n);
@@ -169,7 +141,7 @@ bool read_full(int fd, void* buf, std::size_t n) noexcept {
 }
 
 bool write_full(int fd, const void* buf, std::size_t n) noexcept {
-  IoSpan span("write", n);
+  obs::TimelineSpan span(obs::TimelineEventKind::kIo, "write", n);
   const auto* cursor = static_cast<const char*>(buf);
   while (n > 0) {
     std::size_t want = n;
@@ -319,7 +291,7 @@ int open_for_read(const char* path) noexcept {
 }
 
 int fsync_fd(int fd) noexcept {
-  IoSpan span("fsync", 0);
+  obs::TimelineSpan span(obs::TimelineEventKind::kIo, "fsync");
   for (int attempts = 0;; ++attempts) {
     std::size_t unused = 0;
     ssize_t injected = 0;

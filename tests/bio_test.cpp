@@ -140,25 +140,6 @@ TEST(Correlation, SpearmanMonotoneInvariance) {
   EXPECT_GT(std::fabs(pearson(ex, y) - pearson(x, y)), 1e-3);
 }
 
-TEST(Correlation, MatrixSymmetricUnitDiagonal) {
-  util::Rng rng(5);
-  MicroarrayConfig config;
-  config.genes = 30;
-  config.samples = 20;
-  config.modules = 3;
-  const auto data = generate_microarray(config, rng);
-  const auto matrix =
-      correlation_matrix(data.expression, CorrelationMethod::kSpearman);
-  ASSERT_EQ(matrix.size(), 30u);
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    EXPECT_FLOAT_EQ(matrix.at(i, i), 1.0f);
-    for (std::size_t j = 0; j < matrix.size(); ++j) {
-      EXPECT_FLOAT_EQ(matrix.at(i, j), matrix.at(j, i));
-      EXPECT_LE(std::fabs(matrix.at(i, j)), 1.0f + 1e-5f);
-    }
-  }
-}
-
 TEST(Normalize, ZscoreRows) {
   util::Rng rng(7);
   ExpressionMatrix m(5, 30);

@@ -1,8 +1,9 @@
 // Tests for the shared blocked correlation kernel: the blocked block
 // product must be bit-identical to the scalar profile_dot reference on
-// randomized inputs, the screened sweep drivers must emit exactly the
-// scalar reference's (u, v, corr) sequence — also with the threshold on a
-// realized correlation, on every integer screen body — and the same
+// randomized inputs, the screened sweep over resident rows must emit
+// exactly the scalar reference's (u, v, corr) sequence — also with the
+// threshold on a realized correlation, on every integer screen body, and
+// for cross pairs swept as two row sets stacked into one — and the same
 // sequence at every thread count and block size, every screen body must
 // list the same candidates, the screen's margin must bound its error, the
 // in-memory builder's graph must be invariant under --threads, and the
@@ -80,17 +81,16 @@ bio::ExpressionMatrix synthetic_expression(std::size_t genes,
 using Edge = std::tuple<std::uint32_t, std::uint32_t, double>;
 
 std::vector<Edge> sweep_edges(const bio::StandardizedRows& rows,
-                              std::size_t count, double threshold,
-                              std::size_t block, par::ThreadPool* pool) {
-  bio::CorrSweepOptions options;
-  options.block = block;
-  options.pool = pool;
+                              double threshold, std::size_t block,
+                              par::ThreadPool* pool) {
   std::vector<Edge> edges;
-  bio::correlation_self(rows.rows, count, rows.valid.data(), threshold,
-                        options,
-                        [&](std::uint32_t u, std::uint32_t v, double corr) {
-                          edges.emplace_back(u, v, corr);
-                        });
+  bio::sweep_resident(rows.rows, rows.valid.data(), block,
+                      bio::BlockPairScan(rows.rows.samples(), threshold),
+                      pool, [&](const std::vector<bio::CorrHit>& hits) {
+                        for (const bio::CorrHit& h : hits) {
+                          edges.emplace_back(h.u, h.v, h.corr);
+                        }
+                      });
   return edges;
 }
 
@@ -98,26 +98,22 @@ std::vector<Edge> sweep_edges(const bio::StandardizedRows& rows,
 /// a zero may differ.
 using BitEdge = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>;
 
-/// The scalar reference of correlation_cross: profile_dot over every valid
-/// pair, visited in the sweep's (block pair, i, j) emission order.
-std::vector<BitEdge> reference_cross(const bio::AlignedRows& a,
-                                     std::size_t a_count,
-                                     const unsigned char* a_valid,
-                                     const bio::AlignedRows& b,
-                                     std::size_t b_count,
-                                     const unsigned char* b_valid,
-                                     bool diagonal, double threshold,
-                                     std::size_t block) {
+/// The scalar reference of the sweep: profile_dot over every valid pair
+/// i < j, visited in the sweep's (block pair, i, j) emission order.
+std::vector<BitEdge> reference_sweep(const bio::AlignedRows& rows,
+                                     const unsigned char* valid,
+                                     double threshold, std::size_t block) {
+  const std::size_t n = rows.rows();
   std::vector<BitEdge> out;
-  for (std::size_t i0 = 0; i0 < a_count; i0 += block) {
-    for (std::size_t j0 = diagonal ? i0 : 0; j0 < b_count; j0 += block) {
-      for (std::size_t i = i0; i < std::min(a_count, i0 + block); ++i) {
-        if (a_valid != nullptr && a_valid[i] == 0) continue;
-        const std::size_t j_first = diagonal && j0 == i0 ? i + 1 : j0;
-        for (std::size_t j = j_first; j < std::min(b_count, j0 + block);
-             ++j) {
-          if (b_valid != nullptr && b_valid[j] == 0) continue;
-          const double corr = bio::profile_dot(a.row(i), b.row(j), a.samples());
+  for (std::size_t i0 = 0; i0 < n; i0 += block) {
+    for (std::size_t j0 = i0; j0 < n; j0 += block) {
+      for (std::size_t i = i0; i < std::min(n, i0 + block); ++i) {
+        if (valid[i] == 0) continue;
+        for (std::size_t j = j0 == i0 ? i + 1 : j0;
+             j < std::min(n, j0 + block); ++j) {
+          if (valid[j] == 0) continue;
+          const double corr =
+              bio::profile_dot(rows.row(i), rows.row(j), rows.samples());
           if (std::fabs(corr) >= threshold) {
             out.emplace_back(static_cast<std::uint32_t>(i),
                              static_cast<std::uint32_t>(j),
@@ -130,24 +126,40 @@ std::vector<BitEdge> reference_cross(const bio::AlignedRows& a,
   return out;
 }
 
-std::vector<BitEdge> screened_cross(bio::detail::ScreenKernel kernel,
-                                    const bio::AlignedRows& a,
-                                    std::size_t a_count,
-                                    const unsigned char* a_valid,
-                                    const bio::AlignedRows& b,
-                                    std::size_t b_count,
-                                    const unsigned char* b_valid,
-                                    bool diagonal, double threshold,
-                                    std::size_t block, par::ThreadPool* pool) {
-  bio::CorrSweepOptions options;
-  options.block = block;
-  options.pool = pool;
+std::vector<BitEdge> screened_sweep(bio::detail::ScreenKernel kernel,
+                                    const bio::StandardizedRows& rows,
+                                    double threshold, std::size_t block,
+                                    par::ThreadPool* pool) {
   std::vector<BitEdge> out;
-  bio::detail::correlation_cross_with(
-      kernel, a, a_count, a_valid, 0, b, b_count, b_valid, 0, diagonal,
-      threshold, options, [&](std::uint32_t u, std::uint32_t v, double corr) {
-        out.emplace_back(u, v, std::bit_cast<std::uint64_t>(corr));
+  bio::sweep_resident(
+      rows.rows, rows.valid.data(), block,
+      bio::BlockPairScan(rows.rows.samples(), threshold, kernel), pool,
+      [&](const std::vector<bio::CorrHit>& hits) {
+        for (const bio::CorrHit& h : hits) {
+          out.emplace_back(h.u, h.v, std::bit_cast<std::uint64_t>(h.corr));
+        }
       });
+  return out;
+}
+
+/// \p a's rows, then \p b's when \p b is not null, with their validity
+/// (null: every row valid): a cross sweep's two row sets stacked into one.
+bio::StandardizedRows stack_rows(const bio::AlignedRows& a,
+                                 const unsigned char* a_valid,
+                                 const bio::AlignedRows* b,
+                                 const unsigned char* b_valid) {
+  bio::StandardizedRows out{
+      bio::AlignedRows(a.rows() + (b == nullptr ? 0 : b->rows()),
+                       a.samples()),
+      {}};
+  auto append = [&](const bio::AlignedRows& rows, const unsigned char* valid) {
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+      std::copy_n(rows.row(r), rows.samples(), out.rows.row(out.valid.size()));
+      out.valid.push_back(valid == nullptr ? 1 : valid[r]);
+    }
+  };
+  append(a, a_valid);
+  if (b != nullptr) append(*b, b_valid);
   return out;
 }
 
@@ -166,16 +178,14 @@ std::vector<bio::detail::ScreenKernel> available_screen_kernels() {
 /// (a_i, b_j) pairs (j > i when \p diagonal), each also one ulp below and
 /// above.
 std::vector<double> edge_case_thresholds(const bio::AlignedRows& a,
-                                         std::size_t a_count,
                                          const unsigned char* a_valid,
                                          const bio::AlignedRows& b,
-                                         std::size_t b_count,
                                          const unsigned char* b_valid,
                                          bool diagonal) {
   std::vector<double> realized;
-  for (std::size_t i = 0; i < a_count; ++i) {
+  for (std::size_t i = 0; i < a.rows(); ++i) {
     if (a_valid != nullptr && a_valid[i] == 0) continue;
-    for (std::size_t j = diagonal ? i + 1 : 0; j < b_count; ++j) {
+    for (std::size_t j = diagonal ? i + 1 : 0; j < b.rows(); ++j) {
       if (b_valid != nullptr && b_valid[j] == 0) continue;
       const double corr =
           std::fabs(bio::profile_dot(a.row(i), b.row(j), a.samples()));
@@ -195,26 +205,27 @@ std::vector<double> edge_case_thresholds(const bio::AlignedRows& a,
   return thresholds;
 }
 
-/// Runs every available screen body at 1 and 3 threads over (a, b) at
-/// each edge-case threshold and expects the scalar reference's exact
-/// sequence.
-void expect_screened_exact(const bio::AlignedRows& a, std::size_t a_count,
+/// Runs every available screen body at 1 and 3 threads over \p a's rows,
+/// stacked with \p b's when \p b is not null, at each edge-case threshold
+/// of the (a, b) pairs (of a's own pairs when \p b is null) and expects
+/// the scalar reference's exact sequence.
+void expect_screened_exact(const bio::AlignedRows& a,
                            const unsigned char* a_valid,
-                           const bio::AlignedRows& b, std::size_t b_count,
-                           const unsigned char* b_valid, bool diagonal,
+                           const bio::AlignedRows* b,
+                           const unsigned char* b_valid,
                            const std::string& label) {
   par::ThreadPool pool(3);
-  for (const double threshold : edge_case_thresholds(
-           a, a_count, a_valid, b, b_count, b_valid, diagonal)) {
+  const bio::StandardizedRows swept = stack_rows(a, a_valid, b, b_valid);
+  for (const double threshold :
+       b == nullptr ? edge_case_thresholds(a, a_valid, a, a_valid, true)
+                    : edge_case_thresholds(a, a_valid, *b, b_valid, false)) {
     for (const std::size_t block : {5u, 64u}) {
-      const auto expected = reference_cross(a, a_count, a_valid, b, b_count,
-                                            b_valid, diagonal, threshold,
-                                            block);
+      const auto expected =
+          reference_sweep(swept.rows, swept.valid.data(), threshold, block);
       for (const auto kernel : available_screen_kernels()) {
         for (par::ThreadPool* p : {static_cast<par::ThreadPool*>(nullptr),
                                    &pool}) {
-          EXPECT_EQ(screened_cross(kernel, a, a_count, a_valid, b, b_count,
-                                   b_valid, diagonal, threshold, block, p),
+          EXPECT_EQ(screened_sweep(kernel, swept, threshold, block, p),
                     expected)
               << label << " threshold " << std::hexfloat << threshold
               << std::defaultfloat << " block " << block << " kernel "
@@ -286,7 +297,7 @@ TEST(CorrKernel, SweepSequenceInvariantAcrossThreadsAndBlocks) {
       }
       ASSERT_FALSE(reference.empty());
 
-      const auto baseline = sweep_edges(rows, n, threshold, 32, nullptr);
+      const auto baseline = sweep_edges(rows, threshold, 32, nullptr);
       // Same pairs and bit-identical correlations as the scalar loop
       // (emission order differs: block pairs vs rows).
       auto sorted = baseline;
@@ -297,11 +308,11 @@ TEST(CorrKernel, SweepSequenceInvariantAcrossThreadsAndBlocks) {
 
       for (const std::size_t threads : {2u, 4u, 8u}) {
         par::ThreadPool pool(threads);
-        EXPECT_EQ(sweep_edges(rows, n, threshold, 32, &pool), baseline)
+        EXPECT_EQ(sweep_edges(rows, threshold, 32, &pool), baseline)
             << threads << " threads";
       }
       for (const std::size_t block : {8u, 64u, 1024u}) {
-        auto other = sweep_edges(rows, n, threshold, block, nullptr);
+        auto other = sweep_edges(rows, threshold, block, nullptr);
         std::sort(other.begin(), other.end());
         EXPECT_EQ(other, expected) << "block " << block;
       }
@@ -378,31 +389,6 @@ TEST(CorrKernel, TiledGsbgByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(CorrKernel, CorrelationMatrixThreadedMatchesSequential) {
-  // > 2 x kDefaultCorrBlock genes so the threaded branch really runs
-  // multiple block-pair tasks (a single task falls back to sequential).
-  const auto expression = synthetic_expression(300, 16, 61);
-  const auto sequential = bio::correlation_matrix(
-      expression, bio::CorrelationMethod::kSpearman, 1);
-  const auto threaded = bio::correlation_matrix(
-      expression, bio::CorrelationMethod::kSpearman, 4);
-  ASSERT_EQ(sequential.size(), threaded.size());
-  const auto rows =
-      bio::standardize_rows(expression, bio::CorrelationMethod::kSpearman);
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_FLOAT_EQ(sequential.at(i, i), 1.0f);
-    for (std::size_t j = 0; j < sequential.size(); ++j) {
-      EXPECT_EQ(sequential.at(i, j), threaded.at(i, j));
-      if (j > i) {
-        const float reference = static_cast<float>(bio::profile_dot(
-            rows.rows.row(i), rows.rows.row(j), expression.samples()));
-        EXPECT_EQ(sequential.at(i, j), reference);
-        EXPECT_EQ(sequential.at(j, i), reference);
-      }
-    }
-  }
-}
-
 TEST(CorrKernel, ScreenedSweepExactAtTheThreshold) {
   ASSERT_FALSE(available_screen_kernels().empty());
 
@@ -424,15 +410,13 @@ TEST(CorrKernel, ScreenedSweepExactAtTheThreshold) {
           std::to_string(static_cast<int>(method));
       const auto rows = bio::standardize_rows(expression, method);
       const unsigned char* valid = rows.valid.data();
-      expect_screened_exact(rows.rows, genes, valid, rows.rows, genes, valid,
-                            true, label);
+      expect_screened_exact(rows.rows, valid, nullptr, nullptr, label);
 
-      for (const double threshold : edge_case_thresholds(
-               rows.rows, genes, valid, rows.rows, genes, valid, true)) {
+      for (const double threshold :
+           edge_case_thresholds(rows.rows, valid, rows.rows, valid, true)) {
         graph::Graph expected(genes);
         for (const auto& [u, v, bits] :
-             reference_cross(rows.rows, genes, valid, rows.rows, genes, valid,
-                             true, threshold, genes)) {
+             reference_sweep(rows.rows, valid, threshold, genes)) {
           expected.add_edge(u, v);
         }
         for (const std::size_t tile_rows : {25u, 64u}) {
@@ -455,9 +439,9 @@ TEST(CorrKernel, ScreenedSweepExactAtTheThreshold) {
     }
   }
 
-  // Raw rows through correlation_cross directly: norms far from 1, float
-  // subnormal products, double subnormal entries, entries past float range
-  // and a NaN row.
+  // Raw rows through the resident sweep: norms far from 1, float subnormal
+  // products, double subnormal entries, entries past float range and a NaN
+  // row.
   util::Rng rng(4242);
   auto fill = [&](bio::AlignedRows& rows, double scale) {
     for (std::size_t i = 0; i < rows.rows(); ++i) {
@@ -476,14 +460,12 @@ TEST(CorrKernel, ScreenedSweepExactAtTheThreshold) {
   bio::AlignedRows small(37, kSamples);
   fill(big, 1e3);
   fill(small, 1e-3);
-  expect_screened_exact(big, 40, nullptr, small, 37, nullptr, false,
-                        "norms 1e3 x 1e-3");
-  expect_screened_exact(big, 40, nullptr, big, 40, nullptr, true,
-                        "norms 1e3");
+  expect_screened_exact(big, nullptr, &small, nullptr, "norms 1e3 x 1e-3");
+  expect_screened_exact(big, nullptr, nullptr, nullptr, "norms 1e3");
 
   bio::AlignedRows tiny(40, kSamples);
   fill(tiny, 1e-20);  // products ~1e-40: float subnormals
-  expect_screened_exact(tiny, 40, nullptr, tiny, 40, nullptr, true,
+  expect_screened_exact(tiny, nullptr, nullptr, nullptr,
                         "float subnormal products");
 
   bio::AlignedRows odd(40, kSamples);
@@ -500,9 +482,9 @@ TEST(CorrKernel, ScreenedSweepExactAtTheThreshold) {
   odd.row(25)[9] = std::numeric_limits<double>::quiet_NaN();
   odd.row(30)[0] = std::numeric_limits<double>::quiet_NaN();
   odd_valid[30] = 0;  // an invalid row with garbage in it
-  expect_screened_exact(odd, 40, odd_valid.data(), odd, 40, odd_valid.data(),
-                        true, "subnormal, huge and NaN rows");
-  expect_screened_exact(odd, 40, odd_valid.data(), small, 37, nullptr, false,
+  expect_screened_exact(odd, odd_valid.data(), nullptr, nullptr,
+                        "subnormal, huge and NaN rows");
+  expect_screened_exact(odd, odd_valid.data(), &small, nullptr,
                         "subnormal, huge and NaN rows x norms 1e-3");
 
   // A block that mixes a 1e200-scaled row (its scale overflows a float), a
@@ -516,11 +498,11 @@ TEST(CorrKernel, ScreenedSweepExactAtTheThreshold) {
   }
   bio::AlignedRows unit(24, kSamples);
   fill(unit, 1.0);
-  expect_screened_exact(mixed, 24, nullptr, mixed, 24, nullptr, true,
+  expect_screened_exact(mixed, nullptr, nullptr, nullptr,
                         "1e200, 1e-300 and unit rows");
-  expect_screened_exact(mixed, 24, nullptr, unit, 24, nullptr, false,
+  expect_screened_exact(mixed, nullptr, &unit, nullptr,
                         "1e200, 1e-300 and unit rows x unit rows");
-  expect_screened_exact(unit, 24, nullptr, mixed, 24, nullptr, false,
+  expect_screened_exact(unit, nullptr, &mixed, nullptr,
                         "unit rows x 1e200, 1e-300 and unit rows");
 
   // 2,100 samples of ±1: a duplicated row's code product is 8100 · 2100,
@@ -536,7 +518,7 @@ TEST(CorrKernel, ScreenedSweepExactAtTheThreshold) {
     signs.row(7)[k] = -signs.row(2)[k];
     signs.row(9)[k] = k < 2000 ? signs.row(2)[k] : -signs.row(2)[k];
   }
-  expect_screened_exact(signs, 30, nullptr, signs, 30, nullptr, true,
+  expect_screened_exact(signs, nullptr, nullptr, nullptr,
                         "2100 samples of ±1");
 }
 
@@ -693,7 +675,7 @@ TEST(CorrKernel, ScreenCountersTrackRechecksAndExactBlocks) {
   const std::uint64_t exact0 = value("gsb_correlation_exact_blocks_total");
   const std::uint64_t rechecked0 =
       value("gsb_correlation_rechecked_pairs_total");
-  const auto sparse = sweep_edges(rows, 300, 0.7, 32, nullptr);
+  const auto sparse = sweep_edges(rows, 0.7, 32, nullptr);
   ASSERT_FALSE(sparse.empty());
   EXPECT_GE(value("gsb_correlation_rechecked_pairs_total") - rechecked0,
             sparse.size());
@@ -701,7 +683,7 @@ TEST(CorrKernel, ScreenCountersTrackRechecksAndExactBlocks) {
   const std::uint64_t blocks1 = value("gsb_correlation_blocks_total");
   const std::uint64_t exact1 = value("gsb_correlation_exact_blocks_total");
   EXPECT_LT(exact1 - exact0, blocks1 - blocks0);  // the screen ruled some out
-  const auto dense = sweep_edges(rows, 300, 0.0, 32, nullptr);
+  const auto dense = sweep_edges(rows, 0.0, 32, nullptr);
   const auto valid_rows = static_cast<std::size_t>(
       std::count(rows.valid.begin(), rows.valid.end(), 1));
   EXPECT_EQ(dense.size(), valid_rows * (valid_rows - 1) / 2);

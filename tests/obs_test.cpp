@@ -4,21 +4,28 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/timeline_export.h"
+#include "util/io.h"
 
 namespace gsb::obs {
 namespace {
@@ -639,7 +646,7 @@ TEST(Timeline, SpanRecordsCompleteEvent) {
   EXPECT_STREQ(snapshot.events[0].label, "degree 3");
 }
 
-TEST(Timeline, IoSpansAreDoublyGated) {
+TEST(Timeline, TraceIoNeedsRecording) {
   TimelineJournal journal;
   journal.set_io_spans_enabled(true);
   EXPECT_FALSE(journal.io_spans_enabled());  // journal itself still off
@@ -647,6 +654,61 @@ TEST(Timeline, IoSpansAreDoublyGated) {
   EXPECT_TRUE(journal.io_spans_enabled());
   journal.set_io_spans_enabled(false);
   EXPECT_FALSE(journal.io_spans_enabled());
+}
+
+TEST(Timeline, WriteFullRecordsOneIoEventOnlyWithBothGates) {
+  // util::io records to the global journal; every gate is off again at the
+  // end.
+  TimelineJournal& journal = TimelineJournal::global();
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("obs_test_io_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  ASSERT_GE(fd, 0);
+  const std::string payload(1234, 'x');
+  // Writes the payload inside a request scope; returns the kIo events
+  // recorded and the keys of the request's breakdown, if it kept one.
+  auto write = [&] {
+    journal.reset();
+    journal.requests().clear();
+    {
+      const RequestScope scope(journal, "stream", "write test");
+      EXPECT_TRUE(util::io::write_full(fd, payload.data(), payload.size()));
+    }
+    std::vector<TimelineEvent> io;
+    for (const TimelineEvent& event : journal.snapshot().events) {
+      if (event.kind == TimelineEventKind::kIo) io.push_back(event);
+    }
+    const std::vector<RequestTrace> traces = journal.requests().slowest();
+    return std::make_pair(io, traces.empty() ? std::vector<std::string>{}
+                                             : keys(traces[0]));
+  };
+
+  journal.set_enabled(true);  // recording alone
+  EXPECT_TRUE(write().first.empty());
+  journal.set_enabled(false);
+
+  journal.set_request_traces_enabled(true);  // request traces alone
+  auto [io, breakdown] = write();
+  EXPECT_TRUE(io.empty());
+  EXPECT_TRUE(breakdown.empty());
+
+  journal.set_enabled(true);  // both gates: the request traces stay on
+  journal.set_io_spans_enabled(true);
+  std::tie(io, breakdown) = write();
+  journal.set_io_spans_enabled(false);
+  journal.set_enabled(false);
+  journal.set_request_traces_enabled(false);
+  journal.reset();
+  journal.requests().clear();
+  ::close(fd);
+  std::filesystem::remove(path);
+
+  ASSERT_EQ(io.size(), 1u);
+  EXPECT_STREQ(io[0].label, "write");
+  EXPECT_EQ(io[0].id, payload.size());
+  EXPECT_TRUE(breakdown.empty());  // never part of a request's breakdown
 }
 
 // ---- Chrome trace export --------------------------------------------------

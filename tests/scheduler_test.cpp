@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/parallel_enumerator.h"
@@ -272,22 +273,6 @@ TEST(JobGraph, DepOnFinishedJobIsSatisfied) {
   EXPECT_EQ(log, (std::vector<int>{1, 2}));
 }
 
-TEST(JobGraph, TypedValueEdgePassesData) {
-  par::ThreadPool pool(2);
-  par::JobGraph graph(&pool);
-  par::JobValue<std::string> greeting;
-  std::string got;
-  const auto producer = graph.add([greeting](std::size_t) {
-    greeting.set("forty-two");
-  });
-  par::JobGraph::JobSpec consumer;
-  consumer.deps = {producer};
-  consumer.run = [greeting, &got](std::size_t) { got = greeting.get(); };
-  graph.add(std::move(consumer));
-  graph.run();
-  EXPECT_EQ(got, "forty-two");
-}
-
 TEST(JobGraph, InlineExecutionWithoutPool) {
   par::JobGraph graph(nullptr);
   EXPECT_EQ(graph.workers(), 1u);
@@ -299,20 +284,21 @@ TEST(JobGraph, InlineExecutionWithoutPool) {
   EXPECT_EQ(ids, (std::vector<std::size_t>{0, 0, 0, 0}));
 }
 
-TEST(JobGraph, WorkerLimitCapsParticipation) {
-  par::ThreadPool pool(8);
-  par::JobGraph::Options options;
-  options.worker_limit = 2;
-  par::JobGraph graph(&pool, options);
-  EXPECT_EQ(graph.workers(), 2u);
-  std::atomic<std::uint32_t> mask{0};
-  for (int i = 0; i < 32; ++i) {
-    graph.add([&](std::size_t worker) {
-      mask.fetch_or(1u << worker);
-    });
+TEST(JobGraph, RunsLowestReadyIdFirst) {
+  // Job 0 releases job 3 before job 1 releases job 2; the worker still
+  // runs 2 before 3, so ordered completions drain as early as they can.
+  par::JobGraph graph(nullptr);
+  std::vector<int> log;
+  const auto first = graph.add([&](std::size_t) { log.push_back(0); });
+  const auto second = graph.add([&](std::size_t) { log.push_back(1); });
+  for (const auto& [dep, mark] : {std::pair{second, 2}, std::pair{first, 3}}) {
+    par::JobGraph::JobSpec spec;
+    spec.deps = {dep};
+    spec.run = [&log, mark = mark](std::size_t) { log.push_back(mark); };
+    graph.add(std::move(spec));
   }
   graph.run();
-  EXPECT_EQ(mask.load() & ~0x3u, 0u);  // only workers 0 and 1 ran jobs
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(JobGraph, SingleShotLifecycle) {
