@@ -8,6 +8,7 @@
 #include "bitset/dynamic_bitset.h"
 #include "core/maximum_clique.h"
 #include "graph/transforms.h"
+#include "obs/timeline.h"
 #include "util/memory_tracker.h"
 
 namespace gsb::analysis {
@@ -89,6 +90,66 @@ Paraclique extract_paraclique_from_stream(const graph::GraphView& g,
   return grow_paraclique(g, best, options);
 }
 
+namespace {
+
+/// What one extraction round hands the next.  Rounds only delete edges, so
+/// a round's ω bounds every later round's.  A seed's greedy clique depends
+/// only on the subgraph induced by the seed and its neighbours, so it is
+/// kept until an edge inside that set goes.
+class CarriedState {
+ public:
+  explicit CarriedState(std::size_t n) : greedy_(n), common_(n) {}
+
+  /// This round's seed, maximum_clique(residue)'s clique: the first
+  /// strictly largest greedy clique over the residue's seeds (kept ones
+  /// reused, stale ones regrown), then the search from it below the last
+  /// round's ω.  A seed whose greedy clique reaches that bound is maximum,
+  /// and no later seed can beat it, so the rest go unasked.
+  Clique seed(const graph::GraphView& residue) {
+    Clique lower;
+    const auto seeds = core::highest_degree_vertices(
+        {residue.degrees_data(), residue.order()}, core::kMaxCliqueSeeds);
+    for (const VertexId s : seeds) {
+      Clique& clique = greedy_[s];
+      if (clique.empty()) clique = core::greedy_clique(residue, s);
+      if (clique.size() > lower.size()) {
+        lower = clique;
+        if (lower.size() >= omega_bound_) break;
+      }
+    }
+    Clique seed =
+        core::maximum_clique_from(residue, std::move(lower), omega_bound_)
+            .clique;
+    omega_bound_ = seed.size();
+    return seed;
+  }
+
+  /// Removes the edges among \p members from \p residue.  Before {u, v}
+  /// goes, it drops the greedy cliques whose seed's closed neighbourhood
+  /// holds both ends: those of u, v and every common neighbour of u and v.
+  void remove_edges(graph::Graph& residue, const Clique& members) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      for (std::size_t j = i + 1; j < members.size(); ++j) {
+        const VertexId u = members[i];
+        const VertexId v = members[j];
+        if (!residue.has_edge(u, v)) continue;
+        greedy_[u].clear();
+        greedy_[v].clear();
+        common_.assign_and(residue.neighbors(u), residue.neighbors(v));
+        common_.for_each([&](std::size_t w) { greedy_[w].clear(); });
+        residue.remove_edge(u, v);
+      }
+    }
+  }
+
+ private:
+  std::vector<Clique> greedy_;  ///< per vertex; empty = stale
+  DynamicBitset common_;        ///< N(u) ∩ N(v) of the edge being removed
+  std::size_t omega_bound_ = core::kUnknownOmega;
+};
+
+}  // namespace
+
 std::vector<Paraclique> extract_all_paracliques(
     const graph::GraphView& g, std::size_t min_size,
     const ParacliqueOptions& options) {
@@ -111,16 +172,15 @@ std::vector<Paraclique> extract_all_paracliques(
                                        util::MemTag::kGraph);
   // A one-vertex seed removes no edge, so sizes below 2 act as 2.
   min_size = std::max<std::size_t>(min_size, 2);
-  while (residue.num_edges() > 0) {
-    const auto seed = core::maximum_clique(residue);
-    if (seed.clique.size() < min_size) break;
-    Paraclique para = grow_paraclique(residue, seed.clique, options);
-    // Remove the paraclique's edges from the residue graph.
-    for (std::size_t i = 0; i < para.members.size(); ++i) {
-      for (std::size_t j = i + 1; j < para.members.size(); ++j) {
-        residue.remove_edge(para.members[i], para.members[j]);
-      }
-    }
+  CarriedState carried(residue.order());
+  for (std::uint64_t round = 0; residue.num_edges() > 0; ++round) {
+    const obs::TimelineSpan span(obs::TimelineEventKind::kStage,
+                                 "paraclique-round", round);
+    const graph::GraphView view(residue);
+    const Clique seed = carried.seed(view);
+    if (seed.size() < min_size) break;
+    Paraclique para = grow_paraclique(view, seed, options);
+    carried.remove_edges(residue, para.members);
     for (VertexId& v : para.members) v = to_g[v];
     out.push_back(std::move(para));
   }

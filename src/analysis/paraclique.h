@@ -62,11 +62,15 @@ Paraclique extract_paraclique_from_stream(const graph::GraphView& g,
 /// the residue (g minus the edges of earlier paracliques) and removes the
 /// paraclique's edges, until the maximum clique has fewer than \p min_size
 /// vertices.  A seed needs an edge, so a \p min_size below 2 acts as 2.
-/// Each round runs core::maximum_clique on a residue that holds only the
-/// vertices of g with an edge, in ascending order: its seeds are the
-/// residue's highest-degree vertices in (degree desc, id asc) order, its
-/// branches run on local rows of at most a vertex's degree, and g's
-/// isolated vertices change no round.
+/// The residue holds only the vertices of g with an edge, in ascending
+/// order, so g's isolated vertices change no round.  Each round's seed is
+/// core::maximum_clique(residue)'s clique, found with what earlier rounds
+/// proved: rounds only delete edges, so the last round's ω bounds this
+/// one's and the search targets it (core::maximum_clique_from), and each
+/// seed's greedy clique is kept until an edge among the seed and its
+/// neighbours goes (before {u, v} is deleted, those of u, v and every
+/// common neighbour of u and v are dropped).  Each round records one
+/// `paraclique-round` stage span on the timeline.
 std::vector<Paraclique> extract_all_paracliques(
     const graph::GraphView& g, std::size_t min_size,
     const ParacliqueOptions& options = {});

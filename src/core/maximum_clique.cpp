@@ -111,38 +111,32 @@ class LocalGraph {
   DynamicBitset all_;
 };
 
-/// Grows a clique from each seed in turn, on the seed's neighbourhood in
-/// local rows; keeps the first strictly largest.
-Clique grow_greedy_cliques(const graph::GraphView& g,
-                           std::span<const VertexId> seeds) {
-  LocalGraph local;
-  Clique best;
-  for (const VertexId seed : seeds) {
-    local.assign(g, g.neighbors(seed));
-    const graph::GraphView& rows = local.view();
-    const std::size_t k = rows.order();
-    DynamicBitset& cand = local.all();
-    Clique clique{seed};
-    while (true) {
-      // Extend with the candidate of maximum residual degree into cand.
-      std::size_t pick = k;
-      std::size_t pick_links = 0;
-      for (std::size_t v = cand.find_first(); v < k; v = cand.find_next(v)) {
-        const std::size_t links = DynamicBitset::count_and(
-            cand, rows.neighbors(static_cast<VertexId>(v)));
-        if (pick == k || links > pick_links) {
-          pick = v;
-          pick_links = links;
-        }
+/// The greedy clique of \p seed in pick order, grown on the seed's
+/// neighbourhood re-indexed into \p local.
+Clique grow_greedy_clique(const graph::GraphView& g, VertexId seed,
+                          LocalGraph& local) {
+  local.assign(g, g.neighbors(seed));
+  const graph::GraphView& rows = local.view();
+  const std::size_t k = rows.order();
+  DynamicBitset& cand = local.all();
+  Clique clique{seed};
+  while (true) {
+    // Extend with the candidate of maximum residual degree into cand.
+    std::size_t pick = k;
+    std::size_t pick_links = 0;
+    for (std::size_t v = cand.find_first(); v < k; v = cand.find_next(v)) {
+      const std::size_t links = DynamicBitset::count_and(
+          cand, rows.neighbors(static_cast<VertexId>(v)));
+      if (pick == k || links > pick_links) {
+        pick = v;
+        pick_links = links;
       }
-      if (pick == k) break;
-      clique.push_back(local.global(pick));
-      cand &= rows.neighbors(static_cast<VertexId>(pick));
     }
-    if (clique.size() > best.size()) best = std::move(clique);
+    if (pick == k) break;
+    clique.push_back(local.global(pick));
+    cand &= rows.neighbors(static_cast<VertexId>(pick));
   }
-  std::sort(best.begin(), best.end());
-  return best;
+  return clique;
 }
 
 }  // namespace
@@ -162,8 +156,22 @@ std::vector<VertexId> highest_degree_vertices(
   return by_degree;
 }
 
+Clique greedy_clique(const graph::GraphView& g, VertexId seed) {
+  LocalGraph local;
+  Clique clique = grow_greedy_clique(g, seed, local);
+  std::sort(clique.begin(), clique.end());
+  return clique;
+}
+
 Clique greedy_clique_lower_bound(const graph::GraphView& g, std::size_t seeds) {
-  return grow_greedy_cliques(g, highest_degree_vertices(degrees_of(g), seeds));
+  LocalGraph local;
+  Clique best;
+  for (const VertexId seed : highest_degree_vertices(degrees_of(g), seeds)) {
+    Clique clique = grow_greedy_clique(g, seed, local);
+    if (clique.size() > best.size()) best = std::move(clique);
+  }
+  std::sort(best.begin(), best.end());
+  return best;
 }
 
 std::size_t greedy_coloring_upper_bound(const graph::GraphView& g) {
@@ -189,35 +197,43 @@ std::size_t greedy_coloring_upper_bound(const graph::GraphView& g) {
 namespace {
 
 /// Tomita-style search: candidates are greedily colored; vertices are
-/// expanded in decreasing color order, pruning when |R| + color <= |best|.
-/// The root colours g's rows; each root branch re-indexes its candidates
-/// into local rows, and every node below it runs on those.
+/// expanded in decreasing color order, pruning when |R| + color is at most
+/// the larger of |best| and a floor.  The root colours g's rows; each root
+/// branch re-indexes its candidates into local rows, and every node below
+/// it runs on those.
 class MaxCliqueSearch {
  public:
   explicit MaxCliqueSearch(const graph::GraphView& g) : g_(g) {}
 
-  MaxCliqueResult run() {
-    util::Timer timer;
-    MaxCliqueResult result;
-    best_ = grow_greedy_cliques(
-        g_, highest_degree_vertices(degrees_of(g_), kMaxCliqueSeeds));
+  /// One run from the lower bound \p lower.  With \p target t > 0 it
+  /// prunes where |R| + color <= max(|best|, t - 1) and stops at the first
+  /// clique of t vertices; with 0 it prunes where |R| + color <= |best| and
+  /// runs to the end.  Returns the largest clique found, or \p lower when
+  /// none beats it, sorted.
+  Clique run(Clique lower, std::size_t target) {
+    best_ = std::move(lower);
+    floor_ = target > 0 ? target - 1 : 0;
+    stop_ = target > 0 ? target : kUnknownOmega;
+    current_.clear();
     if (g_.order() > 0) {
+      if (frames_.empty()) {
+        // Pre-size the frame pool: the vector must never reallocate while
+        // frame references are live across recursive calls.  A node at
+        // depth d extends a d-clique, so d < omega <= max degree + 1.
+        const std::size_t depths = g_.max_degree() + 1;
+        current_.reserve(depths);
+        frames_.resize(depths);
+      }
       DynamicBitset cand(g_.order());
       cand.set_all();
-      // Pre-size the frame pool: the vector must never reallocate while
-      // frame references are live across recursive calls.  A node at depth
-      // d extends a d-clique, so d < omega <= max degree + 1.
-      const std::size_t depths = g_.max_degree() + 1;
-      current_.reserve(depths);
-      frames_.resize(depths);
       expand(cand, 0);
     }
-    result.clique = best_;
-    std::sort(result.clique.begin(), result.clique.end());
-    result.tree_nodes = nodes_;
-    result.seconds = timer.seconds();
-    return result;
+    std::sort(best_.begin(), best_.end());
+    return std::move(best_);
   }
+
+  /// Search-tree nodes over every run so far.
+  [[nodiscard]] std::uint64_t nodes() const noexcept { return nodes_; }
 
  private:
   /// Per-depth scratch, sized on first use so no search node allocates
@@ -283,7 +299,9 @@ class MaxCliqueSearch {
     Frame& f = frame(depth, g.order());
     color_sort(g, cand, f);
     for (std::size_t i = f.order.size(); i-- > 0;) {
-      if (current_.size() + f.color[i] <= best_.size()) return;
+      if (current_.size() + f.color[i] <= std::max(best_.size(), floor_)) {
+        return;
+      }
       const VertexId v = f.order[i];
       current_.push_back(depth == 0 ? v : local_.global(v));
       f.next_cand.assign_and(cand, g.neighbors(v));
@@ -298,14 +316,17 @@ class MaxCliqueSearch {
         expand(f.next_cand, depth + 1);
       }
       current_.pop_back();
+      if (best_.size() >= stop_) return;
       cand.reset(v);
     }
   }
 
-  const graph::GraphView g_;
+  const graph::GraphView& g_;
   LocalGraph local_;  ///< the current root branch's candidates
   Clique current_;
   Clique best_;
+  std::size_t floor_ = 0;             ///< prune at |R| + color <= this too
+  std::size_t stop_ = kUnknownOmega;  ///< a clique this large ends the run
   std::uint64_t nodes_ = 0;
   std::vector<Frame> frames_;
 };
@@ -313,7 +334,33 @@ class MaxCliqueSearch {
 }  // namespace
 
 MaxCliqueResult maximum_clique(const graph::GraphView& g) {
-  return MaxCliqueSearch(g).run();
+  util::Timer timer;
+  MaxCliqueResult result = maximum_clique_from(g, greedy_clique_lower_bound(g));
+  result.seconds = timer.seconds();
+  return result;
+}
+
+MaxCliqueResult maximum_clique_from(const graph::GraphView& g, Clique lower,
+                                    std::size_t omega_bound) {
+  util::Timer timer;
+  MaxCliqueResult result;
+  MaxCliqueSearch search(g);
+  if (omega_bound == kUnknownOmega) {
+    result.clique = search.run(std::move(lower), 0);
+  } else {
+    std::sort(lower.begin(), lower.end());
+    result.clique = lower;
+    for (std::size_t target = omega_bound; target > lower.size(); --target) {
+      Clique found = search.run(lower, target);
+      if (found.size() >= target) {
+        result.clique = std::move(found);
+        break;
+      }
+    }
+  }
+  result.tree_nodes = search.nodes();
+  result.seconds = timer.seconds();
+  return result;
 }
 
 }  // namespace gsb::core

@@ -33,11 +33,16 @@ inline constexpr std::size_t kMaxCliqueSeeds = 8;
 std::vector<VertexId> highest_degree_vertices(
     std::span<const std::size_t> degrees, std::size_t count);
 
-/// Greedy lower bound: grows a clique from each of the highest-degree
-/// seeds, in order, by repeatedly adding the candidate with the most
-/// neighbours among the candidates (ties: lowest id); returns the first
-/// strictly largest (a valid clique, not necessarily maximum).  Each seed's
-/// neighbourhood is re-indexed into ⌈deg/64⌉-word local rows first.
+/// The greedy clique of one seed, sorted: starting from {seed}, repeatedly
+/// adds the candidate with the most neighbours among the candidates (ties:
+/// lowest id), on the seed's neighbourhood re-indexed into ⌈deg/64⌉-word
+/// local rows.  It depends only on the subgraph induced by the seed and its
+/// neighbours, so it stays valid until an edge inside that set goes.
+Clique greedy_clique(const graph::GraphView& g, VertexId seed);
+
+/// Greedy lower bound: the first strictly largest greedy_clique over the
+/// \p seeds highest-degree vertices, in highest_degree_vertices order (a
+/// valid clique, not necessarily maximum).
 Clique greedy_clique_lower_bound(const graph::GraphView& g,
                                  std::size_t seeds = kMaxCliqueSeeds);
 
@@ -61,9 +66,31 @@ struct MaxCliqueResult {
 /// ascending local ids with ⌈k/64⌉-word rows, k <= deg(v), and every node
 /// below it colours, branches and prunes on those rows.  Local ids are
 /// monotone in g's ids, so the search visits the same tree (`tree_nodes`)
-/// and returns the same clique as one that ran every node on n-bit rows;
-/// of several maximum cliques it returns the first found.
+/// and returns the same clique as one that ran every node on n-bit rows:
+/// the greedy bound when no clique beats it, otherwise the first maximum
+/// clique in colour order.
 MaxCliqueResult maximum_clique(const graph::GraphView& g);
+
+/// The \p omega_bound of a caller that knows no upper bound on ω.
+inline constexpr std::size_t kUnknownOmega = SIZE_MAX;
+
+/// maximum_clique(g)'s clique, searched from a lower bound the caller
+/// already holds and, when it knows one, below an upper bound on ω.
+/// \p lower must be greedy_clique_lower_bound(g) (a caller that keeps each
+/// seed's greedy_clique may rebuild it by the same first-strictly-largest
+/// rule) and \p omega_bound at least ω(g).
+///
+/// With kUnknownOmega this is maximum_clique(g)'s search.  With a bound t
+/// it targets t: it prunes where |R| + colour <= max(|best|, t - 1), stops
+/// at the first clique of t vertices, and retries at t - 1 only once a run
+/// has found none; when the target reaches |lower| it returns \p lower.
+/// The answer is unchanged: the untargeted search returns \p lower when
+/// that is maximum, and otherwise the first ω-clique in colour order, and
+/// every node on the path to that clique has |R| + colour >= ω, so no prune
+/// below ω cuts it and a run at target ω reaches it first.  `tree_nodes`
+/// sums the runs.
+MaxCliqueResult maximum_clique_from(const graph::GraphView& g, Clique lower,
+                                    std::size_t omega_bound = kUnknownOmega);
 
 }  // namespace gsb::core
 

@@ -118,6 +118,7 @@ ParallelBkStats parallel_bk(const graph::GraphView& g,
 
   for (std::size_t j = 0; j < num_jobs; ++j) {
     par::JobGraph::JobSpec spec;
+    spec.label = "bk-roots";
     spec.run = [&, j](std::size_t wid) {
       const double cpu_begin = util::thread_cpu_seconds();
       BkWorker& w = worker_for(wid);

@@ -15,7 +15,9 @@ namespace gsb::graph {
 
 /// --- DIMACS (ASCII) -------------------------------------------------------
 /// Format:  `c` comment lines, one `p edge <n> <m>` line, `e <u> <v>` lines
-/// with 1-based vertex indices.
+/// with 1-based vertex indices.  The text readers read the whole input
+/// once and tokenize it line by line with std::from_chars, accepting and
+/// rejecting what `std::istream >>` does on each line.
 
 /// Parses a DIMACS graph from a stream.  Throws std::runtime_error on
 /// malformed input.

@@ -1,6 +1,7 @@
 #include "graph/transforms.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 namespace gsb::graph {
@@ -23,11 +24,33 @@ InducedSubgraph induced_subgraph(const GraphView& g,
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
   InducedSubgraph out{Graph(sorted.size()), sorted};
+  if (sorted.empty()) return out;
+  // A mask of the set, and the local id of each of its members as a rank:
+  // the members in words before w (rank_base[w]) plus those below it in w.
+  using Word = bits::BitsetView::Word;
+  constexpr std::size_t kWordBits = bits::BitsetView::kWordBits;
+  bits::DynamicBitset mask(g.order());
+  for (const VertexId v : sorted) mask.set(v);
+  const std::span<const Word> set = mask.words();
+  std::vector<VertexId> rank_base(set.size());
+  VertexId members = 0;
+  for (std::size_t w = 0; w < set.size(); ++w) {
+    rank_base[w] = members;
+    members += static_cast<VertexId>(bits::popcount(set[w]));
+  }
+  // Each member's row ANDed with the mask from its own word on, keeping
+  // the higher ids, gives each induced edge once.
   for (std::size_t i = 0; i < sorted.size(); ++i) {
-    for (std::size_t j = i + 1; j < sorted.size(); ++j) {
-      if (g.has_edge(sorted[i], sorted[j])) {
+    const std::size_t first = sorted[i] / kWordBits;
+    const Word* row = g.neighbors(sorted[i]).data();
+    for (std::size_t w = first; w < set.size(); ++w) {
+      Word hits = row[w] & set[w];
+      if (w == first) hits &= ~Word{0} << (sorted[i] % kWordBits) << 1;
+      for (; hits != 0; hits &= hits - 1) {
+        const Word below = (hits & (~hits + 1)) - 1;
         out.graph.add_edge(static_cast<VertexId>(i),
-                           static_cast<VertexId>(j));
+                           rank_base[w] + static_cast<VertexId>(
+                                              bits::popcount(set[w] & below)));
       }
     }
   }

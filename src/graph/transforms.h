@@ -23,6 +23,8 @@ Graph complement(const Graph& g);
 
 /// Subgraph induced by \p vertices (need not be sorted; duplicates ignored).
 /// `mapping[i]` gives the original id of new vertex i (sorted ascending).
+/// Each member's row is ANDed with a mask of the set and each hit ranked
+/// into a local id: O(k·⌈n/64⌉ + m_S) for k members and m_S induced edges.
 struct InducedSubgraph {
   Graph graph;
   std::vector<VertexId> mapping;  ///< new id -> original id

@@ -147,6 +147,36 @@ TEST(Paraclique, MinSizeBelowTwoActsAsTwo) {
   EXPECT_TRUE(extract_all_paracliques(edgeless, 1).empty());
 }
 
+// Extraction keeps each seed's greedy clique until an edge inside the seed's
+// closed neighbourhood goes.  Here round 1 removes K4 {0..3}, and with it
+// the edge {0, 1} inside N(4): seed 4's round-1 clique {0, 1, 4} is no
+// longer a clique.  Were it kept, round 2 would start from it (it is the
+// first of size 3, ahead of seed 5's {5, 6, 7}) and return it as the
+// residue's maximum clique.
+TEST(Paraclique, RegrowsGreedyCliqueOfCommonNeighbour) {
+  Graph g(8);
+  for (VertexId u = 0; u < 4; ++u) {
+    for (VertexId v = u + 1; v < 4; ++v) g.add_edge(u, v);
+  }
+  g.add_edge(4, 0);
+  g.add_edge(4, 1);
+  g.add_edge(5, 6);
+  g.add_edge(6, 7);
+  g.add_edge(5, 7);
+  const ParacliqueOptions glom_zero{0, 0};
+  const auto paras = extract_all_paracliques(g, 2, glom_zero);
+  std::vector<Clique> members;
+  for (const Paraclique& para : paras) members.push_back(para.members);
+  EXPECT_EQ(members,
+            (std::vector<Clique>{{0, 1, 2, 3}, {5, 6, 7}, {0, 4}, {1, 4}}));
+  const auto reference =
+      test::reference_extract_all_paracliques(g, 2, glom_zero);
+  ASSERT_EQ(paras.size(), reference.size());
+  for (std::size_t i = 0; i < paras.size(); ++i) {
+    expect_same(paras[i], reference[i]);
+  }
+}
+
 // -- oracle: the library against the full-scan references --------------------
 
 /// Glom seeds: the maximum clique, and two small greedy cliques (a random

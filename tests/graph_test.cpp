@@ -4,12 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <numeric>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "graph/transforms.h"
+#include "tests/test_helpers.h"
 #include "util/rng.h"
 
 namespace gsb::graph {
@@ -121,6 +130,143 @@ TEST(GraphIo, BinaryRejectsBadMagic) {
   EXPECT_THROW(read_binary(stream), std::runtime_error);
 }
 
+// The text readers tokenize the whole input at once; every line must read
+// as it did through one std::istringstream per line.  Each row is the input
+// and either the graph it gives (order, edge list) or the error it throws.
+struct TextCase {
+  const char* name;
+  bool dimacs;  ///< DIMACS, else the edge list
+  std::string text;
+  std::optional<std::pair<std::size_t, std::vector<std::pair<VertexId, VertexId>>>>
+      graph;          ///< nullopt: rejected
+  std::string error;  ///< the rejection's what()
+};
+
+std::vector<TextCase> text_cases() {
+  using Edges = std::vector<std::pair<VertexId, VertexId>>;
+  const auto ok = [](std::size_t n, Edges edges) {
+    return std::make_optional(std::make_pair(n, std::move(edges)));
+  };
+  const std::nullopt_t no = std::nullopt;
+  const std::string bad_edge = "graph io: bad edge line";
+  const std::string bad_problem = "graph io: bad problem line";
+  // A blank line's kind is '\0', which ends what() there.
+  const std::string blank_kind = "graph io: unrecognized line kind '";
+  const std::string range = "graph io: edge endpoint out of range";
+  const std::string no_header = "graph io: missing vertex-count header";
+  return {
+      {"dimacs plain", true, "p edge 3 2\ne 1 2\ne 2 3\n", ok(3, {{0, 1}, {1, 2}}), ""},
+      {"dimacs tabs", true, "p\tedge\t3\t2\ne\t1\t2\n\te 2\t3\n", ok(3, {{0, 1}, {1, 2}}), ""},
+      {"dimacs crlf", true, "c from windows\r\np edge 3 1\r\ne 1 3\r\n", ok(3, {{0, 2}}), ""},
+      {"dimacs crlf blank line", true, "p edge 3 1\r\n\r\ne 1 2\r\n", no, blank_kind},
+      {"dimacs empty lines", true, "p edge 3 1\n\ne 1 2\n\n", ok(3, {{0, 1}}), ""},
+      {"dimacs spaces-only line", true, "p edge 3 1\n  \ne 1 2\n", no, blank_kind},
+      {"dimacs tab-only line", true, "p edge 3 1\n\t\ne 1 2\n", no, blank_kind},
+      {"dimacs vt ff separators", true, "p edge 3 1\ne\v1\f2\n", ok(3, {{0, 1}}), ""},
+      {"dimacs trailing tokens", true, "p edge 3 1 extra\ne 1 2 9 9\n", ok(3, {{0, 1}}), ""},
+      {"dimacs trailing space", true, "p edge 3 1 \ne 1 2 \n", ok(3, {{0, 1}}), ""},
+      {"dimacs no final newline", true, "p edge 2 1\ne 1 2", ok(2, {{0, 1}}), ""},
+      {"dimacs glued edge", true, "p edge 3 1\ne1 2\n", ok(3, {{0, 1}}), ""},
+      {"dimacs glued problem", true, "pedge 3 1\ne 1 2\n", ok(3, {{0, 1}}), ""},
+      {"dimacs glued tag and count", true, "p edge3 1\ne 1 2\n", no, bad_problem},
+      {"dimacs last number suffix", true, "p edge 3 1x\ne 1 2x\n", ok(3, {{0, 1}}), ""},
+      {"dimacs first id suffix", true, "p edge 3 1\ne 1x 2\n", no, bad_edge},
+      {"dimacs order suffix", true, "p edge 3x 1\ne 1 2\n", no, bad_problem},
+      {"dimacs plus signs", true, "p edge +3 +1\ne +1 +2\n", ok(3, {{0, 1}}), ""},
+      {"dimacs minus id", true, "p edge 3 1\ne -1 2\n", no, bad_edge},
+      {"dimacs minus edge count", true, "p edge 3 -1\ne 1 2\n", ok(3, {{0, 1}}), ""},
+      {"dimacs minus zero order", true, "p edge -0 0\n", ok(0, {}), ""},
+      {"dimacs sign only", true, "p edge 3 1\ne - 2\n", no, bad_edge},
+      {"dimacs double sign", true, "p edge 3 1\ne +-1 2\n", no, bad_edge},
+      {"dimacs id 0", true, "p edge 3 1\ne 0 1\n", no, bad_edge},
+      {"dimacs id n+1", true, "p edge 3 1\ne 1 4\n", no, bad_edge},
+      {"dimacs id n", true, "p edge 3 1\ne 3 1\n", ok(3, {{0, 2}}), ""},
+      {"dimacs self loop and repeats", true, "p edge 3 1\ne 2 2\ne 1 2\ne 2 1\n", ok(3, {{0, 1}}), ""},
+      {"dimacs leading zeros", true, "p edge 0003 01\ne 001 03\n", ok(3, {{0, 2}}), ""},
+      {"dimacs u64 max id", true, "p edge 3 1\ne 18446744073709551615 1\n", no, bad_edge},
+      {"dimacs u64 overflow id", true, "p edge 3 1\ne 18446744073709551616 1\n", no, bad_edge},
+      {"dimacs u64 overflow second id", true, "p edge 3 1\ne 1 99999999999999999999\n", no, bad_edge},
+      {"dimacs u64 max edge count", true, "p edge 3 18446744073709551615\ne 1 2\n", ok(3, {{0, 1}}), ""},
+      {"dimacs u64 overflow edge count", true, "p edge 3 18446744073709551616\ne 1 2\n", no, bad_problem},
+      {"dimacs edge before problem", true, "e 1 2\np edge 3 1\n", no, "graph io: edge before problem line"},
+      {"dimacs second problem line", true, "p edge 3 1\ne 1 2\np edge 4 1\ne 3 4\n", ok(4, {{2, 3}}), ""},
+      {"dimacs col tag", true, "p col 3 1\ne 1 3\n", ok(3, {{0, 2}}), ""},
+      {"dimacs unknown tag", true, "p graph 3 1\ne 1 3\n", no, bad_problem},
+      {"dimacs short problem", true, "p edge 3\n", no, bad_problem},
+      {"dimacs bare problem", true, "p\n", no, bad_problem},
+      {"dimacs short edge", true, "p edge 3 1\ne 1\n", no, bad_edge},
+      {"dimacs bare edge", true, "p edge 3 1\ne\n", no, bad_edge},
+      {"dimacs unknown kind", true, "p edge 3 1\nx 1 2\n", no, "graph io: unrecognized line kind 'x'"},
+      {"dimacs node line", true, "p edge 3 1\nn 1 1\n", no, "graph io: unrecognized line kind 'n'"},
+      {"dimacs hash comment", true, "# no\np edge 3 1\n", no, "graph io: unrecognized line kind '#'"},
+      {"dimacs comment forms", true, "comment line\np edge 3 1\n  c indented\ne 1 2\n", ok(3, {{0, 1}}), ""},
+      {"dimacs comment after edges", true, "p edge 3 1\ne 1 2\nc note\n", ok(3, {{0, 1}}), ""},
+      {"dimacs missing problem", true, "c only a comment\n", no, "graph io: missing problem line"},
+      {"dimacs empty input", true, "", no, "graph io: missing problem line"},
+      {"dimacs newline only", true, "\n", no, "graph io: missing problem line"},
+      {"edges plain", false, "3\n0 1\n1 2\n", ok(3, {{0, 1}, {1, 2}}), ""},
+      {"edges comments", false, "# header\n3 # n\n0 1 # edge\n# 1 2\n", ok(3, {{0, 1}}), ""},
+      {"edges glued comments", false, "3#n\n0 1#e\n2#1\n", ok(3, {{0, 1}}), ""},
+      {"edges short lines", false, "3\n0\n1 2\n2\n", ok(3, {{1, 2}}), ""},
+      {"edges blank lines", false, "\n3\n\n   \n\t\n0 1\n", ok(3, {{0, 1}}), ""},
+      {"edges junk before header", false, "abc\n3\n0 1\n", ok(3, {{0, 1}}), ""},
+      {"edges junk lines", false, "3\nfoo bar\n0 1\n1 x\n", ok(3, {{0, 1}}), ""},
+      {"edges trailing tokens", false, "3 4\n0 1 2\n", ok(3, {{0, 1}}), ""},
+      {"edges tabs crlf", false, "3\r\n0\t1\r\n\r\n1\t2\r\n", ok(3, {{0, 1}, {1, 2}}), ""},
+      {"edges id n", false, "3\n0 3\n", no, range},
+      {"edges id n-1", false, "3\n2 0\n", ok(3, {{0, 2}}), ""},
+      {"edges minus id", false, "3\n-1 2\n", no, range},
+      {"edges plus ids", false, "3\n+1 +2\n", ok(3, {{1, 2}}), ""},
+      {"edges minus zero", false, "3\n-0 1\n", ok(3, {{0, 1}}), ""},
+      {"edges u64 overflow id skips the line", false, "3\n18446744073709551616 1\n0 2\n", ok(3, {{0, 2}}), ""},
+      {"edges u64 max id", false, "3\n18446744073709551615 1\n", no, range},
+      {"edges u64 overflow header skips the line", false, "18446744073709551616\n3\n0 1\n", ok(3, {{0, 1}}), ""},
+      {"edges last id suffix", false, "3\n0 1x\n", ok(3, {{0, 1}}), ""},
+      {"edges first id suffix skips the line", false, "3\n0x 1\n1 2\n", ok(3, {{1, 2}}), ""},
+      {"edges self loop and repeats", false, "3\n1 1\n0 1\n1 0\n", ok(3, {{0, 1}}), ""},
+      {"edges no final newline", false, "2\n0 1", ok(2, {{0, 1}}), ""},
+      {"edges zero order", false, "0\n", ok(0, {}), ""},
+      {"edges sign only skips the line", false, "3\n- 1\n0 1\n", ok(3, {{0, 1}}), ""},
+      {"edges missing header", false, "# only a comment\n", no, no_header},
+      {"edges empty input", false, "", no, no_header},
+      {"edges commented header", false, "#3\n", no, no_header},
+  };
+}
+
+TEST(GraphIo, TextReadersTable) {
+  const test::TempFile file("graph_io_text");
+  for (const TextCase& c : text_cases()) {
+    SCOPED_TRACE(c.name);
+    {
+      std::ofstream out(file.path(), std::ios::binary);
+      out << c.text;
+    }
+    const auto read_stream = [&] {
+      std::istringstream in(c.text);
+      return c.dimacs ? read_dimacs(in) : read_edge_list(in);
+    };
+    const auto read_file = [&] {
+      return c.dimacs ? read_dimacs_file(file.path())
+                      : read_edge_list_file(file.path());
+    };
+    for (const auto& read : {std::function<Graph()>(read_stream),
+                             std::function<Graph()>(read_file)}) {
+      if (c.graph) {
+        const Graph g = read();
+        EXPECT_EQ(g.order(), c.graph->first);
+        EXPECT_EQ(g.edge_list(), c.graph->second);
+      } else {
+        try {
+          read();
+          ADD_FAILURE() << "accepted";
+        } catch (const std::runtime_error& e) {
+          EXPECT_EQ(std::string(e.what()), c.error);
+        }
+      }
+    }
+  }
+}
+
 TEST(Generators, GnpEdgeCases) {
   util::Rng rng(1);
   EXPECT_EQ(gnp(50, 0.0, rng).num_edges(), 0u);
@@ -208,6 +354,77 @@ TEST(Transforms, InducedSubgraph) {
   EXPECT_EQ(sub.graph.order(), 3u);
   EXPECT_EQ(sub.graph.num_edges(), 3u);  // the triangle
   EXPECT_EQ(sub.mapping, (std::vector<VertexId>{0, 1, 2}));
+}
+
+/// induced_subgraph as it was built before: one has_edge test per pair.
+InducedSubgraph pairwise_induced_subgraph(const GraphView& g,
+                                          std::vector<VertexId> vertices) {
+  std::sort(vertices.begin(), vertices.end());
+  vertices.erase(std::unique(vertices.begin(), vertices.end()), vertices.end());
+  InducedSubgraph out{Graph(vertices.size()), vertices};
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    for (std::size_t j = i + 1; j < vertices.size(); ++j) {
+      if (g.has_edge(vertices[i], vertices[j])) {
+        out.graph.add_edge(static_cast<VertexId>(i), static_cast<VertexId>(j));
+      }
+    }
+  }
+  return out;
+}
+
+// The masked-row build gives the pairwise build's graph bit for bit, in
+// memory and mapped: every vertex, the vertices with an edge, and random
+// subsets (empty, one vertex, duplicated and unsorted ids, ids at 63 mod
+// 64).
+TEST(Transforms, InducedSubgraphMatchesPairwise) {
+  util::Rng rng(64);
+  std::size_t comparisons = 0;
+  auto check = [&](const std::string& name, const Graph& g) {
+    SCOPED_TRACE(name);
+    const std::size_t n = g.order();
+    std::vector<std::vector<VertexId>> subsets{{}};
+    std::vector<VertexId> all(n);
+    std::iota(all.begin(), all.end(), VertexId{0});
+    subsets.push_back(all);
+    std::vector<VertexId> live;
+    for (VertexId v = 0; v < n; ++v) {
+      if (g.degree(v) > 0) live.push_back(v);
+    }
+    subsets.push_back(live);
+    if (n > 0) {
+      subsets.push_back({static_cast<VertexId>(rng.below(n))});
+      std::vector<VertexId> word_ends;  // 63 mod 64 and their neighbours
+      for (std::size_t v = 63; v < n; v += 64) {
+        for (std::size_t u = v - 1; u <= std::min(v + 1, n - 1); ++u) {
+          word_ends.push_back(static_cast<VertexId>(u));
+        }
+      }
+      word_ends.push_back(static_cast<VertexId>(n - 1));
+      subsets.push_back(word_ends);
+      for (int draw = 0; draw < 3; ++draw) {
+        std::vector<VertexId> subset;  // unsorted, with duplicates
+        for (std::size_t i = 0; i < n / 2 + 1; ++i) {
+          subset.push_back(static_cast<VertexId>(rng.below(n)));
+        }
+        subsets.push_back(std::move(subset));
+      }
+    }
+    const test::InMemoryAndMapped backends(g);
+    for (const GraphView& view : backends.views()) {
+      for (const auto& subset : subsets) {
+        const auto expected = pairwise_induced_subgraph(view, subset);
+        const auto actual = induced_subgraph(view, subset);
+        EXPECT_TRUE(actual.graph == expected.graph);
+        EXPECT_EQ(actual.graph.num_edges(), expected.graph.num_edges());
+        EXPECT_EQ(actual.mapping, expected.mapping);
+        ++comparisons;
+      }
+    }
+  };
+  for (const auto& [name, g] : test::oracle_graphs()) check(name, g);
+  check("gnp n=300 p=0.1", test::random_graph(300, 0.1, 300));
+  check("gnp n=129 p=0.5", test::random_graph(129, 0.5, 129));
+  EXPECT_GT(comparisons, 1500u);
 }
 
 TEST(Transforms, KcoreMaskIteratedPeeling) {

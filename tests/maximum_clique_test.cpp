@@ -144,6 +144,42 @@ TEST(MaxCliqueOracle, MatchesIntersectsColorSortReference) {
   EXPECT_GT(comparisons, 200u);
 }
 
+// The search from a carried lower bound and below an upper bound on ω
+// returns maximum_clique's clique: at the bound ω (the first run finds the
+// first ω-clique), at ω + 1 (one run proves there is none larger) and at
+// ω + 4.  Without a bound it is maximum_clique's search, node for node.
+// The lower bound is rebuilt from the seeds' own greedy cliques, as a
+// caller that keeps them does.
+TEST(MaxCliqueOracle, TargetedSearchReturnsMaximumClique) {
+  std::size_t comparisons = 0;
+  for (const auto& [name, g] : test::oracle_graphs()) {
+    SCOPED_TRACE(name);
+    const test::InMemoryAndMapped backends(g);
+    for (const graph::GraphView& view : backends.views()) {
+      const auto expected = maximum_clique(view);
+      Clique lower;
+      for (const VertexId seed : highest_degree_vertices(
+               {view.degrees_data(), view.order()}, kMaxCliqueSeeds)) {
+        Clique clique = greedy_clique(view, seed);
+        EXPECT_TRUE(std::is_sorted(clique.begin(), clique.end()));
+        if (clique.size() > lower.size()) lower = std::move(clique);
+      }
+      EXPECT_EQ(lower, greedy_clique_lower_bound(view));
+      const auto unbounded = maximum_clique_from(view, lower);
+      EXPECT_EQ(unbounded.clique, expected.clique);
+      EXPECT_EQ(unbounded.tree_nodes, expected.tree_nodes);
+      const std::size_t omega = expected.clique.size();
+      for (const std::size_t bound : {omega, omega + 1, omega + 4}) {
+        SCOPED_TRACE("bound " + std::to_string(bound));
+        EXPECT_EQ(maximum_clique_from(view, lower, bound).clique,
+                  expected.clique);
+        ++comparisons;
+      }
+    }
+  }
+  EXPECT_GT(comparisons, 700u);
+}
+
 // highest_degree_vertices is the (degree desc, id asc) order: the prefix
 // of a stable sort by descending degree, on degree arrays full of ties.
 TEST(MaxClique, HighestDegreeVerticesIsStableSortPrefix) {
