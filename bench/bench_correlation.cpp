@@ -68,7 +68,7 @@ const Fixture& fixture(std::size_t genes, std::size_t samples) {
     gsb::bio::quantile_normalize(data.expression);
     slot->expression = std::move(data.expression);
     slot->rows = gsb::bio::standardize_rows(
-        slot->expression, gsb::bio::CorrelationMethod::kSpearman);
+        slot->expression, gsb::bio::CorrelationMethod::kSpearman, nullptr);
   }
   return *slot;
 }

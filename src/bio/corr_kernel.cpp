@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "bio/correlation.h"
 #include "obs/metrics.h"
 
 #if (defined(__GNUC__) || defined(__clang__)) && \
@@ -754,21 +755,6 @@ void BlockPairScan::scan(const CorrBlock& a, const CorrBlock& b,
                            samples_));
   }
   counters.rechecked_pairs.inc(rechecked);
-}
-
-StandardizedRows standardize_rows(const ExpressionMatrix& expression,
-                                  CorrelationMethod method) {
-  StandardizedRows out{
-      AlignedRows(expression.genes(), expression.samples()),
-      std::vector<unsigned char>(expression.genes(), 0)};
-  StandardizeScratch scratch;
-  for (std::size_t g = 0; g < expression.genes(); ++g) {
-    out.valid[g] = standardized_profile_into(expression.row(g), method,
-                                             out.rows.row(g), scratch)
-                       ? 1
-                       : 0;
-  }
-  return out;
 }
 
 namespace detail {

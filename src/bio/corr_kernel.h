@@ -56,14 +56,12 @@
 /// edge sets — and anything built from them, including .gsbg containers —
 /// are byte-identical across thread counts.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <vector>
-
-#include "bio/correlation.h"
-#include "bio/expression.h"
 
 namespace gsb::bio {
 
@@ -119,19 +117,6 @@ class AlignedRows {
   std::size_t stride_ = 0;
   std::unique_ptr<double[], FreeDeleter> data_;
 };
-
-/// Standardized profiles plus per-row validity (false marks constant rows,
-/// whose standardized profile is all-zero).
-struct StandardizedRows {
-  AlignedRows rows;
-  std::vector<unsigned char> valid;
-};
-
-/// Standardizes every row of \p expression under \p method straight into
-/// an aligned, padded row block (no per-row staging buffer; Spearman rank
-/// scratch is reused across rows).
-StandardizedRows standardize_rows(const ExpressionMatrix& expression,
-                                  CorrelationMethod method);
 
 /// Dense block product: out[i * out_stride + j] = dot(a_i, b_j) over
 /// \p samples entries, for i < a_count, j < b_count.  Rows are read at

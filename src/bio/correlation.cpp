@@ -7,7 +7,6 @@
 
 #include "bio/corr_kernel.h"
 #include "bio/tiled_correlation.h"
-#include "obs/timeline.h"
 #include "parallel/thread_pool.h"
 #include "util/stats.h"
 
@@ -87,13 +86,6 @@ bool standardized_profile_into(std::span<const double> profile,
   return standardize_into(profile.data(), profile.size(), out);
 }
 
-bool standardized_profile(std::span<const double> profile,
-                          CorrelationMethod method, std::vector<double>& out) {
-  out.resize(profile.size());
-  StandardizeScratch scratch;
-  return standardized_profile_into(profile, method, out.data(), scratch);
-}
-
 double profile_dot(const double* a, const double* b, std::size_t n) noexcept {
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) total += a[i] * b[i];
@@ -120,10 +112,14 @@ CorrelationGraphResult build_correlation_graph(
   const std::size_t genes = expression.genes();
   CorrelationGraphResult result{graph::Graph(genes), options.threshold};
   if (genes < 2) return result;
-  const StandardizedRows rows = [&] {
-    obs::TimelineSpan span(obs::TimelineEventKind::kStage, "standardize");
-    return standardize_rows(expression, options.method);
-  }();
+  // One pool serves both passes.
+  const std::size_t workers = options.threads == 0
+                                  ? par::ThreadPool::default_threads()
+                                  : options.threads;
+  std::optional<par::ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  const StandardizedRows rows =
+      standardize_rows(expression, options.method, pool ? &*pool : nullptr);
   const std::size_t samples = expression.samples();
 
   double threshold = options.threshold;
@@ -157,11 +153,6 @@ CorrelationGraphResult build_correlation_graph(
   }
   result.threshold_used = threshold;
 
-  const std::size_t workers = options.threads == 0
-                                  ? par::ThreadPool::default_threads()
-                                  : options.threads;
-  std::optional<par::ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
   sweep_resident(rows.rows, rows.valid.data(), options.corr_block,
                  BlockPairScan(samples, threshold), pool ? &*pool : nullptr,
                  [&](const std::vector<CorrHit>& hits) {

@@ -5,9 +5,10 @@
 /// Pairwise gene correlation and thresholded graph construction — stages
 /// two and three of the paper's pipeline ("pairwise rank coefficient
 /// calculation, and filtering using threshold").  The in-memory builder
-/// here and the out-of-core one (bio/tiled_correlation.h) run one sweep:
-/// build_correlation_graph hands its standardized rows to the out-of-core
-/// builder's block-pair job graph as one resident tile.
+/// here and the out-of-core one (bio/tiled_correlation.h) run one
+/// standardize pass and one sweep: build_correlation_graph runs the
+/// out-of-core builder's passes 1 and 2 on its rows as one resident tile
+/// (standardize_rows, sweep_resident).
 
 #include <cstdint>
 #include <vector>
@@ -51,18 +52,14 @@ void midranks_into(std::span<const double> values,
 
 /// Standardizes a profile for dot-product correlation under \p method
 /// (rank-transforms first for Spearman): mean 0, unit norm, written
-/// directly into \p out (profile.size() doubles — e.g. a destination row
-/// of an AlignedRows block, no staging buffer).  Returns false for
-/// constant profiles, leaving out all-zero.  Every builder goes through
-/// this one function, which is what makes their edge sets bit-identical.
+/// directly into \p out (profile.size() doubles; it may be
+/// profile.data(): pass 1 standardizes each row in place in its tile
+/// slot).  Returns false for constant profiles, leaving out all-zero.
+/// Both builders go through this one function in one pass, which is what
+/// makes their edge sets bit-identical.
 bool standardized_profile_into(std::span<const double> profile,
                                CorrelationMethod method, double* out,
                                StandardizeScratch& scratch);
-
-/// Convenience overload producing a std::vector (resized to the profile
-/// length).  Prefer standardized_profile_into in loops.
-bool standardized_profile(std::span<const double> profile,
-                          CorrelationMethod method, std::vector<double>& out);
 
 /// Plain sequential dot product — the correlation inner loop.  Kept as a
 /// named function so every builder accumulates in the same order (floating

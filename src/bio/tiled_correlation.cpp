@@ -38,12 +38,6 @@ std::ofstream open_out(const std::string& path) {
   return out;
 }
 
-std::ifstream open_in(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail("cannot open '" + path + "' for reading");
-  return in;
-}
-
 /// Read-write scratch file that deletes itself on scope exit.  Positioned
 /// reads and writes never move the file offset, so a pass's jobs share
 /// the descriptor.
@@ -363,7 +357,78 @@ std::size_t block_for(std::size_t block_rows, std::size_t tile) noexcept {
   return std::min(block_rows == 0 ? kDefaultCorrBlock : block_rows, tile);
 }
 
+/// Pass 1 of both builders: every \p block-row block of every \p tile-row
+/// tile of \p source is one job of one JobGraph.  A block job fetches its
+/// rows straight into its tile slot at the slot's padded stride (pad lanes
+/// stay zero), standardizes them in place with standardized_profile_into,
+/// sets their \p valid flags and, when \p scratch is set, writes them to it
+/// at that stride, so the sweep reads a block back in one pread.  Tile t
+/// fills slot t % slots.size(), and a block job waits only for the job that
+/// last used the same rows of its slot.  With one slot holding every row
+/// (one resident tile) no job waits.
+void standardize_tiles(const RowBlockSource& source, CorrelationMethod method,
+                       std::span<AlignedRows> slots, std::size_t tile,
+                       std::size_t block, unsigned char* valid,
+                       const ScratchFile* scratch, par::ThreadPool* pool) {
+  obs::TimelineSpan span(obs::TimelineEventKind::kStage, "standardize");
+  const std::size_t n = source.genes();
+  const std::size_t s = source.samples();
+  const std::size_t stride = slots[0].stride();
+  const std::size_t blocks = (std::min(tile, n) + block - 1) / block;
+  par::JobGraph jobs(pool);
+  std::vector<StandardizeScratch> ranks(jobs.workers());
+  // Per slot and block of its rows: the job that last used them.
+  std::vector<par::JobId> last(slots.size() * blocks);
+  for (std::size_t first = 0, t = 0; first < n; first += tile, ++t) {
+    AlignedRows* slot = &slots[t % slots.size()];
+    const std::size_t count = std::min(tile, n - first);
+    for (std::size_t r0 = 0; r0 < count; r0 += block) {
+      const std::size_t use = (t % slots.size()) * blocks + r0 / block;
+      par::JobGraph::JobSpec spec;
+      spec.label = "standardize";
+      if (t >= slots.size()) spec.deps = {last[use]};
+      spec.run = [&, slot, first, r0, end = std::min(r0 + block, count)](
+                     std::size_t worker) {
+        if (stride == s) {
+          source.fetch(first + r0, end - r0, slot->row(r0));
+        } else {
+          for (std::size_t r = r0; r < end; ++r) {
+            source.fetch(first + r, 1, slot->row(r));
+          }
+        }
+        for (std::size_t r = r0; r < end; ++r) {
+          double* row = slot->row(r);
+          valid[first + r] =
+              standardized_profile_into(std::span<const double>(row, s),
+                                        method, row, ranks[worker])
+                  ? 1
+                  : 0;
+        }
+        if (scratch != nullptr) {
+          scratch->write_at((first + r0) * stride * sizeof(double),
+                            slot->row(r0),
+                            (end - r0) * stride * sizeof(double));
+        }
+      };
+      last[use] = jobs.add(std::move(spec));
+    }
+  }
+  jobs.run();
+}
+
 }  // namespace
+
+StandardizedRows standardize_rows(const ExpressionMatrix& expression,
+                                  CorrelationMethod method,
+                                  par::ThreadPool* pool) {
+  StandardizedRows out{AlignedRows(expression.genes(), expression.samples()),
+                       std::vector<unsigned char>(expression.genes(), 0)};
+  const std::size_t tile = std::max<std::size_t>(expression.genes(), 1);
+  standardize_tiles(MatrixRowSource(expression), method,
+                    std::span<AlignedRows>(&out.rows, 1), tile,
+                    block_for(0, tile), out.valid.data(), nullptr, pool);
+  return out;
+}
 
 void sweep_resident(const AlignedRows& rows, const unsigned char* valid,
                     std::size_t block_rows, const BlockPairScan& scan,
@@ -382,22 +447,19 @@ void MatrixRowSource::fetch(std::size_t first, std::size_t count,
   }
 }
 
-struct BinaryFileRowSource::Impl {
-  mutable std::ifstream in;
-};
-
 BinaryFileRowSource::BinaryFileRowSource(const std::string& path)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->in = open_in(path);
-  char magic[8];
-  std::uint64_t genes = 0;
-  std::uint64_t samples = 0;
-  impl_->in.read(magic, 8);
-  impl_->in.read(reinterpret_cast<char*>(&genes), 8);
-  impl_->in.read(reinterpret_cast<char*>(&samples), 8);
-  if (!impl_->in || std::memcmp(magic, kExpressionMagic, 8) != 0) {
+    : fd_(util::io::open_for_read(path.c_str())) {
+  if (fd_ < 0) fail("cannot open '" + path + "' for reading");
+  char header[kExpressionHeaderBytes];
+  if (!util::io::pread_full(fd_, header, sizeof(header), 0) ||
+      std::memcmp(header, kExpressionMagic, 8) != 0) {
+    ::close(fd_);
     fail("bad expression file '" + path + "'");
   }
+  std::uint64_t genes = 0;
+  std::uint64_t samples = 0;
+  std::memcpy(&genes, header + 8, 8);
+  std::memcpy(&samples, header + 16, 8);
   // The header must describe exactly the bytes that follow it, and every
   // gene needs a 32-bit id; checked before anything is sized from it.
   std::error_code ec;
@@ -410,6 +472,7 @@ BinaryFileRowSource::BinaryFileRowSource(const std::string& path)
       (file_bytes - kExpressionHeaderBytes) / sizeof(double) !=
           genes * samples ||
       (file_bytes - kExpressionHeaderBytes) % sizeof(double) != 0) {
+    ::close(fd_);
     fail("expression file '" + path + "' header (" + std::to_string(genes) +
          " genes x " + std::to_string(samples) +
          " samples) does not match its size");
@@ -418,17 +481,15 @@ BinaryFileRowSource::BinaryFileRowSource(const std::string& path)
   samples_ = samples;
 }
 
-BinaryFileRowSource::~BinaryFileRowSource() = default;
+BinaryFileRowSource::~BinaryFileRowSource() { ::close(fd_); }
 
 void BinaryFileRowSource::fetch(std::size_t first, std::size_t count,
                                 double* out) const {
-  const auto base = static_cast<std::streamoff>(kExpressionHeaderBytes);
-  impl_->in.seekg(base + static_cast<std::streamoff>(
-                             first * samples_ * sizeof(double)));
-  impl_->in.read(reinterpret_cast<char*>(out),
-                 static_cast<std::streamsize>(count * samples_ *
-                                              sizeof(double)));
-  if (!impl_->in) fail("short read from expression file");
+  if (!util::io::pread_full(
+          fd_, out, count * samples_ * sizeof(double),
+          kExpressionHeaderBytes + first * samples_ * sizeof(double))) {
+    fail("short read from expression file");
+  }
 }
 
 void write_expression_binary(const ExpressionMatrix& matrix,
@@ -491,66 +552,14 @@ TiledCorrelationResult build_correlation_gsbg(
   par::ThreadPool* workers = pool ? &*pool : nullptr;
 
   // --- pass 1: standardized rows to scratch, two tiles resident ------------
-  // Tile fetches form one dependency chain, so the source is never called
-  // concurrently; each tile's row blocks standardize in place and write
-  // themselves out as jobs.  Rows go to scratch at the padded stride the
-  // sweep reads them at, so a tile block is one contiguous read.
   {
-    obs::TimelineSpan span(obs::TimelineEventKind::kStage, "standardize");
     const std::size_t rows = std::min(tile, n);
     AlignedRows slots[2] = {AlignedRows(rows, s),
                             AlignedRows(n > tile ? rows : 0, s)};
-    const std::size_t stride = slots[0].stride();
-    // Fetches land here first when the rows need padding.
-    std::vector<double> staging(stride == s ? 0 : rows * s);
-    DualAlloc slot_bytes(
-        tracker, external,
-        slots[0].bytes() + slots[1].bytes() + staging.size() * sizeof(double),
-        MemTag::kScratch);
-    par::JobGraph jobs(workers);
-    std::vector<StandardizeScratch> ranks(jobs.workers());
-    std::vector<par::JobId> readers[2];
-    par::JobId fetched = 0;
-    for (std::size_t first = 0, t = 0; first < n; first += tile, ++t) {
-      const std::size_t count = std::min(tile, n - first);
-      AlignedRows* slot = &slots[t % 2];
-      par::JobGraph::JobSpec fetch;
-      fetch.label = "fetch";
-      fetch.deps = std::move(readers[t % 2]);
-      readers[t % 2].clear();
-      if (t > 0) fetch.deps.push_back(fetched);
-      fetch.run = [&source, &staging, slot, first, count, s](std::size_t) {
-        if (staging.empty()) {
-          source.fetch(first, count, slot->row(0));
-          return;
-        }
-        source.fetch(first, count, staging.data());
-        for (std::size_t r = 0; r < count; ++r) {
-          std::copy_n(staging.data() + r * s, s, slot->row(r));
-        }
-      };
-      fetched = jobs.add(std::move(fetch));
-      for (std::size_t r0 = 0; r0 < count; r0 += block) {
-        par::JobGraph::JobSpec spec;
-        spec.label = "standardize";
-        spec.deps = {fetched};
-        spec.run = [&, slot, first, r0, rows_here = std::min(block, count - r0)](
-                       std::size_t worker) {
-          for (std::size_t r = r0; r < r0 + rows_here; ++r) {
-            double* row = slot->row(r);
-            valid[first + r] =
-                standardized_profile_into(std::span<const double>(row, s),
-                                          options.method, row, ranks[worker])
-                    ? 1
-                    : 0;
-          }
-          std_file.write_at((first + r0) * stride * sizeof(double),
-                            slot->row(r0), rows_here * stride * sizeof(double));
-        };
-        readers[t % 2].push_back(jobs.add(std::move(spec)));
-      }
-    }
-    jobs.run();
+    DualAlloc slot_bytes(tracker, external, slots[0].bytes() + slots[1].bytes(),
+                         MemTag::kScratch);
+    standardize_tiles(source, options.method, slots, tile, block, valid.data(),
+                      &std_file, workers);
   }
 
   // --- pass 2: every block pair on one job graph, two tiles resident -------

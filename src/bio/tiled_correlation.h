@@ -3,22 +3,22 @@
 
 /// \file tiled_correlation.h
 /// Tiled, out-of-core thresholded-correlation graph construction, and the
-/// one correlation sweep both builders run.
+/// one standardize pass and one correlation sweep both builders run.
 ///
 /// The in-memory builder (bio/correlation.h) standardizes every profile at
 /// once and holds the full bitmap graph while thresholding — O(genes ×
 /// samples) + O(genes² / 8) bytes, which is exactly what caps the repo
-/// below genome scale.  It sweeps its rows with this builder's pass 2, as
-/// one resident tile (sweep_resident).  This builder runs three passes;
-/// the first two are each one par::JobGraph over one thread pool:
-///   1. standardize: tiles of expression rows are fetched into two
-///      alternating tile buffers; each tile's row blocks standardize in
-///      place and write themselves to a scratch file, padded to the sweep's
-///      stride.  RowBlockSource::fetch is called from one thread at a time:
-///      the fetches form one dependency chain, and a fetch waits for the
-///      blocks still standardizing the buffer it refills.  Resident: two
-///      tiles of doubles (plus a one-tile staging buffer when the samples
-///      are not a whole cache line of doubles).
+/// below genome scale.  It runs this builder's passes 1 and 2 on its rows
+/// as one resident tile (standardize_rows, sweep_resident).  This builder
+/// runs three passes; the first two are each one par::JobGraph over one
+/// thread pool:
+///   1. standardize: every row block of every tile is one job, which
+///      fetches the block's rows from the RowBlockSource straight into its
+///      tile slot at the sweep's padded stride, standardizes them in place
+///      and writes them to a scratch file at that stride.  Two tile slots
+///      alternate, and a block job waits only for the job that last used
+///      the same rows of its slot, so fetches run concurrently.  Resident:
+///      two tiles of doubles.
 ///   2. sweep: every block pair of the upper tile triangle is one job, and
 ///      so is every tile-block read from the scratch file.  A pair job waits
 ///      for the reads of its two blocks; a read refills its block as soon
@@ -44,7 +44,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,6 +58,21 @@ class ThreadPool;
 }  // namespace gsb::par
 
 namespace gsb::bio {
+
+/// Standardized profiles plus per-row validity (false marks constant rows,
+/// whose standardized profile is all-zero).
+struct StandardizedRows {
+  AlignedRows rows;
+  std::vector<unsigned char> valid;
+};
+
+/// Pass 1 over an in-memory matrix, as one resident tile: every row of
+/// \p expression standardized under \p method (standardized_profile_into)
+/// into one aligned, zero-padded row block, row blocks as jobs.  \p pool
+/// may be null (one worker); the rows are the same at every worker count.
+StandardizedRows standardize_rows(const ExpressionMatrix& expression,
+                                  CorrelationMethod method,
+                                  par::ThreadPool* pool);
 
 /// Receives the hits of one block pair, in (i, j) order.  Called from one
 /// thread at a time, block pairs in (tile pair, block pair) order.
@@ -76,15 +90,16 @@ void sweep_resident(const AlignedRows& rows, const unsigned char* valid,
                     par::ThreadPool* pool, const CorrHitSink& sink);
 
 /// Streaming source of expression rows.  Implementations exist for the
-/// in-RAM ExpressionMatrix and for a binary on-disk matrix; the builder
-/// never asks for more than one tile of rows at a time.
+/// in-RAM ExpressionMatrix and for a binary on-disk matrix; each fetch
+/// asks for at most one row block.
 class RowBlockSource {
  public:
   virtual ~RowBlockSource() = default;
   [[nodiscard]] virtual std::size_t genes() const = 0;
   [[nodiscard]] virtual std::size_t samples() const = 0;
   /// Copies rows [first, first + count) row-major into \p out
-  /// (count * samples() doubles).
+  /// (count * samples() doubles).  Pass 1's block jobs call it
+  /// concurrently, for disjoint rows.
   virtual void fetch(std::size_t first, std::size_t count,
                      double* out) const = 0;
 };
@@ -107,10 +122,13 @@ class MatrixRowSource final : public RowBlockSource {
 };
 
 /// On-disk expression matrix: 8-byte magic "GSBXPR01", u64 genes,
-/// u64 samples, then genes*samples little-endian f64 row-major.
+/// u64 samples, then genes*samples little-endian f64 row-major.  Fetches
+/// are positioned reads on one descriptor, so jobs share it.
 class BinaryFileRowSource final : public RowBlockSource {
  public:
   explicit BinaryFileRowSource(const std::string& path);
+  BinaryFileRowSource(const BinaryFileRowSource&) = delete;
+  BinaryFileRowSource& operator=(const BinaryFileRowSource&) = delete;
   ~BinaryFileRowSource() override;
   [[nodiscard]] std::size_t genes() const override { return genes_; }
   [[nodiscard]] std::size_t samples() const override { return samples_; }
@@ -118,8 +136,7 @@ class BinaryFileRowSource final : public RowBlockSource {
              double* out) const override;
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  int fd_ = -1;
   std::size_t genes_ = 0;
   std::size_t samples_ = 0;
 };
@@ -134,9 +151,10 @@ struct TiledCorrelationOptions {
   /// estimation would need a second full sweep; pick the threshold with
   /// the in-memory estimator on a sample if needed.)
   double threshold = 0.85;
-  /// Rows per tile — the memory budget knob.  Peak resident expression
-  /// bytes are 2 * tile_rows * stride * 8 (stride = samples padded to a
-  /// cache line of doubles), plus the sweep's quantized panels (about an
+  /// Rows per tile — the memory budget knob.  Each of the first two
+  /// passes holds two tiles: peak resident expression bytes are
+  /// 2 * tile_rows * stride * 8 (stride = samples padded to a cache line
+  /// of doubles), plus, in the sweep, the tiles' quantized panels (about an
   /// eighth of that: one byte per sample and eight per row).
   std::size_t tile_rows = 512;
   /// Worker threads for the standardize and sweep passes: 0 = hardware

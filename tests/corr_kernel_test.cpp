@@ -1,14 +1,15 @@
-// Tests for the shared blocked correlation kernel: the blocked block
-// product must be bit-identical to the scalar profile_dot reference on
-// randomized inputs, the screened sweep over resident rows must emit
-// exactly the scalar reference's (u, v, corr) sequence — also with the
-// threshold on a realized correlation, on every integer screen body, and
-// for cross pairs swept as two row sets stacked into one — and the same
-// sequence at every thread count and block size, every screen body must
-// list the same candidates, the screen's margin must bound its error, the
-// in-memory builder's graph must be invariant under --threads, and the
-// tiled builder's .gsbg output must be byte-identical across thread
-// counts — for Pearson and Spearman alike.
+// Tests for the shared blocked correlation kernel: the one-tile standardize
+// pass must equal standardized_profile_into row by row at every thread
+// count, the blocked block product must be bit-identical to the scalar
+// profile_dot reference on randomized inputs, the screened sweep over
+// resident rows must emit exactly the scalar reference's (u, v, corr)
+// sequence — also with the threshold on a realized correlation, on every
+// integer screen body, and for cross pairs swept as two row sets stacked
+// into one — and the same sequence at every thread count and block size,
+// every screen body must list the same candidates, the screen's margin
+// must bound its error, the in-memory builder's graph must be invariant
+// under --threads, and the tiled builder's .gsbg output must be
+// byte-identical across thread counts — for Pearson and Spearman alike.
 
 #include <algorithm>
 #include <bit>
@@ -237,6 +238,68 @@ void expect_screened_exact(const bio::AlignedRows& a,
   }
 }
 
+TEST(CorrKernel, StandardizePassMatchesPerRowReference) {
+  // Pass 1 on one resident tile (128-row block jobs) against
+  // standardized_profile_into on each row: bitwise equal values, zero pad
+  // lanes, and constant rows (row 11, every row at one sample) invalid and
+  // all-zero.  60 and 97 samples pad the stride, 96 does not; 130 and 300
+  // genes end in a partial block.
+  par::ThreadPool two(2);
+  par::ThreadPool four(4);
+  util::Rng rng(500);
+  for (const std::size_t samples : {1u, 3u, 60u, 96u, 97u}) {
+    for (const std::size_t genes : {1u, 130u, 300u}) {
+      // Normal draws have no ties; row 12 is all ties (two values), for
+      // the midranks.
+      bio::ExpressionMatrix expression(genes, samples);
+      for (std::size_t g = 0; g < genes; ++g) {
+        for (std::size_t k = 0; k < samples; ++k) {
+          expression.at(g, k) = g == 11   ? 4.0
+                                : g == 12 ? static_cast<double>(k % 2)
+                                          : rng.normal();
+        }
+      }
+      for (const auto method : {bio::CorrelationMethod::kPearson,
+                                bio::CorrelationMethod::kSpearman}) {
+        bio::StandardizeScratch scratch;
+        std::vector<double> profile;
+        for (par::ThreadPool* pool :
+             {static_cast<par::ThreadPool*>(nullptr), &two, &four}) {
+          const std::string label =
+              std::to_string(samples) + " samples, " + std::to_string(genes) +
+              " genes, method " + std::to_string(static_cast<int>(method)) +
+              ", " + std::to_string(pool == nullptr ? 1 : pool->size()) +
+              " threads";
+          const auto rows = bio::standardize_rows(expression, method, pool);
+          ASSERT_EQ(rows.rows.rows(), genes) << label;
+          ASSERT_EQ(rows.valid.size(), genes) << label;
+          for (std::size_t g = 0; g < genes; ++g) {
+            // The reference row at the pass's stride, pad lanes +0.0.
+            profile.assign(rows.rows.stride(), 0.0);
+            const bool valid = bio::standardized_profile_into(
+                expression.row(g), method, profile.data(), scratch);
+            const bool constant = samples == 1 || (genes > 11 && g == 11);
+            EXPECT_EQ(valid, !constant) << label << ", row " << g;
+            EXPECT_EQ(rows.valid[g], constant ? 0 : 1)
+                << label << ", row " << g;
+            std::vector<std::uint64_t> expected;
+            std::vector<std::uint64_t> got;
+            for (std::size_t k = 0; k < rows.rows.stride(); ++k) {
+              expected.push_back(std::bit_cast<std::uint64_t>(profile[k]));
+              got.push_back(std::bit_cast<std::uint64_t>(rows.rows.row(g)[k]));
+            }
+            EXPECT_EQ(got, expected) << label << ", row " << g;
+            if (constant) {
+              EXPECT_EQ(got, std::vector<std::uint64_t>(got.size(), 0))
+                  << label << ", row " << g;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(CorrKernel, BlockedBlockMatchesScalarDotBitwise) {
   util::Rng rng(99);
   std::vector<double> out;
@@ -278,7 +341,7 @@ TEST(CorrKernel, SweepSequenceInvariantAcrossThreadsAndBlocks) {
   const auto expression = synthetic_expression(150, 24, 31);
   for (const auto method : {bio::CorrelationMethod::kPearson,
                             bio::CorrelationMethod::kSpearman}) {
-    const auto rows = bio::standardize_rows(expression, method);
+    const auto rows = bio::standardize_rows(expression, method, nullptr);
     const std::size_t n = expression.genes();
     for (const double threshold : {0.5, 0.7, 0.85}) {
       // Scalar reference: plain double loop over the upper triangle.
@@ -408,7 +471,7 @@ TEST(CorrKernel, ScreenedSweepExactAtTheThreshold) {
       const std::string label =
           std::to_string(samples) + " samples, method " +
           std::to_string(static_cast<int>(method));
-      const auto rows = bio::standardize_rows(expression, method);
+      const auto rows = bio::standardize_rows(expression, method, nullptr);
       const unsigned char* valid = rows.valid.data();
       expect_screened_exact(rows.rows, valid, nullptr, nullptr, label);
 
@@ -610,7 +673,8 @@ TEST(CorrKernel, EveryScreenKernelListsTheSameCandidates) {
     const auto expression =
         synthetic_expression(90, samples, 300 + samples);
     const auto rows =
-        bio::standardize_rows(expression, bio::CorrelationMethod::kPearson);
+        bio::standardize_rows(expression, bio::CorrelationMethod::kPearson,
+                              nullptr);
     for (const auto& [a_first, a_count, b_first, b_count, diagonal] :
          {std::tuple<std::size_t, std::size_t, std::size_t, std::size_t,
                      bool>{0, 40, 0, 40, true},
@@ -669,7 +733,8 @@ TEST(CorrKernel, ScreenCountersTrackRechecksAndExactBlocks) {
   };
   const auto expression = synthetic_expression(300, 24, 71);
   const auto rows =
-      bio::standardize_rows(expression, bio::CorrelationMethod::kSpearman);
+      bio::standardize_rows(expression, bio::CorrelationMethod::kSpearman,
+                            nullptr);
 
   const std::uint64_t blocks0 = value("gsb_correlation_blocks_total");
   const std::uint64_t exact0 = value("gsb_correlation_exact_blocks_total");

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -582,10 +583,13 @@ TEST(CliqueSortHygiene, CrashLeavesOnlyStaleTemps) {
     storage::CliqueSorter sorter(g.order(), d.path("sorted.gsbc"),
                                  /*budget_bytes=*/4 << 10);
     for (const auto& clique : cliques) sorter.add(clique);
-    ::_exit(0);  // no destructor runs: the runs stay behind
+    // The crash: no destructor or exit hook runs, so the runs stay behind
+    // and the spill writer thread dies with the process.
+    ::raise(SIGKILL);
   }
   int status = 0;
   ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) << status;
   const std::string suffix = ".tmp." + std::to_string(static_cast<long>(child));
   const auto left = entries(d);
   ASSERT_FALSE(left.empty()) << "the child must have spilled runs";
