@@ -359,13 +359,13 @@ std::size_t block_for(std::size_t block_rows, std::size_t tile) noexcept {
 
 /// Pass 1 of both builders: every \p block-row block of every \p tile-row
 /// tile of \p source is one job of one JobGraph.  A block job fetches its
-/// rows straight into its tile slot at the slot's padded stride (pad lanes
-/// stay zero), standardizes them in place with standardized_profile_into,
-/// sets their \p valid flags and, when \p scratch is set, writes them to it
-/// at that stride, so the sweep reads a block back in one pread.  Tile t
-/// fills slot t % slots.size(), and a block job waits only for the job that
-/// last used the same rows of its slot.  With one slot holding every row
-/// (one resident tile) no job waits.
+/// rows one at a time straight into its tile slot at the slot's padded
+/// stride (pad lanes stay zero), standardizes each in place with
+/// standardized_profile_into, sets their \p valid flags and, when
+/// \p scratch is set, writes them to it at that stride, so the sweep reads
+/// a block back in one pread.  Tile t fills slot t % slots.size(), and a
+/// block job waits only for the job that last used the same rows of its
+/// slot.  With one slot holding every row (one resident tile) no job waits.
 void standardize_tiles(const RowBlockSource& source, CorrelationMethod method,
                        std::span<AlignedRows> slots, std::size_t tile,
                        std::size_t block, unsigned char* valid,
@@ -389,15 +389,9 @@ void standardize_tiles(const RowBlockSource& source, CorrelationMethod method,
       if (t >= slots.size()) spec.deps = {last[use]};
       spec.run = [&, slot, first, r0, end = std::min(r0 + block, count)](
                      std::size_t worker) {
-        if (stride == s) {
-          source.fetch(first + r0, end - r0, slot->row(r0));
-        } else {
-          for (std::size_t r = r0; r < end; ++r) {
-            source.fetch(first + r, 1, slot->row(r));
-          }
-        }
         for (std::size_t r = r0; r < end; ++r) {
           double* row = slot->row(r);
+          source.fetch(first + r, row);
           valid[first + r] =
               standardized_profile_into(std::span<const double>(row, s),
                                         method, row, ranks[worker])
@@ -439,12 +433,9 @@ void sweep_resident(const AlignedRows& rows, const unsigned char* valid,
       .run();
 }
 
-void MatrixRowSource::fetch(std::size_t first, std::size_t count,
-                            double* out) const {
-  for (std::size_t r = 0; r < count; ++r) {
-    const auto row = matrix_.row(first + r);
-    std::copy(row.begin(), row.end(), out + r * matrix_.samples());
-  }
+void MatrixRowSource::fetch(std::size_t row, double* out) const {
+  const auto values = matrix_.row(row);
+  std::copy(values.begin(), values.end(), out);
 }
 
 BinaryFileRowSource::BinaryFileRowSource(const std::string& path)
@@ -483,11 +474,10 @@ BinaryFileRowSource::BinaryFileRowSource(const std::string& path)
 
 BinaryFileRowSource::~BinaryFileRowSource() { ::close(fd_); }
 
-void BinaryFileRowSource::fetch(std::size_t first, std::size_t count,
-                                double* out) const {
+void BinaryFileRowSource::fetch(std::size_t row, double* out) const {
   if (!util::io::pread_full(
-          fd_, out, count * samples_ * sizeof(double),
-          kExpressionHeaderBytes + first * samples_ * sizeof(double))) {
+          fd_, out, samples_ * sizeof(double),
+          kExpressionHeaderBytes + row * samples_ * sizeof(double))) {
     fail("short read from expression file");
   }
 }

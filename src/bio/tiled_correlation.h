@@ -13,12 +13,12 @@
 /// runs three passes; the first two are each one par::JobGraph over one
 /// thread pool:
 ///   1. standardize: every row block of every tile is one job, which
-///      fetches the block's rows from the RowBlockSource straight into its
-///      tile slot at the sweep's padded stride, standardizes them in place
-///      and writes them to a scratch file at that stride.  Two tile slots
-///      alternate, and a block job waits only for the job that last used
-///      the same rows of its slot, so fetches run concurrently.  Resident:
-///      two tiles of doubles.
+///      fetches the block's rows one at a time from the RowBlockSource
+///      straight into its tile slot at the sweep's padded stride,
+///      standardizes them in place and writes them to a scratch file at
+///      that stride.  Two tile slots alternate, and a block job waits only
+///      for the job that last used the same rows of its slot, so fetches
+///      run concurrently.  Resident: two tiles of doubles.
 ///   2. sweep: every block pair of the upper tile triangle is one job, and
 ///      so is every tile-block read from the scratch file.  A pair job waits
 ///      for the reads of its two blocks; a read refills its block as soon
@@ -90,18 +90,16 @@ void sweep_resident(const AlignedRows& rows, const unsigned char* valid,
                     par::ThreadPool* pool, const CorrHitSink& sink);
 
 /// Streaming source of expression rows.  Implementations exist for the
-/// in-RAM ExpressionMatrix and for a binary on-disk matrix; each fetch
-/// asks for at most one row block.
+/// in-RAM ExpressionMatrix and for a binary on-disk matrix.
 class RowBlockSource {
  public:
   virtual ~RowBlockSource() = default;
   [[nodiscard]] virtual std::size_t genes() const = 0;
   [[nodiscard]] virtual std::size_t samples() const = 0;
-  /// Copies rows [first, first + count) row-major into \p out
-  /// (count * samples() doubles).  Pass 1's block jobs call it
-  /// concurrently, for disjoint rows.
-  virtual void fetch(std::size_t first, std::size_t count,
-                     double* out) const = 0;
+  /// Copies row \p row into \p out (samples() doubles), straight into
+  /// pass 1's padded tile-slot row.  Pass 1's block jobs call it
+  /// concurrently, for different rows.
+  virtual void fetch(std::size_t row, double* out) const = 0;
 };
 
 /// Adapter over an in-RAM matrix (useful for tests and synthetic data; the
@@ -114,8 +112,7 @@ class MatrixRowSource final : public RowBlockSource {
   [[nodiscard]] std::size_t samples() const override {
     return matrix_.samples();
   }
-  void fetch(std::size_t first, std::size_t count,
-             double* out) const override;
+  void fetch(std::size_t row, double* out) const override;
 
  private:
   const ExpressionMatrix& matrix_;
@@ -132,8 +129,7 @@ class BinaryFileRowSource final : public RowBlockSource {
   ~BinaryFileRowSource() override;
   [[nodiscard]] std::size_t genes() const override { return genes_; }
   [[nodiscard]] std::size_t samples() const override { return samples_; }
-  void fetch(std::size_t first, std::size_t count,
-             double* out) const override;
+  void fetch(std::size_t row, double* out) const override;
 
  private:
   int fd_ = -1;

@@ -241,16 +241,23 @@ void expect_screened_exact(const bio::AlignedRows& a,
 TEST(CorrKernel, StandardizePassMatchesPerRowReference) {
   // Pass 1 on one resident tile (128-row block jobs) against
   // standardized_profile_into on each row: bitwise equal values, zero pad
-  // lanes, and constant rows (row 11, every row at one sample) invalid and
-  // all-zero.  60 and 97 samples pad the stride, 96 does not; 130 and 300
-  // genes end in a partial block.
+  // lanes, and the constant rows below (row 11, every row at one sample)
+  // invalid and all-zero.  60 and 97 samples pad the stride, 96 does not;
+  // 130 and 300 genes end in a partial block.
   par::ThreadPool two(2);
   par::ThreadPool four(4);
   util::Rng rng(500);
   for (const std::size_t samples : {1u, 3u, 60u, 96u, 97u}) {
     for (const std::size_t genes : {1u, 130u, 300u}) {
       // Normal draws have no ties; row 12 is all ties (two values), for
-      // the midranks.
+      // the midranks.  Row 11 is the constant 4.0 because its mean sum/n
+      // rounds back to exactly 4.0, so every deviation is zero.  This does
+      // not hold for every constant: standardize_into has no exact
+      // constant-row test, and under Pearson a constant whose mean does not
+      // round back (0.1, 7.3 or 1/3 at 60, 96 or 97 samples) leaves a
+      // uniform rounding residue that it scales to a valid row, so two such
+      // rows correlate at 1.  That is an open defect (ROADMAP.md, small
+      // items); this test pins only rows whose mean is exact.
       bio::ExpressionMatrix expression(genes, samples);
       for (std::size_t g = 0; g < genes; ++g) {
         for (std::size_t k = 0; k < samples; ++k) {

@@ -85,9 +85,10 @@ TEST(TiledCorrelation, MatchesInMemoryBuilderEdgeForEdge) {
 }
 
 TEST(TiledCorrelation, OnDiskExpressionSourceMatchesInRam) {
-  // 16 samples fill whole cache lines, so a block is one fetch; 20 pad to
-  // 24 and are fetched a row at a time.  At 4 threads the block jobs
-  // fetch concurrently from one descriptor.
+  // 16 samples fill whole cache lines; 20 pad to a stride of 24.  The
+  // default block is the whole 25-row tile (one job per tile); 8-row blocks
+  // give several jobs per tile, which at 4 threads fetch concurrently from
+  // one descriptor.
   for (const std::size_t samples : {16u, 20u}) {
     const auto expression = synthetic_expression(120, samples, 77);
     TempPath matrix_file("matrix");
@@ -96,22 +97,25 @@ TEST(TiledCorrelation, OnDiskExpressionSourceMatchesInRam) {
     ASSERT_EQ(on_disk.genes(), expression.genes());
     ASSERT_EQ(on_disk.samples(), expression.samples());
 
-    for (const std::size_t threads : {1u, 4u}) {
-      TempPath from_ram("fromram");
-      TempPath from_disk("fromdisk");
-      bio::TiledCorrelationOptions options;
-      options.threshold = 0.6;
-      options.tile_rows = 25;  // uneven tail tile on purpose
-      options.block_rows = 8;  // several block jobs per tile
-      options.threads = threads;
-      bio::build_correlation_gsbg(expression, from_ram.path(), options);
-      bio::build_correlation_gsbg(on_disk, from_disk.path(), options);
+    for (const std::size_t block_rows : {0u, 8u}) {
+      for (const std::size_t threads : {1u, 4u}) {
+        TempPath from_ram("fromram");
+        TempPath from_disk("fromdisk");
+        bio::TiledCorrelationOptions options;
+        options.threshold = 0.6;
+        options.tile_rows = 25;  // uneven tail tile on purpose
+        options.block_rows = block_rows;
+        options.threads = threads;
+        bio::build_correlation_gsbg(expression, from_ram.path(), options);
+        bio::build_correlation_gsbg(on_disk, from_disk.path(), options);
 
-      const auto a = storage::MappedGraph::open(from_ram.path());
-      const auto b = storage::MappedGraph::open(from_disk.path());
-      EXPECT_GT(a.num_edges(), 0u) << samples << " samples";
-      EXPECT_TRUE(a.load() == b.load())
-          << samples << " samples, " << threads << " threads";
+        const auto a = storage::MappedGraph::open(from_ram.path());
+        const auto b = storage::MappedGraph::open(from_disk.path());
+        EXPECT_GT(a.num_edges(), 0u) << samples << " samples";
+        EXPECT_TRUE(a.load() == b.load())
+            << samples << " samples, " << block_rows << "-row blocks, "
+            << threads << " threads";
+      }
     }
   }
 }
