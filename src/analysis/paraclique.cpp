@@ -33,7 +33,7 @@ Paraclique grow_paraclique(const graph::GraphView& g, const Clique& seed_clique,
   std::vector<std::uint32_t> links(n, 0);
   DynamicBitset frontier(n);
   auto link_neighbors = [&](std::size_t u) {
-    g.neighbors(static_cast<VertexId>(u)).for_each([&](std::size_t w) {
+    g.for_each_neighbor(static_cast<VertexId>(u), [&](VertexId w) {
       ++links[w];
       if (!members.test(w)) frontier.set(w);
     });
@@ -61,11 +61,14 @@ Paraclique grow_paraclique(const graph::GraphView& g, const Clique& seed_clique,
     }
   }
 
+  // links covers the members too, so their links count each induced edge
+  // from both ends.
+  std::size_t arcs = 0;
   members.for_each([&](std::size_t v) {
     result.members.push_back(static_cast<VertexId>(v));
+    arcs += links[v];
   });
-  const auto sub = graph::induced_subgraph(g, result.members);
-  result.density = sub.graph.density();
+  result.density = graph::edge_density(result.members.size(), arcs / 2);
   return result;
 }
 
@@ -162,11 +165,8 @@ std::vector<Paraclique> extract_all_paracliques(
   // first-in-id-order tie break of the search and the glom then runs as it
   // would over all n.  Recorded with the tracker so out-of-core runs
   // report it honestly.
-  std::vector<VertexId> live;
-  for (VertexId v = 0; v < g.order(); ++v) {
-    if (g.degree(v) > 0) live.push_back(v);
-  }
-  auto [residue, to_g] = graph::induced_subgraph(g, live);
+  auto [residue, to_g] =
+      graph::induced_subgraph(g, graph::vertices_with_edges(g));
   util::ScopedAllocation residue_bytes(util::global_memory_tracker(),
                                        residue.adjacency_bytes(),
                                        util::MemTag::kGraph);

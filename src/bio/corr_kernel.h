@@ -63,6 +63,8 @@
 #include <memory>
 #include <vector>
 
+#include "util/page_allocator.h"
+
 namespace gsb::bio {
 
 /// Default rows per cache block for the sweep.  Two 128-row blocks
@@ -80,16 +82,12 @@ class AlignedRows {
   static constexpr std::size_t kAlignDoubles = kAlignment / sizeof(double);
 
   AlignedRows() = default;
+  /// Zero-filled rows, on their own pages (util::PageArray).
   AlignedRows(std::size_t rows, std::size_t samples)
       : rows_(rows),
         samples_(samples),
-        stride_((samples + kAlignDoubles - 1) / kAlignDoubles * kAlignDoubles) {
-    const std::size_t total = rows_ * stride_ * sizeof(double);
-    if (total == 0) return;
-    data_.reset(static_cast<double*>(std::aligned_alloc(kAlignment, total)));
-    if (data_ == nullptr) throw std::bad_alloc();
-    std::fill_n(data_.get(), rows_ * stride_, 0.0);
-  }
+        stride_((samples + kAlignDoubles - 1) / kAlignDoubles * kAlignDoubles),
+        data_(rows_ * stride_) {}
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t samples() const noexcept { return samples_; }
@@ -101,21 +99,19 @@ class AlignedRows {
   }
 
   [[nodiscard]] double* row(std::size_t r) noexcept {
-    return data_.get() + r * stride_;
+    return data_.data() + r * stride_;
   }
   [[nodiscard]] const double* row(std::size_t r) const noexcept {
-    return data_.get() + r * stride_;
+    return data_.data() + r * stride_;
   }
 
  private:
-  struct FreeDeleter {
-    void operator()(double* p) const noexcept { std::free(p); }
-  };
+  static_assert(kAlignment <= util::kPageAllocatorAlignment);
 
   std::size_t rows_ = 0;
   std::size_t samples_ = 0;
   std::size_t stride_ = 0;
-  std::unique_ptr<double[], FreeDeleter> data_;
+  util::PageArray<double> data_;
 };
 
 /// Dense block product: out[i * out_stride + j] = dot(a_i, b_j) over

@@ -15,8 +15,14 @@ namespace {
 
 /// Standardizes \p n values to mean 0 / unit norm directly into \p out so
 /// correlation reduces to a dot product.  Returns false for constant
-/// profiles (out is zero-filled).
+/// profiles (out is zero-filled).  A constant is caught before the mean: a
+/// mean fl(sum)/n that does not round back to the value would leave a
+/// uniform residue, which would scale to a valid ±1/sqrt(n) row.
 bool standardize_into(const double* in, std::size_t n, double* out) {
+  if (std::all_of(in, in + n, [&](double v) { return v == in[0]; })) {
+    std::fill(out, out + n, 0.0);
+    return false;
+  }
   const double mean =
       std::accumulate(in, in + n, 0.0) / static_cast<double>(n);
   double ss = 0.0;

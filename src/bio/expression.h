@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "util/page_allocator.h"
+
 namespace gsb::bio {
 
 /// Dense row-major genes x samples matrix with optional gene names.
@@ -18,9 +20,9 @@ class ExpressionMatrix {
  public:
   ExpressionMatrix() = default;
 
-  /// Zero-filled matrix.
+  /// Zero-filled matrix, on its own pages (util::PageArray).
   ExpressionMatrix(std::size_t genes, std::size_t samples)
-      : genes_(genes), samples_(samples), values_(genes * samples, 0.0) {}
+      : genes_(genes), samples_(samples), values_(genes * samples) {}
 
   [[nodiscard]] std::size_t genes() const noexcept { return genes_; }
   [[nodiscard]] std::size_t samples() const noexcept { return samples_; }
@@ -52,7 +54,7 @@ class ExpressionMatrix {
  private:
   std::size_t genes_ = 0;
   std::size_t samples_ = 0;
-  std::vector<double> values_;
+  util::PageArray<double> values_;
   std::vector<std::string> names_;
 };
 

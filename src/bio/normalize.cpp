@@ -10,6 +10,7 @@
 
 #include "bio/sort_key.h"
 #include "obs/timeline.h"
+#include "util/page_allocator.h"
 
 namespace gsb::bio {
 
@@ -76,9 +77,11 @@ void quantile_normalize(ExpressionMatrix& matrix) {
   // comparison.
   std::vector<KeyedIndex> column(genes);
   std::vector<KeyedIndex> spare(genes);
-  std::vector<std::uint32_t> order(samples * genes);
+  // The rank table and tie bits scale with the matrix, so they take their
+  // own pages, as the matrix does.
+  util::PageArray<std::uint32_t> order(samples * genes);
   // Bit s * genes + r: rank r of sample s holds the value of rank r - 1.
-  std::vector<std::uint64_t> tied((samples * genes + 63) / 64, 0);
+  util::PageArray<std::uint64_t> tied((samples * genes + 63) / 64);
   std::vector<double> reference(genes, 0.0);
   for (std::size_t s = 0; s < samples; ++s) {
     for (std::size_t g = 0; g < genes; ++g) {

@@ -13,9 +13,7 @@ Graph Graph::from_edges(
 }
 
 double Graph::density() const noexcept {
-  const double n = static_cast<double>(order());
-  if (n < 2) return 0.0;
-  return static_cast<double>(num_edges_) / (n * (n - 1.0) / 2.0);
+  return edge_density(order(), num_edges_);
 }
 
 void Graph::add_edge(VertexId u, VertexId v) {

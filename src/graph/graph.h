@@ -24,6 +24,14 @@ namespace gsb::graph {
 
 using VertexId = std::uint32_t;
 
+/// Edge density of \p edges edges on \p order vertices: m / (n choose 2),
+/// 0 below two vertices.
+inline double edge_density(std::size_t order, std::size_t edges) noexcept {
+  const double n = static_cast<double>(order);
+  if (n < 2) return 0.0;
+  return static_cast<double>(edges) / (n * (n - 1.0) / 2.0);
+}
+
 /// Simple undirected graph (no self-loops, no multi-edges).
 class Graph {
  public:

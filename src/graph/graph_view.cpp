@@ -14,8 +14,14 @@ GraphView::GraphView(const Graph& g)
 
 GraphView::GraphView(const Word* base, std::size_t words_per_row,
                      std::size_t n, std::size_t num_edges,
-                     const std::size_t* degrees)
-    : n_(n), num_edges_(num_edges), degrees_(degrees) {
+                     const std::size_t* degrees,
+                     const std::uint64_t* csr_offsets,
+                     const std::uint32_t* csr_targets)
+    : n_(n),
+      num_edges_(num_edges),
+      degrees_(degrees),
+      csr_offsets_(csr_offsets),
+      csr_targets_(csr_targets) {
   rows_.resize(n_);
   for (std::size_t v = 0; v < n_; ++v) {
     rows_[v] = base + v * words_per_row;
@@ -32,8 +38,8 @@ std::vector<std::pair<VertexId, VertexId>> GraphView::edge_list() const {
   std::vector<std::pair<VertexId, VertexId>> edges;
   edges.reserve(num_edges_);
   for (VertexId u = 0; u < n_; ++u) {
-    neighbors(u).for_each([&](std::size_t v) {
-      if (v > u) edges.emplace_back(u, static_cast<VertexId>(v));
+    for_each_neighbor(u, [&](VertexId v) {
+      if (v > u) edges.emplace_back(u, v);
     });
   }
   return edges;

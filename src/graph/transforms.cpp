@@ -38,23 +38,31 @@ InducedSubgraph induced_subgraph(const GraphView& g,
     rank_base[w] = members;
     members += static_cast<VertexId>(bits::popcount(set[w]));
   }
-  // Each member's row ANDed with the mask from its own word on, keeping
-  // the higher ids, gives each induced edge once.
+  // Each member's higher neighbours in the set give each induced edge once.
   for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const std::size_t first = sorted[i] / kWordBits;
-    const Word* row = g.neighbors(sorted[i]).data();
-    for (std::size_t w = first; w < set.size(); ++w) {
-      Word hits = row[w] & set[w];
-      if (w == first) hits &= ~Word{0} << (sorted[i] % kWordBits) << 1;
-      for (; hits != 0; hits &= hits - 1) {
-        const Word below = (hits & (~hits + 1)) - 1;
-        out.graph.add_edge(static_cast<VertexId>(i),
-                           rank_base[w] + static_cast<VertexId>(
-                                              bits::popcount(set[w] & below)));
-      }
-    }
+    g.for_each_neighbor(
+        sorted[i],
+        [&](VertexId u) {
+          const std::size_t w = u / kWordBits;
+          const Word bit = Word{1} << (u % kWordBits);
+          if ((set[w] & bit) != 0) {
+            out.graph.add_edge(
+                static_cast<VertexId>(i),
+                rank_base[w] +
+                    static_cast<VertexId>(bits::popcount(set[w] & (bit - 1))));
+          }
+        },
+        sorted[i] + 1);
   }
   return out;
+}
+
+std::vector<VertexId> vertices_with_edges(const GraphView& g) {
+  std::vector<VertexId> live;
+  for (VertexId v = 0; v < g.order(); ++v) {
+    if (g.degree(v) > 0) live.push_back(v);
+  }
+  return live;
 }
 
 bits::DynamicBitset kcore_mask(const GraphView& g, std::size_t k) {
@@ -72,10 +80,8 @@ bits::DynamicBitset kcore_mask(const GraphView& g, std::size_t k) {
     queue.pop_back();
     if (!alive.test(v)) continue;
     alive.reset(v);
-    g.neighbors(v).for_each([&](std::size_t u) {
-      if (alive.test(u) && degree[u]-- == k) {
-        queue.push_back(static_cast<VertexId>(u));
-      }
+    g.for_each_neighbor(v, [&](VertexId u) {
+      if (alive.test(u) && degree[u]-- == k) queue.push_back(u);
     });
   }
   return alive;
@@ -124,10 +130,10 @@ DegeneracyResult degeneracy_order(const GraphView& g) {
     result.degeneracy = std::max(result.degeneracy, cursor);
     alive.reset(v);
     result.order.push_back(v);
-    g.neighbors(v).for_each([&](std::size_t u) {
+    g.for_each_neighbor(v, [&](VertexId u) {
       if (alive.test(u)) {
         --degree[u];
-        buckets[degree[u]].push_back(static_cast<VertexId>(u));
+        buckets[degree[u]].push_back(u);
         if (degree[u] < cursor) cursor = degree[u];
       }
     });

@@ -23,8 +23,10 @@ Graph complement(const Graph& g);
 
 /// Subgraph induced by \p vertices (need not be sorted; duplicates ignored).
 /// `mapping[i]` gives the original id of new vertex i (sorted ascending).
-/// Each member's row is ANDed with a mask of the set and each hit ranked
-/// into a local id: O(k·⌈n/64⌉ + m_S) for k members and m_S induced edges.
+/// Each member's higher neighbours (GraphView::for_each_neighbor from the
+/// member on) are tested against a mask of the set and each hit ranked
+/// into a local id: O(Σ deg) over a view's CSR lists, plus the row's words
+/// from the member's own on over rows.
 struct InducedSubgraph {
   Graph graph;
   std::vector<VertexId> mapping;  ///< new id -> original id
@@ -32,9 +34,14 @@ struct InducedSubgraph {
 InducedSubgraph induced_subgraph(const GraphView& g,
                                  const std::vector<VertexId>& vertices);
 
+/// The vertices of degree at least 1, ascending.
+std::vector<VertexId> vertices_with_edges(const GraphView& g);
+
 /// Vertices surviving iterated peeling of vertices with degree < k
 /// (the k-core).  For k-clique search pass k-1 per the paper's rule: a
 /// vertex of a k-clique has at least k-1 neighbors *within the clique*.
+/// Peels through GraphView::for_each_neighbor: O(n + m) over a view's CSR
+/// lists, reading no bitmap row.
 bits::DynamicBitset kcore_mask(const GraphView& g, std::size_t k);
 
 /// The k-core as a reduced graph (may be empty).
@@ -43,7 +50,9 @@ InducedSubgraph kcore_subgraph(const GraphView& g, std::size_t k);
 /// Degeneracy ordering (repeatedly remove a minimum-degree vertex).
 /// Accepts any GraphView, so the ordering can be computed directly off a
 /// memory-mapped .gsbg (the degeneracy-ordered Bron–Kerbosch outer loop
-/// depends on this).
+/// depends on this); like kcore_mask it reads neighbours through
+/// for_each_neighbor, in ascending order from lists and rows alike, so the
+/// order is the same from both.
 struct DegeneracyResult {
   std::vector<VertexId> order;  ///< removal order
   std::size_t degeneracy = 0;   ///< max degree at removal time

@@ -5,6 +5,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/parallel_bk.h"
 #include "graph/transforms.h"
@@ -82,7 +83,20 @@ AnalysisResult run_analysis(const graph::GraphView& g,
   }
 
   add_stage("maximum-clique", [&result, &g](std::size_t) {
-    result.maximum = core::maximum_clique(g);
+    // The search's root colours n-bit rows, and over a mapped view each
+    // row it reads faults in the bitmap around it.  Isolated vertices all
+    // take colour 1, which no branch expands once an edge exists, so the
+    // search on the subgraph induced on the vertices with an edge visits
+    // the same tree; local ids are monotone, so it returns the same
+    // clique.  That subgraph is built from neighbour lists.
+    const std::vector<graph::VertexId> live = graph::vertices_with_edges(g);
+    if (live.empty() || live.size() == g.order()) {
+      result.maximum = core::maximum_clique(g);
+      return;
+    }
+    const graph::InducedSubgraph sub = graph::induced_subgraph(g, live);
+    result.maximum = core::maximum_clique(sub.graph);
+    for (graph::VertexId& v : result.maximum.clique) v = sub.mapping[v];
   });
 
   const par::JobId enum_job = add_stage(

@@ -1,5 +1,6 @@
 #include "storage/mapped_graph.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -189,6 +190,7 @@ MappedGraph MappedGraph::open(const std::string& path,
     g.degrees_[v] =
         static_cast<std::size_t>(g.offsets_[v + 1] - g.offsets_[v]);
   }
+  g.check_csr_rows();
 
   // --- optional sections -----------------------------------------------------
   if (const GsbgSection* bitmap = find(SectionKind::kBitmap)) {
@@ -197,19 +199,7 @@ MappedGraph MappedGraph::open(const std::string& path,
       fail("bitmap section has wrong size");
     }
     g.bitmap_ = reinterpret_cast<const std::uint64_t*>(section_span(*bitmap));
-    // The bit-string kernels rely on the writer's invariant that bits at
-    // positions >= n in each row's last word are zero; a violated row
-    // would silently corrupt every AND/any-bit test that touches it, so
-    // check it here (O(n) reads) rather than trusting the (optional)
-    // checksum pass.
-    if (n % 64 != 0) {
-      const std::uint64_t pad_mask = ~((std::uint64_t{1} << (n % 64)) - 1);
-      for (std::uint64_t v = 0; v < n; ++v) {
-        if ((g.bitmap_[(v + 1) * g.words_per_row_ - 1] & pad_mask) != 0) {
-          fail("bitmap row has padding bits set (corrupt)");
-        }
-      }
-    }
+    g.check_bitmap_padding();
   }
   const GsbgSection* wah_offsets = find(SectionKind::kWahOffsets);
   const GsbgSection* wah_words = find(SectionKind::kWahWords);
@@ -263,10 +253,80 @@ MappedGraph MappedGraph::open(const std::string& path,
   return g;
 }
 
+void MappedGraph::check_csr_rows() const {
+  const std::uint64_t n = header_.n;
+  // cursor[u]: the next of row u's targets below u that no lower row has
+  // matched yet.  Rows are visited in ascending order, so the arcs {v, u}
+  // with v < u arrive in the order row u lists its lower targets.
+  std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const std::uint64_t end = offsets_[v + 1];
+    if (cursor[v] != end && targets_[cursor[v]] < v) {
+      fail("csr row " + std::to_string(v) + " lists an arc with no reverse");
+    }
+    for (std::uint64_t i = offsets_[v]; i < end; ++i) {
+      const std::uint32_t u = targets_[i];
+      if (u >= n) fail("csr row " + std::to_string(v) + " target out of range");
+      if (i > offsets_[v] && targets_[i - 1] >= u) {
+        fail("csr row " + std::to_string(v) + " not strictly ascending");
+      }
+      if (u == v) fail("csr row " + std::to_string(v) + " holds a self-loop");
+      if (u > v) {
+        if (cursor[u] == offsets_[u + 1] || targets_[cursor[u]] != v) {
+          fail("csr row " + std::to_string(v) + " lists an arc with no reverse");
+        }
+        ++cursor[u];
+      }
+    }
+  }
+}
+
+void MappedGraph::check_bitmap_padding() const {
+  const std::uint64_t n = header_.n;
+  if (n % 64 == 0) return;
+  const std::uint64_t pad_mask = ~((std::uint64_t{1} << (n % 64)) - 1);
+  // Windows are aligned in the address space, as the kernel's fault-around
+  // blocks are, so no read maps a page of a window already handed back.
+  constexpr std::uintptr_t kWindow = std::uintptr_t{1} << 20;
+  const std::uint64_t* end = bitmap_ + n * words_per_row_;
+  std::uintptr_t window = 0;
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const std::uint64_t* last = bitmap_ + (v + 1) * words_per_row_ - 1;
+    const auto at = reinterpret_cast<std::uintptr_t>(last) & ~(kWindow - 1);
+    if (at != window) {
+      if (window != 0) drop_bitmap_pages(window, window + kWindow);
+      window = at;
+    }
+    if ((*last & pad_mask) != 0) {
+      fail("bitmap row " + std::to_string(v) +
+           " has padding bits set (corrupt)");
+    }
+  }
+  drop_bitmap_pages(window, reinterpret_cast<std::uintptr_t>(end));
+}
+
+void MappedGraph::drop_bitmap_pages(std::uintptr_t begin,
+                                    std::uintptr_t end) const noexcept {
+#if GSB_HAVE_MMAP
+  if (heap_backed_) return;
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto first = reinterpret_cast<std::uintptr_t>(bitmap_);
+  const auto last = first + header_.n * words_per_row_ * sizeof(std::uint64_t);
+  // Only whole pages of the bitmap: a page it shares with another section
+  // stays.
+  begin = (std::max(begin, first) + page - 1) / page * page;
+  end = std::min(end, last) / page * page;
+  if (begin < end) {
+    ::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_DONTNEED);
+  }
+#else
+  (void)begin;
+  (void)end;
+#endif
+}
+
 double MappedGraph::density() const noexcept {
-  const double n = static_cast<double>(order());
-  if (n < 2) return 0.0;
-  return static_cast<double>(num_edges()) / (n * (n - 1.0) / 2.0);
+  return graph::edge_density(order(), num_edges());
 }
 
 graph::GraphView MappedGraph::view() const {
@@ -274,7 +334,7 @@ graph::GraphView MappedGraph::view() const {
     fail("file has no bitmap section; use load() or rewrite with bitmap");
   }
   return graph::GraphView(bitmap_, words_per_row_, order(), num_edges(),
-                          degrees_.data());
+                          degrees_.data(), offsets_.data(), targets_.data());
 }
 
 graph::Graph MappedGraph::load() const {
@@ -282,12 +342,8 @@ graph::Graph MappedGraph::load() const {
   const std::uint64_t n = header_.n;
   for (std::uint64_t v = 0; v < n; ++v) {
     for (const std::uint32_t u : csr_row(static_cast<graph::VertexId>(v))) {
-      if (u >= n) fail("csr target out of range");
       if (u > v) g.add_edge(static_cast<graph::VertexId>(v), u);
     }
-  }
-  if (g.num_edges() != num_edges()) {
-    fail("csr edge count disagrees with header");
   }
   return g;
 }
@@ -321,8 +377,7 @@ void MappedGraph::verify_bitmap_rows() const {
     const auto targets = csr_row(static_cast<graph::VertexId>(v));
     bool agree = row.count() == targets.size();
     for (std::size_t i = 0; agree && i < targets.size(); ++i) {
-      agree = targets[i] < n && (i == 0 || targets[i - 1] < targets[i]) &&
-              row.test(targets[i]);
+      agree = row.test(targets[i]);
     }
     if (!agree) {
       fail("bitmap row " + std::to_string(v) +

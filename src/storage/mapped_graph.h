@@ -4,13 +4,18 @@
 /// \file mapped_graph.h
 /// Memory-mapped read access to a `.gsbg` graph container.
 ///
-/// Opening is O(n) (header/section validation plus a degree scan of the CSR
-/// offsets) and maps the file read-only; no adjacency data is copied.  When
-/// the file carries a bitmap section, view() exposes it through the same
-/// graph::GraphView every clique algorithm consumes, so enumeration,
-/// maximum clique, paracliques and hub analysis run directly off disk —
-/// the OS pages in exactly the rows the algorithms touch, which is the
-/// storage/compute separation the genome-scale instances need.
+/// Opening is O(n + m) and maps the file read-only; no adjacency data is
+/// copied.  It validates the header and section table and every CSR row
+/// (targets below n, strictly ascending, no self-loop, every arc with its
+/// reverse), and checks the bitmap's padding bits one 1 MiB window at a
+/// time, handing each checked window's pages back to the kernel.  When the
+/// file carries a bitmap section, view() exposes it through the same
+/// graph::GraphView every clique algorithm consumes, together with the CSR
+/// lists (GraphView::for_each_neighbor), so enumeration, maximum clique,
+/// paracliques and hub analysis run directly off disk — the OS pages in
+/// exactly the rows the algorithms touch, and a step that only lists
+/// neighbours reads the CSR, which is the storage/compute separation the
+/// genome-scale instances need.
 ///
 /// Files without a bitmap section (written with bitmap=false for
 /// compactness) are still fully usable through load(), which materializes
@@ -46,8 +51,9 @@ class MappedGraph {
   MappedGraph(const MappedGraph&) = delete;
   MappedGraph& operator=(const MappedGraph&) = delete;
 
-  /// Maps \p path read-only, validating magic, version, section table and
-  /// CSR structure.  Throws std::runtime_error on any malformation.
+  /// Maps \p path read-only, validating magic, version, section table, CSR
+  /// rows and bitmap padding.  Throws std::runtime_error on any
+  /// malformation.
   static MappedGraph open(const std::string& path, const Options& options);
   static MappedGraph open(const std::string& path) {
     return open(path, Options{});
@@ -91,9 +97,10 @@ class MappedGraph {
     return permutation_;
   }
 
-  /// Zero-copy adjacency view over the mapped bitmap section.  Throws if
-  /// the file was written without one.  The view (and anything holding it)
-  /// must not outlive this MappedGraph.
+  /// Zero-copy adjacency view over the mapped bitmap section, whose
+  /// for_each_neighbor reads the CSR sections.  Throws if the file was
+  /// written without a bitmap.  The view (and anything holding it) must not
+  /// outlive this MappedGraph.
   [[nodiscard]] graph::GraphView view() const;
 
   /// Materializes an in-memory Graph from the CSR sections.
@@ -107,6 +114,19 @@ class MappedGraph {
 
  private:
   void release() noexcept;
+  /// Throws unless every CSR row is strictly ascending, below n, free of
+  /// self-loops, and every arc {v, u} appears in both rows.  O(n + m).
+  void check_csr_rows() const;
+  /// Throws if a bitmap row has a bit at a position >= n: the bit-string
+  /// kernels rely on the writer's invariant that those are zero, so it is
+  /// checked at open rather than left to the optional checksum pass.
+  /// Reading each row's last word touches every page of the bitmap, so the
+  /// check walks it in 1 MiB windows and drops each one once checked.
+  void check_bitmap_padding() const;
+  /// Drops the mapping's resident pages of the bitmap within [begin, end)
+  /// (whole pages only; clean file pages, read again on demand).
+  void drop_bitmap_pages(std::uintptr_t begin,
+                         std::uintptr_t end) const noexcept;
   /// Throws unless every bitmap row's set bits are exactly its CSR row.
   void verify_bitmap_rows() const;
 

@@ -7,8 +7,11 @@
 #include <bit>
 #include <cstdint>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iterator>
+#include <memory>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -20,7 +23,10 @@
 #include "bio/generator.h"
 #include "bio/normalize.h"
 #include "bio/presets.h"
+#include "bio/tiled_correlation.h"
+#include "storage/mapped_graph.h"
 #include "test_helpers.h"
+#include "util/page_allocator.h"
 #include "util/rng.h"
 
 namespace gsb::bio {
@@ -138,6 +144,138 @@ TEST(Correlation, SpearmanMonotoneInvariance) {
   EXPECT_NEAR(spearman(ex, y), rho, 1e-9);
   // Pearson, by contrast, moves.
   EXPECT_GT(std::fabs(pearson(ex, y) - pearson(x, y)), 1e-3);
+}
+
+// A constant profile has no correlation.  Its mean fl(sum)/n need not
+// round back to the value (0.1, 7.3 and 1/3 at these sample counts leave
+// a uniform residue), so standardization must catch it before the mean.
+TEST(Correlation, ConstantRowsAreInvalidUnderPearson) {
+  util::Rng rng(31);
+  test::TempFile container("constant_rows");
+  for (const std::size_t samples : {60u, 96u, 97u}) {
+    for (const double value : {0.1, 7.3, 1.0 / 3.0}) {
+      const std::string label =
+          std::to_string(value) + " at " + std::to_string(samples);
+      const std::vector<double> constant(samples, value);
+      std::vector<double> out(samples, 1.0);
+      StandardizeScratch scratch;
+      EXPECT_FALSE(standardized_profile_into(
+          constant, CorrelationMethod::kPearson, out.data(), scratch))
+          << label;
+      EXPECT_EQ(out, std::vector<double>(samples, 0.0)) << label;
+
+      // Rows 0 and 1 are the constant; rows 2-5 are noise.
+      ExpressionMatrix expression(6, samples);
+      for (std::size_t g = 0; g < expression.genes(); ++g) {
+        for (std::size_t k = 0; k < samples; ++k) {
+          expression.at(g, k) = g < 2 ? value : rng.normal();
+        }
+      }
+      CorrelationGraphOptions options;
+      options.method = CorrelationMethod::kPearson;
+      options.threshold = 0.5;
+      const auto in_memory = build_correlation_graph(expression, options, rng);
+      EXPECT_EQ(in_memory.graph.degree(0), 0u) << label;
+      EXPECT_EQ(in_memory.graph.degree(1), 0u) << label;
+
+      TiledCorrelationOptions tiled;
+      tiled.method = CorrelationMethod::kPearson;
+      tiled.threshold = 0.5;
+      build_correlation_gsbg(expression, container.path(), tiled);
+      const auto mapped = storage::MappedGraph::open(container.path());
+      EXPECT_EQ(mapped.degree(0), 0u) << label;
+      EXPECT_EQ(mapped.degree(1), 0u) << label;
+    }
+  }
+}
+
+// Matrix buffers sit on their own zero-filled pages (util::PageArray).
+TEST(PageBuffers, ZeroFilledAlignedAndCopyable) {
+  util::Rng rng(5);
+  ExpressionMatrix matrix(300, 97);
+  for (std::size_t g = 0; g < matrix.genes(); ++g) {
+    for (const double v : matrix.row(g)) ASSERT_EQ(v, 0.0);
+    for (double& v : matrix.row(g)) v = rng.normal();
+  }
+  const ExpressionMatrix copy = matrix;
+  ASSERT_EQ(copy.genes(), matrix.genes());
+  ASSERT_EQ(copy.samples(), matrix.samples());
+  for (std::size_t g = 0; g < matrix.genes(); ++g) {
+    EXPECT_TRUE(std::ranges::equal(copy.row(g), matrix.row(g))) << g;
+  }
+
+  AlignedRows rows(130, 60);
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(rows.row(r)) %
+                  AlignedRows::kAlignment,
+              0u)
+        << r;
+    for (std::size_t k = 0; k < rows.stride(); ++k) {
+      ASSERT_EQ(rows.row(r)[k], 0.0) << r;
+    }
+    for (std::size_t k = 0; k < rows.samples(); ++k) {
+      rows.row(r)[k] = rng.normal();
+    }
+  }
+  const AlignedRows rows_copy = rows;
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    EXPECT_TRUE(std::equal(rows.row(r), rows.row(r) + rows.stride(),
+                           rows_copy.row(r)))
+        << r;
+  }
+
+  util::PageArray<std::uint64_t> words(1000);
+  EXPECT_EQ(std::count(words.begin(), words.end(), 0u), 1000);
+}
+
+#if defined(__linux__)
+/// This process's resident set, from /proc/self/status.
+std::size_t resident_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      std::size_t kib = 0;
+      status >> kib;
+      return kib * 1024;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+/// Keeps a heap block observable, so the allocation is not elided.
+void* volatile heap_sink = nullptr;
+#endif
+
+// A freed matrix goes back to the kernel, also once glibc has raised its
+// dynamic mmap threshold (here to 5 MB, by freeing a block that size),
+// below which it would place a matrix on the brk heap: there, with a live
+// block above it, the freed matrix stays resident.
+TEST(PageBuffers, FreedMatrixLeavesNoResidentPages) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "reads /proc/self/status";
+#else
+  if (!util::page_backed()) GTEST_SKIP() << "buffers come from the heap";
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  constexpr std::size_t kSamples = 96;
+  heap_sink = std::malloc(5 * kMiB);
+  std::memset(heap_sink, 1, 5 * kMiB);
+  std::free(heap_sink);
+  const std::size_t baseline = resident_bytes();
+  for (const std::size_t bytes : {64 * kMiB, 4 * kMiB}) {
+    auto matrix = std::make_unique<ExpressionMatrix>(
+        bytes / (kSamples * sizeof(double)), kSamples);
+    for (std::size_t g = 0; g < matrix->genes(); ++g) {
+      for (double& v : matrix->row(g)) v = 1.0;
+    }
+    EXPECT_GE(resident_bytes(), baseline + bytes - kMiB) << bytes;
+    std::vector<char> live_above(4096, 1);
+    heap_sink = live_above.data();
+    matrix.reset();
+    EXPECT_LE(resident_bytes(), baseline + 2 * kMiB) << bytes;
+  }
+#endif
 }
 
 TEST(Normalize, ZscoreRows) {

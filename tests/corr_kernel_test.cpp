@@ -15,6 +15,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <limits>
 #include <optional>
 #include <filesystem>
@@ -241,27 +242,23 @@ void expect_screened_exact(const bio::AlignedRows& a,
 TEST(CorrKernel, StandardizePassMatchesPerRowReference) {
   // Pass 1 on one resident tile (128-row block jobs) against
   // standardized_profile_into on each row: bitwise equal values, zero pad
-  // lanes, and the constant rows below (row 11, every row at one sample)
-  // invalid and all-zero.  60 and 97 samples pad the stride, 96 does not;
-  // 130 and 300 genes end in a partial block.
+  // lanes, and the constant rows below (rows 11 and 13-15, every row at one
+  // sample) invalid and all-zero.  60 and 97 samples pad the stride, 96
+  // does not; 130 and 300 genes end in a partial block.
   par::ThreadPool two(2);
   par::ThreadPool four(4);
   util::Rng rng(500);
+  const std::map<std::size_t, double> constants = {
+      {11, 4.0}, {13, 0.1}, {14, 7.3}, {15, 1.0 / 3.0}};
   for (const std::size_t samples : {1u, 3u, 60u, 96u, 97u}) {
     for (const std::size_t genes : {1u, 130u, 300u}) {
       // Normal draws have no ties; row 12 is all ties (two values), for
-      // the midranks.  Row 11 is the constant 4.0 because its mean sum/n
-      // rounds back to exactly 4.0, so every deviation is zero.  This does
-      // not hold for every constant: standardize_into has no exact
-      // constant-row test, and under Pearson a constant whose mean does not
-      // round back (0.1, 7.3 or 1/3 at 60, 96 or 97 samples) leaves a
-      // uniform rounding residue that it scales to a valid row, so two such
-      // rows correlate at 1.  That is an open defect (ROADMAP.md, small
-      // items); this test pins only rows whose mean is exact.
+      // the midranks.
       bio::ExpressionMatrix expression(genes, samples);
       for (std::size_t g = 0; g < genes; ++g) {
+        const auto constant = constants.find(g);
         for (std::size_t k = 0; k < samples; ++k) {
-          expression.at(g, k) = g == 11   ? 4.0
+          expression.at(g, k) = constant != constants.end() ? constant->second
                                 : g == 12 ? static_cast<double>(k % 2)
                                           : rng.normal();
         }
@@ -285,7 +282,7 @@ TEST(CorrKernel, StandardizePassMatchesPerRowReference) {
             profile.assign(rows.rows.stride(), 0.0);
             const bool valid = bio::standardized_profile_into(
                 expression.row(g), method, profile.data(), scratch);
-            const bool constant = samples == 1 || (genes > 11 && g == 11);
+            const bool constant = samples == 1 || constants.contains(g);
             EXPECT_EQ(valid, !constant) << label << ", row " << g;
             EXPECT_EQ(rows.valid[g], constant ? 0 : 1)
                 << label << ", row " << g;

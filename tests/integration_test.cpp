@@ -9,6 +9,7 @@
 #include <iterator>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/clique_stats.h"
@@ -261,6 +262,42 @@ TEST(Integration, AnalysisCliquesMatchEmissionOracle) {
     }
   }
   EXPECT_EQ(compared, expected_runs);
+}
+
+// The maximum-clique stage searches the subgraph induced on the vertices
+// with an edge; its clique and search tree must be those of
+// core::maximum_clique on the whole view: with isolated vertices
+// interleaved, with none, and without edges, in memory and mapped.
+TEST(Integration, AnalysisMaximumCliqueMatchesWholeGraphSearch) {
+  std::vector<std::pair<std::string, graph::Graph>> graphs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const graph::Graph dense = test::random_graph(60, 0.1 * seed, seed);
+    // Vertex v becomes 3v + 1: two isolated vertices around each.
+    graph::Graph spread(181);
+    for (const auto& [u, v] : dense.edge_list()) {
+      spread.add_edge(3 * u + 1, 3 * v + 1);
+    }
+    graphs.emplace_back("spread seed " + std::to_string(seed),
+                        std::move(spread));
+    graphs.emplace_back("gnp seed " + std::to_string(seed), dense);
+  }
+  graphs.emplace_back("edgeless", graph::Graph(70));
+  graph::Graph one_edge(130);
+  one_edge.add_edge(64, 129);
+  graphs.emplace_back("one edge", std::move(one_edge));
+  for (const auto& [name, g] : graphs) {
+    const test::InMemoryAndMapped backends(g);
+    for (const graph::GraphView& view : backends.views()) {
+      const auto expected = core::maximum_clique(view);
+      pipeline::AnalysisOptions options;
+      options.range = core::SizeRange{3, 0};
+      options.threads = 2;
+      options.overlap = false;
+      const auto result = pipeline::run_analysis(view, options);
+      EXPECT_EQ(result.maximum.clique, expected.clique) << name;
+      EXPECT_EQ(result.maximum.tree_nodes, expected.tree_nodes) << name;
+    }
+  }
 }
 
 // On a degree-sorted container the emission order is lexicographic in

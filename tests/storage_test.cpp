@@ -18,7 +18,9 @@
 #include "analysis/paraclique.h"
 #include "core/maximum_clique.h"
 #include "graph/graph_view.h"
+#include "graph/generators.h"
 #include "graph/transforms.h"
+#include "pipeline/overlap.h"
 #include "storage/gsbg_format.h"
 #include "storage/gsbg_writer.h"
 #include "storage/mapped_graph.h"
@@ -179,6 +181,40 @@ void dump(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// File offset of the section of \p kind in a container's \p bytes.
+std::size_t section_offset(const std::vector<char>& bytes,
+                           storage::SectionKind kind) {
+  std::uint64_t section_count = 0;
+  std::memcpy(&section_count, bytes.data() + 40, 8);
+  for (std::uint64_t i = 0; i < section_count; ++i) {
+    const std::size_t entry = storage::kHeaderBytes +
+                              static_cast<std::size_t>(i) *
+                                  storage::kSectionEntryBytes;
+    std::uint32_t found = 0;
+    std::uint64_t offset = 0;
+    std::memcpy(&found, bytes.data() + entry, 4);
+    std::memcpy(&offset, bytes.data() + entry + 8, 8);
+    if (static_cast<storage::SectionKind>(found) == kind) {
+      return static_cast<std::size_t>(offset);
+    }
+  }
+  ADD_FAILURE() << "no section of kind " << static_cast<unsigned>(kind);
+  return 0;
+}
+
+/// Sets a padding bit (bit 63, so n % 64 != 0) of row \p v's last word.
+void set_padding_bit(std::vector<char>& bytes, std::uint64_t v) {
+  std::uint64_t n = 0;
+  std::memcpy(&n, bytes.data() + 16, 8);
+  ASSERT_NE(n % 64, 0u);
+  const std::size_t wpr = (n + 63) / 64;
+  const std::size_t last_word =
+      section_offset(bytes, storage::SectionKind::kBitmap) +
+      ((v + 1) * wpr - 1) * 8;
+  bytes[last_word + 7] = static_cast<char>(
+      static_cast<unsigned char>(bytes[last_word + 7]) | 0x80u);
+}
+
 class GsbgReject : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -187,6 +223,12 @@ class GsbgReject : public ::testing::Test {
     storage::write_gsbg_file(g, file_->path());
     bytes_ = slurp(file_->path());
     ASSERT_GT(bytes_.size(), storage::kHeaderBytes);
+  }
+
+  void expect_rejected_on_plain_open(const std::vector<char>& bytes) {
+    dump(file_->path(), bytes);
+    EXPECT_THROW(storage::MappedGraph::open(file_->path()),
+                 std::runtime_error);
   }
 
   void expect_rejected(const std::vector<char>& bytes) {
@@ -233,35 +275,83 @@ TEST_F(GsbgReject, ChecksumMismatch) {
 TEST_F(GsbgReject, BitmapPaddingBitsRejectedOnPlainOpen) {
   // Padding bits beyond n in a row's last word violate the invariant the
   // bit-string kernels rely on; this must be caught even without the
-  // checksum pass (plain open).
-  auto bytes = bytes_;
-  std::uint64_t n = 0;
-  std::uint64_t section_count = 0;
-  std::memcpy(&n, bytes.data() + 16, 8);
-  std::memcpy(&section_count, bytes.data() + 40, 8);
-  ASSERT_NE(n % 64, 0u);
-  bool patched = false;
-  for (std::uint64_t i = 0; i < section_count; ++i) {
-    const std::size_t base = storage::kHeaderBytes +
-                             static_cast<std::size_t>(i) *
-                                 storage::kSectionEntryBytes;
-    std::uint32_t kind = 0;
-    std::uint64_t offset = 0;
-    std::memcpy(&kind, bytes.data() + base, 4);
-    std::memcpy(&offset, bytes.data() + base + 8, 8);
-    if (static_cast<storage::SectionKind>(kind) ==
-        storage::SectionKind::kBitmap) {
-      const std::size_t wpr = (n + 63) / 64;
-      const std::size_t last_word = offset + (wpr - 1) * 8;
-      bytes[last_word + 7] = static_cast<char>(
-          static_cast<unsigned char>(bytes[last_word + 7]) | 0x80u);
-      patched = true;
-    }
+  // checksum pass (plain open): in the first row, the last row, and a row
+  // of a middle 1 MiB window of a 3 MB bitmap.
+  for (const std::uint64_t row : {std::uint64_t{0}, std::uint64_t{49}}) {
+    auto bytes = bytes_;
+    set_padding_bit(bytes, row);
+    expect_rejected_on_plain_open(bytes);
   }
-  ASSERT_TRUE(patched);
-  dump(file_->path(), bytes);
-  EXPECT_THROW(storage::MappedGraph::open(file_->path()),
-               std::runtime_error);
+  graph::Graph wide(5000);
+  wide.add_edge(1, 4999);
+  wide.add_edge(2500, 2501);
+  storage::write_gsbg_file(wide, file_->path());
+  auto bytes = slurp(file_->path());
+  set_padding_bit(bytes, 2500);
+  expect_rejected_on_plain_open(bytes);
+}
+
+TEST_F(GsbgReject, CorruptCsrRowsRejectedOnPlainOpen) {
+  // The analysis lists neighbours from the CSR, so open checks every row:
+  // targets below n, strictly ascending, no self-loop, each arc with its
+  // reverse.  Each case below breaks one of these in one row.
+  std::uint64_t n = 0;
+  std::memcpy(&n, bytes_.data() + 16, 8);
+  const std::size_t offsets_at =
+      section_offset(bytes_, storage::SectionKind::kCsrOffsets);
+  const std::size_t targets_at =
+      section_offset(bytes_, storage::SectionKind::kCsrTargets);
+  std::vector<std::uint64_t> offsets(n + 1);
+  std::memcpy(offsets.data(), bytes_.data() + offsets_at, (n + 1) * 8);
+  auto target = [&](const std::vector<char>& bytes, std::uint64_t i) {
+    std::uint32_t t = 0;
+    std::memcpy(&t, bytes.data() + targets_at + i * 4, 4);
+    return t;
+  };
+  auto set_target = [&](std::vector<char>& bytes, std::uint64_t i,
+                        std::uint32_t t) {
+    std::memcpy(bytes.data() + targets_at + i * 4, &t, 4);
+  };
+  // A row of degree >= 2 whose first target is below it and whose second
+  // is above it, with a gap after the second.
+  std::uint64_t v = 0;
+  while (v < n && !(offsets[v + 1] - offsets[v] >= 2 &&
+                    target(bytes_, offsets[v]) < v &&
+                    target(bytes_, offsets[v] + 1) > v &&
+                    target(bytes_, offsets[v] + 1) + 1 <
+                        (offsets[v + 1] - offsets[v] > 2
+                             ? target(bytes_, offsets[v] + 2)
+                             : n))) {
+    ++v;
+  }
+  ASSERT_LT(v, n);
+  const std::uint64_t first = offsets[v];
+  const std::uint64_t last = offsets[v + 1] - 1;
+  const std::uint32_t low = target(bytes_, first);
+  const std::uint32_t high = target(bytes_, first + 1);
+
+  const auto reject = [&](const char* what, auto&& corrupt) {
+    SCOPED_TRACE(what);
+    auto bytes = bytes_;
+    corrupt(bytes);
+    expect_rejected_on_plain_open(bytes);
+  };
+  reject("target equal to n", [&](std::vector<char>& bytes) {
+    set_target(bytes, last, static_cast<std::uint32_t>(n));
+  });
+  reject("two targets swapped", [&](std::vector<char>& bytes) {
+    set_target(bytes, first, high);
+    set_target(bytes, first + 1, low);
+  });
+  reject("duplicate target", [&](std::vector<char>& bytes) {
+    set_target(bytes, first + 1, low);
+  });
+  reject("self-loop", [&](std::vector<char>& bytes) {
+    set_target(bytes, first + 1, static_cast<std::uint32_t>(v));
+  });
+  reject("arc without its reverse", [&](std::vector<char>& bytes) {
+    set_target(bytes, first + 1, high + 1);
+  });
 }
 
 TEST_F(GsbgReject, SectionOutOfBounds) {
@@ -280,24 +370,131 @@ TEST(GsbgRejectContent, CorruptPermutationEntryRejected) {
   storage::write_gsbg_file(g, file.path(), options);
 
   auto bytes = slurp(file.path());
-  std::uint64_t section_count = 0;
-  std::memcpy(&section_count, bytes.data() + 40, 8);
-  for (std::uint64_t i = 0; i < section_count; ++i) {
-    const std::size_t base = storage::kHeaderBytes +
-                             static_cast<std::size_t>(i) *
-                                 storage::kSectionEntryBytes;
-    std::uint32_t kind = 0;
-    std::uint64_t offset = 0;
-    std::memcpy(&kind, bytes.data() + base, 4);
-    std::memcpy(&offset, bytes.data() + base + 8, 8);
-    if (static_cast<storage::SectionKind>(kind) ==
-        storage::SectionKind::kPermutation) {
-      const std::uint32_t bogus = 0xFFFFFFFFu;  // >= n: not a bijection
-      std::memcpy(bytes.data() + offset, &bogus, 4);
-    }
-  }
+  const std::uint32_t bogus = 0xFFFFFFFFu;  // >= n: not a bijection
+  std::memcpy(
+      bytes.data() + section_offset(bytes, storage::SectionKind::kPermutation),
+      &bogus, 4);
   dump(file.path(), bytes);
   EXPECT_THROW(storage::MappedGraph::open(file.path()), std::runtime_error);
+}
+
+// --- neighbour lists: CSR against rows --------------------------------------
+
+// A mapped view lists neighbours from the container's CSR; an in-memory
+// view from its rows.  Both must visit the same ids in the same order, so
+// the peels and the induced subgraphs built through them agree, also on a
+// degree-sorted container (compared with the graph it stores).
+TEST(MappedNeighbourLists, CsrMatchesRowsAndTransforms) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    // Every third vertex isolated.
+    const graph::Graph dense = test::random_graph(80, 0.12 * seed, seed);
+    graph::Graph g(120);
+    for (const auto& [u, w] : dense.edge_list()) {
+      g.add_edge(u + u / 2, w + w / 2);
+    }
+    for (const bool degree_sort : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (degree_sort ? ", degree-sorted" : ", plain"));
+      TempFile file("neighbour_lists");
+      storage::GsbgWriteOptions options;
+      options.degree_sort = degree_sort;
+      storage::write_gsbg_file(g, file.path(), options);
+      const auto mapped = storage::MappedGraph::open(file.path());
+      const graph::GraphView lists = mapped.view();
+      const graph::Graph stored = mapped.load();
+      const graph::GraphView rows(stored);
+      for (graph::VertexId v = 0; v < stored.order(); ++v) {
+        std::vector<graph::VertexId> from_lists;
+        std::vector<graph::VertexId> from_rows;
+        lists.for_each_neighbor(v, [&](graph::VertexId u) {
+          from_lists.push_back(u);
+        });
+        rows.for_each_neighbor(v, [&](graph::VertexId u) {
+          from_rows.push_back(u);
+        });
+        ASSERT_EQ(from_lists, from_rows) << "vertex " << v;
+        ASSERT_EQ(lists.neighbor_list(v), from_rows) << "vertex " << v;
+      }
+      for (const std::size_t k : {1u, 2u, 3u, 5u}) {
+        EXPECT_TRUE(graph::kcore_mask(lists, k) == graph::kcore_mask(rows, k))
+            << "k " << k;
+        const auto from_lists = graph::kcore_subgraph(lists, k);
+        const auto from_rows = graph::kcore_subgraph(rows, k);
+        EXPECT_EQ(from_lists.mapping, from_rows.mapping) << "k " << k;
+        EXPECT_TRUE(from_lists.graph == from_rows.graph) << "k " << k;
+      }
+      std::vector<graph::VertexId> subset;
+      for (graph::VertexId v = 0; v < stored.order(); v += 2) {
+        subset.push_back(v);
+      }
+      const auto sub_lists = graph::induced_subgraph(lists, subset);
+      const auto sub_rows = graph::induced_subgraph(rows, subset);
+      EXPECT_EQ(sub_lists.mapping, sub_rows.mapping);
+      EXPECT_TRUE(sub_lists.graph == sub_rows.graph);
+      // `gsb cliques --engine bk` writes cliques in this order.
+      const auto order_lists = graph::degeneracy_order(lists);
+      const auto order_rows = graph::degeneracy_order(rows);
+      EXPECT_EQ(order_lists.order, order_rows.order);
+      EXPECT_EQ(order_lists.degeneracy, order_rows.degeneracy);
+    }
+  }
+}
+
+#if defined(__linux__)
+/// Resident bytes of this process's mappings of \p path, summed over the
+/// `Rss:` lines of /proc/self/smaps.
+std::size_t mapped_resident_bytes(const std::string& path) {
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool ours = false;
+  std::size_t total = 0;
+  while (std::getline(smaps, line)) {
+    const std::string key = line.substr(0, line.find(' '));
+    if (key.empty() || key.back() != ':') {
+      // A mapping's header line: "lo-hi perms offset dev inode [path]".
+      ours = line.size() >= path.size() &&
+             line.compare(line.size() - path.size(), path.size(), path) == 0;
+    } else if (ours && key == "Rss:") {
+      total += std::stoull(line.substr(key.size())) * 1024;
+    }
+  }
+  return total;
+}
+#endif
+
+// The pipeline's analysis of a mapped view reads CSR for every n-wide
+// step, so the bitmap section stays on disk: after open (whose padding
+// check hands its pages back) and the whole of run_analysis, the mapping
+// holds little more than the CSR sections.
+TEST(MappedAnalysis, BitmapStaysOnDisk) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "reads /proc/self/smaps";
+#else
+  util::Rng rng(17);
+  graph::ModuleGraphConfig config;
+  config.n = 10000;
+  config.num_modules = 60;
+  config.max_module_size = 12;
+  const auto modules = graph::planted_modules_with_edges(config, 3000, rng);
+  TempFile file("bitmap_on_disk");
+  storage::write_gsbg_file(modules.graph, file.path());
+  const auto mapped = storage::MappedGraph::open(file.path());
+  const std::size_t csr =
+      mapped.csr_offsets().size_bytes() + mapped.csr_targets().size_bytes();
+  const std::size_t bitmap =
+      mapped.order() * ((mapped.order() + 63) / 64) * sizeof(std::uint64_t);
+  ASSERT_GE(bitmap, 50 * csr);
+
+  pipeline::AnalysisOptions options;
+  options.range = core::SizeRange{4, 0};
+  options.threads = 2;
+  options.overlap = false;
+  const auto result = pipeline::run_analysis(mapped.view(), options);
+  EXPECT_GE(result.maximum.clique.size(), 4u);
+  EXPECT_GT(result.spectrum.total, 0u);
+  EXPECT_FALSE(result.paracliques.empty());
+  EXPECT_LT(mapped_resident_bytes(file.path()), csr + (std::size_t{1} << 20));
+#endif
 }
 
 // --- mmap vs in-memory identity ---------------------------------------------
