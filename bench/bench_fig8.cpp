@@ -10,7 +10,7 @@
 // cores, oversubscription makes "per-processor time" meaningless, so the
 // 2..16-processor series the paper plots is regenerated by the machine
 // model replaying the recorded task trace through the paper's centralized
-// scheduler (par::LoadBalancer) — the same substitution DESIGN.md
+// scheduler (altix::LoadBalancer) — the same substitution DESIGN.md
 // documents for all >2p results.  The real driver balances at runtime
 // instead: idle workers steal range jobs, counted in the last column.  A
 // no-transfers ablation shows the balance is the scheduler's doing, not an
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
 
   // --- ablation: scheduler transfers disabled --------------------------------
   std::printf("\nablation — scheduler transfers disabled (static split):\n");
-  par::LoadBalancerConfig off;
+  altix::LoadBalancerConfig off;
   off.enable_transfers = false;
   const altix::AltixSimulator static_sim(bench::calibrated_model_for(run.stats),
                                          off);

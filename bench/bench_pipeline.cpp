@@ -216,7 +216,7 @@ void BM_ParacliqueExtraction(benchmark::State& state) {
   std::size_t paracliques = 0;
   for (auto _ : state) {
     const auto found = gsb::analysis::extract_all_paracliques(
-        graph, 5, gsb::analysis::ParacliqueOptions{1, 0});
+        graph, 5, gsb::analysis::ParacliqueOptions{1});
     paracliques = found.size();
     benchmark::DoNotOptimize(found.data());
   }

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   table.print();
 
   // --- 5. paraclique + hub genes ---------------------------------------------
-  const auto para = analysis::grow_paraclique(g, max.clique, {1, 0});
+  const auto para = analysis::grow_paraclique(g, max.clique, {1});
   std::printf("paraclique (glom 1): %zu members, density %.3f\n",
               para.members.size(), para.density);
 

@@ -1,4 +1,4 @@
-#include "parallel/load_balancer.h"
+#include "altix/load_balancer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -6,7 +6,7 @@
 #include <numeric>
 #include <queue>
 
-namespace gsb::par {
+namespace gsb::altix {
 
 std::uint64_t Assignment::max_load() const noexcept {
   std::uint64_t best = 0;
@@ -126,4 +126,4 @@ Assignment LoadBalancer::assign(std::span<const std::uint64_t> costs,
   return out;
 }
 
-}  // namespace gsb::par
+}  // namespace gsb::altix

@@ -1,5 +1,5 @@
-#ifndef GSB_PARALLEL_LOAD_BALANCER_H
-#define GSB_PARALLEL_LOAD_BALANCER_H
+#ifndef GSB_ALTIX_LOAD_BALANCER_H
+#define GSB_ALTIX_LOAD_BALANCER_H
 
 /// \file load_balancer.h
 /// The **centralized dynamic load balancer** of §2.3.
@@ -14,15 +14,15 @@
 /// machines (the paper's Altix) it pays remote-memory access, which the
 /// gsb::altix machine model charges for.
 ///
-/// Only that machine-model replay (altix/simulator.h) plans with this
-/// policy.  Real runs — the Clique Enumerator and Bron–Kerbosch — cut their
-/// work into range jobs that idle workers steal (par::JobGraph).
+/// Only the machine-model replay (simulator.h) plans with this policy.
+/// Real runs — the Clique Enumerator and Bron–Kerbosch — cut their work
+/// into range jobs that idle workers steal (par::JobGraph).
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-namespace gsb::par {
+namespace gsb::altix {
 
 /// Threshold and policy knobs.
 struct LoadBalancerConfig {
@@ -79,6 +79,6 @@ class LoadBalancer {
   LoadBalancerConfig config_;
 };
 
-}  // namespace gsb::par
+}  // namespace gsb::altix
 
-#endif  // GSB_PARALLEL_LOAD_BALANCER_H
+#endif  // GSB_ALTIX_LOAD_BALANCER_H

@@ -55,7 +55,7 @@ SimulatedRun AltixSimulator::simulate(const core::EnumerationStats& trace,
   SimulatedRun run;
   run.processors = processors;
   run.processor_busy.assign(processors, 0.0);
-  const par::LoadBalancer balancer(balancer_);
+  const LoadBalancer balancer(balancer_);
   const double log2p = std::log2(static_cast<double>(processors));
   const double sync =
       processors > 1 ? model_.barrier_base + model_.barrier_log2 * log2p +
@@ -68,7 +68,7 @@ SimulatedRun AltixSimulator::simulate(const core::EnumerationStats& trace,
     const auto& seed = trace.seed_trace;
     if (!seed.task_seconds.empty()) {
       const auto costs = task_costs(seed.task_work, seed.task_seconds);
-      const par::Assignment assignment =
+      const Assignment assignment =
           balancer.assign(to_cost_units(costs), {}, processors);
       double slowest = 0.0;
       for (std::size_t t = 0; t < processors; ++t) {
@@ -91,7 +91,7 @@ SimulatedRun AltixSimulator::simulate(const core::EnumerationStats& trace,
   // refined by transfers; transferred tasks pay the NUMA remote penalty.
   for (const auto& level : trace.traces) {
     const auto costs = task_costs(level.task_work, level.task_seconds);
-    const par::Assignment assignment =
+    const Assignment assignment =
         balancer.assign(to_cost_units(costs), {}, processors);
     run.transfers += assignment.transfers;
     double slowest = 0.0;

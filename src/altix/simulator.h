@@ -8,7 +8,7 @@
 /// Input: an EnumerationStats carrying the per-root seed costs and
 /// per-sub-list level costs recorded by an instrumented (record_trace)
 /// one-thread run.  The simulator pushes those task costs through the
-/// paper's centralized scheduler, gsb::par::LoadBalancer, at any processor
+/// paper's centralized scheduler, altix::LoadBalancer, at any processor
 /// count, and charges the MachineModel's NUMA and synchronization
 /// overheads.  (The real multithreaded driver balances at runtime instead,
 /// by work stealing over range jobs.)  Because the task set is the real
@@ -18,9 +18,9 @@
 #include <cstddef>
 #include <vector>
 
+#include "altix/load_balancer.h"
 #include "altix/machine_model.h"
 #include "core/enumeration_stats.h"
-#include "parallel/load_balancer.h"
 
 namespace gsb::altix {
 
@@ -45,7 +45,7 @@ struct SpeedupPoint {
 /// Trace replayer.
 class AltixSimulator {
  public:
-  AltixSimulator(MachineModel model, par::LoadBalancerConfig balancer = {})
+  AltixSimulator(MachineModel model, LoadBalancerConfig balancer = {})
       : model_(model), balancer_(balancer) {}
 
   /// Replays \p trace on \p processors virtual CPUs.
@@ -65,7 +65,7 @@ class AltixSimulator {
 
  private:
   MachineModel model_;
-  par::LoadBalancerConfig balancer_;
+  LoadBalancerConfig balancer_;
 };
 
 }  // namespace gsb::altix

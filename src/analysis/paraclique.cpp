@@ -40,11 +40,9 @@ Paraclique grow_paraclique(const graph::GraphView& g, const Clique& seed_clique,
   };
   members.for_each(link_neighbors);
 
-  std::size_t rounds = 0;
   bool grew = true;
-  while (grew && (options.max_rounds == 0 || rounds < options.max_rounds)) {
+  while (grew) {
     grew = false;
-    ++rounds;
     // find_next reads the live words: a joiner's neighbors above the
     // cursor are visited in this pass, those below it wait for the next,
     // as in an ascending scan over all vertices.  links <= member_count,
@@ -108,7 +106,7 @@ class CarriedState {
   /// reused, stale ones regrown), then the search from it below the last
   /// round's ω.  A seed whose greedy clique reaches that bound is maximum,
   /// and no later seed can beat it, so the rest go unasked.
-  Clique seed(const graph::GraphView& residue) {
+  core::MaxCliqueResult seed(const graph::GraphView& residue) {
     Clique lower;
     const auto seeds = core::highest_degree_vertices(
         {residue.degrees_data(), residue.order()}, core::kMaxCliqueSeeds);
@@ -120,11 +118,10 @@ class CarriedState {
         if (lower.size() >= omega_bound_) break;
       }
     }
-    Clique seed =
-        core::maximum_clique_from(residue, std::move(lower), omega_bound_)
-            .clique;
-    omega_bound_ = seed.size();
-    return seed;
+    core::MaxCliqueResult found =
+        core::maximum_clique_from(residue, std::move(lower), omega_bound_);
+    omega_bound_ = found.clique.size();
+    return found;
   }
 
   /// Removes the edges among \p members from \p residue.  Before {u, v}
@@ -155,7 +152,7 @@ class CarriedState {
 
 std::vector<Paraclique> extract_all_paracliques(
     const graph::GraphView& g, std::size_t min_size,
-    const ParacliqueOptions& options) {
+    const ParacliqueOptions& options, core::MaxCliqueResult* maximum) {
   std::vector<Paraclique> out;
   // Iterative extraction removes edges, so this is the one analysis stage
   // that cannot run off a read-only mapping: it materializes a mutable
@@ -165,11 +162,17 @@ std::vector<Paraclique> extract_all_paracliques(
   // first-in-id-order tie break of the search and the glom then runs as it
   // would over all n.  Recorded with the tracker so out-of-core runs
   // report it honestly.
-  auto [residue, to_g] =
-      graph::induced_subgraph(g, graph::vertices_with_edges(g));
+  std::vector<VertexId> live;
+  for (VertexId v = 0; v < g.order(); ++v) {
+    if (g.degree(v) > 0) live.push_back(v);
+  }
+  auto [residue, to_g] = graph::induced_subgraph(g, live);
   util::ScopedAllocation residue_bytes(util::global_memory_tracker(),
                                        residue.adjacency_bytes(),
                                        util::MemTag::kGraph);
+  if (maximum != nullptr && residue.num_edges() == 0) {
+    *maximum = core::maximum_clique(g);
+  }
   // A one-vertex seed removes no edge, so sizes below 2 act as 2.
   min_size = std::max<std::size_t>(min_size, 2);
   CarriedState carried(residue.order());
@@ -177,9 +180,13 @@ std::vector<Paraclique> extract_all_paracliques(
     const obs::TimelineSpan span(obs::TimelineEventKind::kStage,
                                  "paraclique-round", round);
     const graph::GraphView view(residue);
-    const Clique seed = carried.seed(view);
-    if (seed.size() < min_size) break;
-    Paraclique para = grow_paraclique(view, seed, options);
+    const core::MaxCliqueResult seed = carried.seed(view);
+    if (round == 0 && maximum != nullptr) {
+      *maximum = seed;
+      for (VertexId& v : maximum->clique) v = to_g[v];
+    }
+    if (seed.clique.size() < min_size) break;
+    Paraclique para = grow_paraclique(view, seed.clique, options);
     carried.remove_edges(residue, para.members);
     for (VertexId& v : para.members) v = to_g[v];
     out.push_back(std::move(para));

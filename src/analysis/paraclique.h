@@ -11,6 +11,7 @@
 /// outward with vertices adjacent to almost all current members.
 
 #include "core/clique.h"
+#include "core/maximum_clique.h"
 #include "graph/graph_view.h"
 #include "storage/clique_stream.h"
 
@@ -21,8 +22,7 @@ namespace gsb::analysis {
 /// saturates: any glom at least the paraclique's size (up to SIZE_MAX)
 /// admits every vertex adjacent to a member.
 struct ParacliqueOptions {
-  std::size_t glom = 1;        ///< allowed non-neighbors per joining vertex
-  std::size_t max_rounds = 0;  ///< growth passes; 0 = until fixpoint
+  std::size_t glom = 1;  ///< allowed non-neighbors per joining vertex
 };
 
 /// Result of one extraction.
@@ -38,7 +38,7 @@ struct Paraclique {
 /// order, and a vertex counts as a member the moment it joins.  So a
 /// joiner's neighbors above the scan cursor are tested against the grown
 /// set in the same pass, while those below it wait for the next pass.
-/// Growth stops after a pass admits nobody, or after `max_rounds` passes.
+/// Growth stops after a pass admits nobody.
 /// A pass costs the frontier (non-members adjacent to a member) plus one
 /// walk of N(u) per joining u.
 Paraclique grow_paraclique(const graph::GraphView& g,
@@ -71,9 +71,12 @@ Paraclique extract_paraclique_from_stream(const graph::GraphView& g,
 /// neighbours goes (before {u, v} is deleted, those of u, v and every
 /// common neighbour of u and v are dropped).  Each round records one
 /// `paraclique-round` stage span on the timeline.
+/// Round 0's search is core::maximum_clique(g)'s; \p maximum, when given,
+/// receives its result in g's ids (core::maximum_clique(g) without edges).
 std::vector<Paraclique> extract_all_paracliques(
     const graph::GraphView& g, std::size_t min_size,
-    const ParacliqueOptions& options = {});
+    const ParacliqueOptions& options = {},
+    core::MaxCliqueResult* maximum = nullptr);
 
 }  // namespace gsb::analysis
 

@@ -137,9 +137,9 @@ CorrelationGraphResult build_correlation_graph(
     const double fraction =
         std::min(1.0, static_cast<double>(options.target_edges) / total_pairs);
     std::vector<double> sample;
-    const std::size_t draws =
-        std::min<std::size_t>(options.quantile_samples,
-                              static_cast<std::size_t>(total_pairs));
+    constexpr std::size_t kQuantileSamples = 200000;
+    const std::size_t draws = std::min<std::size_t>(
+        kQuantileSamples, static_cast<std::size_t>(total_pairs));
     sample.reserve(draws);
     for (std::size_t d = 0; d < draws; ++d) {
       const auto i = static_cast<std::size_t>(rng.below(genes));

@@ -73,10 +73,8 @@ struct CorrelationGraphOptions {
   /// Edge iff |corr| >= threshold (used when target_edges == 0).
   double threshold = 0.85;
   /// When nonzero, pick the threshold as the |corr| quantile that yields
-  /// approximately this many edges (estimated from sampled pairs).
+  /// approximately this many edges (estimated from <= 200,000 pair draws).
   std::size_t target_edges = 0;
-  /// Pairs sampled for the quantile estimate.
-  std::size_t quantile_samples = 200000;
   /// Worker threads for the blocked correlation sweep: 0 = hardware
   /// concurrency, 1 = sequential.  The edge set is identical at every
   /// thread count (see corr_kernel.h's determinism contract).

@@ -18,6 +18,7 @@
 #include "obs/timeline.h"
 #include "parallel/job_graph.h"
 #include "parallel/thread_pool.h"
+#include "storage/gsbg_writer.h"
 #include "util/io.h"
 
 namespace gsb::bio {
@@ -518,14 +519,9 @@ TiledCorrelationResult build_correlation_gsbg(
   result.threshold_used = options.threshold;
   result.tiles = n == 0 ? 0 : (n + tile - 1) / tile;
 
-  const std::string scratch_base =
-      options.scratch_dir.empty()
-          ? out_path
-          : (std::filesystem::path(options.scratch_dir) /
-             std::filesystem::path(out_path).filename())
-                .string();
-  ScratchFile std_file(scratch_base + ".std");
-  ScratchFile edge_file(scratch_base + ".edges");
+  // The two scratch files sit beside the output.
+  ScratchFile std_file(out_path + ".std");
+  ScratchFile edge_file(out_path + ".edges");
 
   // Validity of each profile (constant rows correlate with nothing); n
   // bytes resident, the same O(n) class as the CSR offsets.
@@ -632,8 +628,7 @@ TiledCorrelationResult build_correlation_gsbg(
     }
 
     span.emplace(obs::TimelineEventKind::kStage, "gsbg-write");
-    storage::write_gsbg_from_csr(n, offsets, targets, out_path,
-                                 options.storage);
+    storage::write_gsbg_from_csr(n, offsets, targets, out_path);
   }
 
   result.peak_tracked_bytes = tracker.peak();

@@ -50,7 +50,6 @@
 #include "bio/corr_kernel.h"
 #include "bio/correlation.h"
 #include "bio/expression.h"
-#include "storage/gsbg_writer.h"
 #include "util/memory_tracker.h"
 
 namespace gsb::par {
@@ -160,10 +159,6 @@ struct TiledCorrelationOptions {
   std::size_t threads = 1;
   /// Rows per cache block inside a tile pair; 0 = kernel default.
   std::size_t block_rows = 0;
-  /// Directory for the two scratch files; "" = alongside the output.
-  std::string scratch_dir;
-  /// Options forwarded to the .gsbg writer (bitmap/wah/degree-sort).
-  storage::GsbgWriteOptions storage;
   /// Byte-accounting sink; defaults to the process-global tracker.  Every
   /// buffer the builder allocates is reported here, so the tracker's peak
   /// is the builder's bounded-memory proof.

@@ -507,11 +507,11 @@ int cmd_pipeline(const util::Cli& cli) {
   }
   const graph::GraphView& g = input.view;
 
-  // --- stages 4-7: maximum clique, bounded enumeration (Bron–Kerbosch
-  // over the (Init_K-1)-core, written in the Clique Enumerator's order,
-  // optionally streamed to a .gsbc), paraclique extraction, hub report —
-  // all through pipeline::run_analysis.  Staged mode (the default) runs them
-  // inline in submission order, exactly the historical sequence;
+  // --- stages 4-7: bounded enumeration (Bron–Kerbosch over the
+  // (Init_K-1)-core, in the Clique Enumerator's order, optionally streamed
+  // to a .gsbc), paraclique extraction (round 0 is the maximum clique), hub
+  // report — all through pipeline::run_analysis.  Staged mode (the
+  // default) runs them inline in submission order;
   // --overlap schedules them as a par::JobGraph so independent stages
   // run concurrently, the hub report releases the moment enumeration
   // finishes, and a prefetch job pages a mapped .gsbg in behind compute.

@@ -13,7 +13,7 @@
 ///    returning from a branch only vertices *not* adjacent to that pivot are
 ///    selected, which prunes re-discovery of overlapping cliques.
 ///  * **Degeneracy BK** — the outer loop visits vertices in degeneracy
-///    order (graph::degeneracy_order); vertex v roots an independent
+///    order (graph::core_decomposition); vertex v roots an independent
 ///    subtree whose CANDIDATES are v's later-ordered neighbors and whose
 ///    NOT set its earlier-ordered ones, searched with max-candidate
 ///    pivoting over CANDIDATES ∪ NOT.  The deepest candidate set is

@@ -79,10 +79,10 @@ ParallelBkStats parallel_bk(const graph::GraphView& g,
     return stats;
   }
 
-  const graph::DegeneracyResult deg = graph::degeneracy_order(g);
-  stats.degeneracy = deg.degeneracy;
+  const graph::CoreDecomposition cores = graph::core_decomposition(g);
+  stats.degeneracy = cores.degeneracy;
   std::vector<std::size_t> pos(n);
-  for (std::size_t i = 0; i < n; ++i) pos[deg.order[i]] = i;
+  for (std::size_t i = 0; i < n; ++i) pos[cores.order[i]] = i;
 
   // --- schedule: one job per contiguous range of the degeneracy order -----
   // Jobs are added in root order with no home queue: the scheduler deals
@@ -125,7 +125,7 @@ ParallelBkStats parallel_bk(const graph::GraphView& g,
       w.buffer.clear();
       for (std::size_t i = n * j / num_jobs; i < n * (j + 1) / num_jobs;
            ++i) {
-        const VertexId v = deg.order[i];
+        const VertexId v = cores.order[i];
         w.cand.clear_all();
         w.not_set.clear_all();
         g.neighbors(v).for_each([&](std::size_t u) {

@@ -25,8 +25,8 @@
 /// next level is the list of those chunks, so nothing merges per
 /// sub-list, and the emission sequence — by size, then lexicographically
 /// — is the same at every thread count.  The paper's centralized plan-time
-/// balancer (par::LoadBalancer) now lives only in the Altix machine-model
-/// replay.
+/// balancer (altix::LoadBalancer, src/altix/load_balancer.h) plans only the
+/// Altix machine-model replay.
 
 #include "core/clique.h"
 #include "core/clique_enumerator.h"

@@ -1,6 +1,7 @@
 #include "graph/transforms.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 
@@ -57,34 +58,75 @@ InducedSubgraph induced_subgraph(const GraphView& g,
   return out;
 }
 
-std::vector<VertexId> vertices_with_edges(const GraphView& g) {
-  std::vector<VertexId> live;
-  for (VertexId v = 0; v < g.order(); ++v) {
-    if (g.degree(v) > 0) live.push_back(v);
-  }
-  return live;
-}
+namespace {
 
-bits::DynamicBitset kcore_mask(const GraphView& g, std::size_t k) {
+/// The one min-degree peel.  Until no vertex is left, or the least degree
+/// left reaches \p stop, it removes the vertex on top of the least degree's
+/// stack and reports removed(v, degree); returns the vertices left.  Each
+/// stack is a doubly linked list through `next`/`prev`, so a vertex whose
+/// degree falls moves to the top of its new stack in O(1), in the order of
+/// LIFO stacks that leave stale entries behind.  Degrees of \p stop or more
+/// are never popped, so they are not filed.
+template <typename Removed>
+bits::DynamicBitset peel(const GraphView& g, std::size_t stop,
+                         Removed&& removed) {
   const std::size_t n = g.order();
   bits::DynamicBitset alive(n);
   alive.set_all();
-  std::vector<std::size_t> degree(n);
-  std::vector<VertexId> queue;
+  constexpr VertexId kNone = UINT32_MAX;
+  std::vector<std::size_t> degree(g.degrees_data(), g.degrees_data() + n);
+  const std::size_t levels = std::min(stop, g.max_degree() + 1);
+  std::vector<VertexId> top(levels, kNone);
+  std::vector<VertexId> next(n);
+  std::vector<VertexId> prev(n);
+  const auto file = [&](VertexId v) {
+    next[v] = top[degree[v]];
+    prev[v] = kNone;
+    if (next[v] != kNone) prev[next[v]] = v;
+    top[degree[v]] = v;
+  };
+  const auto unfile = [&](VertexId v) {
+    (prev[v] != kNone ? next[prev[v]] : top[degree[v]]) = next[v];
+    if (next[v] != kNone) prev[next[v]] = prev[v];
+  };
   for (VertexId v = 0; v < n; ++v) {
-    degree[v] = g.degree(v);
-    if (degree[v] < k) queue.push_back(v);
+    if (degree[v] < levels) file(v);
   }
-  while (!queue.empty()) {
-    const VertexId v = queue.back();
-    queue.pop_back();
-    if (!alive.test(v)) continue;
+  std::size_t cursor = 0;  // no live vertex has a lower degree
+  for (std::size_t left = n; left > 0; --left) {
+    while (cursor < levels && top[cursor] == kNone) ++cursor;
+    if (cursor == levels) break;
+    const VertexId v = top[cursor];
+    unfile(v);
     alive.reset(v);
+    removed(v, cursor);
     g.for_each_neighbor(v, [&](VertexId u) {
-      if (alive.test(u) && degree[u]-- == k) queue.push_back(u);
+      if (!alive.test(u)) return;
+      if (degree[u] < levels) unfile(u);
+      --degree[u];
+      if (degree[u] < levels) file(u);
+      cursor = std::min(cursor, degree[u]);
     });
   }
   return alive;
+}
+
+}  // namespace
+
+CoreDecomposition core_decomposition(const GraphView& g) {
+  CoreDecomposition result;
+  result.order.reserve(g.order());
+  result.core.resize(g.order());
+  peel(g, SIZE_MAX, [&result](VertexId v, std::size_t degree) {
+    result.degeneracy = std::max(result.degeneracy, degree);
+    result.core[v] = static_cast<std::uint32_t>(result.degeneracy);
+    result.order.push_back(v);
+  });
+  return result;
+}
+
+bits::DynamicBitset kcore_mask(const GraphView& g, std::size_t k) {
+  return peel(g, k, [](VertexId, std::size_t) {});
 }
 
 InducedSubgraph kcore_subgraph(const GraphView& g, std::size_t k) {
@@ -95,50 +137,6 @@ InducedSubgraph kcore_subgraph(const GraphView& g, std::size_t k) {
     survivors.push_back(static_cast<VertexId>(v));
   });
   return induced_subgraph(g, survivors);
-}
-
-DegeneracyResult degeneracy_order(const GraphView& g) {
-  const std::size_t n = g.order();
-  DegeneracyResult result;
-  result.order.reserve(n);
-  std::vector<std::size_t> degree(n);
-  bits::DynamicBitset alive(n);
-  alive.set_all();
-
-  // Bucket queue over degrees.
-  std::vector<std::vector<VertexId>> buckets(n + 1);
-  for (VertexId v = 0; v < n; ++v) {
-    degree[v] = g.degree(v);
-    buckets[degree[v]].push_back(v);
-  }
-  std::size_t cursor = 0;
-  for (std::size_t removed = 0; removed < n; ++removed) {
-    // Find the next live minimum-degree vertex, skipping stale bucket
-    // entries (vertices re-filed after a degree decrease leave their old
-    // entries behind; the check below discards them).
-    VertexId v = 0;
-    while (true) {
-      auto& bucket = buckets[cursor];
-      if (bucket.empty()) {
-        ++cursor;
-        continue;
-      }
-      v = bucket.back();
-      bucket.pop_back();
-      if (alive.test(v) && degree[v] == cursor) break;
-    }
-    result.degeneracy = std::max(result.degeneracy, cursor);
-    alive.reset(v);
-    result.order.push_back(v);
-    g.for_each_neighbor(v, [&](VertexId u) {
-      if (alive.test(u)) {
-        --degree[u];
-        buckets[degree[u]].push_back(u);
-        if (degree[u] < cursor) cursor = degree[u];
-      }
-    });
-  }
-  return result;
 }
 
 Components connected_components(const Graph& g) {

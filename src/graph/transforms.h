@@ -5,11 +5,12 @@
 /// Structural graph transformations used across the framework:
 ///   * complement        — the clique ↔ vertex-cover / independent-set bridge
 ///                         exploited by the FPT maximum-clique route (§2.1);
-///   * k-core reduction  — the paper's §2.2 preprocessing ("eliminate all
-///                         vertices of degree less than k-1"), iterated to a
-///                         fixed point;
-///   * induced subgraphs, connected components, degeneracy order, relabeling.
+///   * core decomposition — the paper's §2.2 preprocessing ("eliminate all
+///                         vertices of degree less than k-1", iterated) and
+///                         Bron–Kerbosch's root order, from one peel;
+///   * induced subgraphs, connected components, relabeling.
 
+#include <cstdint>
 #include <vector>
 
 #include "bitset/dynamic_bitset.h"
@@ -34,30 +35,25 @@ struct InducedSubgraph {
 InducedSubgraph induced_subgraph(const GraphView& g,
                                  const std::vector<VertexId>& vertices);
 
-/// The vertices of degree at least 1, ascending.
-std::vector<VertexId> vertices_with_edges(const GraphView& g);
+/// The core decomposition: one peel removes a vertex of least degree at a
+/// time, the one filed last at that degree (filed in ascending id order,
+/// then whenever a removal lowers its degree); `core[v]` is the largest
+/// degree at removal up to v's.  It reads for_each_neighbor, so a mapped
+/// view peels in O(n + m) over CSR, in the in-memory graph's order.
+struct CoreDecomposition {
+  std::vector<VertexId> order;      ///< removal order
+  std::vector<std::uint32_t> core;  ///< core number of each vertex
+  std::size_t degeneracy = 0;       ///< the largest core number
+};
+CoreDecomposition core_decomposition(const GraphView& g);
 
-/// Vertices surviving iterated peeling of vertices with degree < k
-/// (the k-core).  For k-clique search pass k-1 per the paper's rule: a
-/// vertex of a k-clique has at least k-1 neighbors *within the clique*.
-/// Peels through GraphView::for_each_neighbor: O(n + m) over a view's CSR
-/// lists, reading no bitmap row.
+/// The k-core, {v : core[v] >= k}: the same peel, stopped once the least
+/// degree left reaches k.  For k-clique search pass k-1 per the paper's
+/// rule: a vertex of a k-clique has at least k-1 neighbors in the clique.
 bits::DynamicBitset kcore_mask(const GraphView& g, std::size_t k);
 
 /// The k-core as a reduced graph (may be empty).
 InducedSubgraph kcore_subgraph(const GraphView& g, std::size_t k);
-
-/// Degeneracy ordering (repeatedly remove a minimum-degree vertex).
-/// Accepts any GraphView, so the ordering can be computed directly off a
-/// memory-mapped .gsbg (the degeneracy-ordered Bron–Kerbosch outer loop
-/// depends on this); like kcore_mask it reads neighbours through
-/// for_each_neighbor, in ascending order from lists and rows alike, so the
-/// order is the same from both.
-struct DegeneracyResult {
-  std::vector<VertexId> order;  ///< removal order
-  std::size_t degeneracy = 0;   ///< max degree at removal time
-};
-DegeneracyResult degeneracy_order(const GraphView& g);
 
 /// Connected components: `component[v]` in [0, count).
 struct Components {

@@ -7,8 +7,9 @@
 /// The pipeline stages each grew their own fan-out machinery: the
 /// correlation sweep claimed tiles off an atomic cursor and reordered
 /// hits under a mutex, parallel Bron-Kerbosch combined a LoadBalancer
-/// plan with a reorder buffer and backpressure gate, and BatchExecutor
-/// striped request lines over a borrowed pool.  JobGraph subsumes all
+/// plan (now the Altix replay's alone) with a reorder buffer and
+/// backpressure gate, and BatchExecutor striped request lines over a
+/// borrowed pool.  JobGraph subsumes all
 /// three: callers describe *jobs* (a parallel body plus an optional
 /// ordered completion) and *edges* (prerequisites), and the scheduler
 /// provides home-queue placement with work stealing, cycle rejection at

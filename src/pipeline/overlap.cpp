@@ -47,21 +47,21 @@ AnalysisResult run_analysis(const graph::GraphView& g,
   AnalysisResult result;
   result.streamed = !options.clique_out.empty();
 
-  // Four stages, at most four runnable at once; the enumeration stage
-  // parallelizes internally with its own worker team, so the scheduler
-  // pool only needs enough workers to keep the independent stages and
-  // the prefetch job concurrent.  Clamped to the hardware unless the
-  // caller asked for a thread count explicitly (an explicit request
-  // opts into oversubscription, like every other --threads site): with
-  // a single core and no request, stage overlap is pure
-  // oversubscription, and a one-worker pool takes JobGraph's inline
+  // Three stages, at most three runnable at once with the prefetch job;
+  // the enumeration stage parallelizes internally with its own worker
+  // team, so the scheduler pool only needs enough workers to keep the
+  // independent stages and the prefetch job concurrent.  Clamped to the
+  // hardware unless the caller asked for a thread count explicitly (an
+  // explicit request opts into oversubscription, like every other
+  // --threads site): with a single core and no request, stage overlap is
+  // pure oversubscription, and a one-worker pool takes JobGraph's inline
   // path — identical to staged.
   const std::size_t parallelism =
       options.threads != 0
           ? options.threads
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   const std::size_t stage_workers =
-      options.overlap ? std::min<std::size_t>(4, parallelism) : 1;
+      options.overlap ? std::min<std::size_t>(3, parallelism) : 1;
   par::ThreadPool pool(stage_workers);
   par::JobGraph graph(options.overlap && stage_workers > 1 ? &pool : nullptr);
 
@@ -81,23 +81,6 @@ AnalysisResult run_analysis(const graph::GraphView& g,
       result.prefetched_bytes = prefetch_container(*mapped);
     });
   }
-
-  add_stage("maximum-clique", [&result, &g](std::size_t) {
-    // The search's root colours n-bit rows, and over a mapped view each
-    // row it reads faults in the bitmap around it.  Isolated vertices all
-    // take colour 1, which no branch expands once an edge exists, so the
-    // search on the subgraph induced on the vertices with an edge visits
-    // the same tree; local ids are monotone, so it returns the same
-    // clique.  That subgraph is built from neighbour lists.
-    const std::vector<graph::VertexId> live = graph::vertices_with_edges(g);
-    if (live.empty() || live.size() == g.order()) {
-      result.maximum = core::maximum_clique(g);
-      return;
-    }
-    const graph::InducedSubgraph sub = graph::induced_subgraph(g, live);
-    result.maximum = core::maximum_clique(sub.graph);
-    for (graph::VertexId& v : result.maximum.clique) v = sub.mapping[v];
-  });
 
   const par::JobId enum_job = add_stage(
       "enumeration", [&result, &g, &options](std::size_t) {
@@ -161,8 +144,8 @@ AnalysisResult run_analysis(const graph::GraphView& g,
   add_stage("paracliques", [&result, &g, &options](std::size_t) {
     analysis::ParacliqueOptions para;
     para.glom = options.glom;
-    result.paracliques =
-        analysis::extract_all_paracliques(g, options.min_paraclique, para);
+    result.paracliques = analysis::extract_all_paracliques(
+        g, options.min_paraclique, para, &result.maximum);
   });
 
   par::JobGraph::JobSpec hubs;

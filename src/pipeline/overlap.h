@@ -7,11 +7,11 @@
 /// `gsb pipeline` historically ran maximum clique -> enumeration ->
 /// paraclique -> hubs strictly in sequence, although only the hub
 /// report actually consumes the enumeration's output.  This runner
-/// expresses the stages as a par::JobGraph: maximum clique, the
-/// enumeration sweep, and paraclique extraction execute concurrently,
-/// an optional prefetch job walks the mapped .gsbg container so page-in
-/// hides behind compute, and the hub ranking is released the moment the
-/// enumeration finishes.
+/// expresses the stages as a par::JobGraph: the enumeration sweep and
+/// paraclique extraction execute concurrently, an optional prefetch job
+/// walks the mapped .gsbg container so page-in hides behind compute, and
+/// the hub ranking is released the moment the enumeration finishes.  The
+/// maximum clique is the extraction's first round, searched once.
 ///
 /// The enumeration stage produces the paper's Clique Enumerator output —
 /// the maximal cliques in the size window, by size, then lexicographically
@@ -73,6 +73,7 @@ struct AnalysisOptions {
 };
 
 struct AnalysisResult {
+  /// core::maximum_clique(g)'s result, from paraclique round 0's search.
   core::MaxCliqueResult maximum;
   /// The Bron–Kerbosch run over the (Init_K−1)-core.  Its
   /// `base.maximal_cliques` also counts the core's maximal cliques below

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "graph/io.h"
+#include "graph/transforms.h"
 #include "storage/clique_stream.h"
 
 namespace gsb::service {
@@ -19,27 +20,37 @@ std::uint64_t next_epoch() {
 
 }  // namespace
 
-const std::vector<std::uint32_t>& GraphEntry::participation() const {
-  std::lock_guard<std::mutex> lock(participation_mutex_);
-  if (participation_ready_) return participation_;
-  participation_.assign(order(), 0);
+const std::vector<std::uint32_t>& GraphEntry::core_numbers() const {
+  std::lock_guard<std::mutex> lock(derived_mutex_);
+  if (!core_ready_) {
+    core_ = graph::core_decomposition(view_).core;
+    core_ready_ = true;
+  }
+  return core_;
+}
+
+const std::vector<analysis::HubReport>& GraphEntry::hub_ranking() const {
+  std::lock_guard<std::mutex> lock(derived_mutex_);
+  if (hubs_ready_) return hubs_;
+  std::vector<std::uint32_t> participation(order(), 0);
   if (index_.is_open()) {
     // Posting-list lengths — no stream bytes touched at all.  The index
     // counts in original labels; fold through the permutation so the
     // vector lines up with stored ids (what top_hubs consumes).
     for (graph::VertexId v = 0; v < order(); ++v) {
-      participation_[to_stored(v)] =
+      participation[to_stored(v)] =
           static_cast<std::uint32_t>(index_.participation(v));
     }
   } else if (!cliques_path_.empty()) {
     auto reader = storage::GsbcReader::open(cliques_path_);
     std::vector<graph::VertexId> clique;
     while (reader.next(clique)) {
-      for (const graph::VertexId v : clique) ++participation_[to_stored(v)];
+      for (const graph::VertexId v : clique) ++participation[to_stored(v)];
     }
   }
-  participation_ready_ = true;
-  return participation_;
+  hubs_ = analysis::top_hubs(view_, participation, order());
+  hubs_ready_ = true;
+  return hubs_;
 }
 
 std::shared_ptr<GraphEntry> GraphCatalog::open(const std::string& name,

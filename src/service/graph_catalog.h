@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/hubs.h"
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 #include "service/clique_index.h"
@@ -43,7 +44,8 @@ struct GraphSpec {
 };
 
 /// One resident graph with its clique artifacts.  Read-only after open;
-/// the lazily computed participation vector is internally synchronized.
+/// the two per-epoch values (core numbers, hub ranking) are computed once,
+/// on first use, under one mutex.
 class GraphEntry {
  public:
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -80,10 +82,14 @@ class GraphEntry {
                : stored;
   }
 
-  /// Per-vertex clique participation in *stored* id space, computed once on
-  /// first use: from the index posting lengths when present, else one
-  /// forward scan of the stream; all zeros without a cliques source.
-  const std::vector<std::uint32_t>& participation() const;
+  /// Core number of every stored vertex: `kcore-membership K V` reads
+  /// core[V] >= K.
+  const std::vector<std::uint32_t>& core_numbers() const;
+
+  /// analysis::top_hubs over all n stored vertices, whose first N entries
+  /// answer `top-hubs N`.  Participation comes from the index's posting
+  /// lengths, else one scan of the stream, else is zero.
+  const std::vector<analysis::HubReport>& hub_ranking() const;
 
  private:
   friend class GraphCatalog;
@@ -98,9 +104,11 @@ class GraphEntry {
   std::string cliques_path_;
   CliqueIndex index_;
 
-  mutable std::mutex participation_mutex_;
-  mutable std::vector<std::uint32_t> participation_;
-  mutable bool participation_ready_ = false;
+  mutable std::mutex derived_mutex_;  ///< guards the per-epoch values below
+  mutable std::vector<std::uint32_t> core_;
+  mutable std::vector<analysis::HubReport> hubs_;
+  mutable bool core_ready_ = false;
+  mutable bool hubs_ready_ = false;
 };
 
 /// Thread-safe name -> GraphEntry map.

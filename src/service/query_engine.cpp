@@ -206,8 +206,8 @@ std::string QueryEngine::run_induced_subgraph(const Query& query) {
 
 std::string QueryEngine::run_kcore_membership(const Query& query) {
   const graph::VertexId stored = stored_operand(query.vertices[0]);
-  const auto mask = graph::kcore_mask(entry_->view(), query.k);
-  return canonical_query(query) + (mask.test(stored) ? ": 1" : ": 0");
+  return canonical_query(query) +
+         (entry_->core_numbers()[stored] >= query.k ? ": 1" : ": 0");
 }
 
 std::string QueryEngine::run_cliques_containing(const Query& query) {
@@ -291,14 +291,17 @@ std::string QueryEngine::run_paraclique_expand(const Query& query) {
 }
 
 std::string QueryEngine::run_top_hubs(const Query& query) {
-  const auto hubs =
-      analysis::top_hubs(entry_->view(), entry_->participation(), query.k);
+  const std::vector<analysis::HubReport>& hubs = entry_->hub_ranking();
+  const std::size_t count = std::min(query.k, hubs.size());
   std::string out = canonical_query(query) + ":";
-  for (std::size_t i = 0; i < hubs.size(); ++i) {
+  out.reserve(out.size() + count * 32);
+  for (std::size_t i = 0; i < count; ++i) {
     out += i == 0 ? " " : "; ";
-    out += std::to_string(entry_->to_original(hubs[i].vertex)) +
-           " deg=" + std::to_string(hubs[i].degree) +
-           " cliques=" + std::to_string(hubs[i].clique_participation);
+    out += std::to_string(entry_->to_original(hubs[i].vertex));
+    out += " deg=";
+    out += std::to_string(hubs[i].degree);
+    out += " cliques=";
+    out += std::to_string(hubs[i].clique_participation);
   }
   return out;
 }

@@ -1,8 +1,14 @@
 // Tests for the Altix machine-model simulator: replay consistency,
-// monotonic scaling behaviour on well-shaped traces, and overhead charging.
+// monotonic scaling behaviour on well-shaped traces, and overhead charging;
+// and for the centralized load balancer whose plans it replays.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "altix/load_balancer.h"
 #include "altix/simulator.h"
 #include "core/clique_enumerator.h"
 #include "tests/test_helpers.h"
@@ -22,6 +28,84 @@ core::EnumerationStats uniform_trace(std::size_t levels, std::size_t tasks,
     stats.traces.push_back(std::move(trace));
   }
   return stats;
+}
+
+TEST(LoadBalancer, ConservationEveryTaskOnce) {
+  util::Rng rng(3);
+  std::vector<std::uint64_t> costs(137);
+  for (auto& c : costs) c = rng.below(1000) + 1;
+  LoadBalancer balancer;
+  const auto assignment = balancer.assign(costs, {}, 5);
+  std::vector<int> seen(costs.size(), 0);
+  for (const auto& tasks : assignment.tasks) {
+    for (auto t : tasks) ++seen[t];
+  }
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    EXPECT_EQ(seen[i], 1) << "task " << i;
+  }
+  // Load sums match the per-thread task sets.
+  for (std::size_t t = 0; t < 5; ++t) {
+    std::uint64_t sum = 0;
+    for (auto task : assignment.tasks[t]) sum += costs[task];
+    EXPECT_EQ(sum, assignment.load[t]);
+  }
+}
+
+TEST(LoadBalancer, TransfersReduceImbalance) {
+  // One giant producer thread: everything starts on thread 0.
+  std::vector<std::uint64_t> costs(64, 100);
+  std::vector<std::uint32_t> home(64, 0);
+  LoadBalancerConfig config;
+  config.min_grain = 0;
+  LoadBalancer balancer(config);
+  const auto balanced = balancer.assign(costs, home, 4);
+  EXPECT_GT(balanced.transfers, 0u);
+  EXPECT_LT(balanced.imbalance(), 1.3);
+
+  LoadBalancerConfig off = config;
+  off.enable_transfers = false;
+  const auto stuck = LoadBalancer(off).assign(costs, home, 4);
+  EXPECT_EQ(stuck.transfers, 0u);
+  EXPECT_DOUBLE_EQ(stuck.imbalance(), 4.0);  // all on thread 0
+}
+
+TEST(LoadBalancer, RemoteFlagsMarkMovedTasks) {
+  std::vector<std::uint64_t> costs{100, 100, 100, 100};
+  std::vector<std::uint32_t> home{0, 0, 0, 0};
+  LoadBalancerConfig config;
+  config.min_grain = 0;
+  const auto assignment = LoadBalancer(config).assign(costs, home, 2);
+  std::size_t remote = 0;
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    if (assignment.remote[i]) ++remote;
+  }
+  EXPECT_EQ(remote, assignment.transfers);
+  EXPECT_GT(remote, 0u);
+}
+
+TEST(LoadBalancer, EvenSplitWithoutHome) {
+  std::vector<std::uint64_t> costs(10, 1);
+  const auto assignment = LoadBalancer().assign(costs, {}, 3);
+  // 10 tasks over 3 threads: 4/3/3 by count.
+  std::vector<std::size_t> sizes;
+  for (const auto& tasks : assignment.tasks) sizes.push_back(tasks.size());
+  std::sort(sizes.begin(), sizes.end());
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{3, 3, 4}));
+}
+
+TEST(LoadBalancer, SingleThreadDegenerate) {
+  std::vector<std::uint64_t> costs{5, 6, 7};
+  const auto assignment = LoadBalancer().assign(costs, {}, 1);
+  EXPECT_EQ(assignment.tasks[0].size(), 3u);
+  EXPECT_EQ(assignment.transfers, 0u);
+  EXPECT_DOUBLE_EQ(assignment.imbalance(), 1.0);
+}
+
+TEST(LoadBalancer, EmptyTaskList) {
+  const auto assignment =
+      LoadBalancer().assign(std::vector<std::uint64_t>{}, {}, 4);
+  EXPECT_EQ(assignment.tasks.size(), 4u);
+  for (const auto& tasks : assignment.tasks) EXPECT_TRUE(tasks.empty());
 }
 
 TEST(Altix, SingleProcessorSumsCosts) {

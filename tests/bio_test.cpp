@@ -511,7 +511,6 @@ TEST(CorrelationGraph, TargetEdgesApproximatelyHit) {
   const auto data = generate_microarray(config, rng);
   CorrelationGraphOptions options;
   options.target_edges = 400;
-  options.quantile_samples = 20000;
   const auto result = build_correlation_graph(data.expression, options, rng);
   EXPECT_GT(result.threshold_used, 0.0);
   EXPECT_GT(result.graph.num_edges(), 150u);

@@ -452,13 +452,80 @@ TEST(Transforms, KcoreZeroKeepsAll) {
 TEST(Transforms, DegeneracyOfCompleteAndTree) {
   util::Rng rng(3);
   const Graph complete = gnp(12, 1.0, rng);
-  EXPECT_EQ(degeneracy_order(complete).degeneracy, 11u);
+  EXPECT_EQ(core_decomposition(complete).degeneracy, 11u);
   // A path has degeneracy 1.
   Graph path(10);
   for (VertexId v = 0; v + 1 < 10; ++v) path.add_edge(v, v + 1);
-  const auto result = degeneracy_order(path);
+  const auto result = core_decomposition(path);
   EXPECT_EQ(result.degeneracy, 1u);
   EXPECT_EQ(result.order.size(), 10u);
+  EXPECT_EQ(result.core, std::vector<std::uint32_t>(10, 1));
+}
+
+TEST(Transforms, CoreDecompositionOfEmptyAndEdgeless) {
+  const auto empty = core_decomposition(Graph(0));
+  EXPECT_TRUE(empty.order.empty());
+  EXPECT_TRUE(empty.core.empty());
+  EXPECT_EQ(empty.degeneracy, 0u);
+  EXPECT_EQ(kcore_mask(Graph(0), 0).size(), 0u);
+  EXPECT_EQ(kcore_mask(Graph(0), 3).size(), 0u);
+  const auto edgeless = core_decomposition(Graph(5));
+  EXPECT_EQ(edgeless.order, (std::vector<VertexId>{4, 3, 2, 1, 0}));
+  EXPECT_EQ(edgeless.core, std::vector<std::uint32_t>(5, 0));
+  EXPECT_EQ(edgeless.degeneracy, 0u);
+  EXPECT_EQ(kcore_mask(Graph(5), 0).count(), 5u);
+  EXPECT_EQ(kcore_mask(Graph(5), 1).count(), 0u);
+}
+
+// The one peel against the two it replaced (test_helpers.h): the removal
+// order and degeneracy equal the bucket peel's, and for every k both
+// {v : core[v] >= k} and the stopped peel equal the queue peel's k-core.
+// In memory, mapped, and from a degree-sorted container (mapped, and its
+// stored graph in memory).
+TEST(Transforms, CoreDecompositionMatchesReferencePeels) {
+  std::size_t comparisons = 0;
+  const auto check = [&](const std::string& name, const Graph& g) {
+    SCOPED_TRACE(name);
+    test::TempFile plain_file("core_plain");
+    test::TempFile sorted_file("core_sorted");
+    storage::write_gsbg_file(g, plain_file.path());
+    storage::GsbgWriteOptions sort;
+    sort.degree_sort = true;
+    storage::write_gsbg_file(g, sorted_file.path(), sort);
+    const auto plain = storage::MappedGraph::open(plain_file.path());
+    const auto sorted = storage::MappedGraph::open(sorted_file.path());
+    const Graph sorted_stored = sorted.load();
+    for (const GraphView& view : {GraphView(g), plain.view(),
+                                  GraphView(sorted_stored), sorted.view()}) {
+      const CoreDecomposition cores = core_decomposition(view);
+      const test::ReferenceDegeneracy expected =
+          test::reference_degeneracy_order(view);
+      EXPECT_EQ(cores.order, expected.order);
+      EXPECT_EQ(cores.degeneracy, expected.degeneracy);
+      ASSERT_EQ(cores.core.size(), view.order());
+      for (std::size_t k = 0; k <= cores.degeneracy + 1; ++k) {
+        const bits::DynamicBitset reference = test::reference_kcore_mask(view, k);
+        bits::DynamicBitset from_core(view.order());
+        for (VertexId v = 0; v < view.order(); ++v) {
+          if (cores.core[v] >= k) from_core.set(v);
+        }
+        EXPECT_TRUE(from_core == reference) << "k " << k;
+        EXPECT_TRUE(kcore_mask(view, k) == reference) << "k " << k;
+        ++comparisons;
+      }
+    }
+  };
+  for (const auto& [name, g] : test::oracle_graphs()) check(name, g);
+  for (const std::size_t n : {50, 150, 300}) {
+    for (const double p : {0.02, 0.05, 0.1, 0.3}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        check("gnp n=" + std::to_string(n) + " p=" + std::to_string(p) +
+                  " seed=" + std::to_string(seed),
+              test::random_graph(n, p, seed * 7919 + n));
+      }
+    }
+  }
+  EXPECT_GT(comparisons, 5000u);
 }
 
 TEST(Transforms, ConnectedComponents) {

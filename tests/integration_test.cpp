@@ -188,7 +188,7 @@ TEST(Integration, ParacliqueAndHubsOnEnumeratedOutput) {
   const auto hub = analysis::most_connected_vertex(mg.graph, sink.cliques());
   EXPECT_EQ(mg.graph.degree(hub.vertex), mg.graph.max_degree());
 
-  const auto para = analysis::extract_paraclique(mg.graph, {1, 0});
+  const auto para = analysis::extract_paraclique(mg.graph, {1});
   EXPECT_GE(para.members.size(), para.seed_size);
 }
 
@@ -264,10 +264,11 @@ TEST(Integration, AnalysisCliquesMatchEmissionOracle) {
   EXPECT_EQ(compared, expected_runs);
 }
 
-// The maximum-clique stage searches the subgraph induced on the vertices
-// with an edge; its clique and search tree must be those of
-// core::maximum_clique on the whole view: with isolated vertices
-// interleaved, with none, and without edges, in memory and mapped.
+// The analysis takes its maximum clique from paraclique round 0, a search
+// on the subgraph induced on the vertices with an edge; its clique and
+// search tree must be those of core::maximum_clique on the whole view:
+// with isolated vertices interleaved, with none, and without edges, in
+// memory and mapped, staged and overlapped.
 TEST(Integration, AnalysisMaximumCliqueMatchesWholeGraphSearch) {
   std::vector<std::pair<std::string, graph::Graph>> graphs;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -289,13 +290,15 @@ TEST(Integration, AnalysisMaximumCliqueMatchesWholeGraphSearch) {
     const test::InMemoryAndMapped backends(g);
     for (const graph::GraphView& view : backends.views()) {
       const auto expected = core::maximum_clique(view);
-      pipeline::AnalysisOptions options;
-      options.range = core::SizeRange{3, 0};
-      options.threads = 2;
-      options.overlap = false;
-      const auto result = pipeline::run_analysis(view, options);
-      EXPECT_EQ(result.maximum.clique, expected.clique) << name;
-      EXPECT_EQ(result.maximum.tree_nodes, expected.tree_nodes) << name;
+      for (const bool overlap : {false, true}) {
+        pipeline::AnalysisOptions options;
+        options.range = core::SizeRange{3, 0};
+        options.threads = 2;
+        options.overlap = overlap;
+        const auto result = pipeline::run_analysis(view, options);
+        EXPECT_EQ(result.maximum.clique, expected.clique) << name;
+        EXPECT_EQ(result.maximum.tree_nodes, expected.tree_nodes) << name;
+      }
     }
   }
 }

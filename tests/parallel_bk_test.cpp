@@ -210,7 +210,7 @@ TEST(ParallelBk, StatsAreCoherent) {
   const auto stats = parallel_bk(g, counter.callback(), options);
   EXPECT_EQ(stats.base.maximal_cliques, counter.total());
   EXPECT_EQ(stats.threads, 4u);
-  EXPECT_EQ(stats.degeneracy, graph::degeneracy_order(g).degeneracy);
+  EXPECT_EQ(stats.degeneracy, graph::core_decomposition(g).degeneracy);
   EXPECT_GT(stats.base.tree_nodes, 0u);
   EXPECT_EQ(stats.thread_busy_seconds.size(), 4u);
 }

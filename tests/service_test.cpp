@@ -216,32 +216,140 @@ TEST(QueryEngine, AnswersMatchDirectComputation) {
   }
   EXPECT_EQ(engine.execute_line("common-neighbors 9 2"), common);
 
-  const auto mask = graph::kcore_mask(g, 3);
+  const auto mask = test::reference_kcore_mask(g, 3);
   EXPECT_EQ(engine.execute_line("kcore-membership 3 5"),
             std::string("kcore-membership 3 5: ") + (mask.test(5) ? "1" : "0"));
 
-  const auto hubs = analysis::top_hubs(
-      g, analysis::vertex_participation(
-             g.order(),
-             [&] {
-               core::CliqueCollector collector;
-               core::degeneracy_bk(g, collector.callback());
-               return collector.cliques();
-             }()),
-      3);
-  std::string hub_line = "top-hubs 3:";
-  for (std::size_t i = 0; i < hubs.size(); ++i) {
-    hub_line += i == 0 ? " " : "; ";
-    hub_line += std::to_string(hubs[i].vertex) +
-                " deg=" + std::to_string(hubs[i].degree) +
-                " cliques=" + std::to_string(hubs[i].clique_participation);
-  }
-  EXPECT_EQ(engine.execute_line("top-hubs 3"), hub_line);
+  const std::vector<std::uint32_t> participation =
+      analysis::vertex_participation(g.order(), [&] {
+        core::CliqueCollector collector;
+        core::degeneracy_bk(g, collector.callback());
+        return collector.cliques();
+      }());
+  const auto hub_line = [](std::size_t count,
+                           const std::vector<analysis::HubReport>& hubs,
+                           const auto& original) {
+    std::string line = "top-hubs " + std::to_string(count) + ":";
+    for (std::size_t i = 0; i < hubs.size(); ++i) {
+      line += i == 0 ? " " : "; ";
+      line += std::to_string(original(hubs[i].vertex)) +
+              " deg=" + std::to_string(hubs[i].degree) +
+              " cliques=" + std::to_string(hubs[i].clique_participation);
+    }
+    return line;
+  };
+  const auto identity = [](graph::VertexId v) { return v; };
+  EXPECT_EQ(engine.execute_line("top-hubs 3"),
+            hub_line(3, analysis::top_hubs(g, participation, 3), identity));
 
   // Errors are responses, not exceptions.
   const auto bad = engine.execute_line("degree 4096");
   EXPECT_TRUE(bad.starts_with("error:")) << bad;
   EXPECT_TRUE(engine.execute_line("bogus").starts_with("error:"));
+
+  // kcore-membership and top-hubs read values each epoch computes once.
+  // Every K up to the degeneracy + 2 and every V against the queue peel,
+  // and top-hubs N against analysis::top_hubs over the container's stored
+  // ids: on a plain and a degree-sorted container, with no clique stream,
+  // an indexed one and a rescanned one, and again once a reload gives the
+  // name a new epoch.
+  const std::size_t n = g.order();
+  const std::size_t degeneracy = test::reference_degeneracy_order(g).degeneracy;
+  const std::string sorted_path = temp_path("service_direct_sorted.gsbg");
+  storage::GsbgWriteOptions sort;
+  sort.degree_sort = true;
+  storage::write_gsbg_file(a.graph, sorted_path, sort);
+  for (const std::string& path : {a.gsbg, sorted_path}) {
+    const auto container = storage::MappedGraph::open(path);
+    const auto perm = container.permutation();
+    ASSERT_EQ(perm.empty(), path == a.gsbg);
+    const auto original = [&perm](graph::VertexId stored) {
+      return perm.empty() ? stored : static_cast<graph::VertexId>(perm[stored]);
+    };
+    for (const int cliques : {0, 1, 2}) {  // none, indexed, rescanned
+      SCOPED_TRACE(path + " cliques " + std::to_string(cliques));
+      GraphSpec spec;
+      spec.graph_path = path;
+      if (cliques > 0) spec.cliques_path = a.gsbc;
+      spec.probe_index = cliques == 1;
+      std::vector<std::uint32_t> stored_participation(n, 0);
+      if (cliques > 0) {
+        for (graph::VertexId v = 0; v < n; ++v) {
+          stored_participation[v] = participation[original(v)];
+        }
+      }
+      std::uint64_t last_epoch = 0;
+      for (int load = 0; load < 2; ++load) {
+        const auto reloaded = catalog.open("g", spec);
+        EXPECT_GT(reloaded->epoch(), last_epoch);
+        last_epoch = reloaded->epoch();
+        EXPECT_EQ(reloaded->index() != nullptr, cliques == 1);
+        QueryEngine fresh(reloaded);
+        for (std::size_t k = 0; k <= degeneracy + 2; ++k) {
+          const auto core = test::reference_kcore_mask(g, k);
+          for (graph::VertexId v = 0; v < n; ++v) {
+            const std::string query = "kcore-membership " + std::to_string(k) +
+                                      " " + std::to_string(v);
+            ASSERT_EQ(fresh.execute_line(query),
+                      query + (core.test(v) ? ": 1" : ": 0"));
+          }
+        }
+        EXPECT_TRUE(fresh.execute_line("top-hubs 0").starts_with("error:"));
+        for (const std::size_t count : {std::size_t{1}, std::size_t{10}, n,
+                                        n + 5}) {
+          EXPECT_EQ(fresh.execute_line("top-hubs " + std::to_string(count)),
+                    hub_line(count,
+                             analysis::top_hubs(container.view(),
+                                                stored_participation, count),
+                             original))
+              << "count " << count;
+        }
+      }
+    }
+  }
+  std::remove(sorted_path.c_str());
+}
+
+// Several engines on one fresh entry ask for the per-epoch values at
+// once: each is computed by whichever asks first, and every engine
+// answers as one engine alone does.  (ThreadSanitizer runs this suite.)
+TEST(QueryEngine, ConcurrentFirstUseAnswersLikeOneEngine) {
+  const auto a = make_artifacts(60, 0.2, 23, "service_first_use");
+  std::vector<std::string> lines;
+  for (graph::VertexId v = 0; v < 60; v += 7) {
+    for (const int k : {0, 2, 4, 6}) {
+      lines.push_back("kcore-membership " + std::to_string(k) + " " +
+                      std::to_string(v));
+    }
+    lines.push_back("top-hubs " + std::to_string(v + 1));
+  }
+  GraphCatalog catalog;
+  QueryEngine alone(catalog.open("alone", spec_for(a, false)));
+  std::vector<std::string> expected;
+  for (const auto& line : lines) expected.push_back(alone.execute_line(line));
+
+  const auto shared = catalog.open("shared", spec_for(a, false));
+  constexpr std::size_t kEngines = 4;
+  std::vector<std::vector<std::string>> answers(kEngines);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kEngines; ++t) {
+    threads.emplace_back([&, t] {
+      QueryEngine engine(shared);
+      ready.fetch_add(1);
+      while (ready.load() < kEngines) std::this_thread::yield();
+      // Half the engines start with top-hubs, half with kcore-membership.
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        const std::size_t line = t % 2 == 0 ? i : lines.size() - 1 - i;
+        answers[t].push_back(engine.execute_line(lines[line]));
+      }
+      if (t % 2 == 1) std::reverse(answers[t].begin(), answers[t].end());
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kEngines; ++t) {
+    EXPECT_EQ(answers[t], expected) << "engine " << t;
+  }
 }
 
 TEST(QueryEngine, ParacliqueExpandMatchesAnalysis) {

@@ -432,9 +432,10 @@ TEST(MappedNeighbourLists, CsrMatchesRowsAndTransforms) {
       EXPECT_EQ(sub_lists.mapping, sub_rows.mapping);
       EXPECT_TRUE(sub_lists.graph == sub_rows.graph);
       // `gsb cliques --engine bk` writes cliques in this order.
-      const auto order_lists = graph::degeneracy_order(lists);
-      const auto order_rows = graph::degeneracy_order(rows);
+      const auto order_lists = graph::core_decomposition(lists);
+      const auto order_rows = graph::core_decomposition(rows);
       EXPECT_EQ(order_lists.order, order_rows.order);
+      EXPECT_EQ(order_lists.core, order_rows.core);
       EXPECT_EQ(order_lists.degeneracy, order_rows.degeneracy);
     }
   }

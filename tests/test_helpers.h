@@ -4,8 +4,9 @@
 /// Shared fixtures for the test suites: seeded random graphs,
 /// collector-based wrappers that return normalized clique sets for
 /// order-insensitive comparison, scratch .gsbg files, and the scalar
-/// references (full-scan glom, stable-sorted seed order, n-bit greedy
-/// bound and intersects-based colour sort, comparison-sorted quantile
+/// references (the queue k-core peel and the bucket degeneracy peel,
+/// full-scan glom, stable-sorted seed order, n-bit greedy bound and
+/// intersects-based colour sort, comparison-sorted quantile
 /// normalization) the oracle tests compare the library against.
 
 #include <unistd.h>
@@ -102,6 +103,83 @@ class TempFile {
   std::string path_;
 };
 
+/// Reference for graph::kcore_mask: a queue peel of every vertex whose
+/// degree falls below k.
+inline bits::DynamicBitset reference_kcore_mask(const graph::GraphView& g,
+                                                std::size_t k) {
+  const std::size_t n = g.order();
+  bits::DynamicBitset alive(n);
+  alive.set_all();
+  std::vector<std::size_t> degree(n);
+  std::vector<graph::VertexId> queue;
+  for (graph::VertexId v = 0; v < n; ++v) {
+    degree[v] = g.degree(v);
+    if (degree[v] < k) queue.push_back(v);
+  }
+  while (!queue.empty()) {
+    const graph::VertexId v = queue.back();
+    queue.pop_back();
+    if (!alive.test(v)) continue;
+    alive.reset(v);
+    g.for_each_neighbor(v, [&](graph::VertexId u) {
+      if (alive.test(u) && degree[u]-- == k) queue.push_back(u);
+    });
+  }
+  return alive;
+}
+
+/// Reference for graph::core_decomposition's order and degeneracy: a
+/// bucket peel with one std::vector stack per degree, whose stale entries
+/// (left behind when a vertex's degree falls) are skipped when popped.
+struct ReferenceDegeneracy {
+  std::vector<graph::VertexId> order;  ///< removal order
+  std::size_t degeneracy = 0;          ///< max degree at removal time
+};
+inline ReferenceDegeneracy reference_degeneracy_order(
+    const graph::GraphView& g) {
+  const std::size_t n = g.order();
+  ReferenceDegeneracy result;
+  result.order.reserve(n);
+  std::vector<std::size_t> degree(n);
+  bits::DynamicBitset alive(n);
+  alive.set_all();
+
+  // Bucket queue over degrees.
+  std::vector<std::vector<graph::VertexId>> buckets(n + 1);
+  for (graph::VertexId v = 0; v < n; ++v) {
+    degree[v] = g.degree(v);
+    buckets[degree[v]].push_back(v);
+  }
+  std::size_t cursor = 0;
+  for (std::size_t removed = 0; removed < n; ++removed) {
+    // Find the next live minimum-degree vertex, skipping stale bucket
+    // entries (vertices re-filed after a degree decrease leave their old
+    // entries behind; the check below discards them).
+    graph::VertexId v = 0;
+    while (true) {
+      auto& bucket = buckets[cursor];
+      if (bucket.empty()) {
+        ++cursor;
+        continue;
+      }
+      v = bucket.back();
+      bucket.pop_back();
+      if (alive.test(v) && degree[v] == cursor) break;
+    }
+    result.degeneracy = std::max(result.degeneracy, cursor);
+    alive.reset(v);
+    result.order.push_back(v);
+    g.for_each_neighbor(v, [&](graph::VertexId u) {
+      if (alive.test(u)) {
+        --degree[u];
+        buckets[degree[u]].push_back(u);
+        if (degree[u] < cursor) cursor = degree[u];
+      }
+    });
+  }
+  return result;
+}
+
 /// Scalar reference for analysis::grow_paraclique: the full-scan glom.
 /// Every pass re-tests every non-member in ascending order with an
 /// AND+popcount against the member set, so a vertex counts as a member the
@@ -116,11 +194,9 @@ inline analysis::Paraclique reference_grow_paraclique(
   DynamicBitset members(g.order());
   for (const graph::VertexId v : seed_clique) members.set(v);
   std::size_t member_count = seed_clique.size();
-  std::size_t rounds = 0;
   bool grew = true;
-  while (grew && (options.max_rounds == 0 || rounds < options.max_rounds)) {
+  while (grew) {
     grew = false;
-    ++rounds;
     for (graph::VertexId v = 0; v < g.order(); ++v) {
       if (members.test(v)) continue;
       const std::size_t links =
