@@ -1,14 +1,13 @@
 // Storage-engine benchmarks (google-benchmark): quantifies what the .gsbg
-// container buys — near-instant mmap open against full in-memory loads —
-// and what the WAH sections cost to reconstitute.  Run via the
-// `bench_storage_json` target (or directly with --benchmark_out) to emit
-// BENCH_storage.json, the repo's storage-trajectory artifact:
+// container buys — near-instant mmap open against full in-memory loads.
+// Run via the `bench_storage_json` target (or directly with
+// --benchmark_out) to emit BENCH_storage.json, the repo's
+// storage-trajectory artifact:
 //
-//   * legacy binary stream load (read + rebuild bitmap adjacency in RAM);
+//   * DIMACS text load (parse + rebuild bitmap adjacency in RAM);
 //   * CSR load out of a mapped .gsbg (rebuild bitmap in RAM);
 //   * mmap open of a .gsbg (no load at all — the out-of-core path);
 //   * mmap open + a neighborhood sweep (what analysis actually pays);
-//   * WAH-compressed open (open + decompress every row);
 //   * full checksum verification pass.
 
 #include <benchmark/benchmark.h>
@@ -29,36 +28,28 @@ namespace {
 
 namespace fs = std::filesystem;
 using gsb::graph::Graph;
-using gsb::storage::GsbgWriteOptions;
 using gsb::storage::MappedGraph;
 
 constexpr std::size_t kVertices = 8192;
 constexpr double kDensity = 0.004;  // sparse, genome-graph-like
 
 struct Fixture {
-  std::string legacy_path;
+  std::string dimacs_path;
   std::string gsbg_path;
-  std::string wah_path;
 
   Fixture() {
     const auto dir = fs::temp_directory_path();
-    legacy_path = (dir / "bench_storage.bin").string();
+    dimacs_path = (dir / "bench_storage.clq").string();
     gsbg_path = (dir / "bench_storage.gsbg").string();
-    wah_path = (dir / "bench_storage_wah.gsbg").string();
     gsb::util::Rng rng(2005);
     const Graph g = gsb::graph::gnp(kVertices, kDensity, rng);
-    gsb::graph::write_binary_file(g, legacy_path);
+    gsb::graph::write_dimacs_file(g, dimacs_path);
     gsb::storage::write_gsbg_file(g, gsbg_path);
-    GsbgWriteOptions wah;
-    wah.wah = true;
-    wah.bitmap = false;  // archival shape: CSR + WAH only
-    gsb::storage::write_gsbg_file(g, wah_path, wah);
   }
   ~Fixture() {
     std::error_code ec;
-    fs::remove(legacy_path, ec);
+    fs::remove(dimacs_path, ec);
     fs::remove(gsbg_path, ec);
-    fs::remove(wah_path, ec);
   }
 };
 
@@ -67,13 +58,13 @@ const Fixture& fixture() {
   return f;
 }
 
-void BM_LegacyBinaryLoad(benchmark::State& state) {
+void BM_DimacsLoad(benchmark::State& state) {
   for (auto _ : state) {
-    const Graph g = gsb::graph::read_binary_file(fixture().legacy_path);
+    const Graph g = gsb::graph::read_dimacs_file(fixture().dimacs_path);
     benchmark::DoNotOptimize(g.num_edges());
   }
 }
-BENCHMARK(BM_LegacyBinaryLoad)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DimacsLoad)->Unit(benchmark::kMillisecond);
 
 void BM_GsbgCsrLoad(benchmark::State& state) {
   for (auto _ : state) {
@@ -104,18 +95,6 @@ void BM_GsbgMmapOpenPlusSweep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GsbgMmapOpenPlusSweep)->Unit(benchmark::kMillisecond);
-
-void BM_GsbgWahOpenDecompress(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto mapped = MappedGraph::open(fixture().wah_path);
-    std::size_t bits = 0;
-    for (gsb::graph::VertexId v = 0; v < mapped.order(); ++v) {
-      bits += mapped.wah_row(v).decompress().count();
-    }
-    benchmark::DoNotOptimize(bits);
-  }
-}
-BENCHMARK(BM_GsbgWahOpenDecompress)->Unit(benchmark::kMillisecond);
 
 void BM_GsbgChecksumVerify(benchmark::State& state) {
   const auto mapped = MappedGraph::open(fixture().gsbg_path);

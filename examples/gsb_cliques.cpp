@@ -1,15 +1,17 @@
 // gsb_cliques — command-line maximal clique enumeration over graph files.
 //
 // The adoption path for this library: point it at a DIMACS .clq or edge-list
-// file (e.g. a thresholded correlation graph exported from any pipeline) and
-// stream maximal cliques in non-decreasing size order.
+// file (e.g. a thresholded correlation graph exported from any pipeline), or
+// at a .gsbg container, which is memory-mapped, and stream maximal cliques in
+// non-decreasing size order.
 //
 //   $ ./gsb_cliques graph.clq --min 5 --max 0 --threads 4
 //   $ ./gsb_cliques graph.edges --format edges --count-only
+//   $ ./gsb_cliques graph.gsbg --count-only
 //   $ ./gsb_cliques graph.clq --maximum            # just the maximum clique
 //
 // Flags:
-//   --format dimacs|edges|binary   input format (default: by extension)
+//   --format dimacs|edges|gsbg     input format (default: by extension)
 //   --min K                        Init_K lower bound (default 3)
 //   --max K                        upper bound, 0 = unbounded (default 0)
 //   --threads P                    worker threads, 0 = all cores (default 0)
@@ -18,41 +20,30 @@
 //   --stats                        print per-level statistics
 //   --progress                     log level-by-level progress to stderr
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "analysis/clique_stats.h"
 #include "core/maximum_clique.h"
 #include "core/parallel_enumerator.h"
-#include "graph/io.h"
+#include "storage/graph_file.h"
 #include "util/cli.h"
 #include "util/log.h"
 #include "util/table.h"
 
 namespace {
 
-gsb::graph::Graph load_graph(const std::string& path,
-                             const std::string& format) {
-  using namespace gsb::graph;
-  std::string kind = format;
-  if (kind.empty()) {
-    if (path.ends_with(".clq") || path.ends_with(".dimacs")) {
-      kind = "dimacs";
-    } else if (path.ends_with(".bin") || path.ends_with(".gsbg")) {
-      kind = "binary";
-    } else {
-      kind = "edges";
-    }
-  }
-  if (kind == "dimacs") return read_dimacs_file(path);
-  if (kind == "binary") return read_binary_file(path);
-  if (kind == "edges") return read_edge_list_file(path);
-  throw std::runtime_error("unknown format '" + kind + "'");
-}
-
-void print_clique(std::span<const gsb::graph::VertexId> clique) {
-  for (std::size_t i = 0; i < clique.size(); ++i) {
-    std::printf("%s%u", i ? " " : "", clique[i]);
+/// Prints \p clique in the input's original labels, ascending (a
+/// degree-sorted container stores its vertices relabeled).
+void print_clique(const gsb::storage::GraphFile& input,
+                  std::span<const gsb::graph::VertexId> clique) {
+  std::vector<gsb::graph::VertexId> members(clique.begin(), clique.end());
+  for (auto& v : members) v = input.original_id(v);
+  std::sort(members.begin(), members.end());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    std::printf("%s%u", i ? " " : "", members[i]);
   }
   std::printf("\n");
 }
@@ -65,21 +56,24 @@ int main(int argc, char** argv) {
   if (cli.positional().empty()) {
     std::fprintf(stderr,
                  "usage: gsb_cliques <graph-file> [--format dimacs|edges|"
-                 "binary] [--min K] [--max K]\n"
+                 "gsbg] [--min K] [--max K]\n"
                  "                   [--threads P] [--count-only] [--maximum] "
                  "[--stats] [--progress]\n");
     return 2;
   }
 
-  graph::Graph g;
+  storage::GraphFile input;
   try {
-    g = load_graph(cli.positional()[0], cli.get("format", ""));
+    input =
+        storage::open_graph_file(cli.positional()[0], cli.get("format", ""));
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
   }
-  std::fprintf(stderr, "loaded %zu vertices, %zu edges (density %.4f%%)\n",
-               g.order(), g.num_edges(), 100.0 * g.density());
+  const graph::GraphView& g = input.view;
+  std::fprintf(stderr, "%s %zu vertices, %zu edges (density %.4f%%)\n",
+               input.is_mapped() ? "mapped" : "loaded", g.order(),
+               g.num_edges(), 100.0 * g.density());
 
   if (cli.get_bool("maximum", false)) {
     const auto result = core::maximum_clique(g);
@@ -87,7 +81,7 @@ int main(int argc, char** argv) {
                  result.clique.size(),
                  static_cast<unsigned long long>(result.tree_nodes),
                  result.seconds);
-    print_clique(result.clique);
+    print_clique(input, result.clique);
     return 0;
   }
 
@@ -105,7 +99,7 @@ int main(int argc, char** argv) {
   const core::CliqueCallback sink =
       [&](std::span<const graph::VertexId> clique) {
         counting(clique);
-        if (!count_only) print_clique(clique);
+        if (!count_only) print_clique(input, clique);
       };
   const auto progress = [](const core::LevelStats& level) {
     util::log_info(util::format(

@@ -5,9 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <span>
@@ -26,17 +24,8 @@ namespace {
 
 using util::MemTag;
 
-constexpr char kExpressionMagic[8] = {'G', 'S', 'B', 'X', 'P', 'R', '0', '1'};
-constexpr std::uint64_t kExpressionHeaderBytes = 24;
-
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("tiled correlation: " + what);
-}
-
-std::ofstream open_out(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail("cannot open '" + path + "' for writing");
-  return out;
 }
 
 /// Read-write scratch file that deletes itself on scope exit.  Positioned
@@ -359,21 +348,22 @@ std::size_t block_for(std::size_t block_rows, std::size_t tile) noexcept {
 }
 
 /// Pass 1 of both builders: every \p block-row block of every \p tile-row
-/// tile of \p source is one job of one JobGraph.  A block job fetches its
-/// rows one at a time straight into its tile slot at the slot's padded
+/// tile of \p expression is one job of one JobGraph.  A block job copies
+/// its rows one at a time straight into its tile slot at the slot's padded
 /// stride (pad lanes stay zero), standardizes each in place with
 /// standardized_profile_into, sets their \p valid flags and, when
 /// \p scratch is set, writes them to it at that stride, so the sweep reads
 /// a block back in one pread.  Tile t fills slot t % slots.size(), and a
 /// block job waits only for the job that last used the same rows of its
 /// slot.  With one slot holding every row (one resident tile) no job waits.
-void standardize_tiles(const RowBlockSource& source, CorrelationMethod method,
-                       std::span<AlignedRows> slots, std::size_t tile,
-                       std::size_t block, unsigned char* valid,
-                       const ScratchFile* scratch, par::ThreadPool* pool) {
+void standardize_tiles(const ExpressionMatrix& expression,
+                       CorrelationMethod method, std::span<AlignedRows> slots,
+                       std::size_t tile, std::size_t block,
+                       unsigned char* valid, const ScratchFile* scratch,
+                       par::ThreadPool* pool) {
   obs::TimelineSpan span(obs::TimelineEventKind::kStage, "standardize");
-  const std::size_t n = source.genes();
-  const std::size_t s = source.samples();
+  const std::size_t n = expression.genes();
+  const std::size_t s = expression.samples();
   const std::size_t stride = slots[0].stride();
   const std::size_t blocks = (std::min(tile, n) + block - 1) / block;
   par::JobGraph jobs(pool);
@@ -392,7 +382,8 @@ void standardize_tiles(const RowBlockSource& source, CorrelationMethod method,
                      std::size_t worker) {
         for (std::size_t r = r0; r < end; ++r) {
           double* row = slot->row(r);
-          source.fetch(first + r, row);
+          const auto values = expression.row(first + r);
+          std::copy(values.begin(), values.end(), row);
           valid[first + r] =
               standardized_profile_into(std::span<const double>(row, s),
                                         method, row, ranks[worker])
@@ -419,9 +410,8 @@ StandardizedRows standardize_rows(const ExpressionMatrix& expression,
   StandardizedRows out{AlignedRows(expression.genes(), expression.samples()),
                        std::vector<unsigned char>(expression.genes(), 0)};
   const std::size_t tile = std::max<std::size_t>(expression.genes(), 1);
-  standardize_tiles(MatrixRowSource(expression), method,
-                    std::span<AlignedRows>(&out.rows, 1), tile,
-                    block_for(0, tile), out.valid.data(), nullptr, pool);
+  standardize_tiles(expression, method, std::span<AlignedRows>(&out.rows, 1),
+                    tile, block_for(0, tile), out.valid.data(), nullptr, pool);
   return out;
 }
 
@@ -434,76 +424,11 @@ void sweep_resident(const AlignedRows& rows, const unsigned char* valid,
       .run();
 }
 
-void MatrixRowSource::fetch(std::size_t row, double* out) const {
-  const auto values = matrix_.row(row);
-  std::copy(values.begin(), values.end(), out);
-}
-
-BinaryFileRowSource::BinaryFileRowSource(const std::string& path)
-    : fd_(util::io::open_for_read(path.c_str())) {
-  if (fd_ < 0) fail("cannot open '" + path + "' for reading");
-  char header[kExpressionHeaderBytes];
-  if (!util::io::pread_full(fd_, header, sizeof(header), 0) ||
-      std::memcmp(header, kExpressionMagic, 8) != 0) {
-    ::close(fd_);
-    fail("bad expression file '" + path + "'");
-  }
-  std::uint64_t genes = 0;
-  std::uint64_t samples = 0;
-  std::memcpy(&genes, header + 8, 8);
-  std::memcpy(&samples, header + 16, 8);
-  // The header must describe exactly the bytes that follow it, and every
-  // gene needs a 32-bit id; checked before anything is sized from it.
-  std::error_code ec;
-  const std::uint64_t file_bytes = std::filesystem::file_size(path, ec);
-  constexpr std::uint64_t kMaxValues =
-      std::numeric_limits<std::uint64_t>::max() / sizeof(double);
-  if (ec || genes > std::numeric_limits<std::uint32_t>::max() ||
-      (samples != 0 && genes > kMaxValues / samples) ||
-      file_bytes < kExpressionHeaderBytes ||
-      (file_bytes - kExpressionHeaderBytes) / sizeof(double) !=
-          genes * samples ||
-      (file_bytes - kExpressionHeaderBytes) % sizeof(double) != 0) {
-    ::close(fd_);
-    fail("expression file '" + path + "' header (" + std::to_string(genes) +
-         " genes x " + std::to_string(samples) +
-         " samples) does not match its size");
-  }
-  genes_ = genes;
-  samples_ = samples;
-}
-
-BinaryFileRowSource::~BinaryFileRowSource() { ::close(fd_); }
-
-void BinaryFileRowSource::fetch(std::size_t row, double* out) const {
-  if (!util::io::pread_full(
-          fd_, out, samples_ * sizeof(double),
-          kExpressionHeaderBytes + row * samples_ * sizeof(double))) {
-    fail("short read from expression file");
-  }
-}
-
-void write_expression_binary(const ExpressionMatrix& matrix,
-                             const std::string& path) {
-  auto out = open_out(path);
-  out.write(kExpressionMagic, 8);
-  const std::uint64_t genes = matrix.genes();
-  const std::uint64_t samples = matrix.samples();
-  out.write(reinterpret_cast<const char*>(&genes), 8);
-  out.write(reinterpret_cast<const char*>(&samples), 8);
-  for (std::size_t g = 0; g < matrix.genes(); ++g) {
-    const auto row = matrix.row(g);
-    out.write(reinterpret_cast<const char*>(row.data()),
-              static_cast<std::streamsize>(row.size() * sizeof(double)));
-  }
-  if (!out) fail("write failed for '" + path + "'");
-}
-
 TiledCorrelationResult build_correlation_gsbg(
-    const RowBlockSource& source, const std::string& out_path,
+    const ExpressionMatrix& expression, const std::string& out_path,
     const TiledCorrelationOptions& options) {
-  const std::size_t n = source.genes();
-  const std::size_t s = source.samples();
+  const std::size_t n = expression.genes();
+  const std::size_t s = expression.samples();
   if (n > std::numeric_limits<std::uint32_t>::max()) {
     fail(std::to_string(n) + " genes do not fit 32-bit ids");
   }
@@ -544,8 +469,8 @@ TiledCorrelationResult build_correlation_gsbg(
                             AlignedRows(n > tile ? rows : 0, s)};
     DualAlloc slot_bytes(tracker, external, slots[0].bytes() + slots[1].bytes(),
                          MemTag::kScratch);
-    standardize_tiles(source, options.method, slots, tile, block, valid.data(),
-                      &std_file, workers);
+    standardize_tiles(expression, options.method, slots, tile, block,
+                      valid.data(), &std_file, workers);
   }
 
   // --- pass 2: every block pair on one job graph, two tiles resident -------
@@ -633,13 +558,6 @@ TiledCorrelationResult build_correlation_gsbg(
 
   result.peak_tracked_bytes = tracker.peak();
   return result;
-}
-
-TiledCorrelationResult build_correlation_gsbg(
-    const ExpressionMatrix& expression, const std::string& out_path,
-    const TiledCorrelationOptions& options) {
-  MatrixRowSource source(expression);
-  return build_correlation_gsbg(source, out_path, options);
 }
 
 }  // namespace gsb::bio

@@ -13,11 +13,11 @@
 /// runs three passes; the first two are each one par::JobGraph over one
 /// thread pool:
 ///   1. standardize: every row block of every tile is one job, which
-///      fetches the block's rows one at a time from the RowBlockSource
+///      copies the block's rows one at a time from the expression matrix
 ///      straight into its tile slot at the sweep's padded stride,
 ///      standardizes them in place and writes them to a scratch file at
 ///      that stride.  Two tile slots alternate, and a block job waits only
-///      for the job that last used the same rows of its slot, so fetches
+///      for the job that last used the same rows of its slot, so copies
 ///      run concurrently.  Resident: two tiles of doubles.
 ///   2. sweep: every block pair of the upper tile triangle is one job, and
 ///      so is every tile-block read from the scratch file.  A pair job waits
@@ -35,10 +35,12 @@
 /// Peak resident bytes are therefore bounded by the tile budget plus the
 /// *output* size, never by genes² — the Fabregat-Traver/Bientinesi
 /// out-of-core recipe applied to the paper's pipeline, in which an in-core
-/// run is the streamed run with one tile.  Both builders go through the
-/// same standardization and sweep (every emitted dot product is
-/// profile_dot's value), so the produced edge set is bit-identical —
-/// across builders and across thread counts.  The job graph's own
+/// run is the streamed run with one tile.  The matrix it reads stays the
+/// caller's, in RAM: genes × samples doubles, far below the genes² graph
+/// the tiles keep out of memory.  Both builders go through the same
+/// standardization and sweep (every emitted dot product is profile_dot's
+/// value), so the produced edge set is bit-identical — across builders
+/// and across thread counts.  The job graph's own
 /// bookkeeping (a few hundred bytes per job, one job per block pair) is
 /// not in the tracked peak.
 
@@ -88,58 +90,6 @@ void sweep_resident(const AlignedRows& rows, const unsigned char* valid,
                     std::size_t block_rows, const BlockPairScan& scan,
                     par::ThreadPool* pool, const CorrHitSink& sink);
 
-/// Streaming source of expression rows.  Implementations exist for the
-/// in-RAM ExpressionMatrix and for a binary on-disk matrix.
-class RowBlockSource {
- public:
-  virtual ~RowBlockSource() = default;
-  [[nodiscard]] virtual std::size_t genes() const = 0;
-  [[nodiscard]] virtual std::size_t samples() const = 0;
-  /// Copies row \p row into \p out (samples() doubles), straight into
-  /// pass 1's padded tile-slot row.  Pass 1's block jobs call it
-  /// concurrently, for different rows.
-  virtual void fetch(std::size_t row, double* out) const = 0;
-};
-
-/// Adapter over an in-RAM matrix (useful for tests and synthetic data; the
-/// builder still only touches it tile-by-tile).
-class MatrixRowSource final : public RowBlockSource {
- public:
-  explicit MatrixRowSource(const ExpressionMatrix& matrix)
-      : matrix_(matrix) {}
-  [[nodiscard]] std::size_t genes() const override { return matrix_.genes(); }
-  [[nodiscard]] std::size_t samples() const override {
-    return matrix_.samples();
-  }
-  void fetch(std::size_t row, double* out) const override;
-
- private:
-  const ExpressionMatrix& matrix_;
-};
-
-/// On-disk expression matrix: 8-byte magic "GSBXPR01", u64 genes,
-/// u64 samples, then genes*samples little-endian f64 row-major.  Fetches
-/// are positioned reads on one descriptor, so jobs share it.
-class BinaryFileRowSource final : public RowBlockSource {
- public:
-  explicit BinaryFileRowSource(const std::string& path);
-  BinaryFileRowSource(const BinaryFileRowSource&) = delete;
-  BinaryFileRowSource& operator=(const BinaryFileRowSource&) = delete;
-  ~BinaryFileRowSource() override;
-  [[nodiscard]] std::size_t genes() const override { return genes_; }
-  [[nodiscard]] std::size_t samples() const override { return samples_; }
-  void fetch(std::size_t row, double* out) const override;
-
- private:
-  int fd_ = -1;
-  std::size_t genes_ = 0;
-  std::size_t samples_ = 0;
-};
-
-/// Writes an ExpressionMatrix in the BinaryFileRowSource format.
-void write_expression_binary(const ExpressionMatrix& matrix,
-                             const std::string& path);
-
 struct TiledCorrelationOptions {
   CorrelationMethod method = CorrelationMethod::kSpearman;
   /// Edge iff |corr| >= threshold.  (No target-edges mode: quantile
@@ -179,13 +129,8 @@ struct TiledCorrelationResult {
   std::size_t reorder_window_bytes = 0;
 };
 
-/// Builds the thresholded correlation graph of \p source out-of-core and
-/// writes it to \p out_path as a .gsbg container.
-TiledCorrelationResult build_correlation_gsbg(
-    const RowBlockSource& source, const std::string& out_path,
-    const TiledCorrelationOptions& options = {});
-
-/// Convenience overload for an in-RAM matrix.
+/// Builds the thresholded correlation graph of \p expression out-of-core
+/// and writes it to \p out_path as a .gsbg container.
 TiledCorrelationResult build_correlation_gsbg(
     const ExpressionMatrix& expression, const std::string& out_path,
     const TiledCorrelationOptions& options = {});

@@ -100,30 +100,6 @@ void WahBitset::append_group(std::uint32_t group) {
   }
 }
 
-WahBitset WahBitset::from_words(std::span<const std::uint32_t> words,
-                                std::size_t nbits) {
-  WahBitset out;
-  out.nbits_ = nbits;
-  out.words_.assign(words.begin(), words.end());
-  return out;
-}
-
-bool WahBitset::words_cover(std::span<const std::uint32_t> words,
-                            std::size_t nbits) noexcept {
-  const std::uint64_t expected =
-      (nbits + kGroupBits - 1) / kGroupBits;
-  std::uint64_t groups = 0;
-  for (const std::uint32_t word : words) {
-    if (is_fill(word)) {
-      if (fill_count(word) == 0) return false;
-      groups += fill_count(word);
-    } else {
-      ++groups;
-    }
-  }
-  return groups == expected;
-}
-
 WahBitset WahBitset::compress(BitsetView bits) {
   WahBitset out;
   out.nbits_ = bits.size();

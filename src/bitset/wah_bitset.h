@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "bitset/dynamic_bitset.h"
@@ -39,18 +38,6 @@ class WahBitset {
   /// Compresses an uncompressed bit string (a DynamicBitset converts
   /// implicitly; a view into a mapped adjacency row works equally).
   static WahBitset compress(BitsetView bits);
-
-  /// Reconstitutes a WahBitset from raw compressed words (e.g. a row of a
-  /// .gsbg WAH section) and its logical bit length.
-  static WahBitset from_words(std::span<const std::uint32_t> words,
-                              std::size_t nbits);
-
-  /// True iff \p words decode to exactly the group count \p nbits needs
-  /// (no zero-length fills, no shortfall/overshoot).  The decode loops
-  /// assume this; callers handing over untrusted bytes (mapped files)
-  /// must check it first.
-  static bool words_cover(std::span<const std::uint32_t> words,
-                          std::size_t nbits) noexcept;
 
   /// Expands back to an uncompressed bitset.
   [[nodiscard]] DynamicBitset decompress() const;

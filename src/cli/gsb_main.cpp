@@ -6,9 +6,9 @@
 // followed by clique-based analysis of the resulting relationship graph.
 // This tool exposes that chain end to end, plus the individual stages, so a
 // run can start from synthetic expression data, a saved graph file, or a
-// generated random ensemble.  Graphs live in text formats, a legacy binary
-// stream, or the out-of-core `.gsbg` container: the latter is memory-mapped
-// and analyzed directly off disk, never loaded.
+// generated random ensemble.  Graphs live in text formats or the
+// out-of-core `.gsbg` container: the latter is memory-mapped and analyzed
+// directly off disk, never loaded.
 //
 //   $ gsb pipeline --genes 800 --samples 60 --threshold 0.70 --threads 4
 //   $ gsb pipeline --out-of-core --genes 20000 --graph-out big.gsbg
@@ -17,7 +17,7 @@
 //   $ gsb cliques big.gsbg --engine bk --threads 8 --clique-out big.gsbc
 //   $ gsb maximum graph.clq
 //   $ gsb generate --kind modules --n 2000 --out graph.clq
-//   $ gsb convert graph.clq graph.gsbg --degree-sort --wah
+//   $ gsb convert graph.clq graph.gsbg --degree-sort
 //   $ gsb info graph.gsbg --verify
 //   $ gsb index big.gsbc
 //   $ gsb query --graph-file big.gsbg --cliques big.gsbc 'cliques-containing 17'
@@ -41,8 +41,6 @@
 #include <string_view>
 #include <thread>
 #include <vector>
-
-#include "bitset/dynamic_bitset.h"
 
 #include "analysis/clique_stats.h"
 #include "analysis/hubs.h"
@@ -74,6 +72,7 @@
 #include "service/server.h"
 #include "service/tcp_server.h"
 #include "storage/clique_stream.h"
+#include "storage/graph_file.h"
 #include "storage/gsbg_writer.h"
 #include "storage/mapped_graph.h"
 #include "util/cli.h"
@@ -109,8 +108,8 @@ commands:
   verify     re-hash .gsbg/.gsbc/.gsbci artifacts end to end
   help       this text
 
-graph inputs: DIMACS (.clq/.dimacs), edge list, legacy binary (.bin), or
-the mappable .gsbg container.  Text formats also read from stdin via "-".
+graph inputs: DIMACS (.clq/.dimacs), edge list, or the mappable .gsbg
+container.  Text formats also read from stdin via "-".
 .gsbg graphs are memory-mapped and analyzed off disk, not loaded.
 
 pipeline flags:
@@ -144,7 +143,7 @@ pipeline flags:
                             trace JSON (open in Perfetto / chrome://tracing)
   --trace-io                also record per-syscall I/O spans in the trace
 
-cliques flags: <file|-> [--graph-file FILE] [--format dimacs|edges|binary|gsbg]
+cliques flags: <file|-> [--graph-file FILE] [--format dimacs|edges|gsbg]
                [--min K] [--max K] [--threads P] [--engine bk|enumerator]
                [--clique-out FILE.gsbc] [--count-only] [--progress]
                [--trace-out FILE.json] [--trace-io]
@@ -155,7 +154,7 @@ maximum flags: <file|-> [--graph-file FILE] [--format F]
 generate flags: --kind gnp|modules --n N [--p P | --edges E] --out FILE
                 [--seed X] [--format F] [--modules M] [--max-module S]
 convert flags: <in> <out> [--in-format F] [--format F]
-               [--degree-sort] [--wah] [--no-bitmap]    (.gsbg outputs)
+               [--degree-sort] [--no-bitmap]    (.gsbg outputs)
 info flags:    <file> [--format F] [--verify]   (also reads .gsbc streams)
 index flags:   <file.gsbc> [--out FILE.gsbci] [--clean-tmp]
 query flags:   --graph-file FILE ['QUERY' | --batch FILE|-] [--cliques F.gsbc]
@@ -185,61 +184,6 @@ Full reference with worked examples: docs/CLI.md; the query grammar and
 wire format live in docs/SERVICE.md.
 )");
   return out == stdout ? 0 : 2;
-}
-
-/// A graph ready for analysis: either owned in memory or memory-mapped from
-/// a .gsbg container.  `view` stays valid across moves (it points into
-/// heap/mapped storage, not into this struct).
-struct GraphInput {
-  graph::Graph owned;
-  storage::MappedGraph mapped;
-  bool use_mapped = false;
-  graph::GraphView view;
-
-  [[nodiscard]] std::size_t order() const noexcept { return view.order(); }
-  [[nodiscard]] std::size_t num_edges() const noexcept {
-    return view.num_edges();
-  }
-
-  /// Maps a stored vertex id back to the original labeling (identity unless
-  /// the container is degree-sorted — also when the container lacked a
-  /// bitmap and was loaded from its CSR).
-  [[nodiscard]] graph::VertexId original_id(graph::VertexId v) const {
-    if (mapped.is_open() && !mapped.permutation().empty()) {
-      return mapped.permutation()[v];
-    }
-    return v;
-  }
-};
-
-GraphInput adopt_graph(graph::Graph g) {
-  GraphInput input;
-  input.owned = std::move(g);
-  input.view = graph::GraphView(input.owned);
-  return input;
-}
-
-GraphInput adopt_mapped(storage::MappedGraph mapped) {
-  GraphInput input;
-  input.mapped = std::move(mapped);  // kept either way: owns the permutation
-  if (input.mapped.has_bitmap()) {
-    input.use_mapped = true;
-    input.view = input.mapped.view();
-  } else {
-    // Compact container without the mappable section: load the CSR.
-    input.owned = input.mapped.load();
-    input.view = graph::GraphView(input.owned);
-  }
-  return input;
-}
-
-/// The one loader every command funnels through: dispatches .gsbg to the
-/// mmap path, everything else (files or stdin "-") to graph::load_graph.
-GraphInput load_input(const std::string& path, const std::string& format) {
-  if (graph::detect_graph_format(path, format) == "gsbg") {
-    return adopt_mapped(storage::MappedGraph::open(path));
-  }
-  return adopt_graph(graph::load_graph(path, format));
 }
 
 void save_output(const graph::Graph& g, const std::string& path,
@@ -420,17 +364,17 @@ int cmd_pipeline(const util::Cli& cli) {
   // --- stage 1-3: expression -> normalize -> thresholded correlation graph.
   // Three routes: a graph file (mmap'd when .gsbg), the in-core builder, or
   // the tiled out-of-core builder (bounded memory at any gene count).
-  GraphInput input;
+  storage::GraphFile input;
   double threshold_used = 0.0;
   std::size_t ooc_peak_bytes = 0;
   const std::string graph_file =
       cli.has("graph-file") ? cli.get("graph-file", "") : cli.get("graph", "");
   if (!graph_file.empty()) {
-    input = load_input(graph_file, cli.get("format", ""));
+    input = storage::open_graph_file(graph_file, cli.get("format", ""));
     threshold_used = cli.get_double("threshold", 0.0);
     std::printf("graph: %s %zu vertices, %zu edges (density %.3f%%)\n",
-                input.use_mapped ? "mapped" : "loaded", input.order(),
-                input.num_edges(), 100.0 * input.view.density());
+                input.is_mapped() ? "mapped" : "loaded", input.view.order(),
+                input.view.num_edges(), 100.0 * input.view.density());
   } else {
     const auto genes = size_flag(cli, "genes", 800);
     const auto samples = size_flag(cli, "samples", 60);
@@ -471,7 +415,8 @@ int cmd_pipeline(const util::Cli& cli) {
       const auto built =
           bio::build_correlation_gsbg(data.expression, out_path, tiled);
       data.expression = bio::ExpressionMatrix();  // drop before analysis
-      input = adopt_mapped(storage::MappedGraph::open(out_path));
+      input = storage::GraphFile::from_container(
+          storage::MappedGraph::open(out_path));
       if (!keep_graph) {
         std::error_code ec;  // unlinked; the mapping stays valid
         std::filesystem::remove(out_path, ec);
@@ -481,7 +426,7 @@ int cmd_pipeline(const util::Cli& cli) {
       std::printf(
           "correlation graph (out-of-core, %zu tiles of %zu rows): "
           "|rho| >= %.3f -> %zu edges (build peak %s)\n",
-          built.tiles, tiled.tile_rows, threshold_used, input.num_edges(),
+          built.tiles, tiled.tile_rows, threshold_used, input.view.num_edges(),
           util::format_bytes(built.peak_tracked_bytes).c_str());
     } else {
       bio::CorrelationGraphOptions graph_options;
@@ -493,15 +438,16 @@ int cmd_pipeline(const util::Cli& cli) {
       graph_options.corr_block = corr_block;
       auto built = bio::build_correlation_graph(data.expression,
                                                 graph_options, rng);
-      input = adopt_graph(std::move(built.graph));
+      input = storage::GraphFile::from_graph(std::move(built.graph));
       threshold_used = built.threshold_used;
       std::printf(
           "correlation graph: |rho| >= %.3f -> %zu edges (density %.3f%%)\n",
-          threshold_used, input.num_edges(), 100.0 * input.view.density());
+          threshold_used, input.view.num_edges(),
+          100.0 * input.view.density());
     }
   }
   warn_unqueried(cli);
-  if (input.order() == 0) {
+  if (input.view.order() == 0) {
     std::fprintf(stderr, "error: empty graph, nothing to analyze\n");
     return 1;
   }
@@ -527,7 +473,7 @@ int cmd_pipeline(const util::Cli& cli) {
   analysis_options.original_id = [&input](graph::VertexId v) {
     return input.original_id(v);
   };
-  if (input.use_mapped) analysis_options.prefetch = &input.mapped;
+  if (input.is_mapped()) analysis_options.prefetch = &input.mapped;
   const auto analysis_result = pipeline::run_analysis(g, analysis_options);
 
   std::printf("maximum clique: %zu vertices (%s)\n",
@@ -621,7 +567,7 @@ int cmd_cliques(const util::Cli& cli) {
     std::fprintf(
         stderr,
         "usage: gsb cliques <graph-file|-> [--graph-file FILE]\n"
-        "           [--format dimacs|edges|binary|gsbg] [--min K] [--max K]\n"
+        "           [--format dimacs|edges|gsbg] [--min K] [--max K]\n"
         "           [--threads P] [--engine bk|enumerator]\n"
         "           [--clique-out FILE.gsbc] [--count-only] [--progress]\n");
     return 2;
@@ -636,10 +582,11 @@ int cmd_cliques(const util::Cli& cli) {
                               size_flag(cli, "max", 0)};
   if (!window_is_valid(range, "min", "max")) return 2;
   const std::string trace_out = arm_timeline(cli);
-  GraphInput input = load_input(path, cli.get("format", ""));
+  const storage::GraphFile input =
+      storage::open_graph_file(path, cli.get("format", ""));
   const graph::GraphView& g = input.view;
   std::fprintf(stderr, "%s %zu vertices, %zu edges (density %.3f%%)\n",
-               input.use_mapped ? "mapped" : "loaded", g.order(),
+               input.is_mapped() ? "mapped" : "loaded", g.order(),
                g.num_edges(), 100.0 * g.density());
 
   const auto threads = size_flag(cli, "threads", 0);
@@ -731,7 +678,8 @@ int cmd_maximum(const util::Cli& cli) {
                  "[--format F]\n");
     return 2;
   }
-  GraphInput input = load_input(path, cli.get("format", ""));
+  const storage::GraphFile input =
+      storage::open_graph_file(path, cli.get("format", ""));
   warn_unqueried(cli);
   const auto result = core::maximum_clique(input.view);
   std::printf("maximum clique: %zu vertices (%llu nodes, %s)\n",
@@ -805,38 +753,37 @@ int cmd_convert(const util::Cli& cli) {
   if (cli.positional().size() < 3) {
     std::fprintf(stderr,
                  "usage: gsb convert <in> <out> [--in-format F] "
-                 "[--format F] [--degree-sort] [--wah] [--no-bitmap]\n");
+                 "[--format F] [--degree-sort] [--no-bitmap]\n");
     return 2;
   }
   const std::string in_path = cli.positional()[1];
   const std::string out_path = cli.positional()[2];
   storage::GsbgWriteOptions gsbg_options;
   gsbg_options.degree_sort = cli.get_bool("degree-sort", false);
-  gsbg_options.wah = cli.get_bool("wah", false);
   gsbg_options.bitmap = !cli.get_bool("no-bitmap", false);
   const std::string in_format = cli.get("in-format", "");
   const std::string out_format = cli.get("format", "");
   warn_unqueried(cli);
 
-  GraphInput input = load_input(in_path, in_format);
-  const std::size_t order = input.order();
-  const std::size_t edges = input.num_edges();
+  storage::GraphFile input = storage::open_graph_file(in_path, in_format);
+  const std::size_t order = input.view.order();
+  const std::size_t edges = input.view.num_edges();
 
   // A degree-sorted source stores relabeled vertices; restore the original
   // labels before re-encoding so conversions never silently relabel (a new
   // --degree-sort on the output re-sorts from the originals).
   graph::Graph unpermuted;
   bool have_unpermuted = false;
-  if (input.mapped.is_open() && !input.mapped.permutation().empty()) {
-    const auto perm = input.mapped.permutation();
+  if (!input.permutation().empty()) {
+    const auto perm = input.permutation();
     std::vector<graph::VertexId> inverse(perm.size());
     for (graph::VertexId stored = 0; stored < perm.size(); ++stored) {
       inverse[perm[stored]] = stored;
     }
-    // A bitmap-less container was already materialized into input.owned by
-    // adopt_mapped; reuse it rather than rebuilding from the CSR.
-    unpermuted = graph::relabel(input.use_mapped ? input.mapped.load()
-                                                 : std::move(input.owned),
+    // A bitmap-less container was already materialized into input.owned
+    // when opened; reuse it rather than rebuilding from the CSR.
+    unpermuted = graph::relabel(input.is_mapped() ? input.mapped.load()
+                                                  : std::move(input.owned),
                                 inverse);
     have_unpermuted = true;
   }
@@ -848,10 +795,10 @@ int cmd_convert(const util::Cli& cli) {
       storage::write_gsbg_file(input.view, out_path, gsbg_options);
     }
   } else {
-    // Materializes when the source was mapped; text/legacy formats need an
+    // Materializes when the source was mapped; text formats need an
     // in-memory graph.
     const graph::Graph owned = have_unpermuted ? std::move(unpermuted)
-                               : input.use_mapped
+                               : input.is_mapped()
                                    ? input.mapped.load()
                                    : std::move(input.owned);
     graph::save_graph(owned, out_path, out_format,
@@ -932,45 +879,13 @@ int cmd_info(const util::Cli& cli) {
               mapped.degree_sorted() ? "degree-sorted" : "original order");
 
   util::TableWriter table({"section", "bytes", "human"});
-  auto section_name = [](storage::SectionKind kind) {
-    switch (kind) {
-      case storage::SectionKind::kCsrOffsets: return "csr offsets";
-      case storage::SectionKind::kCsrTargets: return "csr targets";
-      case storage::SectionKind::kBitmap: return "bitmap adjacency";
-      case storage::SectionKind::kWahOffsets: return "wah offsets";
-      case storage::SectionKind::kWahWords: return "wah words";
-      case storage::SectionKind::kPermutation: return "permutation";
-    }
-    return "?";
-  };
   for (const auto& section : mapped.sections()) {
-    table.add_row({section_name(section.kind),
+    table.add_row({storage::section_name(section.kind),
                    util::format("%llu",
                                 static_cast<unsigned long long>(section.size)),
                    util::format_bytes(section.size).c_str()});
   }
   table.print();
-
-  if (mapped.has_wah()) {
-    // Compression ratio of the WAH sections against the bitmap equivalent.
-    const std::size_t bitmap_bytes =
-        mapped.order() *
-        bits::DynamicBitset::word_count(mapped.order()) *
-        sizeof(std::uint64_t);
-    std::size_t wah_bytes = 0;
-    for (const auto& section : mapped.sections()) {
-      if (section.kind == storage::SectionKind::kWahWords) {
-        wah_bytes = section.size;
-      }
-    }
-    if (wah_bytes > 0) {
-      std::printf("wah compression: %.1fx (bitmap %s -> %s)\n",
-                  static_cast<double>(bitmap_bytes) /
-                      static_cast<double>(wah_bytes),
-                  util::format_bytes(bitmap_bytes).c_str(),
-                  util::format_bytes(wah_bytes).c_str());
-    }
-  }
   return 0;
 }
 

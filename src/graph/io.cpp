@@ -6,7 +6,6 @@
 #include <iostream>
 #include <iterator>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -29,10 +28,10 @@ std::ofstream open_out(const std::string& path, std::ios::openmode mode) {
 
 /// The bytes of the file at \p path, read through util::io so short reads
 /// and EINTR are handled in one place (and so the fault shim can exercise
-/// the loaders); nullopt when it cannot be opened.
-std::optional<std::string> read_file(const std::string& path) {
+/// the loaders).
+std::string read_text_file(const std::string& path) {
   const int fd = util::io::open_for_read(path.c_str());
-  if (fd < 0) return std::nullopt;
+  if (fd < 0) fail("cannot open '" + path + "' for reading");
   std::string bytes;
   char chunk[1 << 16];
   while (true) {
@@ -46,12 +45,6 @@ std::optional<std::string> read_file(const std::string& path) {
   }
   ::close(fd);
   return bytes;
-}
-
-std::string read_text_file(const std::string& path) {
-  auto text = read_file(path);
-  if (!text) fail("cannot open '" + path + "' for reading");
-  return std::move(*text);
 }
 
 std::string read_stream(std::istream& in) {
@@ -224,77 +217,10 @@ void write_edge_list_file(const Graph& g, const std::string& path) {
   write_edge_list(g, out);
 }
 
-namespace {
-constexpr char kMagic[4] = {'G', 'S', 'B', 'G'};
-constexpr std::uint32_t kVersion = 1;
-
-template <typename T>
-void put(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-template <typename T>
-T take(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  if (!in) fail("truncated binary graph");
-  return value;
-}
-}  // namespace
-
-Graph read_binary(std::istream& in) {
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::string(magic, 4) != std::string(kMagic, 4)) {
-    fail("bad magic");
-  }
-  const auto version = take<std::uint32_t>(in);
-  if (version != kVersion) fail("unsupported version");
-  const auto n = take<std::uint64_t>(in);
-  const auto m = take<std::uint64_t>(in);
-  Graph g(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < m; ++i) {
-    const auto u = take<std::uint32_t>(in);
-    const auto v = take<std::uint32_t>(in);
-    if (u >= n || v >= n) fail("edge endpoint out of range");
-    g.add_edge(u, v);
-  }
-  return g;
-}
-
-Graph read_binary_file(const std::string& path) {
-  auto bytes = read_file(path);
-  if (!bytes) fail("cannot open '" + path + "'");
-  std::istringstream in(std::move(*bytes));
-  return read_binary(in);
-}
-
-void write_binary(const Graph& g, std::ostream& out) {
-  out.write(kMagic, 4);
-  put<std::uint32_t>(out, kVersion);
-  put<std::uint64_t>(out, g.order());
-  put<std::uint64_t>(out, g.num_edges());
-  for (const auto& [u, v] : g.edge_list()) {
-    put<std::uint32_t>(out, u);
-    put<std::uint32_t>(out, v);
-  }
-}
-
-void write_binary_file(const Graph& g, const std::string& path) {
-  // Crash-safe like the container writers: temp file, fsync, rename.
-  std::ostringstream buffered;
-  write_binary(g, buffered);
-  const std::string bytes = buffered.str();
-  util::io::FileWriter out(path);
-  out.write(bytes.data(), bytes.size());
-  out.commit();
-}
-
 std::string detect_graph_format(const std::string& path,
                                 const std::string& format) {
   if (!format.empty()) return format;
   if (path.ends_with(".clq") || path.ends_with(".dimacs")) return "dimacs";
-  if (path.ends_with(".bin")) return "binary";
   if (path.ends_with(".gsbg")) return "gsbg";
   if (path == "-") return "";  // sniffed from content
   return "edges";
@@ -327,7 +253,6 @@ Graph load_graph(const std::string& path, const std::string& format) {
     fail("stdin supports only text formats (dimacs, edges)");
   }
   if (kind == "dimacs") return graph::read_dimacs_file(path);
-  if (kind == "binary") return graph::read_binary_file(path);
   if (kind == "edges") return graph::read_edge_list_file(path);
   fail("unknown format '" + kind + "'");
 }
@@ -346,7 +271,6 @@ void save_graph(const Graph& g, const std::string& path,
     fail("stdout supports only text formats (dimacs, edges)");
   }
   if (kind == "dimacs") return write_dimacs_file(g, path, comment);
-  if (kind == "binary") return write_binary_file(g, path);
   if (kind == "edges") return write_edge_list_file(g, path);
   fail("unknown format '" + kind + "'");
 }

@@ -3,8 +3,8 @@
 
 /// \file io.h
 /// Graph serialization: DIMACS .clq ASCII (the lingua franca of clique
-/// benchmarks), a plain edge-list text format, and a compact binary format
-/// for large instances.
+/// benchmarks) and a plain edge-list text format.  The compact binary form
+/// is the .gsbg container (storage/gsbg_format.h).
 
 #include <iosfwd>
 #include <string>
@@ -36,21 +36,12 @@ Graph read_edge_list_file(const std::string& path);
 void write_edge_list(const Graph& g, std::ostream& out);
 void write_edge_list_file(const Graph& g, const std::string& path);
 
-/// --- binary ------------------------------------------------------------------
-/// Magic "GSBG", u32 version, u64 n, u64 m, then m (u32,u32) edge pairs,
-/// little-endian.  (The mappable container format is .gsbg, in
-/// storage/gsbg_format.h; this is the legacy stream format, kept for .bin.)
-Graph read_binary(std::istream& in);
-Graph read_binary_file(const std::string& path);
-void write_binary(const Graph& g, std::ostream& out);
-void write_binary_file(const Graph& g, const std::string& path);
-
 /// --- unified front door -----------------------------------------------------
-/// Canonical format names: "dimacs", "edges", "binary", "gsbg".
+/// Canonical format names: "dimacs", "edges", "gsbg".
 
 /// Returns \p format when non-empty; otherwise sniffs the path extension
-/// (.clq/.dimacs -> dimacs, .bin -> binary, .gsbg -> gsbg, otherwise
-/// edges).  "-" with no explicit format returns "" (content-sniffed).
+/// (.clq/.dimacs -> dimacs, .gsbg -> gsbg, otherwise edges).  "-" with no
+/// explicit format returns "" (content-sniffed).
 std::string detect_graph_format(const std::string& path,
                                 const std::string& format = {});
 
@@ -58,7 +49,7 @@ std::string detect_graph_format(const std::string& path,
 /// format; path "-" reads standard input (text formats only there; with no
 /// format given the content is sniffed — DIMACS lines start with 'c' or
 /// 'p').  The "gsbg" container is not loadable through a stream; callers
-/// open those via storage::MappedGraph (the CLI does this dispatch).
+/// open every graph file through storage::open_graph_file, which maps it.
 Graph load_graph(const std::string& path, const std::string& format = {});
 
 /// Counterpart writer ("gsbg" rejected likewise; use storage's writer).

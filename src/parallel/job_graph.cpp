@@ -88,7 +88,6 @@ struct JobGraph::Impl {
   std::size_t pending_bytes = 0;
   bool draining = false;
   bool started = false;
-  bool done = false;
   std::exception_ptr failure;
   bool metrics_on = false;
   bool timeline_on = false;
@@ -116,8 +115,8 @@ JobId JobGraph::add(JobSpec spec) {
     throw std::invalid_argument("JobGraph: job has no body");
   }
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  if (impl_->done) {
-    throw std::logic_error("JobGraph: add after run() returned");
+  if (impl_->started) {
+    throw std::logic_error("JobGraph: add after run() started");
   }
   const JobId id = static_cast<JobId>(impl_->jobs.size());
   for (JobId dep : spec.deps) {
@@ -131,30 +130,10 @@ JobId JobGraph::add(JobSpec spec) {
   job.home = spec.home;
   job.bytes = spec.bytes;
   job.label = std::move(spec.label);
-  if (impl_->failure) {
-    // The graph already failed: a dynamically spawned job must not run,
-    // and must not stall termination either.
-    job.state = JobState::kSkipped;
-    job.complete = nullptr;
-    job.bytes = 0;
-    ++impl_->finished;
-    impl_->jobs.push_back(std::move(job));
-    return id;
-  }
-  for (JobId dep : spec.deps) {
-    Impl::Job& producer = impl_->jobs[dep];
-    if (producer.state == JobState::kFinished ||
-        producer.state == JobState::kDrained) {
-      continue;  // already satisfied
-    }
-    producer.succs.push_back(id);
-    ++job.remaining_deps;
-  }
+  job.remaining_deps = static_cast<std::uint32_t>(spec.deps.size());
+  for (JobId dep : spec.deps) impl_->jobs[dep].succs.push_back(id);
   impl_->jobs.push_back(std::move(job));
-  if (impl_->jobs.back().remaining_deps == 0) {
-    make_ready_locked(id);
-    impl_->cv.notify_all();
-  }
+  if (impl_->jobs.back().remaining_deps == 0) make_ready_locked(id);
   return id;
 }
 
@@ -166,46 +145,6 @@ void JobGraph::set_bytes(JobId id, std::size_t bytes) {
   impl_->jobs[id].bytes = bytes;
 }
 
-void JobGraph::add_edge(JobId from, JobId to) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  if (impl_->started) {
-    throw std::logic_error(
-        "JobGraph: add_edge after run() started (use JobSpec::deps)");
-  }
-  if (from >= impl_->jobs.size() || to >= impl_->jobs.size()) {
-    throw std::invalid_argument("JobGraph: edge endpoint does not exist");
-  }
-  if (from == to) {
-    throw std::invalid_argument("JobGraph: self-edge is a cycle");
-  }
-  // Reject at submit time: adding from->to closes a cycle iff `from` is
-  // already reachable from `to`.
-  std::vector<JobId> stack{to};
-  std::vector<bool> visited(impl_->jobs.size(), false);
-  visited[to] = true;
-  while (!stack.empty()) {
-    const JobId at = stack.back();
-    stack.pop_back();
-    if (at == from) {
-      throw std::invalid_argument("JobGraph: edge would create a cycle");
-    }
-    for (JobId succ : impl_->jobs[at].succs) {
-      if (!visited[succ]) {
-        visited[succ] = true;
-        stack.push_back(succ);
-      }
-    }
-  }
-  impl_->jobs[from].succs.push_back(to);
-  Impl::Job& sink = impl_->jobs[to];
-  if (sink.remaining_deps++ == 0 && sink.state == JobState::kReady) {
-    // Was enqueued as dependency-free; lazy removal drops the stale
-    // queue entry when popped.
-    sink.state = JobState::kPending;
-    --impl_->ready_count;
-  }
-}
-
 void JobGraph::run() {
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
@@ -213,19 +152,12 @@ void JobGraph::run() {
       throw std::logic_error("JobGraph: run() is single-shot");
     }
     impl_->started = true;
-    if (impl_->jobs.empty()) {
-      impl_->done = true;
-      return;
-    }
+    if (impl_->jobs.empty()) return;
   }
   if (pool_ != nullptr && workers_ > 1) {
     pool_->run_round([this](std::size_t id) { worker_loop(id); });
   } else {
     worker_loop(0);
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->done = true;
   }
   if (impl_->metrics_on) {
     auto& m = sched_metrics();
@@ -379,37 +311,35 @@ void JobGraph::worker_loop(std::size_t worker) {
       }
       --impl_->ready_count;
     }
-    std::function<void(std::size_t)> body;
-    std::function<void()> unordered_complete;
-    std::string label;
-    {
-      Impl::Job& job = impl_->jobs[id];
-      job.state = JobState::kRunning;
-      ++stats_.jobs_run;
-      if (stolen) ++stats_.jobs_stolen;
-      if (impl_->metrics_on || impl_->timeline_on) {
-        const auto waited = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                  job.ready_at)
-                .count());
-        if (impl_->metrics_on) {
-          sched_metrics().queue_wait.observe_micros(waited);
-        }
-        if (impl_->timeline_on) {
-          const std::uint64_t now = journal.now_micros();
-          journal.record(obs::TimelineEventKind::kQueueWait,
-                         now >= waited ? now - waited : 0, waited, id,
-                         job.label);
-          if (stolen) {
-            journal.record_instant(obs::TimelineEventKind::kSteal, id,
-                                   job.label);
-          }
+    // The jobs vector is complete before run(), so this reference stays
+    // valid across the unlock; every field is touched under the lock.
+    Impl::Job& job = impl_->jobs[id];
+    job.state = JobState::kRunning;
+    ++stats_.jobs_run;
+    if (stolen) ++stats_.jobs_stolen;
+    if (impl_->metrics_on || impl_->timeline_on) {
+      const auto waited = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                                job.ready_at)
+              .count());
+      if (impl_->metrics_on) {
+        sched_metrics().queue_wait.observe_micros(waited);
+      }
+      if (impl_->timeline_on) {
+        const std::uint64_t now = journal.now_micros();
+        journal.record(obs::TimelineEventKind::kQueueWait,
+                       now >= waited ? now - waited : 0, waited, id,
+                       job.label);
+        if (stolen) {
+          journal.record_instant(obs::TimelineEventKind::kSteal, id,
+                                 job.label);
         }
       }
-      label = std::move(job.label);
-      body = std::move(job.run);
-      if (!options_.ordered) unordered_complete = std::move(job.complete);
     }
+    const std::string label = std::move(job.label);
+    const std::function<void(std::size_t)> body = std::move(job.run);
+    std::function<void()> unordered_complete;
+    if (!options_.ordered) unordered_complete = std::move(job.complete);
     lock.unlock();
     const std::uint64_t job_start =
         impl_->timeline_on ? journal.now_micros() : 0;
@@ -425,9 +355,6 @@ void JobGraph::worker_loop(std::size_t worker) {
                      journal.now_micros() - job_start, id, label);
     }
     lock.lock();
-    // Re-index: a dynamic add() from the body may have grown the jobs
-    // vector, invalidating any reference held across the unlock.
-    Impl::Job& job = impl_->jobs[id];
     job.state = JobState::kFinished;
     ++impl_->finished;
     if (error) {

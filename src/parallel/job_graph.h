@@ -11,9 +11,8 @@
 /// backpressure gate, and BatchExecutor striped request lines over a
 /// borrowed pool.  JobGraph subsumes all
 /// three: callers describe *jobs* (a parallel body plus an optional
-/// ordered completion) and *edges* (prerequisites), and the scheduler
-/// provides home-queue placement with work stealing, cycle rejection at
-/// submit time, dynamic job spawn from running bodies, and a
+/// ordered completion) and their prerequisites, and the scheduler
+/// provides home-queue placement with work stealing and a
 /// deterministic-completion mode that preserves the repo's
 /// byte-identical-output contract at every thread count.
 ///
@@ -61,10 +60,9 @@ struct JobGraphStats {
   std::uint64_t peak_pending_bytes = 0;  ///< high-water reorder-window occupancy
 };
 
-/// Single-shot DAG scheduler.  Build the graph with add/add_edge, call
-/// run() once, then read stats().  Thread-safe for add() from inside
-/// running job bodies (dynamic spawn); construction-phase calls are
-/// single-caller like the rest of the parallel layer.
+/// Single-shot DAG scheduler.  Add every job, call run() once, then read
+/// stats().  Construction is single-caller like the rest of the parallel
+/// layer.
 class JobGraph {
  public:
   struct Options {
@@ -87,8 +85,8 @@ class JobGraph {
     std::function<void(std::size_t)> run;
     /// Optional completion; ordered mode runs it in JobId order.
     std::function<void()> complete;
-    /// Prerequisite jobs (must already exist).  Edges added here cannot
-    /// form a cycle by construction; use add_edge for arbitrary pairs.
+    /// Prerequisite jobs.  They must already exist, so the graph is
+    /// acyclic by construction.
     std::vector<JobId> deps;
     /// Preferred worker queue; kNoHome round-robins.
     std::uint32_t home = kNoHome;
@@ -109,10 +107,9 @@ class JobGraph {
   JobGraph(const JobGraph&) = delete;
   JobGraph& operator=(const JobGraph&) = delete;
 
-  /// Adds a job; returns its id (ids are dense, in add order).  Legal
-  /// from inside a running body of this graph (the new job becomes
-  /// ready once its deps finish).  Throws std::invalid_argument if a
-  /// dep id does not exist, std::logic_error after run() has returned.
+  /// Adds a job; returns its id (ids are dense, in add order).  Throws
+  /// std::invalid_argument if a dep id does not exist, std::logic_error
+  /// once run() has started.
   JobId add(JobSpec spec);
 
   /// Convenience for dependency-free jobs.
@@ -126,12 +123,6 @@ class JobGraph {
   /// Meant to be called from the job's own body once the actual output
   /// size is known; the value is read when the body finishes.
   void set_bytes(JobId id, std::size_t bytes);
-
-  /// Declares that \p to must wait for \p from.  Rejected with
-  /// std::invalid_argument at submit time if it would close a cycle
-  /// (including self-edges); throws std::logic_error once run() has
-  /// started (dynamic jobs declare deps through JobSpec::deps instead).
-  void add_edge(JobId from, JobId to);
 
   /// Executes the graph to completion and drains all ordered
   /// completions.  If any body or completion throws, remaining

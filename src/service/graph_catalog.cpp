@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "graph/io.h"
 #include "graph/transforms.h"
 #include "storage/clique_stream.h"
 
@@ -23,7 +22,7 @@ std::uint64_t next_epoch() {
 const std::vector<std::uint32_t>& GraphEntry::core_numbers() const {
   std::lock_guard<std::mutex> lock(derived_mutex_);
   if (!core_ready_) {
-    core_ = graph::core_decomposition(view_).core;
+    core_ = graph::core_decomposition(view()).core;
     core_ready_ = true;
   }
   return core_;
@@ -48,7 +47,7 @@ const std::vector<analysis::HubReport>& GraphEntry::hub_ranking() const {
       for (const graph::VertexId v : clique) ++participation[to_stored(v)];
     }
   }
-  hubs_ = analysis::top_hubs(view_, participation, order());
+  hubs_ = analysis::top_hubs(view(), participation, order());
   hubs_ready_ = true;
   return hubs_;
 }
@@ -59,24 +58,13 @@ std::shared_ptr<GraphEntry> GraphCatalog::open(const std::string& name,
   // never disturbs an existing entry under the same name.
   auto entry = std::shared_ptr<GraphEntry>(new GraphEntry());
   entry->name_ = name;
-  if (graph::detect_graph_format(spec.graph_path, spec.format) == "gsbg") {
-    entry->mapped_ = storage::MappedGraph::open(spec.graph_path);
-    if (entry->mapped_.has_bitmap()) {
-      entry->view_ = entry->mapped_.view();
-    } else {
-      entry->owned_ = entry->mapped_.load();
-      entry->view_ = graph::GraphView(entry->owned_);
+  entry->graph_ = storage::open_graph_file(spec.graph_path, spec.format);
+  const auto perm = entry->graph_.permutation();
+  if (!perm.empty()) {
+    entry->inverse_permutation_.resize(perm.size());
+    for (graph::VertexId stored = 0; stored < perm.size(); ++stored) {
+      entry->inverse_permutation_[perm[stored]] = stored;
     }
-    const auto perm = entry->mapped_.permutation();
-    if (!perm.empty()) {
-      entry->inverse_permutation_.resize(perm.size());
-      for (graph::VertexId stored = 0; stored < perm.size(); ++stored) {
-        entry->inverse_permutation_[perm[stored]] = stored;
-      }
-    }
-  } else {
-    entry->owned_ = graph::load_graph(spec.graph_path, spec.format);
-    entry->view_ = graph::GraphView(entry->owned_);
   }
 
   if (!spec.cliques_path.empty()) {

@@ -28,13 +28,13 @@
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 #include "service/clique_index.h"
-#include "storage/mapped_graph.h"
+#include "storage/graph_file.h"
 
 namespace gsb::service {
 
 /// What to open under a catalog name.
 struct GraphSpec {
-  std::string graph_path;    ///< .gsbg (mmap'd) or any text/binary format
+  std::string graph_path;    ///< .gsbg (mmap'd) or a text format
   std::string format;        ///< forwarded to the graph loader; "" = sniff
   std::string cliques_path;  ///< optional companion .gsbc
   std::string index_path;    ///< optional .gsbci; "" probes the sidecar
@@ -50,8 +50,12 @@ class GraphEntry {
  public:
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-  [[nodiscard]] const graph::GraphView& view() const noexcept { return view_; }
-  [[nodiscard]] std::size_t order() const noexcept { return view_.order(); }
+  [[nodiscard]] const graph::GraphView& view() const noexcept {
+    return graph_.view;
+  }
+  [[nodiscard]] std::size_t order() const noexcept {
+    return graph_.view.order();
+  }
 
   [[nodiscard]] bool has_cliques() const noexcept {
     return !cliques_path_.empty();
@@ -77,9 +81,7 @@ class GraphEntry {
   /// Stored id -> original label (identity without a permutation).
   [[nodiscard]] graph::VertexId to_original(graph::VertexId stored)
       const noexcept {
-    return has_permutation()
-               ? static_cast<graph::VertexId>(mapped_.permutation()[stored])
-               : stored;
+    return graph_.original_id(stored);
   }
 
   /// Core number of every stored vertex: `kcore-membership K V` reads
@@ -97,9 +99,7 @@ class GraphEntry {
 
   std::string name_;
   std::uint64_t epoch_ = 0;
-  storage::MappedGraph mapped_;
-  graph::Graph owned_;
-  graph::GraphView view_;
+  storage::GraphFile graph_;
   std::vector<graph::VertexId> inverse_permutation_;
   std::string cliques_path_;
   CliqueIndex index_;

@@ -11,8 +11,7 @@
 /// is the memory-mappable row-major adjacency the clique kernels consume
 /// zero-copy (identical layout to the in-RAM representation, so mapping it
 /// costs nothing over loading it — the OS pages in only the rows that are
-/// touched); the WAH sections store each row compressed with
-/// bits::WahBitset for cold archival of sparse genome-scale graphs.
+/// touched).
 ///
 /// All integers are little-endian; the format is declared for
 /// little-endian hosts (checked at open on the magic).  Byte layout:
@@ -37,9 +36,12 @@
 ///     kCsrTargets   2m u32       sorted neighbor ids per row
 ///     kBitmap       n*wpr u64    wpr = ceil(n/64); row r at word r*wpr;
 ///                                bits >= n in a row's last word are zero
-///     kWahOffsets   (n+1) u64    u32-word offsets into kWahWords per row
-///     kWahWords     ... u32      concatenated WahBitset words
 ///     kPermutation  n u32        original id of stored vertex i
+///
+/// Kinds 4 and 5 are retired (WAH-compressed rows, no longer written).  A
+/// reader bounds-checks and checksums a section of any kind, and ignores
+/// the kinds it does not read, so older containers that carry them still
+/// open.
 ///
 /// The checksum covers the section table and every section including
 /// alignment padding, so truncation, bit rot, and table tampering are all
@@ -48,6 +50,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string>
 
 namespace gsb::storage {
 
@@ -64,10 +67,20 @@ enum class SectionKind : std::uint32_t {
   kCsrOffsets = 1,
   kCsrTargets = 2,
   kBitmap = 3,
-  kWahOffsets = 4,
-  kWahWords = 5,
   kPermutation = 6,
 };
+
+/// The name `gsb info` lists a section under; a kind this reader does not
+/// read (a retired one included) is named by its number.
+inline std::string section_name(SectionKind kind) {
+  switch (kind) {
+    case SectionKind::kCsrOffsets: return "csr offsets";
+    case SectionKind::kCsrTargets: return "csr targets";
+    case SectionKind::kBitmap: return "bitmap adjacency";
+    case SectionKind::kPermutation: return "permutation";
+  }
+  return "kind " + std::to_string(static_cast<std::uint32_t>(kind));
+}
 
 /// In-memory mirror of the fixed header (not the serialized form; the
 /// reader/writer move fields explicitly to stay layout-exact).

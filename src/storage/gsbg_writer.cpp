@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "bitset/dynamic_bitset.h"
-#include "bitset/wah_bitset.h"
 #include "storage/gsbg_format.h"
 #include "util/io.h"
 
@@ -189,26 +188,6 @@ void write_gsbg(RowSource& source, const std::string& path,
   const std::size_t wpr = DynamicBitset::word_count(n);
   const std::uint64_t nnz = 2 * source.num_edges();
 
-  // --- optional WAH pre-pass: compressed sizes must be known before the
-  // section table is emitted.  The buffers hold the *compressed* rows.
-  std::vector<std::uint64_t> wah_offsets;
-  std::vector<std::uint32_t> wah_words;
-  if (options.wah) {
-    wah_offsets.reserve(n + 1);
-    wah_offsets.push_back(0);
-    DynamicBitset row_bits(n);
-    std::vector<std::uint32_t> row;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      row_bits.clear_all();
-      source.row(v, row);
-      for (std::uint32_t u : row) row_bits.set(u);
-      const bits::WahBitset wah = bits::WahBitset::compress(row_bits);
-      wah_words.insert(wah_words.end(), wah.words().begin(),
-                       wah.words().end());
-      wah_offsets.push_back(wah_words.size());
-    }
-  }
-
   // --- section plan ---------------------------------------------------------
   std::vector<GsbgSection> sections;
   auto plan = [&](SectionKind kind, std::uint64_t size) {
@@ -218,10 +197,6 @@ void write_gsbg(RowSource& source, const std::string& path,
   plan(SectionKind::kCsrTargets, nnz * sizeof(std::uint32_t));
   if (options.bitmap) {
     plan(SectionKind::kBitmap, n * wpr * sizeof(std::uint64_t));
-  }
-  if (options.wah) {
-    plan(SectionKind::kWahOffsets, (n + 1) * sizeof(std::uint64_t));
-    plan(SectionKind::kWahWords, wah_words.size() * sizeof(std::uint32_t));
   }
   if (source.relabeled()) {
     plan(SectionKind::kPermutation, n * sizeof(std::uint32_t));
@@ -288,14 +263,6 @@ void write_gsbg(RowSource& source, const std::string& path,
       for (std::uint32_t u : row) row_bits.set(u);
       payload.raw(row_bits.words().data(), wpr * sizeof(std::uint64_t));
     }
-  }
-
-  if (options.wah) {
-    begin_section(section_index++);
-    payload.raw(wah_offsets.data(),
-                wah_offsets.size() * sizeof(std::uint64_t));
-    begin_section(section_index++);
-    payload.raw(wah_words.data(), wah_words.size() * sizeof(std::uint32_t));
   }
 
   if (source.relabeled()) {

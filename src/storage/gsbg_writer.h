@@ -7,9 +7,7 @@
 /// Writes are row-at-a-time: peak memory is one adjacency row (a
 /// ceil(n/64)-word bitset plus its neighbor list), never the whole bitmap —
 /// this is what lets the out-of-core correlation builder finalize graphs
-/// whose bitmap adjacency would not fit in RAM.  The optional WAH section
-/// is buffered (it is one to two orders of magnitude smaller than the
-/// bitmap it compresses).
+/// whose bitmap adjacency would not fit in RAM.
 
 #include <cstdint>
 #include <span>
@@ -24,8 +22,6 @@ struct GsbgWriteOptions {
   /// file is ~8(n+m) bytes but must be loaded (not mapped) for clique
   /// analysis.
   bool bitmap = true;
-  /// Write the WAH-compressed adjacency sections.
-  bool wah = false;
   /// Relabel vertices by descending degree (ties by original id) and store
   /// the permutation.  Dense rows land first, improving page locality of
   /// the mapped bitmap; consumers translate results back through

@@ -62,8 +62,6 @@ MappedGraph& MappedGraph::operator=(MappedGraph&& other) noexcept {
     targets_ = std::exchange(other.targets_, {});
     bitmap_ = std::exchange(other.bitmap_, nullptr);
     words_per_row_ = std::exchange(other.words_per_row_, 0);
-    wah_offsets_ = std::exchange(other.wah_offsets_, {});
-    wah_words_ = std::exchange(other.wah_words_, {});
     permutation_ = std::exchange(other.permutation_, {});
     degrees_ = std::move(other.degrees_);
   }
@@ -192,7 +190,7 @@ MappedGraph MappedGraph::open(const std::string& path,
   }
   g.check_csr_rows();
 
-  // --- optional sections -----------------------------------------------------
+  // --- optional sections (kinds it does not read are skipped) --------------
   if (const GsbgSection* bitmap = find(SectionKind::kBitmap)) {
     g.words_per_row_ = bits::DynamicBitset::word_count(n);
     if (bitmap->size != n * g.words_per_row_ * sizeof(std::uint64_t)) {
@@ -200,30 +198,6 @@ MappedGraph MappedGraph::open(const std::string& path,
     }
     g.bitmap_ = reinterpret_cast<const std::uint64_t*>(section_span(*bitmap));
     g.check_bitmap_padding();
-  }
-  const GsbgSection* wah_offsets = find(SectionKind::kWahOffsets);
-  const GsbgSection* wah_words = find(SectionKind::kWahWords);
-  if ((wah_offsets == nullptr) != (wah_words == nullptr)) {
-    fail("wah sections must appear together");
-  }
-  if (wah_offsets != nullptr) {
-    if (wah_offsets->size != (n + 1) * sizeof(std::uint64_t)) {
-      fail("wah offsets section has wrong size");
-    }
-    g.wah_offsets_ = {
-        reinterpret_cast<const std::uint64_t*>(section_span(*wah_offsets)),
-        static_cast<std::size_t>(n + 1)};
-    if (g.wah_offsets_.back() * sizeof(std::uint32_t) != wah_words->size) {
-      fail("wah words section disagrees with its offsets");
-    }
-    for (std::uint64_t v = 0; v < n; ++v) {
-      if (g.wah_offsets_[v + 1] < g.wah_offsets_[v]) {
-        fail("wah offsets not monotone");
-      }
-    }
-    g.wah_words_ = {
-        reinterpret_cast<const std::uint32_t*>(section_span(*wah_words)),
-        static_cast<std::size_t>(g.wah_offsets_.back())};
   }
   if (const GsbgSection* perm = find(SectionKind::kPermutation)) {
     if (perm->size != n * sizeof(std::uint32_t)) {
@@ -346,19 +320,6 @@ graph::Graph MappedGraph::load() const {
     }
   }
   return g;
-}
-
-bits::WahBitset MappedGraph::wah_row(graph::VertexId v) const {
-  if (!has_wah()) fail("file has no WAH sections");
-  const auto row = wah_words_.subspan(
-      wah_offsets_[v], wah_offsets_[v + 1] - wah_offsets_[v]);
-  // The decode loops trust the words to cover exactly ceil(n/31) groups;
-  // verify before handing file data to them (O(row words), negligible
-  // against the decompression itself).
-  if (!bits::WahBitset::words_cover(row, order())) {
-    fail("wah row is corrupt (group count mismatch)");
-  }
-  return bits::WahBitset::from_words(row, order());
 }
 
 void MappedGraph::verify_checksum() const {

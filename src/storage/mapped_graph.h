@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "bitset/wah_bitset.h"
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 #include "storage/gsbg_format.h"
@@ -70,7 +69,6 @@ class MappedGraph {
   [[nodiscard]] std::size_t file_bytes() const noexcept { return map_bytes_; }
 
   [[nodiscard]] bool has_bitmap() const noexcept { return bitmap_ != nullptr; }
-  [[nodiscard]] bool has_wah() const noexcept { return !wah_offsets_.empty(); }
   [[nodiscard]] bool degree_sorted() const noexcept {
     return (header_.flags & kFlagDegreeSorted) != 0;
   }
@@ -106,9 +104,6 @@ class MappedGraph {
   /// Materializes an in-memory Graph from the CSR sections.
   [[nodiscard]] graph::Graph load() const;
 
-  /// One row of the WAH section, reconstituted.  Throws without has_wah().
-  [[nodiscard]] bits::WahBitset wah_row(graph::VertexId v) const;
-
   /// Full payload checksum pass; throws on mismatch.
   void verify_checksum() const;
 
@@ -139,8 +134,6 @@ class MappedGraph {
   std::span<const std::uint32_t> targets_;
   const std::uint64_t* bitmap_ = nullptr;
   std::size_t words_per_row_ = 0;
-  std::span<const std::uint64_t> wah_offsets_;
-  std::span<const std::uint32_t> wah_words_;
   std::span<const std::uint32_t> permutation_;
   std::vector<std::size_t> degrees_;  ///< from CSR offsets, for GraphView
 };

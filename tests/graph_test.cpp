@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <numeric>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -113,21 +115,6 @@ TEST(GraphIo, EdgeListComments) {
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(2, 3));
-}
-
-TEST(GraphIo, BinaryRoundtrip) {
-  util::Rng rng(3);
-  const Graph g = gnp(60, 0.2, rng);
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  write_binary(g, stream);
-  const Graph back = read_binary(stream);
-  EXPECT_TRUE(g == back);
-}
-
-TEST(GraphIo, BinaryRejectsBadMagic) {
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  stream << "NOPE";
-  EXPECT_THROW(read_binary(stream), std::runtime_error);
 }
 
 // The text readers tokenize the whole input at once; every line must read
@@ -561,20 +548,49 @@ TEST(Transforms, RelabelRejectsNonPermutation) {
 namespace gsb::graph {
 namespace {
 
-TEST(GraphIo, BinaryRejectsTruncated) {
-  util::Rng rng(5);
-  const Graph g = gnp(20, 0.3, rng);
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  write_binary(g, stream);
-  std::string bytes = stream.str();
-  bytes.resize(bytes.size() / 2);  // cut mid-edge-list
-  std::stringstream cut(bytes, std::ios::in | std::ios::binary);
-  EXPECT_THROW(read_binary(cut), std::runtime_error);
-}
-
 TEST(GraphIo, EdgeListRejectsOutOfRange) {
   std::stringstream stream("3\n0 7\n");
   EXPECT_THROW(read_edge_list(stream), std::runtime_error);
+}
+
+/// The message of the std::runtime_error \p fn throws ("" if none).
+template <typename Fn>
+std::string runtime_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The binary edge-pair stream once read and written as "binary" (.bin) is
+// gone: the name is an unknown format, and a .bin path reads as an edge
+// list, which refuses the old stream's bytes with a typed error.
+TEST(GraphIo, RetiredBinaryStreamFailsTyped) {
+  const test::TempFile file("graph_io_bin");
+  const std::string bin = file.path() + ".bin";
+  EXPECT_EQ(detect_graph_format(bin), "edges");
+  EXPECT_EQ(runtime_error_of([&] { load_graph(bin, "binary"); }),
+            "graph io: unknown format 'binary'");
+  EXPECT_EQ(runtime_error_of([&] {
+              save_graph(triangle_plus_pendant(), bin, "binary");
+            }),
+            "graph io: unknown format 'binary'");
+  {
+    // Magic "GSBG", u32 version 1, u64 n = 5, u64 m = 2, pairs (0,1) (2,3).
+    std::ofstream out(bin, std::ios::binary);
+    out.write("GSBG", 4);
+    const std::uint32_t version = 1;
+    const std::uint64_t counts[2] = {5, 2};
+    const std::uint32_t pairs[4] = {0, 1, 2, 3};
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(counts), sizeof(counts));
+    out.write(reinterpret_cast<const char*>(pairs), sizeof(pairs));
+  }
+  EXPECT_EQ(runtime_error_of([&] { load_graph(bin); }),
+            "graph io: missing vertex-count header");
+  std::filesystem::remove(bin);
 }
 
 TEST(Generators, PlantModuleRespectsOverlapZero) {

@@ -1,7 +1,7 @@
 // Tests for the DAG job scheduler (par::JobGraph): randomized-DAG
-// property tests across thread counts, cycle rejection at submit time,
-// deterministic ordered completions, window backpressure, work
-// stealing, dynamic spawn, and failure isolation.
+// property tests across thread counts, dependency validation at submit
+// time, deterministic ordered completions, window backpressure, work
+// stealing, and failure isolation.
 
 #include <gtest/gtest.h>
 
@@ -121,30 +121,20 @@ TEST(JobGraph, ExecutionRespectsTopologicalOrder) {
   }
 }
 
-TEST(JobGraph, CycleRejectedAtSubmitTime) {
-  par::JobGraph graph(nullptr);
-  const auto a = graph.add([](std::size_t) {});
-  const auto b = graph.add([](std::size_t) {});
-  const auto c = graph.add([](std::size_t) {});
-  graph.add_edge(a, b);
-  graph.add_edge(b, c);
-  EXPECT_THROW(graph.add_edge(c, a), std::invalid_argument);
-  EXPECT_THROW(graph.add_edge(b, a), std::invalid_argument);
-  EXPECT_THROW(graph.add_edge(a, a), std::invalid_argument);
-  // The rejected edges left the graph runnable.
-  graph.run();
-  EXPECT_EQ(graph.stats().jobs_run, 3u);
-}
-
 TEST(JobGraph, EdgeEndpointsValidated) {
   par::JobGraph graph(nullptr);
-  const auto a = graph.add([](std::size_t) {});
-  EXPECT_THROW(graph.add_edge(a, 7), std::invalid_argument);
-  EXPECT_THROW(graph.add_edge(7, a), std::invalid_argument);
-  par::JobGraph::JobSpec bad;
-  bad.run = [](std::size_t) {};
-  bad.deps = {9};
-  EXPECT_THROW(graph.add(std::move(bad)), std::invalid_argument);
+  graph.add([](std::size_t) {});
+  for (const par::JobId dep : {par::JobId{9}, par::JobId{1}}) {
+    // An unknown job, and the job being added itself.
+    par::JobGraph::JobSpec bad;
+    bad.run = [](std::size_t) {};
+    bad.deps = {dep};
+    EXPECT_THROW(graph.add(std::move(bad)), std::invalid_argument) << dep;
+  }
+  // The rejected jobs left the graph as it was.
+  EXPECT_EQ(graph.size(), 1u);
+  graph.run();
+  EXPECT_EQ(graph.stats().jobs_run, 1u);
 }
 
 TEST(JobGraph, ExceptionFailsGraphWithoutDeadlockingPool) {
@@ -240,39 +230,6 @@ TEST(JobGraph, WorkStealingFromHomeQueues) {
   EXPECT_GE(graph.stats().jobs_stolen, kWorkers - 1);
 }
 
-TEST(JobGraph, DynamicSpawnFromRunningJob) {
-  par::ThreadPool pool(2);
-  par::JobGraph graph(&pool);
-  std::atomic<int> ran{0};
-  const auto root = graph.add([&](std::size_t) {
-    ++ran;
-    for (int i = 0; i < 5; ++i) {
-      graph.add([&](std::size_t) { ++ran; });
-    }
-  });
-  (void)root;
-  graph.run();
-  EXPECT_EQ(ran.load(), 6);
-  EXPECT_EQ(graph.stats().jobs_run, 6u);
-}
-
-TEST(JobGraph, DepOnFinishedJobIsSatisfied) {
-  par::JobGraph graph(nullptr);
-  std::vector<int> log;
-  const auto first = graph.add([&](std::size_t) {
-    log.push_back(1);
-    // By the time this body runs, no dep bookkeeping remains for job 0:
-    // the new job's dep is already finished... except job 0 *is* the
-    // running job, so the spawned job waits for it.
-    par::JobGraph::JobSpec spec;
-    spec.run = [&](std::size_t) { log.push_back(2); };
-    graph.add(std::move(spec));
-  });
-  (void)first;
-  graph.run();
-  EXPECT_EQ(log, (std::vector<int>{1, 2}));
-}
-
 TEST(JobGraph, InlineExecutionWithoutPool) {
   par::JobGraph graph(nullptr);
   EXPECT_EQ(graph.workers(), 1u);
@@ -307,7 +264,20 @@ TEST(JobGraph, SingleShotLifecycle) {
   graph.run();
   EXPECT_THROW(graph.run(), std::logic_error);
   EXPECT_THROW(graph.add([](std::size_t) {}), std::logic_error);
-  EXPECT_THROW(graph.add_edge(0, 0), std::logic_error);
+}
+
+TEST(JobGraph, AddFromRunningJobFailsTheGraph) {
+  // Every job is added before run(): a body that adds one fails the graph
+  // with std::logic_error, and the pool stays usable.
+  par::ThreadPool pool(2);
+  par::JobGraph graph(&pool);
+  graph.add([&](std::size_t) { graph.add([](std::size_t) {}); });
+  EXPECT_THROW(graph.run(), std::logic_error);
+  EXPECT_EQ(graph.size(), 1u);
+  par::JobGraph next(&pool);
+  next.add([](std::size_t) {});
+  next.run();
+  EXPECT_EQ(next.stats().jobs_run, 1u);
 }
 
 TEST(JobGraph, EmptyGraphRunsToCompletion) {

@@ -19,8 +19,10 @@
 #include "core/maximum_clique.h"
 #include "graph/graph_view.h"
 #include "graph/generators.h"
+#include "graph/io.h"
 #include "graph/transforms.h"
 #include "pipeline/overlap.h"
+#include "storage/graph_file.h"
 #include "storage/gsbg_format.h"
 #include "storage/gsbg_writer.h"
 #include "storage/mapped_graph.h"
@@ -122,19 +124,6 @@ TEST(GsbgRoundTrip, PropertyOverSeededGnp) {
   }
 }
 
-TEST(GsbgRoundTrip, WahSectionMatchesBitmapRows) {
-  const graph::Graph g = test::random_graph(150, 0.03, 99);
-  TempFile file("wah");
-  storage::GsbgWriteOptions options;
-  options.wah = true;
-  storage::write_gsbg_file(g, file.path(), options);
-  const auto mapped = storage::MappedGraph::open(file.path());
-  ASSERT_TRUE(mapped.has_wah());
-  for (graph::VertexId v = 0; v < g.order(); ++v) {
-    EXPECT_TRUE(mapped.wah_row(v).decompress() == g.neighbors(v));
-  }
-}
-
 TEST(GsbgRoundTrip, NoBitmapFileLoadsButDoesNotMap) {
   const graph::Graph g = test::random_graph(60, 0.1, 5);
   TempFile file("nobitmap");
@@ -167,6 +156,98 @@ TEST(GsbgRoundTrip, DegreeSortedStoresPermutationAndRelabels) {
   const graph::Graph relabeled = graph::relabel(
       g, std::vector<graph::VertexId>(perm.begin(), perm.end()));
   EXPECT_TRUE(mapped.load() == relabeled);
+}
+
+// tests/golden/mod200_wah.gsbg is tests/golden/mod200.clq (`gsb generate
+// --kind modules --n 200 --seed 30`) converted with `--wah --degree-sort`
+// by a build that still wrote WAH sections (kinds 4 and 5, now retired).
+TEST(GsbgRetiredSections, OldWahContainerOpensAndMatchesThisWriter) {
+  const std::string golden = std::string(GSB_SOURCE_DIR) + "/tests/golden/";
+  const std::string wah = golden + "mod200_wah.gsbg";
+  const graph::Graph source = graph::load_graph(golden + "mod200.clq");
+  TempFile file("mod200_degsort");
+  storage::GsbgWriteOptions options;
+  options.degree_sort = true;
+  storage::write_gsbg_file(source, file.path(), options);
+  const auto fresh = storage::MappedGraph::open(file.path());
+
+  storage::MappedGraph::Options verify;
+  verify.verify_checksum = true;
+  for (const bool checked : {false, true}) {
+    SCOPED_TRACE(checked ? "verify_checksum" : "plain open");
+    const auto old = checked ? storage::MappedGraph::open(wah, verify)
+                             : storage::MappedGraph::open(wah);
+    ASSERT_TRUE(old.degree_sorted());
+    expect_same_adjacency(old.view(), fresh.view());
+    for (graph::VertexId v = 0; v < old.order(); ++v) {
+      ASSERT_EQ(old.degree(v), fresh.degree(v)) << v;
+      const auto a = old.csr_row(v);
+      const auto b = fresh.csr_row(v);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << v;
+    }
+    const auto p = old.permutation();
+    const auto q = fresh.permutation();
+    EXPECT_TRUE(std::equal(p.begin(), p.end(), q.begin(), q.end()));
+    EXPECT_EQ(core::maximum_clique(old.view()).clique,
+              core::maximum_clique(fresh.view()).clique);
+
+    // `gsb info` lists every section under section_name: the retired
+    // kinds by their numbers.
+    std::vector<std::string> listed;
+    for (const auto& section : old.sections()) {
+      listed.push_back(storage::section_name(section.kind));
+    }
+    EXPECT_EQ(listed, (std::vector<std::string>{
+                          "csr offsets", "csr targets", "bitmap adjacency",
+                          "kind 4", "kind 5", "permutation"}));
+  }
+  std::vector<std::string> written;
+  for (const auto& section : fresh.sections()) {
+    written.push_back(storage::section_name(section.kind));
+  }
+  EXPECT_EQ(written,
+            (std::vector<std::string>{"csr offsets", "csr targets",
+                                      "bitmap adjacency", "permutation"}));
+}
+
+// The front door: a .gsbg with a bitmap is mapped, one without is loaded
+// from its CSR, a text file through graph::load_graph; the view and the
+// original labels agree across all three.
+TEST(GraphFile, OpensEveryFormatThroughOneDoor) {
+  const graph::Graph g = test::random_graph(70, 0.1, 21);
+  TempFile mapped_file("door_mapped");
+  TempFile compact_file("door_compact");
+  const std::string text_path = mapped_file.path() + ".clq";
+  storage::GsbgWriteOptions options;
+  options.degree_sort = true;
+  storage::write_gsbg_file(g, mapped_file.path(), options);
+  options.bitmap = false;
+  storage::write_gsbg_file(g, compact_file.path(), options);
+  graph::save_graph(g, text_path);
+
+  const auto text = storage::open_graph_file(text_path);
+  EXPECT_FALSE(text.is_mapped());
+  EXPECT_TRUE(text.permutation().empty());
+  expect_same_adjacency(text.view, g);
+
+  const auto mapped = storage::open_graph_file(mapped_file.path());
+  const auto compact = storage::open_graph_file(compact_file.path());
+  EXPECT_TRUE(mapped.is_mapped());
+  EXPECT_FALSE(compact.is_mapped());
+  expect_same_adjacency(mapped.view, compact.view);
+  ASSERT_EQ(mapped.permutation().size(), g.order());
+  ASSERT_EQ(compact.permutation().size(), g.order());
+  for (graph::VertexId u = 0; u < g.order(); ++u) {
+    EXPECT_EQ(mapped.original_id(u), compact.original_id(u));
+    for (graph::VertexId v = 0; v < g.order(); ++v) {
+      ASSERT_EQ(mapped.view.has_edge(u, v),
+                g.has_edge(mapped.original_id(u), mapped.original_id(v)));
+    }
+  }
+  // A named format wins over the extension.
+  EXPECT_THROW(storage::open_graph_file(text_path, "gsbg"),
+               std::runtime_error);
+  std::filesystem::remove(text_path);
 }
 
 // --- corruption rejection ----------------------------------------------------
