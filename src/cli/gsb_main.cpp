@@ -34,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -681,7 +682,12 @@ int cmd_maximum(const util::Cli& cli) {
   const storage::GraphFile input =
       storage::open_graph_file(path, cli.get("format", ""));
   warn_unqueried(cli);
-  const auto result = core::maximum_clique(input.view);
+  // Paraclique round 0's search, as `gsb pipeline` reports it: it runs on
+  // the subgraph induced on the vertices with an edge, built from the CSR
+  // lists, so a mapped container's bitmap stays on disk.  No round grows.
+  core::MaxCliqueResult result;
+  analysis::extract_all_paracliques(
+      input.view, std::numeric_limits<std::size_t>::max(), {}, &result);
   std::printf("maximum clique: %zu vertices (%llu nodes, %s)\n",
               result.clique.size(),
               static_cast<unsigned long long>(result.tree_nodes),
@@ -851,7 +857,7 @@ int cmd_info(const util::Cli& cli) {
             : static_cast<double>(reader.member_total()) /
                   static_cast<double>(reader.clique_count()));
     std::printf("file: %s, checksum %016llx%s\n",
-                util::format_bytes(std::filesystem::file_size(path)).c_str(),
+                util::format_bytes(reader.file_bytes()).c_str(),
                 static_cast<unsigned long long>(reader.header().checksum),
                 verify ? " (verified)" : "");
     return 0;
@@ -955,7 +961,7 @@ std::shared_ptr<service::GraphEntry> open_service_entry(
   auto entry = catalog.open("default", service_spec(cli));
   std::fprintf(stderr, "graph: %zu vertices, %zu edges%s%s\n", entry->order(),
                entry->view().num_edges(),
-               entry->has_cliques() ? ", clique stream attached" : "",
+               entry->cliques() != nullptr ? ", clique stream attached" : "",
                entry->index() != nullptr ? " (indexed)" : "");
   return entry;
 }
@@ -1178,7 +1184,6 @@ int cmd_serve(const util::Cli& cli) {
 
   std::optional<service::ResultCache> cache;
   if (use_cache) cache.emplace(cache_bytes);
-#if defined(__unix__) || defined(__APPLE__)
   // sigaction without SA_RESTART, so Ctrl-C interrupts the blocking
   // stdin read instead of waiting for the next input line.
   struct sigaction action{};
@@ -1186,10 +1191,6 @@ int cmd_serve(const util::Cli& cli) {
   sigemptyset(&action.sa_mask);
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
-#else
-  std::signal(SIGINT, serve_signal_handler);
-  std::signal(SIGTERM, serve_signal_handler);
-#endif
 
   if (!tcp_address.empty() || !socket_path.empty()) {
     // One epoll loop serves both socket transports; the address picks the

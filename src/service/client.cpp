@@ -8,10 +8,8 @@
 #include <thread>
 #include <utility>
 
-#include "obs/metrics.h"
+#include <cstring>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define GSB_HAVE_CLIENT_SOCKETS 1
 #include <fcntl.h>
 #include <netdb.h>
 #include <poll.h>
@@ -19,18 +17,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cstring>
-
+#include "obs/metrics.h"
 #include "util/io.h"
 
 #ifndef MSG_NOSIGNAL
 #define MSG_NOSIGNAL 0  // macOS: SO_NOSIGPIPE is set on the socket instead
 #endif
-#endif
 
 namespace gsb::service {
-
-#if GSB_HAVE_CLIENT_SOCKETS
 
 namespace {
 
@@ -297,67 +291,6 @@ std::vector<ServiceClient::BinaryResponse> ServiceClient::call_pipelined(
   });
   return responses;
 }
-
-#else  // !GSB_HAVE_CLIENT_SOCKETS
-
-ServiceClient ServiceClient::connect_tcp(const std::string&, std::size_t) {
-  throw std::runtime_error("client: sockets unavailable on this platform");
-}
-
-ServiceClient ServiceClient::connect_unix(const std::string&, std::size_t) {
-  throw std::runtime_error("client: sockets unavailable on this platform");
-}
-
-ServiceClient::ServiceClient(ServiceClient&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)) {}
-
-ServiceClient& ServiceClient::operator=(ServiceClient&& other) noexcept {
-  fd_ = std::exchange(other.fd_, -1);
-  return *this;
-}
-
-ServiceClient::~ServiceClient() = default;
-
-void ServiceClient::close() {}
-void ServiceClient::finish_sending() {}
-
-std::string ServiceClient::request(const std::string&) {
-  throw std::runtime_error("client: sockets unavailable on this platform");
-}
-
-std::vector<std::string> ServiceClient::request_pipelined(
-    const std::vector<std::string>&) {
-  throw std::runtime_error("client: sockets unavailable on this platform");
-}
-
-void ServiceClient::request_pipelined_into(const std::vector<std::string>&,
-                                           std::size_t,
-                                           std::vector<std::string>&) {
-  throw std::runtime_error("client: sockets unavailable on this platform");
-}
-
-std::uint64_t ServiceClient::send(const std::string&) {
-  throw std::runtime_error("client: sockets unavailable on this platform");
-}
-
-void ServiceClient::send(std::uint64_t, const std::string&) {
-  throw std::runtime_error("client: sockets unavailable on this platform");
-}
-
-void ServiceClient::flush() {
-  throw std::runtime_error("client: sockets unavailable on this platform");
-}
-
-ServiceClient::BinaryResponse ServiceClient::receive() {
-  throw std::runtime_error("client: sockets unavailable on this platform");
-}
-
-std::vector<ServiceClient::BinaryResponse> ServiceClient::call_pipelined(
-    const std::vector<std::string>&) {
-  throw std::runtime_error("client: sockets unavailable on this platform");
-}
-
-#endif
 
 // --- RetryingClient ---------------------------------------------------------
 //

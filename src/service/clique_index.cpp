@@ -2,18 +2,9 @@
 
 #include <cstring>
 #include <stdexcept>
-#include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define GSB_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
+#include <vector>
 
 #include "storage/clique_stream.h"
-#include "util/io.h"
 
 namespace gsb::service {
 namespace {
@@ -84,7 +75,7 @@ CliqueIndexBuildStats build_clique_index(const std::string& gsbc_path,
   std::vector<std::uint64_t> postings(header.posting_total);
   std::vector<std::uint64_t> cursor(posting_offsets.begin(),
                                     posting_offsets.end() - 1);
-  auto refill = storage::GsbcReader::open(gsbc_path);
+  auto refill = reader.scan();
   for (std::uint64_t id = 0; refill.next(clique); ++id) {
     for (const graph::VertexId v : clique) postings[cursor[v]++] = id;
   }
@@ -115,89 +106,24 @@ CliqueIndexBuildStats build_clique_index(const std::string& gsbc_path,
 
 // --- reader -----------------------------------------------------------------
 
-CliqueIndex::~CliqueIndex() { release(); }
-
-CliqueIndex::CliqueIndex(CliqueIndex&& other) noexcept {
-  *this = std::move(other);
-}
-
-CliqueIndex& CliqueIndex::operator=(CliqueIndex&& other) noexcept {
-  if (this != &other) {
-    release();
-    header_ = other.header_;
-    base_ = std::exchange(other.base_, nullptr);
-    map_bytes_ = std::exchange(other.map_bytes_, 0);
-    heap_backed_ = std::exchange(other.heap_backed_, false);
-    clique_offsets_ = std::exchange(other.clique_offsets_, {});
-    posting_offsets_ = std::exchange(other.posting_offsets_, {});
-    postings_ = std::exchange(other.postings_, {});
-  }
-  return *this;
-}
-
-void CliqueIndex::release() noexcept {
-  if (base_ == nullptr) return;
-#if GSB_HAVE_MMAP
-  if (!heap_backed_) {
-    ::munmap(const_cast<char*>(base_), map_bytes_);
-    base_ = nullptr;
-    return;
-  }
-#endif
-  delete[] base_;
-  base_ = nullptr;
-}
-
 CliqueIndex CliqueIndex::open(const std::string& path) {
   CliqueIndex index;
+  index.file_ = util::io::MappedFile(path, "gsbci");
+  const char* base = index.file_.data();
+  const std::size_t bytes = index.file_.size();
 
-#if GSB_HAVE_MMAP
-  const int fd = util::io::open_for_read(path.c_str());
-  if (fd < 0) fail("cannot open '" + path + "' for reading");
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    fail("cannot stat '" + path + "'");
-  }
-  index.map_bytes_ = static_cast<std::size_t>(st.st_size);
-  if (index.map_bytes_ == 0) {
-    ::close(fd);
-    fail("file is empty");
-  }
-  void* map = util::io::mmap_read(index.map_bytes_, fd);
-  ::close(fd);
-  if (map == MAP_FAILED) fail("mmap failed for '" + path + "'");
-  index.base_ = static_cast<const char*>(map);
-#else
-  // Portability fallback: read the whole file into heap memory.
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) fail("cannot open '" + path + "' for reading");
-  const auto size = in.tellg();
-  if (size <= 0) fail("file is empty");
-  index.map_bytes_ = static_cast<std::size_t>(size);
-  char* buffer = new char[index.map_bytes_];
-  in.seekg(0);
-  in.read(buffer, static_cast<std::streamsize>(index.map_bytes_));
-  if (!in) {
-    delete[] buffer;
-    fail("short read from '" + path + "'");
-  }
-  index.base_ = buffer;
-  index.heap_backed_ = true;
-#endif
-
-  if (index.map_bytes_ < kGsbciHeaderBytes) fail("file shorter than header");
-  if (std::memcmp(index.base_, kGsbciMagic, sizeof(kGsbciMagic)) != 0) {
+  if (bytes < kGsbciHeaderBytes) fail("file shorter than header");
+  if (std::memcmp(base, kGsbciMagic, sizeof(kGsbciMagic)) != 0) {
     fail("bad magic (not a .gsbci file)");
   }
   GsbciHeader& header = index.header_;
-  std::memcpy(&header.version, index.base_ + 8, 4);
-  std::memcpy(&header.flags, index.base_ + 12, 4);
-  std::memcpy(&header.n, index.base_ + 16, 8);
-  std::memcpy(&header.clique_count, index.base_ + 24, 8);
-  std::memcpy(&header.posting_total, index.base_ + 32, 8);
-  std::memcpy(&header.source_checksum, index.base_ + 40, 8);
-  std::memcpy(&header.checksum, index.base_ + 48, 8);
+  std::memcpy(&header.version, base + 8, 4);
+  std::memcpy(&header.flags, base + 12, 4);
+  std::memcpy(&header.n, base + 16, 8);
+  std::memcpy(&header.clique_count, base + 24, 8);
+  std::memcpy(&header.posting_total, base + 32, 8);
+  std::memcpy(&header.source_checksum, base + 40, 8);
+  std::memcpy(&header.checksum, base + 48, 8);
   if (header.version != storage::kGsbciVersion) {
     fail("unsupported version " + std::to_string(header.version));
   }
@@ -212,8 +138,8 @@ CliqueIndex CliqueIndex::open(const std::string& path) {
   const std::uint64_t expected =
       kGsbciHeaderBytes +
       8 * (header.clique_count + header.n + 1 + header.posting_total);
-  if (index.map_bytes_ != expected) {
-    fail("file size " + std::to_string(index.map_bytes_) +
+  if (bytes != expected) {
+    fail("file size " + std::to_string(bytes) +
          " does not match header counts (expected " +
          std::to_string(expected) + ")");
   }
@@ -223,12 +149,11 @@ CliqueIndex CliqueIndex::open(const std::string& path) {
   // offset value (which would silently misanswer queries).  Same O(file)
   // order as the structural scans, paid once per open.
   storage::Fnv1a sum;
-  sum.update(index.base_ + kGsbciHeaderBytes,
-             index.map_bytes_ - kGsbciHeaderBytes);
+  sum.update(base + kGsbciHeaderBytes, bytes - kGsbciHeaderBytes);
   if (sum.digest() != header.checksum) fail("payload checksum mismatch");
 
   const auto* words = reinterpret_cast<const std::uint64_t*>(
-      index.base_ + kGsbciHeaderBytes);
+      base + kGsbciHeaderBytes);
   index.clique_offsets_ = {words, header.clique_count};
   index.posting_offsets_ = {words + header.clique_count, header.n + 1};
   index.postings_ = {words + header.clique_count + header.n + 1,
@@ -259,64 +184,6 @@ CliqueIndex CliqueIndex::open(const std::string& path) {
     }
   }
   return index;
-}
-
-// --- random-access record reader --------------------------------------------
-
-CliqueRandomReader::CliqueRandomReader(const std::string& gsbc_path,
-                                       const CliqueIndex& index)
-    : index_(&index), universe_(index.order()) {
-  // Reuse the stream reader's full open-time validation, then keep only the
-  // header and our own seekable handle.
-  const auto stream = storage::GsbcReader::open(gsbc_path);
-  if (stream.header().checksum != index.source_checksum()) {
-    fail("index does not match this stream (source checksum differs)");
-  }
-  if (stream.header().clique_count != index.clique_count()) {
-    fail("index clique count does not match the stream");
-  }
-  in_.open(gsbc_path, std::ios::binary);
-  if (!in_) fail("cannot open '" + gsbc_path + "'");
-  in_.seekg(0, std::ios::end);
-  file_bytes_ = static_cast<std::uint64_t>(in_.tellg());
-}
-
-void CliqueRandomReader::read(std::uint64_t clique_id,
-                              std::vector<graph::VertexId>& out) {
-  const std::uint64_t begin = index_->clique_offset(clique_id);
-  const std::uint64_t end = clique_id + 1 < index_->clique_count()
-                                ? index_->clique_offset(clique_id + 1)
-                                : file_bytes_;
-  if (begin >= end || end > file_bytes_) {
-    fail("record " + std::to_string(clique_id) + " offset out of range");
-  }
-  buffer_.resize(end - begin);
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(begin));
-  in_.read(reinterpret_cast<char*>(buffer_.data()),
-           static_cast<std::streamsize>(buffer_.size()));
-  if (static_cast<std::uint64_t>(in_.gcount()) != buffer_.size()) {
-    fail("short read for record " + std::to_string(clique_id));
-  }
-
-  std::size_t pos = 0;
-  const std::uint64_t size = storage::decode_leb128(buffer_, pos);
-  if (size == 0 || size > universe_) fail("record size out of range");
-  out.clear();
-  out.reserve(size);
-  std::uint64_t member = storage::decode_leb128(buffer_, pos);
-  for (std::uint64_t i = 0;; ++i) {
-    if (member >= universe_) fail("member id out of range");
-    out.push_back(static_cast<graph::VertexId>(member));
-    if (i + 1 == size) break;
-    const std::uint64_t delta = storage::decode_leb128(buffer_, pos);
-    if (delta == 0) fail("non-ascending member delta");
-    member += delta;
-  }
-  if (pos != buffer_.size()) {
-    fail("record " + std::to_string(clique_id) + " has trailing bytes");
-  }
-  ++records_decoded_;
 }
 
 }  // namespace gsb::service

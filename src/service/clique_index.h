@@ -2,28 +2,26 @@
 #define GSB_SERVICE_CLIQUE_INDEX_H
 
 /// \file clique_index.h
-/// The `.gsbci` clique-index sidecar: builder, memory-mapped reader, and a
-/// random-access record reader over the companion `.gsbc` stream.
+/// The `.gsbci` clique-index sidecar: builder and memory-mapped reader.
 ///
-/// `build_clique_index` makes two forward passes over a `.gsbc` (offsets
-/// and participation counts, then CSR posting fill — O(member_total)
-/// memory, never a materialized clique set) and writes the sidecar spec'd
-/// in storage/gsbci_format.h.  `CliqueIndex`
-/// memory-maps the sidecar — opening is O(1) work plus validation scans —
-/// and serves per-vertex posting lists and per-clique byte offsets.
-/// `CliqueRandomReader` combines both: given a clique id it seeks straight
-/// to the record in the `.gsbc` and decodes exactly that record, which is
-/// what lets `cliques-containing v` touch |postings(v)| records instead of
+/// `build_clique_index` makes two forward passes over one mapping of a
+/// `.gsbc` (offsets and participation counts, then CSR posting fill —
+/// O(member_total) memory, never a materialized clique set) and writes the
+/// sidecar spec'd in storage/gsbci_format.h.  `CliqueIndex` memory-maps
+/// the sidecar — opening is O(1) work plus validation scans — and serves
+/// per-vertex posting lists and per-clique byte offsets.  The query
+/// engine decodes record `clique_offset(id)` of the entry's mapped stream
+/// with storage::GsbcReader::read_record, which is what lets
+/// `cliques-containing v` touch |postings(v)| records instead of
 /// rescanning the stream.
 
 #include <cstdint>
-#include <fstream>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "graph/graph.h"
 #include "storage/gsbci_format.h"
+#include "util/io.h"
 
 namespace gsb::service {
 
@@ -46,19 +44,14 @@ std::string default_index_path(const std::string& gsbc_path);
 /// Memory-mapped `.gsbci` reader.
 class CliqueIndex {
  public:
-  CliqueIndex() = default;
-  ~CliqueIndex();
-  CliqueIndex(CliqueIndex&& other) noexcept;
-  CliqueIndex& operator=(CliqueIndex&& other) noexcept;
-  CliqueIndex(const CliqueIndex&) = delete;
-  CliqueIndex& operator=(const CliqueIndex&) = delete;
-
   /// Maps \p path read-only, validating magic, version, exact file size,
   /// monotone offset arrays and posting bounds.  Throws std::runtime_error
   /// on any malformation.
   static CliqueIndex open(const std::string& path);
 
-  [[nodiscard]] bool is_open() const noexcept { return base_ != nullptr; }
+  [[nodiscard]] bool is_open() const noexcept {
+    return file_.data() != nullptr;
+  }
   [[nodiscard]] const storage::GsbciHeader& header() const noexcept {
     return header_;
   }
@@ -94,46 +87,11 @@ class CliqueIndex {
   }
 
  private:
-  void release() noexcept;
-
   storage::GsbciHeader header_;
-  const char* base_ = nullptr;  ///< mapped (or heap fallback) file bytes
-  std::size_t map_bytes_ = 0;
-  bool heap_backed_ = false;
+  util::io::MappedFile file_;
   std::span<const std::uint64_t> clique_offsets_;
   std::span<const std::uint64_t> posting_offsets_;
   std::span<const std::uint64_t> postings_;
-};
-
-/// Random-access record reader over a `.gsbc`, driven by a CliqueIndex.
-/// Holds its own file handle, so each concurrent query thread owns one.
-class CliqueRandomReader {
- public:
-  /// Opens \p gsbc_path and binds it to \p index: the stream's header
-  /// checksum must equal the index's source_checksum (a rebuilt stream
-  /// with a stale sidecar is rejected, not silently misread).
-  CliqueRandomReader(const std::string& gsbc_path, const CliqueIndex& index);
-
-  CliqueRandomReader(CliqueRandomReader&&) = default;
-  CliqueRandomReader& operator=(CliqueRandomReader&&) = default;
-
-  /// Decodes record \p clique_id into \p out (ascending member ids).
-  /// Throws std::runtime_error if the record bytes are malformed.
-  void read(std::uint64_t clique_id, std::vector<graph::VertexId>& out);
-
-  /// Records decoded since construction (the service_test uses this to
-  /// assert indexed queries never rescan the stream).
-  [[nodiscard]] std::uint64_t records_decoded() const noexcept {
-    return records_decoded_;
-  }
-
- private:
-  const CliqueIndex* index_ = nullptr;
-  std::ifstream in_;
-  std::uint64_t file_bytes_ = 0;
-  std::uint64_t universe_ = 0;
-  std::vector<unsigned char> buffer_;
-  std::uint64_t records_decoded_ = 0;
 };
 
 }  // namespace gsb::service

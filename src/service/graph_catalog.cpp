@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "graph/transforms.h"
-#include "storage/clique_stream.h"
 
 namespace gsb::service {
 namespace {
@@ -40,8 +39,8 @@ const std::vector<analysis::HubReport>& GraphEntry::hub_ranking() const {
       participation[to_stored(v)] =
           static_cast<std::uint32_t>(index_.participation(v));
     }
-  } else if (!cliques_path_.empty()) {
-    auto reader = storage::GsbcReader::open(cliques_path_);
+  } else if (cliques_) {
+    auto reader = cliques_->scan();
     std::vector<graph::VertexId> clique;
     while (reader.next(clique)) {
       for (const graph::VertexId v : clique) ++participation[to_stored(v)];
@@ -68,16 +67,15 @@ std::shared_ptr<GraphEntry> GraphCatalog::open(const std::string& name,
   }
 
   if (!spec.cliques_path.empty()) {
-    // Validate the stream now (header + size coherence + universe match);
-    // queries reopen it per scan.
-    const auto stream = storage::GsbcReader::open(spec.cliques_path);
+    // Map and validate the stream once (header + size coherence + universe
+    // match): every query of this epoch reads this mapping.
+    auto stream = storage::GsbcReader::open(spec.cliques_path);
     if (stream.order() != entry->order()) {
       throw std::runtime_error(
           "catalog: clique stream universe (" +
           std::to_string(stream.order()) + ") does not match graph order (" +
           std::to_string(entry->order()) + ")");
     }
-    entry->cliques_path_ = spec.cliques_path;
 
     std::string index_path = spec.index_path;
     if (index_path.empty() && spec.probe_index) {
@@ -88,7 +86,8 @@ std::shared_ptr<GraphEntry> GraphCatalog::open(const std::string& name,
     }
     if (!index_path.empty()) {
       auto index = CliqueIndex::open(index_path);
-      if (index.source_checksum() != stream.header().checksum) {
+      if (index.source_checksum() != stream.header().checksum ||
+          index.clique_count() != stream.clique_count()) {
         throw std::runtime_error(
             "catalog: index '" + index_path +
             "' was built from a different stream (rebuild with gsb index)");
@@ -98,6 +97,7 @@ std::shared_ptr<GraphEntry> GraphCatalog::open(const std::string& name,
       }
       entry->index_ = std::move(index);
     }
+    entry->cliques_ = std::move(stream);
   } else if (!spec.index_path.empty()) {
     throw std::runtime_error("catalog: an index needs its clique stream");
   }

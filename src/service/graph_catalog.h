@@ -8,19 +8,24 @@
 /// service keeps them resident instead.  A GraphCatalog maps names to
 /// GraphEntry instances — a memory-mapped `.gsbg` (or a loaded text graph),
 /// its companion `.gsbc` clique stream, and the `.gsbci` sidecar index when
-/// one exists.  Entries are handed out as shared_ptr: the catalog holds one
-/// reference, every live query engine holds another, so `close()` (or a
-/// replacing `open()`) drops the catalog's reference immediately while
-/// in-flight queries finish against the old mapping safely.
+/// one exists, each mapped once at open.  Entries are handed out as
+/// shared_ptr: the catalog holds one reference, every live query engine
+/// holds another, so `close()` (or a replacing `open()`) drops the
+/// catalog's reference immediately while in-flight queries finish against
+/// the old mappings safely.
 ///
 /// Every successful open stamps the entry with a process-unique, monotone
 /// **epoch**.  The result cache keys on (epoch, canonical query), so
 /// replacing a graph under the same name can never serve stale cached
-/// answers — the old epoch's entries simply age out of the LRU.
+/// answers — the old epoch's entries simply age out of the LRU.  An
+/// epoch's artifacts are pinned: a file replaced at the same path (an
+/// atomic rename) is seen only by the next open, never by an engine of
+/// this epoch.
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +33,7 @@
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 #include "service/clique_index.h"
+#include "storage/clique_stream.h"
 #include "storage/graph_file.h"
 
 namespace gsb::service {
@@ -57,11 +63,10 @@ class GraphEntry {
     return graph_.view.order();
   }
 
-  [[nodiscard]] bool has_cliques() const noexcept {
-    return !cliques_path_.empty();
-  }
-  [[nodiscard]] const std::string& cliques_path() const noexcept {
-    return cliques_path_;
+  /// The clique stream mapped at open, positioned at its first record
+  /// (scan() it, or read_record() at an index offset), or nullptr.
+  [[nodiscard]] const storage::GsbcReader* cliques() const noexcept {
+    return cliques_ ? &*cliques_ : nullptr;
   }
   /// The `.gsbci` index, or nullptr when the entry runs on stream rescans.
   [[nodiscard]] const CliqueIndex* index() const noexcept {
@@ -101,7 +106,7 @@ class GraphEntry {
   std::uint64_t epoch_ = 0;
   storage::GraphFile graph_;
   std::vector<graph::VertexId> inverse_permutation_;
-  std::string cliques_path_;
+  std::optional<storage::GsbcReader> cliques_;
   CliqueIndex index_;
 
   mutable std::mutex derived_mutex_;  ///< guards the per-epoch values below

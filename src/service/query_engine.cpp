@@ -9,7 +9,6 @@
 #include "graph/transforms.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
-#include "storage/clique_stream.h"
 #include "util/timer.h"
 
 namespace gsb::service {
@@ -217,7 +216,8 @@ std::string QueryEngine::run_cliques_containing(const Query& query) {
                              " out of range (graph order " +
                              std::to_string(entry_->order()) + ")");
   }
-  if (!entry_->has_cliques()) {
+  const storage::GsbcReader* stream = entry_->cliques();
+  if (stream == nullptr) {
     throw std::runtime_error(
         "no clique stream attached (open with --cliques FILE.gsbc)");
   }
@@ -236,19 +236,19 @@ std::string QueryEngine::run_cliques_containing(const Query& query) {
   };
   if (const CliqueIndex* index = entry_->index()) {
     // Random access: touch exactly |postings(v)| records, never the rest
-    // of the stream.
-    if (!random_reader_) {
-      random_reader_.emplace(entry_->cliques_path(), *index);
-    }
+    // of the stream.  Record id ends where record id + 1 begins.
     ++stats_.index_queries;
     for (const std::uint64_t id : index->postings(v)) {
-      random_reader_->read(id, clique);
+      const std::uint64_t end = id + 1 < index->clique_count()
+                                    ? index->clique_offset(id + 1)
+                                    : stream->file_bytes();
+      stream->read_record(index->clique_offset(id), end, clique);
       ++stats_.records_decoded;
       emit(clique);
     }
   } else {
     ++stats_.stream_scans;
-    auto reader = storage::GsbcReader::open(entry_->cliques_path());
+    auto reader = stream->scan();
     while (reader.next(clique)) {
       ++stats_.records_decoded;
       if (std::binary_search(clique.begin(), clique.end(), v)) emit(clique);

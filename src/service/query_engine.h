@@ -17,16 +17,15 @@
 /// sorted `.gsbg` in both directions, matching the CLI's convention and
 /// the labels `.gsbc` streams store.
 ///
-/// An engine is cheap to construct and deliberately not thread-safe (it
-/// owns a seekable stream handle); concurrent callers construct one engine
-/// per thread over the same shared GraphEntry, which is read-only.
+/// An engine holds no file handle: every clique record comes from the
+/// stream its GraphEntry mapped at open.  It is cheap to construct and not
+/// thread-safe (its counters are plain); concurrent callers construct one
+/// engine per thread over the same shared GraphEntry, which is read-only.
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
-#include "service/clique_index.h"
 #include "service/graph_catalog.h"
 #include "service/query.h"
 
@@ -77,7 +76,6 @@ class QueryEngine {
   graph::VertexId stored_operand(graph::VertexId original) const;
 
   std::shared_ptr<const GraphEntry> entry_;
-  std::optional<CliqueRandomReader> random_reader_;  ///< lazy, per engine
   QueryEngineStats stats_;
 };
 

@@ -24,9 +24,10 @@
 /// spills edges past its tile budget.  The budget holds two buffers: a
 /// background thread sorts and writes a full one while add() fills the
 /// other, so producers wait for the disk only when it falls a whole
-/// buffer behind.  Resident memory is the budget plus one read buffer
-/// per run, never the output.  When the runs reach kMaxFanIn they are
-/// merged into one, so the open read buffers stay bounded too.
+/// buffer behind.  Resident memory is the budget plus one GsbcReader scan
+/// window (64 KiB of mapped pages) per run, never the output.  When the
+/// runs reach kMaxFanIn they are merged into one, so the open windows stay
+/// bounded too.
 ///
 /// Run files are named `<spill_base>.run<i>.tmp.<pid>`: a crash leaves
 /// only names util::io::find_stale_temps reports (and `--clean-tmp`

@@ -9,10 +9,37 @@
 namespace gsb::storage {
 namespace {
 
-constexpr std::size_t kIoBuffer = 1 << 16;  ///< 64 KiB writer/reader chunks
+constexpr std::size_t kIoBuffer = 1 << 16;  ///< 64 KiB writer chunks
+/// Reader windows: a scan drops each one's pages once past it.  A multiple
+/// of every page size the kernel uses, so windows are whole pages.
+constexpr std::size_t kReadWindow = 1 << 16;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("gsbc: " + what);
+}
+
+/// Decodes the record at \p pos into \p out and advances \p pos past it:
+/// a size in [1, n], then members below n, ascending (every delta >= 1).
+/// The one parse of a `.gsbc` record; next() and read_record() share it.
+void decode_record(std::span<const unsigned char> bytes, std::size_t& pos,
+                   std::uint64_t n, std::vector<graph::VertexId>& out) {
+  const std::uint64_t size = decode_leb128(bytes, pos);
+  // Each member takes at least one byte, which also bounds the reserve.
+  if (size == 0 || size > n || size > bytes.size() - pos) {
+    fail("record size out of range");
+  }
+  out.clear();
+  out.reserve(size);
+  std::uint64_t member = decode_leb128(bytes, pos);
+  if (member >= n) fail("member id out of range");
+  out.push_back(static_cast<graph::VertexId>(member));
+  for (std::uint64_t i = 1; i < size; ++i) {
+    const std::uint64_t delta = decode_leb128(bytes, pos);
+    if (delta == 0) fail("non-ascending member delta");
+    if (delta >= n - member) fail("member id out of range");  // no wrap
+    member += delta;
+    out.push_back(static_cast<graph::VertexId>(member));
+  }
 }
 
 void serialize_header(char (&buffer)[kGsbcHeaderBytes],
@@ -126,14 +153,10 @@ GsbcWriteStats GsbcWriter::close() {
 
 GsbcReader GsbcReader::open(const std::string& path, const Options& options) {
   GsbcReader reader;
-  reader.in_.open(path, std::ios::binary);
-  if (!reader.in_) fail("cannot open '" + path + "'");
-
-  char raw[kGsbcHeaderBytes];
-  reader.in_.read(raw, sizeof(raw));
-  if (reader.in_.gcount() != static_cast<std::streamsize>(sizeof(raw))) {
-    fail("file shorter than the header");
-  }
+  reader.file_ = std::make_shared<const util::io::MappedFile>(path, "gsbc");
+  const util::io::MappedFile& file = *reader.file_;
+  const char* raw = file.data();
+  if (file.size() < kGsbcHeaderBytes) fail("file shorter than the header");
   if (std::memcmp(raw, kGsbcMagic, sizeof(kGsbcMagic)) != 0) {
     fail("bad magic (not a .gsbc file)");
   }
@@ -157,10 +180,7 @@ GsbcReader GsbcReader::open(const std::string& path, const Options& options) {
   // record is at least one byte per varint (size + members) and at most ten,
   // so a truncated stream or trailing garbage is rejected at open — not
   // after a half-parsed header has already been reported.
-  reader.in_.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(reader.in_.tellg());
-  reader.in_.seekg(kGsbcHeaderBytes);
-  const std::uint64_t payload = file_size - kGsbcHeaderBytes;
+  const std::uint64_t payload = file.size() - kGsbcHeaderBytes;
   const std::uint64_t varints = header.clique_count + header.member_total;
   if (payload < varints) {
     fail("file truncated: " + std::to_string(payload) +
@@ -173,51 +193,29 @@ GsbcReader GsbcReader::open(const std::string& path, const Options& options) {
   }
 
   if (options.verify_checksum) {
+    // One window at a time, each dropped once hashed, like a scan.
     Fnv1a sum;
-    std::vector<unsigned char> chunk(kIoBuffer);
-    while (reader.in_) {
-      reader.in_.read(reinterpret_cast<char*>(chunk.data()),
-                      static_cast<std::streamsize>(chunk.size()));
-      const std::streamsize got = reader.in_.gcount();
-      if (got <= 0) break;
-      sum.update(chunk.data(), static_cast<std::size_t>(got));
+    for (std::size_t window = 0; window < file.size();
+         window += kReadWindow) {
+      const std::size_t begin = std::max(window, kGsbcHeaderBytes);
+      const std::size_t end = std::min(file.size(), window + kReadWindow);
+      sum.update(raw + begin, end - begin);
+      file.drop_pages(window, end);
     }
     if (sum.digest() != header.checksum) fail("checksum mismatch");
-    reader.in_.clear();
-    reader.in_.seekg(kGsbcHeaderBytes);
   }
-
-  reader.buffer_.resize(kIoBuffer);
   return reader;
 }
 
-bool GsbcReader::fill() {
-  buf_file_base_ += buf_end_;
-  in_.read(reinterpret_cast<char*>(buffer_.data()),
-           static_cast<std::streamsize>(buffer_.size()));
-  buf_end_ = static_cast<std::size_t>(in_.gcount());
-  buf_pos_ = 0;
-  return buf_end_ > 0;
-}
-
-std::uint64_t GsbcReader::read_varint() {
-  std::uint64_t value = 0;
-  unsigned shift = 0;
-  while (true) {
-    if (buf_pos_ == buf_end_ && !fill()) {
-      fail("truncated record (unexpected end of stream)");
-    }
-    const unsigned char byte = buffer_[buf_pos_++];
-    if (shift >= 63 && (byte >> 1) != 0) fail("varint overflow");
-    if (shift > 0 && byte == 0) fail("over-long varint encoding");
-    value |= static_cast<std::uint64_t>(byte & 0x7Fu) << shift;
-    if ((byte & 0x80u) == 0) return value;
-    shift += 7;
-  }
+GsbcReader GsbcReader::scan() const {
+  GsbcReader reader;
+  reader.file_ = file_;
+  reader.header_ = header_;
+  return reader;
 }
 
 bool GsbcReader::next(std::vector<graph::VertexId>& out) {
-  if (buf_pos_ == buf_end_ && !fill()) {
+  if (pos_ == file_->size()) {
     if (cliques_read_ != header_.clique_count) {
       fail("stream ended after " + std::to_string(cliques_read_) + " of " +
            std::to_string(header_.clique_count) + " cliques");
@@ -237,23 +235,31 @@ bool GsbcReader::next(std::vector<graph::VertexId>& out) {
   if (cliques_read_ == header_.clique_count) {
     fail("trailing bytes after the declared clique count");
   }
-  const std::uint64_t size = read_varint();
-  if (size == 0 || size > header_.n) fail("record size out of range");
-  out.clear();
-  out.reserve(size);
-  std::uint64_t member = read_varint();
-  for (std::uint64_t i = 0;; ++i) {
-    if (member >= header_.n) fail("member id out of range");
-    out.push_back(static_cast<graph::VertexId>(member));
-    if (i + 1 == size) break;
-    const std::uint64_t delta = read_varint();
-    if (delta == 0) fail("non-ascending member delta");
-    member += delta;
-  }
+  decode_record(file_->bytes(), pos_, header_.n, out);
   ++cliques_read_;
-  members_read_ += size;
-  max_seen_ = std::max(max_seen_, size);
+  members_read_ += out.size();
+  max_seen_ = std::max<std::uint64_t>(max_seen_, out.size());
+  // Hand back the whole windows behind the cursor: a scan keeps one window
+  // (plus the kernel's fault-around) of the file resident.
+  if (pos_ - dropped_ >= kReadWindow) {
+    const std::size_t behind = pos_ / kReadWindow * kReadWindow;
+    file_->drop_pages(dropped_, behind);
+    dropped_ = behind;
+  }
   return true;
+}
+
+void GsbcReader::read_record(std::uint64_t begin, std::uint64_t end,
+                             std::vector<graph::VertexId>& out) const {
+  if (begin < kGsbcHeaderBytes || begin >= end || end > file_->size()) {
+    fail("record range [" + std::to_string(begin) + ", " +
+         std::to_string(end) + ") out of bounds");
+  }
+  std::size_t pos = begin;
+  decode_record(file_->bytes().first(end), pos, header_.n, out);
+  if (pos != end) {
+    fail("record at byte " + std::to_string(begin) + " has trailing bytes");
+  }
 }
 
 }  // namespace gsb::storage

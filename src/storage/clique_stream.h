@@ -9,13 +9,16 @@
 /// memory, header (counts + checksum) patched on close.  It accepts
 /// cliques in any member order and canonicalizes to ascending ids before
 /// delta coding, so it can sit directly behind any enumerator's
-/// CliqueCallback.  The reader is a strict forward scan returning one
-/// clique at a time — `analysis::clique_spectrum`, participation counting
-/// and paraclique seeding all consume it in O(1) clique memory, which is
-/// the whole point: the clique set never has to exist in RAM at once.
+/// CliqueCallback.  The reader maps the file once (util::io::MappedFile)
+/// and decodes every record with one parser, both in its strict forward
+/// scan — `analysis::clique_spectrum`, participation counting and
+/// paraclique seeding all consume that in O(1) clique memory, which is the
+/// whole point: the clique set never has to exist in RAM at once — and in
+/// read_record, the `.gsbci`-driven random access.  A scan hands the pages
+/// it has consumed back to the kernel, so it keeps one 64 KiB window of
+/// the file resident however long the stream is.
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -23,10 +26,7 @@
 
 #include "graph/graph.h"
 #include "storage/gsbc_format.h"
-
-namespace gsb::util::io {
-class FileWriter;
-}  // namespace gsb::util::io
+#include "util/io.h"
 
 namespace gsb::storage {
 
@@ -93,7 +93,8 @@ class GsbcWriter {
   bool open_ = false;
 };
 
-/// Forward-iterating `.gsbc` reader.
+/// `.gsbc` reader over a read-only mapping of the file.  Copies share the
+/// mapping; each copy is its own cursor.
 class GsbcReader {
  public:
   struct Options {
@@ -102,15 +103,12 @@ class GsbcReader {
     bool verify_checksum = false;
   };
 
-  /// Opens \p path, validating magic, version and header/file coherence.
+  /// Maps \p path, validating magic, version and header/file coherence.
   /// Throws std::runtime_error on any malformation.
   static GsbcReader open(const std::string& path, const Options& options);
   static GsbcReader open(const std::string& path) {
     return open(path, Options{});
   }
-
-  GsbcReader(GsbcReader&&) = default;
-  GsbcReader& operator=(GsbcReader&&) = default;
 
   [[nodiscard]] const GsbcHeader& header() const noexcept { return header_; }
   [[nodiscard]] std::size_t order() const noexcept { return header_.n; }
@@ -123,6 +121,10 @@ class GsbcReader {
   [[nodiscard]] std::uint64_t max_size() const noexcept {
     return header_.max_size;
   }
+  /// Size of the mapped file.
+  [[nodiscard]] std::uint64_t file_bytes() const noexcept {
+    return file_->size();
+  }
 
   /// Reads the next clique into \p out (ascending member ids).  Returns
   /// false at a clean end of stream; throws on truncation, malformed
@@ -133,21 +135,25 @@ class GsbcReader {
   /// Absolute file offset of the record the next next() call will decode
   /// (the `.gsbci` builder records these for random access).
   [[nodiscard]] std::uint64_t next_record_offset() const noexcept {
-    return buf_file_base_ + buf_pos_;
+    return pos_;
   }
+
+  /// A reader at the first record of the same mapping (no reopen).
+  [[nodiscard]] GsbcReader scan() const;
+
+  /// Decodes the one record that fills file bytes [begin, end) into \p out;
+  /// throws if the range is out of bounds, the record is malformed, or
+  /// bytes of the range are left over.  Leaves the scan cursor alone.
+  void read_record(std::uint64_t begin, std::uint64_t end,
+                   std::vector<graph::VertexId>& out) const;
 
  private:
   GsbcReader() = default;
 
-  [[nodiscard]] bool fill();
-  [[nodiscard]] std::uint64_t read_varint();
-
-  std::ifstream in_;
+  std::shared_ptr<const util::io::MappedFile> file_;
   GsbcHeader header_;
-  std::vector<unsigned char> buffer_;
-  std::size_t buf_pos_ = 0;
-  std::size_t buf_end_ = 0;
-  std::uint64_t buf_file_base_ = kGsbcHeaderBytes;  ///< offset of buffer_[0]
+  std::size_t pos_ = kGsbcHeaderBytes;  ///< offset of the next record
+  std::size_t dropped_ = 0;  ///< pages below this offset were handed back
   std::uint64_t cliques_read_ = 0;
   std::uint64_t members_read_ = 0;
   std::uint64_t max_seen_ = 0;

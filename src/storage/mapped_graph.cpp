@@ -2,21 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define GSB_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 #include "bitset/dynamic_bitset.h"
-#include "util/io.h"
 
 namespace gsb::storage {
 namespace {
@@ -44,85 +33,14 @@ GsbgHeader parse_header(const char* base, std::size_t bytes) {
 
 }  // namespace
 
-MappedGraph::~MappedGraph() { release(); }
-
-MappedGraph::MappedGraph(MappedGraph&& other) noexcept {
-  *this = std::move(other);
-}
-
-MappedGraph& MappedGraph::operator=(MappedGraph&& other) noexcept {
-  if (this != &other) {
-    release();
-    header_ = other.header_;
-    sections_ = std::move(other.sections_);
-    base_ = std::exchange(other.base_, nullptr);
-    map_bytes_ = std::exchange(other.map_bytes_, 0);
-    heap_backed_ = std::exchange(other.heap_backed_, false);
-    offsets_ = std::exchange(other.offsets_, {});
-    targets_ = std::exchange(other.targets_, {});
-    bitmap_ = std::exchange(other.bitmap_, nullptr);
-    words_per_row_ = std::exchange(other.words_per_row_, 0);
-    permutation_ = std::exchange(other.permutation_, {});
-    degrees_ = std::move(other.degrees_);
-  }
-  return *this;
-}
-
-void MappedGraph::release() noexcept {
-  if (base_ == nullptr) return;
-#if GSB_HAVE_MMAP
-  if (!heap_backed_) {
-    ::munmap(const_cast<char*>(base_), map_bytes_);
-    base_ = nullptr;
-    return;
-  }
-#endif
-  delete[] base_;
-  base_ = nullptr;
-}
-
 MappedGraph MappedGraph::open(const std::string& path,
                               const Options& options) {
   MappedGraph g;
+  g.file_ = util::io::MappedFile(path, "gsbg");
+  const char* base = g.file_.data();
+  const std::size_t bytes = g.file_.size();
 
-#if GSB_HAVE_MMAP
-  const int fd = util::io::open_for_read(path.c_str());
-  if (fd < 0) fail("cannot open '" + path + "' for reading");
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    fail("cannot stat '" + path + "'");
-  }
-  g.map_bytes_ = static_cast<std::size_t>(st.st_size);
-  if (g.map_bytes_ > 0) {
-    void* map = util::io::mmap_read(g.map_bytes_, fd);
-    ::close(fd);
-    if (map == MAP_FAILED) fail("mmap failed for '" + path + "'");
-    g.base_ = static_cast<const char*>(map);
-  } else {
-    ::close(fd);
-    fail("file is empty");
-  }
-#else
-  // Portability fallback: read the whole file into heap memory.  Loses the
-  // out-of-core property but keeps the format usable.
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) fail("cannot open '" + path + "' for reading");
-  const auto size = in.tellg();
-  if (size <= 0) fail("file is empty");
-  g.map_bytes_ = static_cast<std::size_t>(size);
-  char* buffer = new char[g.map_bytes_];
-  in.seekg(0);
-  in.read(buffer, static_cast<std::streamsize>(g.map_bytes_));
-  if (!in) {
-    delete[] buffer;
-    fail("short read from '" + path + "'");
-  }
-  g.base_ = buffer;
-  g.heap_backed_ = true;
-#endif
-
-  g.header_ = parse_header(g.base_, g.map_bytes_);
+  g.header_ = parse_header(base, bytes);
   const std::uint64_t n = g.header_.n;
   // Sanity-bound n and m before any size arithmetic: vertex ids are 32-bit
   // and m <= n(n-1)/2, so a header that violates either is corrupt — and
@@ -136,10 +54,10 @@ MappedGraph MappedGraph::open(const std::string& path,
   if (g.header_.section_count > 64) fail("implausible section count");
   const std::uint64_t table_end =
       kHeaderBytes + g.header_.section_count * kSectionEntryBytes;
-  if (table_end > g.map_bytes_) fail("truncated section table");
+  if (table_end > bytes) fail("truncated section table");
   g.sections_.reserve(g.header_.section_count);
   for (std::uint64_t i = 0; i < g.header_.section_count; ++i) {
-    const char* entry = g.base_ + kHeaderBytes + i * kSectionEntryBytes;
+    const char* entry = base + kHeaderBytes + i * kSectionEntryBytes;
     std::uint32_t kind = 0;
     GsbgSection section;
     std::memcpy(&kind, entry, 4);
@@ -148,7 +66,7 @@ MappedGraph MappedGraph::open(const std::string& path,
     section.kind = static_cast<SectionKind>(kind);
     if (section.offset % kSectionAlign != 0 ||
         section.offset < table_end ||
-        section.offset + section.size > g.map_bytes_ ||
+        section.offset + section.size > bytes ||
         section.offset + section.size < section.offset) {
       fail("section " + std::to_string(kind) + " out of bounds");
     }
@@ -162,7 +80,7 @@ MappedGraph MappedGraph::open(const std::string& path,
     return nullptr;
   };
   auto section_span = [&](const GsbgSection& section) {
-    return g.base_ + section.offset;
+    return base + section.offset;
   };
 
   // --- CSR (required) --------------------------------------------------------
@@ -262,41 +180,29 @@ void MappedGraph::check_bitmap_padding() const {
   // Windows are aligned in the address space, as the kernel's fault-around
   // blocks are, so no read maps a page of a window already handed back.
   constexpr std::uintptr_t kWindow = std::uintptr_t{1} << 20;
-  const std::uint64_t* end = bitmap_ + n * words_per_row_;
+  const auto base = reinterpret_cast<std::uintptr_t>(file_.data());
+  const auto first = reinterpret_cast<std::uintptr_t>(bitmap_);
+  const auto last = reinterpret_cast<std::uintptr_t>(
+      bitmap_ + n * words_per_row_);
+  // Only whole pages of the bitmap: a page it shares with another section
+  // stays.
+  const auto drop = [&](std::uintptr_t begin, std::uintptr_t end) {
+    file_.drop_pages(std::max(begin, first) - base, std::min(end, last) - base);
+  };
   std::uintptr_t window = 0;
   for (std::uint64_t v = 0; v < n; ++v) {
-    const std::uint64_t* last = bitmap_ + (v + 1) * words_per_row_ - 1;
-    const auto at = reinterpret_cast<std::uintptr_t>(last) & ~(kWindow - 1);
+    const std::uint64_t* row_end = bitmap_ + (v + 1) * words_per_row_ - 1;
+    const auto at = reinterpret_cast<std::uintptr_t>(row_end) & ~(kWindow - 1);
     if (at != window) {
-      if (window != 0) drop_bitmap_pages(window, window + kWindow);
+      if (window != 0) drop(window, window + kWindow);
       window = at;
     }
-    if ((*last & pad_mask) != 0) {
+    if ((*row_end & pad_mask) != 0) {
       fail("bitmap row " + std::to_string(v) +
            " has padding bits set (corrupt)");
     }
   }
-  drop_bitmap_pages(window, reinterpret_cast<std::uintptr_t>(end));
-}
-
-void MappedGraph::drop_bitmap_pages(std::uintptr_t begin,
-                                    std::uintptr_t end) const noexcept {
-#if GSB_HAVE_MMAP
-  if (heap_backed_) return;
-  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-  const auto first = reinterpret_cast<std::uintptr_t>(bitmap_);
-  const auto last = first + header_.n * words_per_row_ * sizeof(std::uint64_t);
-  // Only whole pages of the bitmap: a page it shares with another section
-  // stays.
-  begin = (std::max(begin, first) + page - 1) / page * page;
-  end = std::min(end, last) / page * page;
-  if (begin < end) {
-    ::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_DONTNEED);
-  }
-#else
-  (void)begin;
-  (void)end;
-#endif
+  drop(window, last);
 }
 
 double MappedGraph::density() const noexcept {
@@ -324,7 +230,7 @@ graph::Graph MappedGraph::load() const {
 
 void MappedGraph::verify_checksum() const {
   Fnv1a sum;
-  sum.update(base_ + kHeaderBytes, map_bytes_ - kHeaderBytes);
+  sum.update(file_.data() + kHeaderBytes, file_.size() - kHeaderBytes);
   if (sum.digest() != header_.checksum) {
     fail("checksum mismatch (file corrupt or truncated)");
   }

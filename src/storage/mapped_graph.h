@@ -29,6 +29,7 @@
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 #include "storage/gsbg_format.h"
+#include "util/io.h"
 
 namespace gsb::storage {
 
@@ -43,13 +44,6 @@ class MappedGraph {
     bool verify_checksum = false;
   };
 
-  MappedGraph() = default;
-  ~MappedGraph();
-  MappedGraph(MappedGraph&& other) noexcept;
-  MappedGraph& operator=(MappedGraph&& other) noexcept;
-  MappedGraph(const MappedGraph&) = delete;
-  MappedGraph& operator=(const MappedGraph&) = delete;
-
   /// Maps \p path read-only, validating magic, version, section table, CSR
   /// rows and bitmap padding.  Throws std::runtime_error on any
   /// malformation.
@@ -58,7 +52,9 @@ class MappedGraph {
     return open(path, Options{});
   }
 
-  [[nodiscard]] bool is_open() const noexcept { return base_ != nullptr; }
+  [[nodiscard]] bool is_open() const noexcept {
+    return file_.data() != nullptr;
+  }
   [[nodiscard]] std::size_t order() const noexcept { return header_.n; }
   [[nodiscard]] std::size_t num_edges() const noexcept { return header_.m; }
   [[nodiscard]] double density() const noexcept;
@@ -66,7 +62,9 @@ class MappedGraph {
   [[nodiscard]] const std::vector<GsbgSection>& sections() const noexcept {
     return sections_;
   }
-  [[nodiscard]] std::size_t file_bytes() const noexcept { return map_bytes_; }
+  [[nodiscard]] std::size_t file_bytes() const noexcept {
+    return file_.size();
+  }
 
   [[nodiscard]] bool has_bitmap() const noexcept { return bitmap_ != nullptr; }
   [[nodiscard]] bool degree_sorted() const noexcept {
@@ -108,7 +106,6 @@ class MappedGraph {
   void verify_checksum() const;
 
  private:
-  void release() noexcept;
   /// Throws unless every CSR row is strictly ascending, below n, free of
   /// self-loops, and every arc {v, u} appears in both rows.  O(n + m).
   void check_csr_rows() const;
@@ -116,20 +113,15 @@ class MappedGraph {
   /// kernels rely on the writer's invariant that those are zero, so it is
   /// checked at open rather than left to the optional checksum pass.
   /// Reading each row's last word touches every page of the bitmap, so the
-  /// check walks it in 1 MiB windows and drops each one once checked.
+  /// check walks it in 1 MiB windows and drops each one's pages (only the
+  /// bitmap's whole pages) once checked.
   void check_bitmap_padding() const;
-  /// Drops the mapping's resident pages of the bitmap within [begin, end)
-  /// (whole pages only; clean file pages, read again on demand).
-  void drop_bitmap_pages(std::uintptr_t begin,
-                         std::uintptr_t end) const noexcept;
   /// Throws unless every bitmap row's set bits are exactly its CSR row.
   void verify_bitmap_rows() const;
 
   GsbgHeader header_;
   std::vector<GsbgSection> sections_;
-  const char* base_ = nullptr;     ///< mapped (or heap fallback) file bytes
-  std::size_t map_bytes_ = 0;
-  bool heap_backed_ = false;       ///< base_ owns heap memory, not a mapping
+  util::io::MappedFile file_;
   std::span<const std::uint64_t> offsets_;
   std::span<const std::uint32_t> targets_;
   const std::uint64_t* bitmap_ = nullptr;

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -329,6 +330,52 @@ void* mmap_read(std::size_t bytes, int fd) noexcept {
     }
   }
   return ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
+}
+
+// -- MappedFile --------------------------------------------------------------
+
+MappedFile::MappedFile(const std::string& path, const char* what) {
+  const auto fail = [&](int err, const std::string& step) {
+    throw std::runtime_error(std::string(what) + ": " + step + ": " +
+                             std::strerror(err));
+  };
+  const int fd = open_for_read(path.c_str());
+  if (fd < 0) fail(errno, "cannot open '" + path + "' for reading");
+  struct stat st{};
+  const bool sized = ::fstat(fd, &st) == 0;
+  const auto bytes = sized ? static_cast<std::size_t>(st.st_size) : 0;
+  void* map = bytes > 0 ? mmap_read(bytes, fd) : nullptr;
+  const int err = errno;
+  ::close(fd);
+  if (!sized) fail(err, "cannot stat '" + path + "'");
+  if (map == MAP_FAILED) fail(err, "mmap failed for '" + path + "'");
+  data_ = static_cast<const char*>(map);
+  size_ = bytes;
+}
+
+MappedFile::~MappedFile() {
+  if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
+}
+
+MappedFile::MappedFile(MappedFile&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)) {}
+
+MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
+  const MappedFile old(std::move(*this));  // unmaps on return
+  data_ = std::exchange(other.data_, nullptr);
+  size_ = std::exchange(other.size_, 0);
+  return *this;
+}
+
+void MappedFile::drop_pages(std::size_t begin, std::size_t end) const noexcept {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  // The mapping starts on a page boundary, so offsets round as addresses.
+  begin = (begin + page - 1) / page * page;
+  end = std::min(end, size_) / page * page;
+  if (begin < end) {
+    ::madvise(const_cast<char*>(data_) + begin, end - begin, MADV_DONTNEED);
+  }
 }
 
 // -- FileWriter --------------------------------------------------------------

@@ -4,17 +4,23 @@
 // place — and so the fault-injection shim (util/fault_injection.h) can
 // intercept each call deterministically.
 //
-// Also home to FileWriter, the crash-safe artifact writer shared by the
-// .gsbg/.gsbc/.gsbci builders: it writes to `<path>.tmp.<pid>`, fsyncs
-// the file and its directory, and atomically renames into place, so a
-// reader never observes a partial container and a crash leaves only a
-// removable temp file (see find_stale_temps).
+// Also home to the two ends of every artifact.  MappedFile is the one way
+// the .gsbg/.gsbc/.gsbci readers get at their bytes: a whole file mapped
+// read-only through open_for_read and mmap_read (so the shim sees each
+// open and map), unmapped on destruction, and able to hand the pages of
+// a consumed range back to the kernel.  FileWriter is the crash-safe
+// writer shared by their builders: it writes to `<path>.tmp.<pid>`,
+// fsyncs the file and its directory, and atomically renames into place,
+// so a reader never observes a partial container and a crash leaves only
+// a removable temp file (see find_stale_temps).  A mapping outlives a
+// rename over its path: it keeps reading the file it mapped.
 
 #ifndef GSB_UTIL_IO_H
 #define GSB_UTIL_IO_H
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,6 +72,39 @@ int rename_path(const char* from, const char* to) noexcept;
 /// PROT_READ MAP_PRIVATE mmap of [0, bytes) with fault interception;
 /// MAP_FAILED on error.
 void* mmap_read(std::size_t bytes, int fd) noexcept;
+
+// -- read-only file mapping -------------------------------------------------
+
+/// A whole file mapped PROT_READ/MAP_PRIVATE.  Move-only; unmaps on
+/// destruction.  An empty file maps to no bytes (the readers' header
+/// checks reject it).
+class MappedFile {
+ public:
+  MappedFile() = default;
+  /// Maps \p path.  Throws std::runtime_error "<what>: cannot open
+  /// '<path>' for reading: <errno text>" (likewise "cannot stat" and
+  /// "mmap failed for"), so each reader's errors keep its format prefix.
+  MappedFile(const std::string& path, const char* what);
+  ~MappedFile();
+  MappedFile(MappedFile&& other) noexcept;
+  MappedFile& operator=(MappedFile&& other) noexcept;
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+
+  [[nodiscard]] const char* data() const noexcept { return data_; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::span<const unsigned char> bytes() const noexcept {
+    return {reinterpret_cast<const unsigned char*>(data_), size_};
+  }
+
+  /// Drops the resident pages that lie wholly inside bytes [begin, end):
+  /// clean file pages, read again from the file on the next access.
+  void drop_pages(std::size_t begin, std::size_t end) const noexcept;
+
+ private:
+  const char* data_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 // -- crash-safe artifact writer ---------------------------------------------
 

@@ -2,10 +2,8 @@
 
 #include <cstdio>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #include <unistd.h>
-#endif
 
 namespace gsb::util {
 
@@ -58,16 +56,12 @@ MemoryTracker& global_memory_tracker() noexcept {
 }
 
 std::size_t process_peak_rss_bytes() noexcept {
-#if defined(__unix__) || defined(__APPLE__)
   struct rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
 #if defined(__APPLE__)
   return static_cast<std::size_t>(usage.ru_maxrss);  // bytes on Darwin
 #else
   return static_cast<std::size_t>(usage.ru_maxrss) * 1024;  // KiB elsewhere
-#endif
-#else
-  return 0;
 #endif
 }
 

@@ -7,11 +7,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <span>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "analysis/clique_stats.h"
 #include "analysis/paraclique.h"
@@ -287,6 +291,61 @@ TEST(GsbcStream, RejectsDoctoredHeaderTotals) {
   write_stream();
   patch_u64(40, 4);  // max_size: 3 -> 4
   drain_throws();
+  std::remove(path.c_str());
+}
+
+/// Peak resident set (VmHWM) of this process in KiB, or -1.
+long peak_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.starts_with("VmHWM:")) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+// A forward scan hands the pages it has consumed back to the kernel, so
+// draining a 16 MiB stream raises the scanning process's peak RSS by less
+// than 1 MiB (a scan that kept them would add all 16).  It runs in a forked
+// child, whose peak starts near its own size.  Optimized builds only: the
+// sanitizer runtimes keep memory of their own.
+TEST(GsbcStream, ForwardScanKeepsOneWindowResident) {
+#if !defined(NDEBUG) || !defined(__linux__)
+  GTEST_SKIP() << "peak RSS is checked in optimized Linux builds";
+#endif
+  const std::string path = temp_path("gsbc_bounded_scan.gsbc");
+  constexpr std::uint64_t kRecords = 140'000;
+  {
+    // 64 members 16,000 apart: two-byte deltas, ~128 bytes a record.
+    GsbcWriter writer(path, std::size_t{1} << 20);
+    Clique clique(64);
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      for (std::size_t j = 0; j < clique.size(); ++j) {
+        clique[j] = static_cast<graph::VertexId>(i % 1000 + j * 16000);
+      }
+      writer.append(clique);
+    }
+    writer.close();
+  }
+  ASSERT_GE(fs::file_size(path), std::uintmax_t{16} << 20);
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    auto reader = GsbcReader::open(path);
+    Clique clique;
+    clique.reserve(64);
+    std::uint64_t records = 0;
+    const long before = peak_rss_kib();
+    while (reader.next(clique)) ++records;
+    const long raised = peak_rss_kib() - before;
+    std::fprintf(stderr, "scan of %llu records raised peak RSS by %ld KiB\n",
+                 static_cast<unsigned long long>(records), raised);
+    std::_Exit(records == kRecords && before > 0 && raised < 1024 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   std::remove(path.c_str());
 }
 

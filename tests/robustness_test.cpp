@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -747,6 +748,65 @@ TEST(VerifyArtifact, RejectsUnknownMagicAndMissingFiles) {
   EXPECT_THROW(verify_artifact(unknown), std::runtime_error);
   EXPECT_THROW(verify_artifact(d.path("does-not-exist.gsbg")),
                std::runtime_error);
+}
+
+// -- .gsbc reads under the shim ----------------------------------------------
+
+// A .gsbc is mapped through util::io like the other two artifacts, so the
+// shim sees its open and its mmap: an injected errno on either fails with
+// a typed `gsbc:` error that carries the errno, for a reader and for the
+// service catalog (whose second open and map are the stream's, after the
+// graph's), and an injected EINTR storm on open reads the same records.
+TEST(ShimCoverage, GsbcOpenAndMmapFaultsFailTypedAndEintrRereads) {
+  ScratchDir d("gsb_rb_gsbc_shim");
+  const auto g = test::random_graph(60, 0.3, 77);
+  const Built b = build_artifacts(g, d, "whole");
+  const auto drain = [&] {
+    auto reader = storage::GsbcReader::open(b.gsbc);
+    std::vector<std::vector<graph::VertexId>> cliques;
+    std::vector<graph::VertexId> clique;
+    while (reader.next(clique)) cliques.push_back(clique);
+    return cliques;
+  };
+  const auto clean = drain();
+  ASSERT_FALSE(clean.empty());
+
+  const auto expect_typed = [](const std::function<void()>& open, int err,
+                               const std::string& step) {
+    try {
+      open();
+      ADD_FAILURE() << step << " fault was not reported";
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_TRUE(message.starts_with("gsbc: " + step)) << message;
+      EXPECT_NE(message.find(std::strerror(err)), std::string::npos)
+          << message;
+    }
+  };
+  const struct {
+    fault::Op op;
+    int err;
+    const char* step;
+  } faults[] = {{fault::Op::kOpen, EACCES, "cannot open"},
+                {fault::Op::kMmap, EIO, "mmap failed"}};
+  for (const auto& f : faults) {
+    fault::Schedule s;
+    op(s, f.op) = {.fail_after = 1, .fail_errno = f.err};
+    {
+      fault::ScheduleScope scope(s);
+      expect_typed([&] { drain(); }, f.err, f.step);
+    }
+    op(s, f.op).fail_after = 2;
+    fault::ScheduleScope scope(s);
+    expect_typed([&] { GraphCatalog().open("g", spec_for(b)); }, f.err,
+                 f.step);
+  }
+
+  fault::Schedule storm;
+  op(storm, fault::Op::kOpen) = {.eintr = 0.9};
+  fault::ScheduleScope scope(storm);
+  EXPECT_EQ(drain(), clean);
+  EXPECT_GT(fault::injected_total(), 0u);
 }
 
 // -- stream-transport request deadlines --------------------------------------

@@ -11,6 +11,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -542,6 +544,130 @@ TEST(CliqueIndex, RejectsCorruptionAndStaleness) {
   // Without the sidecar the rewritten stream is fine.
   auto entry = catalog.open("g", spec_for(a, false));
   EXPECT_EQ(entry->index(), nullptr);
+}
+
+// Every record check lives in the one decoder that the forward scan and
+// indexed random access share: a malformed last record fails the scan with
+// a `gsbc:` error and indexed `cliques-containing` with an `error:` line.
+// The index is built from the healthy stream and each case patches the
+// record in place, so header, size bounds and index all still agree.
+TEST(CliqueIndex, MalformedRecordsFailTypedInScanAndIndexedRead) {
+  Artifacts a;
+  a.graph = test::random_graph(300, 0.01, 29);
+  a.gsbg = temp_path("service_malformed.gsbg");
+  a.gsbc = temp_path("service_malformed.gsbc");
+  a.gsbci = default_index_path(a.gsbc);
+  storage::write_gsbg_file(a.graph, a.gsbg);
+  {
+    storage::GsbcWriter writer(a.gsbc, a.graph.order());
+    writer.append(std::vector<graph::VertexId>{20, 21, 22});
+    // Record 1, the last: size 11, member 0, ten deltas of 1 (12 bytes).
+    writer.append(std::vector<graph::VertexId>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                               10});
+    writer.close();
+  }
+  build_clique_index(a.gsbc, a.gsbci);
+  std::string healthy;
+  {
+    std::ifstream in(a.gsbc, std::ios::binary);
+    healthy.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  constexpr std::size_t kLast = storage::kGsbcHeaderBytes + 4;
+  ASSERT_EQ(healthy.size(), kLast + 12);
+
+  using Bytes = std::vector<unsigned char>;
+  const Bytes ones(9, 0x01);
+  const auto record = [](Bytes head, const Bytes& tail) {
+    head.insert(head.end(), tail.begin(), tail.end());
+    return head;
+  };
+  const std::vector<std::pair<std::string, Bytes>> cases{
+      {"truncated varint", record({0x0B, 0x00}, record(ones, {0x81}))},
+      {"over-long varint",
+       record({0x0B, 0x00, 0x80, 0x00}, Bytes(8, 0x01))},
+      {"varint past 64 bits",
+       record({0x0B, 0x00}, record(Bytes(9, 0x80), {0x02}))},
+      // 5 + (2^64 - 1) wraps to 4: a complete record, but not ascending.
+      {"delta wrapping past 2^64",
+       record({0x02, 0x05}, record(Bytes(9, 0xFF), {0x01}))},
+      {"size 0", record({0x00, 0x00}, record(ones, {0x01}))},
+      {"size > n", record({0xAD, 0x02, 0x00}, ones)},  // 301 > 300
+      {"member >= n", record({0x0B, 0xAC, 0x02}, ones)},  // member 300
+      {"zero delta",
+       record({0x0B, 0x00, 0x01, 0x01, 0x01, 0x01, 0x00}, Bytes(5, 0x01))},
+      {"trailing bytes in the slot",
+       record({0x0A, 0x00}, record(ones, {0x01}))},
+  };
+  for (const auto& [name, bytes] : cases) {
+    ASSERT_EQ(bytes.size(), 12u) << name;
+    std::string patched = healthy;
+    std::memcpy(patched.data() + kLast, bytes.data(), bytes.size());
+    {
+      std::ofstream out(a.gsbc, std::ios::binary | std::ios::trunc);
+      out.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+    try {
+      auto reader = storage::GsbcReader::open(a.gsbc);
+      std::vector<graph::VertexId> clique;
+      while (reader.next(clique)) {
+      }
+      ADD_FAILURE() << name << ": the scan accepted the record";
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(std::string(e.what()).starts_with("gsbc: ")) << e.what();
+    }
+    GraphCatalog catalog;
+    QueryEngine engine(catalog.open("g", spec_for(a)));
+    ASSERT_NE(engine.entry().index(), nullptr);
+    const std::string answer = engine.execute_line("cliques-containing 0");
+    EXPECT_TRUE(answer.starts_with("error: ")) << name << ": " << answer;
+    EXPECT_NE(answer.find("gsbc: "), std::string::npos) << answer;
+  }
+}
+
+// An entry maps its clique stream once, when its epoch opens.  Replacing
+// the `.gsbc` at the same path (GsbcWriter publishes by atomic rename)
+// changes no answer of that epoch, from a fresh engine, indexed or
+// rescanning; the next open is a new epoch and answers from the new file.
+TEST(GraphCatalog, CliqueStreamIsPinnedToItsEpoch) {
+  for (const bool with_index : {true, false}) {
+    const auto a = make_artifacts(40, 0.3, 23,
+                                  with_index ? "service_pin_idx"
+                                             : "service_pin_scan");
+    std::vector<std::string> lines;
+    for (graph::VertexId v = 0; v < a.graph.order(); ++v) {
+      lines.push_back("cliques-containing " + std::to_string(v));
+    }
+    lines.push_back("top-hubs 10");
+    const auto answers = [&](std::shared_ptr<const GraphEntry> entry) {
+      QueryEngine engine(std::move(entry));
+      std::vector<std::string> out;
+      for (const auto& line : lines) out.push_back(engine.execute_line(line));
+      return out;
+    };
+
+    GraphCatalog catalog;
+    const auto before =
+        answers(catalog.open("reference", spec_for(a, with_index)));
+    // Opened before the swap, first queried after it.
+    auto pinned = catalog.open("g", spec_for(a, with_index));
+    ASSERT_EQ(pinned->index() != nullptr, with_index);
+    {
+      storage::GsbcWriter writer(a.gsbc, a.graph.order());
+      writer.append(std::vector<graph::VertexId>{0, 1});
+      writer.close();
+    }
+    if (with_index) build_clique_index(a.gsbc, a.gsbci);
+    EXPECT_EQ(answers(pinned), before) << "index " << with_index;
+
+    auto reopened = catalog.open("g", spec_for(a, with_index));
+    EXPECT_GT(reopened->epoch(), pinned->epoch());
+    QueryEngine engine(reopened);
+    EXPECT_EQ(engine.execute_line("cliques-containing 0"),
+              "cliques-containing 0: 0 1");
+    EXPECT_NE(engine.execute_line("cliques-containing 0"), before[0]);
+    EXPECT_EQ(engine.execute_line("cliques-containing 2"),
+              "cliques-containing 2:");
+  }
 }
 
 TEST(Batch, CacheOnOffAndThreadCountsAreByteIdentical) {
